@@ -52,7 +52,6 @@ from .measures import (
     foster_by_projection,
     foster_by_trees,
     gram_matrices,
-    hybrid_mass_profile,
     tropical_canonical_measure,
 )
 from .periods import (
@@ -143,9 +142,9 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             genus=h,
         )
     )
+    resistance = effective_resistance(doc.graph, metric.lengths)
     oracle_ok = all(
-        first.edge_coeffs[e]
-        == 1 - effective_resistance(doc.graph, metric.lengths, e) / metric.lengths[e]
+        first.edge_coeffs[e] == 1 - resistance[e] / metric.lengths[e]
         for e in doc.graph.edge_ids
     )
     assertions.append(_assertion("resistance_oracle", oracle_ok))
@@ -176,7 +175,7 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     per_layer = []
     product = 1
     for j, minor in enumerate(report_data.minors):
-        count = len(spanning_trees(minor))
+        count = tree_count(minor)
         product *= count
         per_layer.append(
             {
@@ -219,14 +218,14 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             for part in layering.parts
         )
         if normalized:
+            # The hybrid mass profile is the tropical measure itself.
             tropical = tropical_canonical_measure(doc.tropical())
-            hybrid = hybrid_mass_profile(doc.tropical())
             report["tropical_measure"] = measure_section(tropical)
             assertions.append(
                 _assertion(
                     "hybrid_total_mass_equals_total_genus",
-                    hybrid.total_mass == total_genus(doc.graph),
-                    total_mass=exact_field(hybrid.total_mass),
+                    tropical.total_mass == total_genus(doc.graph),
+                    total_mass=exact_field(tropical.total_mass),
                     total_genus=total_genus(doc.graph),
                 )
             )
@@ -402,9 +401,9 @@ def _selftest_measures(rng: Random, cases: int) -> dict[str, Any]:
             agree += 1
         if by_trees.edge_mass == graph_genus(g):
             mass += 1
+        resistance = effective_resistance(g, m.lengths)
         if all(
-            by_trees.edge_coeffs[e]
-            == 1 - effective_resistance(g, m.lengths, e) / m.lengths[e]
+            by_trees.edge_coeffs[e] == 1 - resistance[e] / m.lengths[e]
             for e in g.edge_ids
         ):
             oracle += 1

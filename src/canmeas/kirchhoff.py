@@ -2,7 +2,9 @@
 
 These work entirely in the weighted vertex Laplacian, so they share no
 code path with the tree enumeration or cycle-space routes they are used
-to cross-check.
+to cross-check.  Each component's Laplacian is eliminated once: tree
+counting takes one determinant per component, and the resistances of all
+edges of a component come from one multi-column solve.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .errors import DisconnectedGraph
 from .graphs import AugmentedGraph, connected_components
 
 
@@ -44,48 +45,42 @@ def tree_count(g: AugmentedGraph) -> int:
 
 
 def effective_resistance(
-    g: AugmentedGraph, lengths: Mapping[str, Fraction], edge_id: str
-) -> Fraction:
-    """Effective resistance across an edge's endpoints, edge included.
+    g: AugmentedGraph, lengths: Mapping[str, Fraction]
+) -> dict[str, Fraction]:
+    """Effective resistance across each edge's endpoints, edge included.
 
-    Each edge conducts 1/length.  Injects a unit current at the tail and
-    extracts it at the head, grounding one vertex, and reads off the
-    potential difference.  A loop has resistance zero.  Raises
-    DisconnectedGraph if the endpoints lie in different components.
+    Each edge conducts 1/length.  Per connected component, one vertex is
+    grounded and the grounded Laplacian is solved once, with one unit
+    current column e_u - e_v per non-loop edge u-v; the resistance is the
+    potential difference that column produces.  A loop has resistance
+    zero.  Returns ``{edge_id: resistance}`` for every edge.
     """
-    u, v = g.ends(edge_id)
-    if u == v:
-        return Fraction(0)
-    comp = next(c for c in connected_components(g) if u in c)
-    if v not in comp:
-        raise DisconnectedGraph(
-            f"endpoints of edge {edge_id!r} lie in different components"
-        )
-    verts = sorted(comp)
-    ground = verts[-1]
-    free = [w for w in verts if w != ground]
-    index = {w: i for i, w in enumerate(free)}
-    n = len(free)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for eid, (a, b) in g.edges:
-        if a == b or a not in comp:
+    out = {eid: Fraction(0) for eid in g.edge_ids}
+    for comp in connected_components(g):
+        verts = sorted(comp)
+        if len(verts) == 1:
             continue
-        c = Fraction(1) / Fraction(lengths[eid])
-        if a != ground and b != ground:
+        index = {w: i for i, w in enumerate(verts)}
+        n = len(verts) - 1  # the last vertex is grounded
+        lap = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        currents: list[tuple[str, int, int]] = []
+        for eid, (a, b) in g.edges:
+            if a == b or a not in comp:
+                continue
             i, j = index[a], index[b]
+            c = Fraction(1) / Fraction(lengths[eid])
             lap[i][i] += c
             lap[j][j] += c
             lap[i][j] -= c
             lap[j][i] -= c
-        else:
-            w = a if b == ground else b
-            lap[index[w]][index[w]] += c
-    rhs = [Fraction(0)] * n
-    if u != ground:
-        rhs[index[u]] += 1
-    if v != ground:
-        rhs[index[v]] -= 1
-    potential = linalg.solve(lap, rhs)
-    pu = potential[index[u]] if u != ground else Fraction(0)
-    pv = potential[index[v]] if v != ground else Fraction(0)
-    return pu - pv
+            currents.append((eid, i, j))
+        columns = []
+        for _, i, j in currents:
+            col = [Fraction(0)] * (n + 1)
+            col[i], col[j] = Fraction(1), Fraction(-1)
+            columns.append(col[:n])
+        grounded = [row[:n] for row in lap[:n]]
+        for (eid, i, j), x in zip(currents, linalg.solve(grounded, columns)):
+            x.append(Fraction(0))
+            out[eid] = x[i] - x[j]
+    return out

@@ -3,7 +3,9 @@
 Matrices are lists of lists of Fraction (or int where noted).  Elimination
 uses the Bareiss fraction-free scheme on an integer rescaling of the input,
 so every intermediate division is exact and entry growth stays polynomial.
-Sizes here are desk scale; nothing is tuned beyond that.
+Each matrix is eliminated once per call: :func:`solve` carries all of its
+right-hand sides through one forward pass, and :func:`is_positive_definite`
+reads every leading principal minor off one Bareiss pass.
 """
 
 from __future__ import annotations
@@ -120,40 +122,69 @@ def inverse(rows: Matrix) -> Matrix:
     return inv
 
 
-def solve(rows: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination.
+def solve(rows: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve a square rational system for several right-hand sides.
 
-    This is a plain rational pivot-and-eliminate pass, deliberately a
-    different code path from :func:`inverse`.  Raises BasisError on a
-    singular matrix.
+    ``rhs`` is a list of columns; the result lists one solution column
+    per right-hand side, in the same order.  One plain rational
+    pivot-and-eliminate pass reduces the matrix and carries every column
+    along, skipping zero entries; each column is then back-substituted.
+    This is deliberately a different code path from :func:`inverse`.
+    Raises BasisError on a singular matrix.
     """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    width = n + len(rhs)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(col[i]) for col in rhs]
+        for i, row in enumerate(rows)
+    ]
     for c in range(n):
         p = next((i for i in range(c, n) if a[i][c] != 0), None)
         if p is None:
             raise BasisError("matrix is singular")
         a[c], a[p] = a[p], a[c]
+        pivot = a[c]
+        support = [j for j in range(c + 1, width) if pivot[j] != 0]
         for i in range(c + 1, n):
-            if a[i][c] == 0:
+            row = a[i]
+            if row[c] == 0:
                 continue
-            f = a[i][c] / a[c][c]
-            for j in range(c, n + 1):
-                a[i][j] -= f * a[c][j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n]
-        for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return x
+            f = row[c] / pivot[c]
+            for j in support:
+                row[j] -= f * pivot[j]
+            row[c] = Fraction(0)
+    upper = [[j for j in range(i + 1, n) if a[i][j] != 0] for i in range(n)]
+    out = []
+    for col in range(n, width):
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            s = row[col]
+            for j in upper[i]:
+                s -= row[j] * x[j]
+            x[i] = s / row[i]
+        out.append(x)
+    return out
 
 
 def is_positive_definite(rows: Matrix) -> bool:
-    """Sylvester criterion with exact leading principal minors."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in rows[:k]]
-        if determinant(minor) <= 0:
+    """Sylvester's criterion from one fraction-free elimination.
+
+    Bareiss elimination without row swaps on the integer rescaling d * A
+    leaves as its k-th pivot the k-th leading principal minor of d * A,
+    which is d^k times that of A.  The matrix is positive definite
+    exactly when every pivot is positive; the first pivot <= 0 ends the
+    pass.
+    """
+    m, _ = _to_integer_matrix(rows)
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = pivot
     return True

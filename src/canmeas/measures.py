@@ -223,27 +223,25 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
 
     The mass of edge e is the squared length of the projection of e onto
     the cycle space, divided by the length of e.  The projection is
-    found by solving the normal equations exactly.
+    found by solving the normal equations exactly, for all edges at once:
+    one solve of the Gram matrix, with a column for each edge that lies
+    on some basis cycle.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     basis = cycle_basis(m.graph)
-    h = len(basis)
-    coeffs: dict[str, Fraction] = {}
-    if h == 0:
-        coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
-    else:
+    coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
+    if basis:
         gram = gram_matrices(m, basis)
-        rows = [list(row) for row in gram.matrix]
+        rhs: dict[str, list[Fraction]] = {}
         for eid in m.graph.edge_ids:
-            le = m.lengths[eid]
-            rhs = [le * gamma[eid] for gamma in basis]
-            if all(x == 0 for x in rhs):
-                coeffs[eid] = Fraction(0)
-                continue
-            a = linalg.solve(rows, rhs)
-            q = sum((ai * ri for ai, ri in zip(a, rhs)), Fraction(0))
-            coeffs[eid] = q / le
+            column = [m.lengths[eid] * gamma[eid] for gamma in basis]
+            if any(x != 0 for x in column):
+                rhs[eid] = column
+        solutions = linalg.solve([list(row) for row in gram.matrix], list(rhs.values()))
+        for (eid, column), a in zip(rhs.items(), solutions):
+            q = sum((ai * ri for ai, ri in zip(a, column)), Fraction(0))
+            coeffs[eid] = q / m.lengths[eid]
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 

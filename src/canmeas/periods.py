@@ -120,6 +120,17 @@ def monodromy_from_basis(
     return MonodromySet(basis=tuple(flat), block_sizes=block_sizes, pad=pad, edge_rows=rows)
 
 
+def _positive_definite(m: np.ndarray) -> bool:
+    # A Cholesky factorization exists exactly for positive definite
+    # matrices.  It succeeds on diagonals spread over many decades, where a
+    # smallest-eigenvalue test drowns in rounding error.
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _pad_block_layout(g: AugmentedGraph, offset: int) -> list[tuple[str, int, int]]:
     # (vertex, start, stop) for each positive-genus vertex, sorted by id.
     layout = []
@@ -149,6 +160,8 @@ class ModelPeriodFamily:
     def __post_init__(self) -> None:
         base = np.array(self.base_im, dtype=float)
         n = self.monodromy.total_size
+        if n == 0:
+            raise FamilyError("the graph has total genus 0, so its model period matrix is empty")
         if base.shape != (n, n):
             raise FamilyError(f"base matrix must be {n}x{n}, got {base.shape}")
         if not np.array_equal(base, base.T):
@@ -166,7 +179,7 @@ class ModelPeriodFamily:
         if self.monodromy.pad:
             h = self.monodromy.rank
             pad_block = base[h:, h:]
-            if np.linalg.eigvalsh(pad_block).min() <= 0:
+            if not _positive_definite(pad_block):
                 raise NotPositiveDefinite("pad block of the base matrix must be positive definite")
         object.__setattr__(self, "base_im", base)
 
@@ -231,7 +244,7 @@ def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
         le = float(fn.evaluate(Fraction(t)))
         row = np.array(f.monodromy.edge_rows[eid], dtype=float)
         out[:h, :h] += le * np.outer(row, row)
-    if np.linalg.eigvalsh(out).min() <= 0:
+    if not _positive_definite(out):
         raise NotPositiveDefinite(f"model period matrix is not positive definite at t = {t}")
     return out
 

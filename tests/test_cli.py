@@ -272,6 +272,50 @@ class TestPeriodsCommand:
         failed = {a["name"] for a in report["assertions"] if not a["passed"]}
         assert failed == {"diagonal_limits"}
 
+    def test_genus_zero_document_is_a_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": "u"}, {"id": "v"}],
+                    "edges": [{"id": "e1", "ends": ["u", "v"]}],
+                    "layering": [["e1"]],
+                    "family": {"e1": "1"},
+                    "target": {"e1": "1"},
+                }
+            )
+        )
+        code, out, err = run(capsys, "periods", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert "total genus 0" in err
+
+    def test_widely_spread_scales_are_positive_definite(self, capsys, tmp_path):
+        # K8 in three layers of 12, 2 and 14 edges at the default scales
+        # t^-6, t^-4, t^-2: near t = 1e-4 the diagonal spans so many
+        # decades that the smallest eigenvalue from eigvalsh comes out
+        # nonpositive, though the matrix is positive definite.
+        ids = [f"e{i}{j}" for i in range(8) for j in range(i + 1, 8)]
+        parts = [ids[:12], ids[12:14], ids[14:]]
+        path = tmp_path / "k8.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": f"v{i}"} for i in range(8)],
+                    "edges": [
+                        {"id": e, "ends": [f"v{e[1]}", f"v{e[2]}"]} for e in ids
+                    ],
+                    "layering": parts,
+                    "target": {e: f"1/{len(part)}" for part in parts for e in part},
+                }
+            )
+        )
+        code, report = run_json(capsys, "periods", "--input", str(path))
+        assert code == 0
+        assert report["ok"] is True
+        assert report["scales"] == ["t^-6", "t^-4", "t^-2"]
+        assert sum(report["block_sizes"]) == 28 - 8 + 1
+
 
 class TestSelftestCommand:
     def test_deterministic_across_runs(self, capsys):
