@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from . import corpus, gallery
 from .degeneration import (
     LengthFamily,
     all_tree_limits,
-    layered_tree_weight,
+    layered_tree_weights,
     limit_foster,
 )
 from .documents import (
@@ -237,10 +238,9 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     family = doc.length_family()
     grid = _parse_grid(args.grid, (1, 6))
     limits = all_tree_limits(family)
-    dichotomy = all(
-        limits[t.edge_ids] == layered_tree_weight(family, t)
-        for t in spanning_trees(doc.graph)
-    )
+    closed_forms = layered_tree_weights(family, limits)
+    trees = sorted(limits, key=sorted)
+    mismatch = next((t for t in trees if limits[t] != closed_forms[t]), None)
     foster = limit_foster(family, grid)
     h = graph_genus(doc.graph)
     report: dict[str, Any] = {
@@ -255,13 +255,16 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "max_deviations": [float_field(d) for d in foster.max_deviations],
         "final_deviation": float_field(foster.final_deviation),
         "tree_limits": [
-            {
-                "tree": sorted(t),
-                "limit": exact_field(limits[frozenset(t)]),
-            }
-            for t in sorted(tuple(sorted(k)) for k in limits)
+            {"tree": sorted(t), "limit": exact_field(limits[t])} for t in trees
         ],
     }
+    evidence = {}
+    if mismatch is not None:
+        evidence = {
+            "tree": sorted(mismatch),
+            "limit": exact_field(limits[mismatch]),
+            "closed_form": exact_field(closed_forms[mismatch]),
+        }
     assertions = [
         _assertion(
             "edge_mass_equals_genus_on_grid",
@@ -269,7 +272,7 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             genus=h,
         ),
         _assertion("deviations_monotone", foster.monotone),
-        _assertion("tree_weight_dichotomy", dichotomy),
+        _assertion("tree_weight_dichotomy", mismatch is None, **evidence),
     ]
     return _finish(report, assertions)
 
@@ -292,13 +295,36 @@ def _load_lambda0(path: str | None, monodromy, graph) -> np.ndarray:
     unknown = sorted(set(data) - {"vertex_blocks", "rank_block", "cross"})
     if unknown:
         raise DocumentError(f"unknown base matrix keys {unknown}")
+    vertex_blocks = data.get("vertex_blocks", {})
+    if not isinstance(vertex_blocks, dict):
+        raise DocumentError("vertex_blocks must map vertex ids to blocks")
+    rank_block, cross = data.get("rank_block"), data.get("cross")
     return assemble_base(
         monodromy,
         graph,
-        {str(v): block for v, block in data.get("vertex_blocks", {}).items()},
-        rank_block=data.get("rank_block"),
-        cross=data.get("cross"),
+        {
+            str(v): _base_block(f"vertex_blocks[{v!r}]", block)
+            for v, block in vertex_blocks.items()
+        },
+        rank_block=None if rank_block is None else _base_block("rank_block", rank_block),
+        cross=None if cross is None else _base_block("cross", cross),
     )
+
+
+def _base_block(name: str, block: Any) -> list[list[float]]:
+    """A base matrix block read from JSON: equal rows of finite numbers."""
+    if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
+        raise DocumentError(f"base matrix block {name} must be a list of rows")
+    if len({len(row) for row in block}) > 1:
+        raise DocumentError(f"rows of base matrix block {name} differ in length")
+    for row in block:
+        for x in row:
+            number = isinstance(x, (int, float)) and not isinstance(x, bool)
+            if not number or not math.isfinite(x):
+                raise DocumentError(
+                    f"base matrix block {name} has entry {x!r}, not a finite number"
+                )
+    return block
 
 
 def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
@@ -323,7 +349,7 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     target = {e: Fraction(x) for e, x in doc.target.items()}
     param_lengths = {}
     for j, part in enumerate(layering.parts):
-        for e in part:
+        for e in sorted(part):
             param_lengths[e] = ScaleFunction.power(-exponents[j], target[e])
     family = LengthFamily(
         graph=doc.graph,
@@ -425,20 +451,18 @@ def _selftest_layerings(rng: Random, cases: int) -> dict[str, Any]:
     for _ in range(cases):
         g = corpus.random_graph(rng, max_vertices=5, max_edges=7)
         p = corpus.random_layering(rng, g)
-        vector = graded_minors(g, p).genus_vector
-        if sum(vector) == graph_genus(g):
+        minors = graded_minors(g, p)
+        if sum(minors.genus_vector) == graph_genus(g):
             genus_ok += 1
         layered = layered_spanning_trees(g, p)
         product = 1
-        for minor in graded_minors(g, p).minors:
-            product *= len(spanning_trees(minor))
+        for minor in minors.minors:
+            product *= tree_count(minor)
         if len(layered) == product:
             count_ok += 1
         family = corpus.layered_family(g, p, corpus.normalized_coordinates(rng, p))
-        if all(
-            all_tree_limits(family)[t.edge_ids] == layered_tree_weight(family, t)
-            for t in spanning_trees(g)
-        ):
+        limits = all_tree_limits(family)
+        if limits == layered_tree_weights(family, limits):
             dichotomy_ok += 1
     return {
         "cases": cases,

@@ -8,19 +8,22 @@ to nothing against each earlier one.  When that holds, the canonical
 measures of the fibers converge edgewise to the tropical canonical
 measure of the target curve, tree weights converge after rescaling by
 per-layer totals, and integrals of fixed test functions converge.  All
-limits here are computed symbolically from dominant exponents; grid
-evaluations are exact rational arithmetic, with floats confined to
-report rendering elsewhere.
+limits here are computed symbolically from dominant exponents and
+leading coefficients; grid evaluations are exact rational arithmetic,
+with floats confined to report rendering elsewhere.  Fibers are
+measured by the matrix route (:func:`canmeas.measures.foster_by_matrix`),
+which agrees exactly with tree enumeration and costs no more than a
+Gram inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
-from .families import ScaleFunction, product, ratio_limit
+from .families import ScaleFunction, ratio_limit
 from .graphs import AugmentedGraph, SpanningTree, connected_components, spanning_trees
 from .layerings import OrderedPartition, genus_decomposition, graded_minors
 from .measures import (
@@ -28,7 +31,7 @@ from .measures import (
     MetricGraph,
     PiecewiseLinear,
     TropicalCurve,
-    foster_by_trees,
+    foster_by_matrix,
     integrate,
     tropical_canonical_measure,
 )
@@ -175,27 +178,68 @@ def _require_convergent(f: LengthFamily) -> None:
         )
 
 
-def _is_spanning_forest(g: AugmentedGraph, edge_ids: frozenset[str]) -> bool:
-    parent: dict[str, str] = {v: v for v in g.vertices}
+def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]:
+    """A membership test for the spanning forests of g.
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The size every spanning forest has, |V| minus the number of
+    components, is found once, so each test costs one union-find pass.
+    """
+    size = len(g.vertices) - len(connected_components(g))
 
-    for eid in edge_ids:
-        u, v = g.ends(eid)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return len(edge_ids) == len(g.vertices) - len(connected_components(g))
+    def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
+        parent: dict[str, str] = {v: v for v in g.vertices}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for eid in edge_ids:
+            u, v = g.ends(eid)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return len(edge_ids) == size
+
+    return is_spanning_forest
 
 
-def _validate_tree(g: AugmentedGraph, tree: SpanningTree) -> None:
-    if not _is_spanning_forest(g, tree.edge_ids):
+def _validate_tree(
+    is_spanning_forest: Callable[[frozenset[str]], bool], edge_ids: frozenset[str]
+) -> None:
+    if not is_spanning_forest(edge_ids):
         raise InvalidGraph("edge set is not a spanning forest of the graph")
+
+
+def _weight_denominator(f: LengthFamily) -> ScaleFunction:
+    """Leading term of the rescaling prod_j layer_total(j) ** h_j.
+
+    h_j is the genus of graded minor j.  Coefficients are positive, so
+    nothing cancels and the leading term of the product is the product
+    of the factors' leading terms.
+    """
+    exponent, coeff = 0, Fraction(1)
+    for j, h in enumerate(genus_decomposition(f.graph, f.target_layering)):
+        if h > 0:
+            total = f.layer_total(j)
+            exponent += h * total.dominant_exponent
+            coeff *= total.leading_coefficient**h
+    return ScaleFunction.power(exponent, coeff)
+
+
+def _tree_limit(
+    f: LengthFamily, edge_ids: frozenset[str], denominator: ScaleFunction
+) -> Fraction:
+    # The raw weight is the product of the off-tree lengths; only its
+    # leading term, the product of theirs, decides the limit.
+    exponent, coeff = 0, Fraction(1)
+    for e, fn in f.param_lengths.items():
+        if e not in edge_ids:
+            exponent += fn.dominant_exponent
+            coeff *= fn.leading_coefficient
+    return ratio_limit(ScaleFunction.power(exponent, coeff), denominator)
 
 
 def omega_infinity(f: LengthFamily, tree: SpanningTree) -> Fraction:
@@ -205,18 +249,12 @@ def omega_infinity(f: LengthFamily, tree: SpanningTree) -> Fraction:
     divided by each layer total raised to the layer's graded genus.  The
     limit is zero unless the tree restricts to a spanning forest of
     every graded minor, in which case it is the product of the minors'
-    tree weights at the target coordinates.  Returned exactly.
+    tree weights at the target coordinates.  Returned exactly; only the
+    leading terms of numerator and denominator enter.
     """
     _require_convergent(f)
-    _validate_tree(f.graph, tree)
-    numerator = product(
-        f.param_lengths[e] for e in f.graph.edge_ids if e not in tree
-    )
-    genus_vector = genus_decomposition(f.graph, f.target_layering)
-    denominator = product(
-        f.layer_total(j) ** h for j, h in enumerate(genus_vector) if h > 0
-    )
-    return ratio_limit(numerator, denominator)
+    _validate_tree(_spanning_forest_test(f.graph), tree.edge_ids)
+    return _tree_limit(f, tree.edge_ids, _weight_denominator(f))
 
 
 @dataclass(frozen=True)
@@ -252,7 +290,11 @@ def _validate_grid(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport:
-    """Exact canonical measures along the grid against the tropical limit."""
+    """Exact canonical measures along the grid against the tropical limit.
+
+    Each fiber is measured by the matrix route; the limit is the
+    tropical canonical measure of the target curve.
+    """
     _require_convergent(f)
     pts = _validate_grid(grid)
     target = tropical_canonical_measure(f.target_curve())
@@ -260,7 +302,7 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
     max_devs: list[Fraction] = []
     masses: list[Fraction] = []
     for t in pts:
-        mu = foster_by_trees(f.metric_at(t))
+        mu = foster_by_matrix(f.metric_at(t))
         worst = Fraction(0)
         for e in f.graph.edge_ids:
             val = mu.edge_coeffs[e]
@@ -340,8 +382,8 @@ def continuity_probe(
     """Integrate one test function against every fiber and the limit.
 
     The limit integral is taken against the tropical canonical measure
-    of the target curve; fibers use their own canonical measures.  All
-    numbers are exact.
+    of the target curve; fibers use their own canonical measures, from
+    the matrix route.  All numbers are exact.
     """
     _require_convergent(f)
     pts = _validate_grid(grid)
@@ -352,11 +394,40 @@ def continuity_probe(
     values: list[Fraction] = []
     for t in pts:
         m = f.metric_at(t)
-        values.append(integrate(foster_by_trees(m), fn.on_metric(m)))
+        values.append(integrate(foster_by_matrix(m), fn.on_metric(m)))
     deviations = tuple(abs(v - limit_value) for v in values)
     return ProbeReport(
         grid=pts, values=tuple(values), limit=limit_value, deviations=deviations
     )
+
+
+def layered_tree_weights(
+    f: LengthFamily, trees: Iterable[frozenset[str]]
+) -> dict[frozenset[str], Fraction]:
+    """:func:`layered_tree_weight` of many spanning trees, keyed by edge set.
+
+    The graded minors and their forest tests are built once for all
+    trees.  Raises InvalidGraph on the first edge set that is not a
+    spanning forest of the graph.
+    """
+    is_forest = _spanning_forest_test(f.graph)
+    layers = [
+        (part, _spanning_forest_test(minor))
+        for part, minor in zip(
+            f.target_layering.parts, graded_minors(f.graph, f.target_layering).minors
+        )
+    ]
+    weights: dict[frozenset[str], Fraction] = {}
+    for edge_ids in trees:
+        _validate_tree(is_forest, edge_ids)
+        weight = Fraction(0)
+        if all(is_minor_forest(edge_ids & part) for part, is_minor_forest in layers):
+            weight = Fraction(1)
+            for e, x in f.target_point.items():
+                if e not in edge_ids:
+                    weight *= x
+        weights[edge_ids] = weight
+    return weights
 
 
 def layered_tree_weight(f: LengthFamily, tree: SpanningTree) -> Fraction:
@@ -367,21 +438,18 @@ def layered_tree_weight(f: LengthFamily, tree: SpanningTree) -> Fraction:
     This is the closed form the limit in :func:`omega_infinity` must
     match.
     """
-    _validate_tree(f.graph, tree)
-    report = graded_minors(f.graph, f.target_layering)
-    for j, minor in enumerate(report.minors):
-        slice_j = tree.edge_ids & f.target_layering.parts[j]
-        if not _is_spanning_forest(minor, slice_j):
-            return Fraction(0)
-    weight = Fraction(1)
-    for e in f.graph.edge_ids:
-        if e not in tree:
-            weight *= f.target_point[e]
-    return weight
+    return layered_tree_weights(f, [tree.edge_ids])[tree.edge_ids]
 
 
 def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
-    """omega_infinity over every spanning tree of the graph."""
+    """omega_infinity over every spanning tree of the graph.
+
+    Convergence is checked and the rescaling denominator built once;
+    each tree then costs one pass over its off-tree edges.
+    """
+    _require_convergent(f)
+    denominator = _weight_denominator(f)
     return {
-        tree.edge_ids: omega_infinity(f, tree) for tree in spanning_trees(f.graph)
+        tree.edge_ids: _tree_limit(f, tree.edge_ids, denominator)
+        for tree in spanning_trees(f.graph)
     }

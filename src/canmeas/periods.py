@@ -234,13 +234,14 @@ def assemble_base(
 def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     """Imaginary part of the model period matrix at parameter t.
 
-    Lengths are evaluated exactly and rounded once.  Raises
-    NotPositiveDefinite, naming t, if the result fails to be positive
-    definite.
+    Lengths are evaluated exactly and rounded once; the edge terms are
+    summed in sorted edge order, so the floats do not depend on how the
+    family was built.  Raises NotPositiveDefinite, naming t, if the
+    result fails to be positive definite.
     """
     out = f.base_im.copy()
     h = f.monodromy.rank
-    for eid, fn in f.lengths.param_lengths.items():
+    for eid, fn in sorted(f.lengths.param_lengths.items()):
         le = float(fn.evaluate(Fraction(t)))
         row = np.array(f.monodromy.edge_rows[eid], dtype=float)
         out[:h, :h] += le * np.outer(row, row)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import canmeas
+from canmeas import cli
 from canmeas.cli import main
 
 
@@ -163,6 +169,31 @@ class TestLimitCommand:
             )
             assert code == 2, grid
 
+    def test_dichotomy_failure_names_the_first_tree(self, capsys, monkeypatch):
+        code, report = run_json(capsys, "limit", "--input", example("theta.json"))
+        assert {"name": "tree_weight_dichotomy", "passed": True} in report["assertions"]
+        real = cli.all_tree_limits
+
+        def corrupted(family):
+            limits = real(family)
+            limits[frozenset({"e3"})] += 1
+            limits[frozenset({"e2"})] += 2
+            return limits
+
+        monkeypatch.setattr(cli, "all_tree_limits", corrupted)
+        code, out, err = run(capsys, "limit", "--input", example("theta.json"))
+        assert code == 4
+        failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
+        assert failed == [
+            {
+                "name": "tree_weight_dichotomy",
+                "passed": False,
+                "tree": ["e2"],
+                "limit": {"exact": "5/2"},
+                "closed_form": {"exact": "1/2"},
+            }
+        ]
+
     def test_divergent_family(self, capsys, tmp_path):
         doc = json.loads(open(example("theta.json")).read())
         doc["family"]["e2"] = "1/3*t"
@@ -245,6 +276,70 @@ class TestPeriodsCommand:
         )
         assert code == 3
         assert "no base block" in err
+
+    def test_base_matrix_entries_must_be_finite_numbers(self, capsys, tmp_path):
+        good = {"vertex_blocks": {"u": [[2.0]], "v": [[1.5]]}}
+        bad = {
+            "word": dict(good, rank_block=[["x", 0.0], [0.0, 1.0]]),
+            "nan": dict(good, rank_block=[[float("nan"), 0.0], [0.0, 1.0]]),
+            "vertex_nan": {"vertex_blocks": {"u": [[2.0]], "v": [[float("nan")]]}},
+        }
+        for name, data in bad.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run(
+                capsys,
+                "periods",
+                "--input",
+                example("theta_weighted.json"),
+                "--lambda0",
+                str(path),
+            )
+            assert code == 2, name
+            assert out == "", name
+            assert ("'v'" if name == "vertex_nan" else "rank_block") in err, name
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set iteration order follows the string hash seed, so summing the
+        # edge terms in a layer's set order moved the float fields.
+        vertices = [f"v{i}{j}" for i in range(3) for j in range(3)]
+        edges = [
+            (f"h{i}{j}", [f"v{i}{j}", f"v{i}{j + 1}"]) for i in range(3) for j in range(2)
+        ]
+        edges += [
+            (f"w{i}{j}", [f"v{i}{j}", f"v{i + 1}{j}"]) for i in range(2) for j in range(3)
+        ]
+        parts = [[e for e, _ in edges[:7]], [e for e, _ in edges[7:]]]
+        target = {}
+        for part in parts:
+            total = len(part) * (len(part) + 1) // 2
+            target.update({e: f"{k}/{total}" for k, e in enumerate(part, 1)})
+        path = tmp_path / "grid.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": v} for v in vertices],
+                    "edges": [{"id": e, "ends": ends} for e, ends in edges],
+                    "layering": parts,
+                    "target": target,
+                }
+            )
+        )
+        outs = set()
+        for hash_seed in ("1", "2", "3", "4"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(Path(canmeas.__file__).parents[1]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "canmeas.cli", "periods", "--input", str(path)],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outs.add(done.stdout)
+        assert len(outs) == 1
 
     def test_scale_validation(self, capsys):
         code, out, err = run(

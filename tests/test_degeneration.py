@@ -18,19 +18,62 @@ from canmeas import (
     all_tree_limits,
     check_convergence,
     continuity_probe,
+    foster_by_trees,
+    genus_decomposition,
     geometric_grid,
+    integrate,
     layered_tree_weight,
     limit_foster,
     omega_infinity,
     spanning_trees,
     tropical_canonical_measure,
 )
-from canmeas.corpus import random_family, random_graph
+from canmeas.corpus import (
+    layered_family,
+    normalized_coordinates,
+    random_family,
+    random_graph,
+    random_layering,
+)
+from canmeas.families import product, ratio_limit
 from canmeas.gallery import theta_family, theta_graph, triangle_family
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
 F = Fraction
+
+
+def reference_tree_limit(f, tree):
+    # The full product of the off-tree lengths against the full
+    # rescaling prod_j layer_total(j) ** h_j, as omega_infinity once
+    # computed it before reading leading terms only.
+    numerator = product(f.param_lengths[e] for e in f.graph.edge_ids if e not in tree)
+    genus_vector = genus_decomposition(f.graph, f.target_layering)
+    denominator = product(
+        f.layer_total(j) ** h for j, h in enumerate(genus_vector) if h > 0
+    )
+    return ratio_limit(numerator, denominator)
+
+
+def multi_term_family(rng, g):
+    """Layer j leads at t^(2j - 3), so early layers grow as t -> 0, and
+    every edge may carry up to two higher-order terms."""
+    p = random_layering(rng, g)
+    coords = normalized_coordinates(rng, p)
+    lengths = {}
+    for j, part in enumerate(p.parts):
+        lead = 2 * j - 3
+        scale = F(rng.randint(1, 5), rng.randint(1, 5))
+        for e in part:
+            terms = [(lead, scale * coords[e])]
+            terms += [
+                (lead + rng.randint(1, 4), F(rng.randint(1, 9), rng.randint(1, 9)))
+                for _ in range(rng.randint(0, 2))
+            ]
+            lengths[e] = ScaleFunction(terms=tuple(terms))
+    return LengthFamily(
+        graph=g, param_lengths=lengths, target_layering=p, target_point=coords
+    )
 
 
 class TestLengthFamily:
@@ -156,6 +199,8 @@ class TestConvergenceConditions:
             limit_foster(f, geometric_grid(1, 2))
         with pytest.raises(FamilyError, match=CROSS_LAYER):
             omega_infinity(f, spanning_trees(f.graph)[0])
+        with pytest.raises(FamilyError, match=CROSS_LAYER):
+            all_tree_limits(f)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -183,6 +228,47 @@ class TestTreeWeightLimits:
             frozenset({"e1", "e3"}): F(0),
             frozenset({"e2", "e3"}): F(1),
         }
+
+    def test_multi_term_and_growing_lengths(self):
+        f = LengthFamily(
+            graph=theta_graph(),
+            param_lengths={
+                "e1": ScaleFunction(terms=((-2, F(1)), (0, F(3)))),
+                "e2": ScaleFunction(terms=((-1, F(1, 2)), (1, F(1)))),
+                "e3": ScaleFunction(terms=((-1, F(1, 2)), (3, F(5)))),
+            },
+            target_layering=OrderedPartition(
+                parts=(frozenset({"e1"}), frozenset({"e2", "e3"}))
+            ),
+            target_point={"e1": F(1), "e2": F(1, 2), "e3": F(1, 2)},
+        )
+        limits = all_tree_limits(f)
+        assert limits == {
+            frozenset({"e1"}): F(0),
+            frozenset({"e2"}): F(1, 2),
+            frozenset({"e3"}): F(1, 2),
+        }
+        for tree in spanning_trees(f.graph):
+            assert limits[tree.edge_ids] == reference_tree_limit(f, tree)
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_leading_terms_match_the_full_products(self, seed):
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=5, max_edges=7)
+        if not g.edge_ids:
+            return
+        p = random_layering(rng, g)
+        families = [
+            layered_family(g, p, normalized_coordinates(rng, p)),
+            multi_term_family(rng, g),
+        ]
+        for f in families:
+            trees = spanning_trees(g)
+            expected = {t.edge_ids: reference_tree_limit(f, t) for t in trees}
+            assert all_tree_limits(f) == expected
+            assert omega_infinity(f, trees[0]) == expected[trees[0].edge_ids]
+            assert expected == {t.edge_ids: layered_tree_weight(f, t) for t in trees}
 
     def test_non_tree_rejected(self):
         with pytest.raises(InvalidGraph):
@@ -272,6 +358,28 @@ class TestMeasureTrajectories:
         report = limit_foster(f, geometric_grid(1, 5))
         assert report.max_deviations[-1] <= report.max_deviations[0]
         assert report.max_deviations[-1] < F(1, 1000)
+
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_fibres_match_the_tree_route(self, seed):
+        from canmeas.corpus import random_test_function
+
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        if not g.edge_ids:
+            return
+        f = random_family(rng, g)
+        fn = random_test_function(rng, g)
+        grid = geometric_grid(1, 4)
+        report = limit_foster(f, grid)
+        probe = continuity_probe(f, fn, grid)
+        for i, t in enumerate(grid):
+            m = f.metric_at(t)
+            mu = foster_by_trees(m)
+            assert {e: v[i] for e, v in report.trajectories.items()} == mu.edge_coeffs
+            assert report.edge_masses[i] == mu.edge_mass
+            assert probe.values[i] == integrate(mu, fn.on_metric(m))
 
 
 class TestContinuityProbe:
