@@ -456,3 +456,25 @@ class TestOutputModes:
     def test_missing_input_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["measure"])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_reports_match_the_golden_files(capsys):
+    # tests/golden/<example>.<command>.json (.txt) is the stdout of
+    # `canmeas <command> --input <example>.json` (with --table).  These
+    # commands are exact: their floats are rounded once from rationals, so
+    # the bytes do not depend on the platform.
+    differ = []
+    for stem in ("theta", "theta_weighted", "triangle"):
+        for command in ("measure", "trees", "minors", "limit"):
+            argv = [command, "--input", example(f"{stem}.json")]
+            if command == "measure":
+                argv += ["--formulation", "all"]
+            for suffix, mode in ((".json", []), (".txt", ["--table"])):
+                code, out, err = run(capsys, *argv, *mode)
+                golden = (GOLDEN / f"{stem}.{command}{suffix}").read_bytes()
+                if (code, out.encode(), err) != (0, golden, ""):
+                    differ.append(f"{stem}.{command}{suffix}")
+    assert differ == []
