@@ -91,7 +91,6 @@ from .measures import (
     foster_by_projection,
     foster_by_trees,
     gram_matrices,
-    hybrid_mass_profile,
     integrate,
     tropical_canonical_measure,
 )
@@ -112,99 +111,3 @@ from .periods import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibleBasis",
-    "AugmentedGraph",
-    "BasisError",
-    "BlockScaleProfile",
-    "CanmeasError",
-    "ConvergenceDiagnostics",
-    "ConvergenceFailure",
-    "ConvergenceReport",
-    "CROSS_LAYER",
-    "CycleVector",
-    "DisconnectedGraph",
-    "DocumentError",
-    "EdgeMeasure",
-    "FamilyError",
-    "GradedLimitReport",
-    "GradedMinorReport",
-    "GramMatrix",
-    "GraphDocument",
-    "InverseLemmaReport",
-    "InvalidGraph",
-    "LayeringError",
-    "LengthFamily",
-    "MetricGraph",
-    "MissingSection",
-    "ModelPeriodFamily",
-    "MonodromySet",
-    "NoiseSpec",
-    "NormalizedTestFunction",
-    "NotPositiveDefinite",
-    "OrderedPartition",
-    "PiecewiseLinear",
-    "ProbeReport",
-    "ScaleFunction",
-    "SpanningTree",
-    "InvalidTestFunction",
-    "TropicalCurve",
-    "UnknownEdge",
-    "UnknownVertex",
-    "WITHIN_LAYER",
-    "all_tree_limits",
-    "admissible_cycle_basis",
-    "assemble_base",
-    "canonical_spanning_forest",
-    "check_convergence",
-    "connected_components",
-    "continuity_probe",
-    "contract",
-    "contract_set",
-    "cycle_basis",
-    "delete",
-    "document_to_data",
-    "dump_report",
-    "exact_field",
-    "float_field",
-    "effective_resistance",
-    "foster_by_matrix",
-    "foster_by_projection",
-    "foster_by_trees",
-    "fundamental_cycles",
-    "genus_decomposition",
-    "geometric_grid",
-    "graded_inverse_limits",
-    "graded_minors",
-    "gram_matrices",
-    "graph_genus",
-    "hybrid_mass_profile",
-    "integrate",
-    "is_bridge",
-    "is_connected",
-    "is_stable",
-    "layer_matrix",
-    "layered_spanning_trees",
-    "layered_tree_weight",
-    "limit_foster",
-    "load_document",
-    "measure_section",
-    "model_period",
-    "monodromy_from_basis",
-    "omega_infinity",
-    "parse_document",
-    "parse_rational",
-    "parse_scale",
-    "ratio_limit",
-    "refines",
-    "render_table",
-    "schur_block_inverse",
-    "serialize_document",
-    "spanning_trees",
-    "to_filtration",
-    "total_genus",
-    "tree_count",
-    "tropical_canonical_measure",
-    "verify_inverse_lemma",
-]

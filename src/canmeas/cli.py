@@ -37,7 +37,7 @@ from .documents import (
     render_table,
 )
 from .errors import CanmeasError, FamilyError
-from .families import ScaleFunction, geometric_grid
+from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import (
     connected_components,
     graph_genus,
@@ -47,6 +47,7 @@ from .graphs import (
 )
 from .kirchhoff import effective_resistance, tree_count
 from .layerings import admissible_cycle_basis, graded_minors, layered_spanning_trees
+from .linalg import rank_one_sum
 from .measures import (
     MetricGraph,
     foster_by_matrix,
@@ -56,7 +57,6 @@ from .measures import (
     tropical_canonical_measure,
 )
 from .periods import (
-    BlockScaleProfile,
     ModelPeriodFamily,
     NoiseSpec,
     assemble_base,
@@ -76,20 +76,19 @@ def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, .
     if text is None:
         return geometric_grid(*default)
     decades = re.fullmatch(r"1e-(\d+)\s*\.\.\s*1e-(\d+)", text.strip())
-    if decades:
-        return geometric_grid(int(decades.group(1)), int(decades.group(2)))
-    points = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            points.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"cannot parse grid point {token!r}") from None
-    if not points or any(t <= 0 for t in points) or any(
-        b >= a for a, b in zip(points, points[1:])
-    ):
-        raise DocumentError("grid must be a strictly decreasing list of positive rationals")
-    return tuple(points)
+    try:
+        if decades:
+            return geometric_grid(int(decades.group(1)), int(decades.group(2)))
+        points = []
+        for token in text.split(","):
+            token = token.strip()
+            try:
+                points.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                raise DocumentError(f"cannot parse grid point {token!r}") from None
+        return validate_grid(points)
+    except FamilyError as err:
+        raise DocumentError(f"bad --grid: {err}") from None
 
 
 def _graph_section(g) -> dict[str, Any]:
@@ -131,10 +130,24 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     h = graph_genus(doc.graph)
     first = measures[names[0]]
     if len(names) > 1:
-        agree = all(
-            measures[n].edge_coeffs == first.edge_coeffs for n in names[1:]
+        split = next(
+            (
+                (e, n)
+                for e in doc.graph.edge_ids
+                for n in names[1:]
+                if measures[n].edge_coeffs[e] != first.edge_coeffs[e]
+            ),
+            None,
         )
-        assertions.append(_assertion("formulations_agree", agree))
+        evidence = {}
+        if split is not None:
+            e, n = split
+            evidence = {
+                "edge": e,
+                names[0]: exact_field(first.edge_coeffs[e]),
+                n: exact_field(measures[n].edge_coeffs[e]),
+            }
+        assertions.append(_assertion("formulations_agree", split is None, **evidence))
     assertions.append(
         _assertion(
             "edge_mass_equals_genus",
@@ -144,11 +157,16 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         )
     )
     resistance = effective_resistance(doc.graph, metric.lengths)
-    oracle_ok = all(
-        first.edge_coeffs[e] == 1 - resistance[e] / metric.lengths[e]
-        for e in doc.graph.edge_ids
-    )
-    assertions.append(_assertion("resistance_oracle", oracle_ok))
+    oracle = {e: 1 - resistance[e] / metric.lengths[e] for e in doc.graph.edge_ids}
+    wrong = next((e for e in doc.graph.edge_ids if first.edge_coeffs[e] != oracle[e]), None)
+    evidence = {}
+    if wrong is not None:
+        evidence = {
+            "edge": wrong,
+            "measure": exact_field(first.edge_coeffs[wrong]),
+            "oracle": exact_field(oracle[wrong]),
+        }
+    assertions.append(_assertion("resistance_oracle", wrong is None, **evidence))
     return _finish(report, assertions)
 
 
@@ -364,9 +382,11 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     grid = _parse_grid(args.grid, (1, 5))
     limits = graded_inverse_limits(model, grid)
     unit = {e: Fraction(1) for e in doc.graph.edge_ids}
-    gram_ok = monodromy.assemble_gram(unit) == [
-        list(row) for row in gram_matrices(MetricGraph(doc.graph, unit), monodromy.basis).matrix
-    ]
+    from_rows = rank_one_sum(
+        ((Fraction(1), row) for row in monodromy.edge_rows.values()), monodromy.rank
+    )
+    from_basis = gram_matrices(MetricGraph(doc.graph, unit), monodromy.basis).matrix
+    gram_ok = from_rows == [list(row) for row in from_basis]
     report: dict[str, Any] = {
         "command": "periods",
         "graph": _graph_section(doc.graph),

@@ -23,11 +23,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
-from .families import ScaleFunction, ratio_limit
-from .graphs import AugmentedGraph, SpanningTree, connected_components, spanning_trees
+from .families import ScaleFunction, ratio_limit, validate_grid
+from .graphs import AugmentedGraph, SpanningTree, connected_components, find_root, spanning_trees
 from .layerings import OrderedPartition, genus_decomposition, graded_minors
 from .measures import (
-    EdgeMeasure,
     MetricGraph,
     PiecewiseLinear,
     TropicalCurve,
@@ -188,16 +187,9 @@ def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]
 
     def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
         parent: dict[str, str] = {v: v for v in g.vertices}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for eid in edge_ids:
             u, v = g.ends(eid)
-            ru, rv = find(u), find(v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv
@@ -278,17 +270,6 @@ class ConvergenceReport:
         return self.max_deviations[-1]
 
 
-def _validate_grid(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    pts = tuple(Fraction(t) for t in grid)
-    if not pts:
-        raise FamilyError("empty grid")
-    if any(t <= 0 for t in pts):
-        raise FamilyError("grid points must be positive")
-    if any(b >= a for a, b in zip(pts, pts[1:])):
-        raise FamilyError("grid must be strictly decreasing")
-    return pts
-
-
 def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport:
     """Exact canonical measures along the grid against the tropical limit.
 
@@ -296,7 +277,7 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
     tropical canonical measure of the target curve.
     """
     _require_convergent(f)
-    pts = _validate_grid(grid)
+    pts = validate_grid(grid)
     target = tropical_canonical_measure(f.target_curve())
     trajectories: dict[str, list[Fraction]] = {e: [] for e in f.graph.edge_ids}
     max_devs: list[Fraction] = []
@@ -386,7 +367,7 @@ def continuity_probe(
     the matrix route.  All numbers are exact.
     """
     _require_convergent(f)
-    pts = _validate_grid(grid)
+    pts = validate_grid(grid)
     target_curve = f.target_curve()
     limit_value = integrate(
         tropical_canonical_measure(target_curve), fn.on_metric(target_curve.metric)

@@ -121,7 +121,10 @@ def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
         if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
             raise DocumentError(f"vertex {vid!r}: genus must be a nonnegative integer")
         genus[vid] = gv
-        for label in item.get("marks", []):
+        labels = item.get("marks", [])
+        if not isinstance(labels, list):
+            raise DocumentError(f"vertex {vid!r}: marks must be a list of labels")
+        for label in labels:
             label = str(label)
             if label in marks:
                 raise DocumentError(f"mark {label!r} appears on more than one vertex")

@@ -166,6 +166,18 @@ def geometric_grid(first_exp: int = 1, last_exp: int = 6, base: int = 10) -> tup
     return tuple(Fraction(1, base**k) for k in range(first_exp, last_exp + 1))
 
 
+def validate_grid(grid: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """A sample grid as exact rationals: nonempty, positive, strictly decreasing."""
+    pts = tuple(Fraction(t) for t in grid)
+    if not pts:
+        raise FamilyError("empty grid")
+    if any(t <= 0 for t in pts):
+        raise FamilyError("grid points must be positive")
+    if any(b >= a for a, b in zip(pts, pts[1:])):
+        raise FamilyError("grid must be strictly decreasing")
+    return pts
+
+
 def product(factors: Iterable[ScaleFunction]) -> ScaleFunction:
     out = ScaleFunction.constant(1)
     for f in factors:

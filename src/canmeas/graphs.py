@@ -150,28 +150,49 @@ class CycleVector:
         return frozenset(self.coeffs)
 
 
+def edge_adjacency(
+    g: AugmentedGraph, edge_ids: Iterable[str] | None = None
+) -> dict[str, list[tuple[str, str]]]:
+    """(edge id, neighbour) pairs at each vertex, over all edges or the given ones."""
+    keep = None if edge_ids is None else set(edge_ids)
+    out: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
+    for eid, (u, v) in g.edges:
+        if keep is None or eid in keep:
+            out[u].append((eid, v))
+            out[v].append((eid, u))
+    return out
+
+
+def bfs_tree(
+    adjacent: Mapping[str, list[tuple[str, str]]], root: str
+) -> dict[str, tuple[str, str] | None]:
+    """Breadth-first search tree of the component of root.
+
+    Maps every vertex reached, in the order reached, to the (edge id,
+    vertex) pair it was reached through; the root maps to None, since
+    any string, the empty one included, may be an edge id.
+    """
+    parents: dict[str, tuple[str, str] | None] = {root: None}
+    queue = deque([root])
+    while queue:
+        w = queue.popleft()
+        for eid, x in adjacent[w]:
+            if x not in parents:
+                parents[x] = (eid, w)
+                queue.append(x)
+    return parents
+
+
 def connected_components(g: AugmentedGraph) -> list[frozenset[str]]:
     """Vertex sets of the connected components, sorted by smallest vertex."""
-    adjacency: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for _, (u, v) in g.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    adjacent = edge_adjacency(g)
     seen: set[str] = set()
     parts: list[frozenset[str]] = []
     for start in g.vertices:
-        if start in seen:
-            continue
-        queue = deque([start])
-        comp = {start}
-        seen.add(start)
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x not in comp:
-                    comp.add(x)
-                    seen.add(x)
-                    queue.append(x)
-        parts.append(frozenset(comp))
+        if start not in seen:
+            comp = frozenset(bfs_tree(adjacent, start))
+            seen |= comp
+            parts.append(comp)
     return sorted(parts, key=min)
 
 
@@ -338,6 +359,18 @@ def spanning_trees(g: AugmentedGraph) -> list[SpanningTree]:
     return [SpanningTree(frozenset(t)) for t in forests]
 
 
+def find_root(parent: dict[str, str], x: str) -> str:
+    """Root of x in a union-find forest given by parent links.
+
+    Halves the path on the way up.  A caller joins two trees by pointing
+    one root at the other.
+    """
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def canonical_spanning_forest(g: AugmentedGraph) -> frozenset[str]:
     """Greedy spanning forest taking the smallest usable edge id first.
 
@@ -345,16 +378,9 @@ def canonical_spanning_forest(g: AugmentedGraph) -> frozenset[str]:
     canonical order, computed without enumerating the rest.
     """
     parent = {v: v for v in g.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen: set[str] = set()
     for eid, (u, v) in g.edges:
-        ru, rv = find(u), find(v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru != rv:
             parent[ru] = rv
             chosen.add(eid)
@@ -380,44 +406,27 @@ def fundamental_cycles(g: AugmentedGraph) -> list[CycleVector]:
     edge always has coefficient +1.
     """
     forest = canonical_spanning_forest(g)
-    adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for eid, (u, v) in g.edges:
-        if eid in forest:
-            adjacency[u].append((eid, v))
-            adjacency[v].append((eid, u))
-
-    def forest_path(start: str, goal: str) -> list[tuple[str, str, str]]:
-        # Returns (edge id, from, to) steps from start to goal inside the forest.
-        if start == goal:
-            return []
-        prev: dict[str, tuple[str, str]] = {start: ("", "")}
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for eid, x in adjacency[w]:
-                if x not in prev:
-                    prev[x] = (eid, w)
-                    if x == goal:
-                        queue.clear()
-                        break
-                    queue.append(x)
-        steps: list[tuple[str, str, str]] = []
-        node = goal
-        while node != start:
-            eid, before = prev[node]
-            steps.append((eid, before, node))
-            node = before
-        steps.reverse()
-        return steps
+    adjacent = edge_adjacency(g, forest)
+    parents: dict[str, tuple[str, str] | None] = {}
+    for v in g.vertices:
+        if v not in parents:
+            parents.update(bfs_tree(adjacent, v))
 
     cycles: list[CycleVector] = []
     for eid, (u, v) in g.edges:
         if eid in forest:
             continue
+        # The forest path from v to u is the climb from v to the root
+        # followed by the descent from the root to u; the steps above the
+        # meeting point are walked both ways and cancel.
         coeffs = {eid: 1}
-        for feid, a, b in forest_path(v, u):
-            tail, head = g.ends(feid)
-            coeffs[feid] = coeffs.get(feid, 0) + (1 if (a, b) == (tail, head) else -1)
+        for start, sign in ((v, 1), (u, -1)):
+            node = start
+            while parents[node] is not None:
+                feid, above = parents[node]
+                step = 1 if g.ends(feid) == (node, above) else -1
+                coeffs[feid] = coeffs.get(feid, 0) + sign * step
+                node = above
         cycles.append(CycleVector(coeffs))
     return cycles
 

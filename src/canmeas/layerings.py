@@ -19,10 +19,13 @@ from .graphs import (
     AugmentedGraph,
     CycleVector,
     SpanningTree,
+    bfs_tree,
     canonical_spanning_forest,
     connected_components,
     contract_set_with_map,
+    cycle_boundary,
     delete,
+    edge_adjacency,
     fundamental_cycles,
     graph_genus,
     spanning_trees,
@@ -218,44 +221,28 @@ def admissible_cycle_basis(g: AugmentedGraph, p: OrderedPartition) -> Admissible
         for part in p.parts[j + 1 :]:
             later |= part
         later_graph = delete(g, [eid for eid in g.edge_ids if eid not in later])
-        forest = canonical_spanning_forest(later_graph)
-        children: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-        for eid in forest:
-            u, v = g.ends(eid)
-            children[u].append((eid, v))
-            children[v].append((eid, u))
+        children = edge_adjacency(g, canonical_spanning_forest(later_graph))
+        # One search tree per fiber, rooted at its smallest vertex; listed
+        # in reverse, every vertex comes before its parent.
+        fibers = [
+            list(bfs_tree(children, min(fiber)).items())[::-1]
+            for fiber in connected_components(later_graph)
+        ]
 
         lifted: list[CycleVector] = []
         for gamma in fundamental_cycles(minor):
             coeffs = dict(gamma.coeffs)
-            residual = {v: 0 for v in g.vertices}
-            for eid, c in gamma.coeffs.items():
-                u, v = g.ends(eid)
-                residual[v] += c
-                residual[u] -= c
-            for fiber in connected_components(later_graph):
-                root = min(fiber)
-                order: list[str] = [root]
-                parent_edge: dict[str, tuple[str, str]] = {}
-                seen = {root}
-                i = 0
-                while i < len(order):
-                    w = order[i]
-                    i += 1
-                    for eid, x in children[w]:
-                        if x in fiber and x not in seen:
-                            seen.add(x)
-                            parent_edge[x] = (eid, w)
-                            order.append(x)
-                for w in reversed(order[1:]):
+            residual = cycle_boundary(g, gamma)
+            for tree in fibers:
+                for w, (eid, par) in tree[:-1]:
                     s = residual[w]
                     if s == 0:
                         continue
-                    eid, par = parent_edge[w]
                     tail, _ = g.ends(eid)
                     coeffs[eid] = coeffs.get(eid, 0) + (s if tail == w else -s)
                     residual[par] += s
                     residual[w] = 0
+                root = tree[-1][0]
                 if residual[root] != 0:
                     raise LayeringError(
                         "graded minor cycle does not lift; partition is inconsistent"

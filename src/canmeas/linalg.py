@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import BasisError
 
@@ -66,6 +67,22 @@ def bareiss_eliminate(rows: list[list[int]], ncols_main: int) -> tuple[list[list
         pivots.append(c)
         r += 1
     return m, pivots, sign
+
+
+def rank_one_sum(terms: Iterable[tuple[Fraction, Sequence[int]]], size: int) -> Matrix:
+    """Exact sum of w * r r^T over (weight w, integer row r) pairs.
+
+    Every row has ``size`` entries; zero entries are skipped, so a sparse
+    row costs only its support squared.
+    """
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for weight, row in terms:
+        support = [i for i in range(size) if row[i] != 0]
+        for i in support:
+            wi = weight * row[i]
+            for j in support:
+                out[i][j] += wi * row[j]
+    return out
 
 
 def determinant(rows: Matrix) -> Fraction:

@@ -14,6 +14,14 @@ They agree; keeping all three is the point, since they cross-check one
 another and the Laplacian oracle in :mod:`canmeas.kirchhoff` checks them
 all from outside.
 
+The projection and matrix routes assemble the Gram matrix of the
+fundamental cycle basis with :func:`canmeas.linalg.rank_one_sum` and
+eliminate it once.  With positive lengths a Gram matrix is positive
+definite exactly when it is nonsingular, so the singular-matrix check of
+that one elimination does the work of Sylvester's criterion;
+:func:`gram_matrices` still applies the criterion to bases that callers
+supply.
+
 For a tropical curve (a metric graph whose edges come with an ordered
 layering, unit total length per layer) the edge mass on layer j is the
 canonical edge mass of graded minor j.  Everything here is exact; no
@@ -145,14 +153,11 @@ class GramMatrix:
     """The length-weighted Gram matrix of a cycle basis.
 
     ``matrix[i][j]`` is the inner product of basis cycles i and j, where
-    edges are orthogonal and edge e has squared norm length(e).  The per
-    edge pieces (integer rank-one matrices) are kept so callers can
-    reassemble the matrix under other length assignments.
+    edges are orthogonal and edge e has squared norm length(e).
     """
 
     basis: tuple[CycleVector, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
-    edge_matrices: Mapping[str, tuple[tuple[int, ...], ...]]
 
 
 def _forest_edge_masses(
@@ -182,6 +187,15 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 
+def _cycle_gram(m: MetricGraph, basis: Sequence[CycleVector]) -> list[list[Fraction]]:
+    # Sum over edges of length(e) times the outer square of e's basis
+    # coefficients.
+    return linalg.rank_one_sum(
+        ((m.lengths[eid], [gamma[eid] for gamma in basis]) for eid in m.graph.edge_ids),
+        len(basis),
+    )
+
+
 def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector] | None = None) -> GramMatrix:
     """Gram data of a cycle basis under the length inner product.
 
@@ -198,24 +212,10 @@ def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector] | None = None) ->
                 raise UnknownEdge(f"cycle uses unknown edge {eid!r}")
         if any(b != 0 for b in cycle_boundary(m.graph, gamma).values()):
             raise BasisError("basis element has nonzero boundary")
-    h = len(basis)
-    edge_matrices: dict[str, tuple[tuple[int, ...], ...]] = {}
-    matrix = [[Fraction(0)] * h for _ in range(h)]
-    for eid in m.graph.edge_ids:
-        coeffs = [gamma[eid] for gamma in basis]
-        block = tuple(tuple(ci * cj for cj in coeffs) for ci in coeffs)
-        edge_matrices[eid] = block
-        le = m.lengths[eid]
-        for i in range(h):
-            if coeffs[i] == 0:
-                continue
-            for j in range(h):
-                if coeffs[j] != 0:
-                    matrix[i][j] += le * block[i][j]
-    gram = tuple(tuple(row) for row in matrix)
-    if h and not linalg.is_positive_definite([list(row) for row in gram]):
+    matrix = _cycle_gram(m, basis)
+    if not linalg.is_positive_definite(matrix):
         raise BasisError("cycle family is dependent; Gram matrix is not positive definite")
-    return GramMatrix(basis=basis, matrix=gram, edge_matrices=edge_matrices)
+    return GramMatrix(basis=basis, matrix=tuple(tuple(row) for row in matrix))
 
 
 def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
@@ -231,17 +231,15 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
         raise DisconnectedGraph("canonical measure requires a connected graph")
     basis = cycle_basis(m.graph)
     coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
-    if basis:
-        gram = gram_matrices(m, basis)
-        rhs: dict[str, list[Fraction]] = {}
-        for eid in m.graph.edge_ids:
-            column = [m.lengths[eid] * gamma[eid] for gamma in basis]
-            if any(x != 0 for x in column):
-                rhs[eid] = column
-        solutions = linalg.solve([list(row) for row in gram.matrix], list(rhs.values()))
-        for (eid, column), a in zip(rhs.items(), solutions):
-            q = sum((ai * ri for ai, ri in zip(a, column)), Fraction(0))
-            coeffs[eid] = q / m.lengths[eid]
+    rhs: dict[str, list[Fraction]] = {}
+    for eid in m.graph.edge_ids:
+        column = [m.lengths[eid] * gamma[eid] for gamma in basis]
+        if any(x != 0 for x in column):
+            rhs[eid] = column
+    solutions = linalg.solve(_cycle_gram(m, basis), list(rhs.values()))
+    for (eid, column), a in zip(rhs.items(), solutions):
+        q = sum((ai * ri for ai, ri in zip(a, column)), Fraction(0))
+        coeffs[eid] = q / m.lengths[eid]
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 
@@ -257,11 +255,7 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
         raise DisconnectedGraph("canonical measure requires a connected graph")
     basis = cycle_basis(m.graph)
     h = len(basis)
-    if h == 0:
-        coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
-        return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
-    gram = gram_matrices(m, basis)
-    inv = linalg.inverse([list(row) for row in gram.matrix])
+    inv = linalg.inverse(_cycle_gram(m, basis))
     coeffs = {}
     for eid in m.graph.edge_ids:
         c = [gamma[eid] for gamma in basis]
@@ -294,18 +288,6 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
     return EdgeMeasure(
         metric=t.metric, edge_coeffs=coeffs, vertex_atoms=dict(t.graph.genus)
     )
-
-
-def hybrid_mass_profile(t: TropicalCurve) -> EdgeMeasure:
-    """Mass profile of the limit object the tropical curve stands for.
-
-    In the limit, each layer-j edge carries a one-dimensional piece of
-    mass equal to its graded-minor edge mass, and each vertex stands for
-    a component soaking up mass equal to its genus.  Those numbers are
-    exactly the tropical canonical measure, so this returns it
-    unchanged; total mass is the total genus.
-    """
-    return tropical_canonical_measure(t)
 
 
 @dataclass(frozen=True)

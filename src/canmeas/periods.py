@@ -10,26 +10,30 @@ grading, and the rescaled diagonal blocks converge to the inverses of
 exactly computable layer matrices; the trailing block converges to the
 inverse of the base's pad block.
 
-This module is the package's one floating point lane.  Verification
-routines sample a decreasing grid, invert in binary64, rescale, and
-compare against targets that are computed exactly first and rounded
-once.  A recursive Schur-complement inverter provides an independent
-oracle for every direct inversion, and grid points whose condition
-number estimate exceeds 1e12 are flagged.
+This module is the package's one floating point lane.  Both
+verifications, :func:`verify_inverse_lemma` on a synthetic graded matrix
+and :func:`graded_inverse_limits` on a model family, run one sampling
+routine: it walks a decreasing grid, inverts in binary64, rescales, and
+compares against targets that are computed exactly first and rounded
+once.  The exact layer matrices are rank-one sums over edges, assembled
+by :func:`canmeas.linalg.rank_one_sum` like the cycle Gram matrix.  A
+recursive Schur-complement inverter provides an independent oracle for
+every direct inversion, and grid points whose condition number estimate
+exceeds 1e12 are flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
 from .degeneration import LengthFamily
 from .errors import BasisError, FamilyError, NotPositiveDefinite
-from .families import ScaleFunction, geometric_grid
+from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
 from .layerings import AdmissibleBasis
 from .measures import MetricGraph, gram_matrices
@@ -43,8 +47,9 @@ class MonodromySet:
 
     ``edge_rows[e]`` lists the coefficient of edge e in each basis
     cycle.  The matrix of an edge is the outer product of its row with
-    itself; padded variants append ``pad`` zero rows and columns for the
-    vertex directions.
+    itself; in the model period matrix it fills the top-left rank block,
+    and the ``pad`` trailing rows and columns belong to the vertex
+    directions.
     """
 
     basis: tuple[CycleVector, ...]
@@ -59,30 +64,6 @@ class MonodromySet:
     @property
     def total_size(self) -> int:
         return self.rank + self.pad
-
-    def edge_matrix(self, edge_id: str) -> np.ndarray:
-        row = np.array(self.edge_rows[edge_id], dtype=float)
-        return np.outer(row, row)
-
-    def padded_edge_matrix(self, edge_id: str) -> np.ndarray:
-        out = np.zeros((self.total_size, self.total_size))
-        h = self.rank
-        out[:h, :h] = self.edge_matrix(edge_id)
-        return out
-
-    def assemble_gram(self, lengths: Mapping[str, Fraction]) -> list[list[Fraction]]:
-        """Exact sum of length(e) times the matrix of e, for cross-checks."""
-        h = self.rank
-        out = [[Fraction(0)] * h for _ in range(h)]
-        for eid, row in self.edge_rows.items():
-            le = Fraction(lengths[eid])
-            for i in range(h):
-                if row[i] == 0:
-                    continue
-                for j in range(h):
-                    if row[j] != 0:
-                        out[i][j] += le * row[i] * row[j]
-        return out
 
 
 def monodromy_from_basis(
@@ -340,14 +321,6 @@ class BlockScaleProfile:
     def total_size(self) -> int:
         return sum(self.block_sizes)
 
-    def offsets(self) -> list[tuple[int, int]]:
-        out = []
-        pos = 0
-        for s in self.block_sizes:
-            out.append((pos, pos + s))
-            pos += s
-        return out
-
 
 @dataclass(frozen=True)
 class BlockSample:
@@ -392,15 +365,60 @@ class InverseLemmaReport:
         return sup
 
 
-def _verify_grid(grid: Sequence[Fraction] | None, default_last: int) -> tuple[Fraction, ...]:
-    if grid is None:
-        return geometric_grid(1, default_last)
-    pts = tuple(Fraction(t) for t in grid)
-    if not pts or any(t <= 0 for t in pts):
-        raise FamilyError("grid points must be positive")
-    if any(b >= a for a, b in zip(pts, pts[1:])):
-        raise FamilyError("grid must be strictly decreasing")
-    return pts
+def _block_offsets(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    # (start, stop) of each diagonal block.
+    out = []
+    pos = 0
+    for s in sizes:
+        out.append((pos, pos + s))
+        pos += s
+    return out
+
+
+def _block_samples(
+    pts: Sequence[Fraction],
+    sizes: Sequence[int],
+    targets: Sequence[np.ndarray],
+    point: Callable[[Fraction], tuple[np.ndarray, list[float]]],
+) -> tuple[BlockSample, ...]:
+    """Measure a graded block matrix at every grid point.
+
+    ``point(t)`` gives the matrix at t and the scale y_k of each block.
+    The matrix is inverted directly and through the Schur recursion;
+    block (k, l) of the inverse is rescaled by y_min(k,l), diagonal block
+    k is compared against ``targets[k]`` and off-diagonal norms are
+    recorded.  Points with condition estimate beyond 1e12 are flagged.
+    """
+    offsets = _block_offsets(sizes)
+    samples = []
+    for t in pts:
+        m, y = point(t)
+        condition = float(np.linalg.cond(m))
+        direct = np.linalg.inv(m)
+        oracle = schur_block_inverse(m, sizes)
+        oracle_gap = float(np.max(np.abs(direct - oracle))) if m.size else 0.0
+        diag_devs = []
+        off_norms: dict[tuple[int, int], float] = {}
+        for k in range(len(sizes)):
+            sk = slice(*offsets[k])
+            rescaled = y[k] * direct[sk, sk]
+            diag_devs.append(float(np.linalg.norm(rescaled - targets[k])))
+            for l in range(len(sizes)):
+                if l == k:
+                    continue
+                sl = slice(*offsets[l])
+                off_norms[(k, l)] = float(np.linalg.norm(y[min(k, l)] * direct[sk, sl]))
+        samples.append(
+            BlockSample(
+                t=t,
+                diag_deviations=tuple(diag_devs),
+                offdiag_norms=off_norms,
+                oracle_gap=oracle_gap,
+                condition=condition,
+                flagged=condition > CONDITION_LIMIT,
+            )
+        )
+    return tuple(samples)
 
 
 def verify_inverse_lemma(
@@ -419,7 +437,7 @@ def verify_inverse_lemma(
     """
     if noise is None:
         noise = NoiseSpec()
-    pts = _verify_grid(grid, default_last=4)
+    pts = geometric_grid(1, 4) if grid is None else validate_grid(grid)
     r = len(profile.block_sizes)
     rng = np.random.default_rng(noise.seed)
     directions = [
@@ -430,46 +448,21 @@ def verify_inverse_lemma(
         np.linalg.inv(profile.limits[k][k]) if profile.block_sizes[k] else np.zeros((0, 0))
         for k in range(r)
     )
-    offsets = profile.offsets()
-    samples = []
-    for t in pts:
-        tf = float(t)
+    offsets = _block_offsets(profile.block_sizes)
+
+    def point(t: Fraction) -> tuple[np.ndarray, list[float]]:
         y = [float(s.evaluate(t)) for s in profile.scales]
-        eps = noise.amplitude * tf**noise.exponent
+        eps = noise.amplitude * float(t) ** noise.exponent
         m = np.zeros((profile.total_size, profile.total_size))
         for k in range(r):
             for l in range(r):
                 scale = y[max(k, l)]
                 block = profile.limits[k][l] + eps * directions[k][l]
                 m[offsets[k][0] : offsets[k][1], offsets[l][0] : offsets[l][1]] = scale * block
-        condition = float(np.linalg.cond(m))
-        direct = np.linalg.inv(m)
-        oracle = schur_block_inverse(m, profile.block_sizes)
-        oracle_gap = float(np.max(np.abs(direct - oracle))) if m.size else 0.0
-        diag_devs = []
-        off_norms: dict[tuple[int, int], float] = {}
-        for k in range(r):
-            sk = slice(*offsets[k])
-            rescaled = y[k] * direct[sk, sk]
-            diag_devs.append(float(np.linalg.norm(rescaled - targets[k])))
-            for l in range(r):
-                if l == k:
-                    continue
-                sl = slice(*offsets[l])
-                off_norms[(k, l)] = float(
-                    np.linalg.norm(y[min(k, l)] * direct[sk, sl])
-                )
-        samples.append(
-            BlockSample(
-                t=t,
-                diag_deviations=tuple(diag_devs),
-                offdiag_norms=off_norms,
-                oracle_gap=oracle_gap,
-                condition=condition,
-                flagged=condition > CONDITION_LIMIT,
-            )
-        )
-    return InverseLemmaReport(grid=pts, samples=tuple(samples), targets=targets)
+        return m, y
+
+    samples = _block_samples(pts, profile.block_sizes, targets, point)
+    return InverseLemmaReport(grid=pts, samples=samples, targets=targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,21 +491,14 @@ class GradedLimitReport:
 def layer_matrix(f: ModelPeriodFamily, k: int) -> list[list[Fraction]]:
     """Exact layer matrix: sum over layer-k edges of x_e times the
     block-k square of the edge's cycle coefficients."""
-    layering = f.lengths.target_layering
-    sizes = f.monodromy.block_sizes
-    start = sum(sizes[:k])
-    stop = start + sizes[k]
-    out = [[Fraction(0)] * sizes[k] for _ in range(sizes[k])]
-    for e in sorted(layering.parts[k]):
-        x = f.lengths.target_point[e]
-        row = f.monodromy.edge_rows[e][start:stop]
-        for i in range(sizes[k]):
-            if row[i] == 0:
-                continue
-            for j in range(sizes[k]):
-                if row[j] != 0:
-                    out[i][j] += x * row[i] * row[j]
-    return out
+    start, stop = _block_offsets(f.monodromy.block_sizes)[k]
+    return linalg.rank_one_sum(
+        (
+            (f.lengths.target_point[e], f.monodromy.edge_rows[e][start:stop])
+            for e in sorted(f.lengths.target_layering.parts[k])
+        ),
+        stop - start,
+    )
 
 
 def graded_inverse_limits(
@@ -539,7 +525,7 @@ def graded_inverse_limits(
                 raise FamilyError(
                     f"length of edge {e!r} does not factor as layer scale times target coordinate"
                 )
-    pts = _verify_grid(grid, default_last=6)
+    pts = geometric_grid(1, 6) if grid is None else validate_grid(grid)
     exact_targets = []
     float_targets = []
     for k in range(r):
@@ -552,46 +538,19 @@ def graded_inverse_limits(
                 fm[i, j] = float(x)
         float_targets.append(fm)
     pad_target = f.pad_target
-    sizes = f.monodromy.block_sizes + ((f.monodromy.pad,) if f.monodromy.pad else ())
-    offsets = []
-    pos = 0
-    for s in sizes:
-        offsets.append((pos, pos + s))
-        pos += s
-    samples = []
-    for t in pts:
-        im = model_period(f, t)
-        condition = float(np.linalg.cond(im))
-        direct = np.linalg.inv(im)
-        oracle = schur_block_inverse(im, sizes)
-        oracle_gap = float(np.max(np.abs(direct - oracle)))
-        y = [float(s.evaluate(t)) for s in scales] + ([1.0] if f.monodromy.pad else [])
-        diag_devs = []
-        off_norms: dict[tuple[int, int], float] = {}
-        for k in range(len(sizes)):
-            sk = slice(*offsets[k])
-            rescaled = y[k] * direct[sk, sk]
-            target = float_targets[k] if k < r else pad_target
-            diag_devs.append(float(np.linalg.norm(rescaled - target)))
-            for l in range(len(sizes)):
-                if l == k:
-                    continue
-                sl = slice(*offsets[l])
-                off_norms[(k, l)] = float(np.linalg.norm(y[min(k, l)] * direct[sk, sl]))
-        samples.append(
-            BlockSample(
-                t=t,
-                diag_deviations=tuple(diag_devs),
-                offdiag_norms=off_norms,
-                oracle_gap=oracle_gap,
-                condition=condition,
-                flagged=condition > CONDITION_LIMIT,
-            )
-        )
+    has_pad = pad_target is not None
+    sizes = f.monodromy.block_sizes + ((f.monodromy.pad,) if has_pad else ())
+    targets = float_targets + ([pad_target] if has_pad else [])
+
+    def point(t: Fraction) -> tuple[np.ndarray, list[float]]:
+        y = [float(s.evaluate(t)) for s in scales]
+        return model_period(f, t), y + ([1.0] if has_pad else [])
+
+    samples = _block_samples(pts, sizes, targets, point)
     return GradedLimitReport(
         grid=pts,
         block_sizes=sizes,
-        samples=tuple(samples),
+        samples=samples,
         layer_targets_exact=tuple(exact_targets),
         layer_targets=tuple(float_targets),
         pad_target=pad_target,

@@ -25,7 +25,6 @@ from canmeas import (
     graded_inverse_limits,
     graded_minors,
     graph_genus,
-    hybrid_mass_profile,
     layered_spanning_trees,
     layered_tree_weight,
     limit_foster,
@@ -95,7 +94,7 @@ def test_02_mass_identities():
             lengths=corpus.normalized_coordinates(rng, layering),
             layering=layering,
         )
-        assert hybrid_mass_profile(tc).total_mass == total_genus(g)
+        assert tropical_canonical_measure(tc).total_mass == total_genus(g)
         checked += 1
     print(f"PASS edge mass equals genus on {len(cases)} graphs, "
           f"hybrid mass equals total genus on {checked} curves")

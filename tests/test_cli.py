@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +77,62 @@ class TestMeasureCommand:
         code, out, err = run(capsys, "measure", "--input", str(path))
         assert code == 2
         assert "vertices" in err
+
+    def test_marks_must_be_a_list(self, capsys, tmp_path):
+        doc = json.loads(open(example("theta.json")).read())
+        doc["vertices"][0]["marks"] = 5
+        path = tmp_path / "marks.json"
+        path.write_text(json.dumps(doc))
+        for command in ("measure", "trees", "minors", "limit", "periods"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert (code, out) == (2, ""), command
+            assert "marks must be a list" in err, command
+
+    def test_first_disagreeing_formulation_is_named(self, capsys, monkeypatch):
+        code, report = run_json(capsys, "measure", "--input", example("theta.json"))
+        assert {"name": "formulations_agree", "passed": True} in report["assertions"]
+        real = cli._FORMULATIONS["matrix"]
+
+        def skewed(m):
+            mu = real(m)
+            coeffs = dict(mu.edge_coeffs, e2=mu.edge_coeffs["e2"] / 2, e3=Fraction(0))
+            return canmeas.EdgeMeasure(mu.metric, coeffs, mu.vertex_atoms)
+
+        monkeypatch.setitem(cli._FORMULATIONS, "matrix", skewed)
+        code, out, err = run(capsys, "measure", "--input", example("theta.json"))
+        assert code == 4
+        failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
+        assert failed == [
+            {
+                "name": "formulations_agree",
+                "passed": False,
+                "edge": "e2",
+                "trees": {"exact": "3/5"},
+                "matrix": {"exact": "3/10"},
+            }
+        ]
+
+    def test_resistance_oracle_failure_names_the_edge(self, capsys, monkeypatch):
+        real = cli.effective_resistance
+
+        def shifted(g, lengths):
+            resistance = real(g, lengths)
+            resistance["e3"] += 1
+            return resistance
+
+        monkeypatch.setattr(cli, "effective_resistance", shifted)
+        code, out, err = run(capsys, "measure", "--input", example("theta.json"))
+        assert code == 4
+        failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
+        assert failed == [
+            {
+                "name": "resistance_oracle",
+                "passed": False,
+                "edge": "e3",
+                "measure": {"exact": "3/5"},
+                "oracle": {"exact": "-7/5"},
+            }
+        ]
 
     def test_lengths_required(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
@@ -163,7 +220,7 @@ class TestLimitCommand:
         assert [g["exact"] for g in report["grid"]] == ["1/2", "1/4"]
 
     def test_bad_grids(self, capsys):
-        for grid in ("abc", "1/4,1/2", "0,1", "-1"):
+        for grid in ("abc", "1/4,1/2", "0,1", "-1", "1e-3..1e-1", "1e-0..1e-2"):
             code, out, err = run(
                 capsys, "limit", "--input", example("theta.json"), "--grid", grid
             )

@@ -257,6 +257,35 @@ class TestCycles:
         for c in cycles:
             assert all(x == 0 for x in cycle_boundary(g, c).values())
 
+    def test_empty_edge_id_is_an_edge_like_any_other(self):
+        # The empty id sorts first, so it always lands in the forest.
+        theta = AugmentedGraph(
+            vertices=("a", "b"),
+            edges=(("", ("a", "b")), ("e2", ("a", "b")), ("e3", ("a", "b"))),
+        )
+        got = [c.coeffs for c in cycle_basis(theta)]
+        assert got == [{"": -1, "e2": 1}, {"": -1, "e3": 1}]
+        square = AugmentedGraph(
+            vertices=("a", "b", "c", "d"),
+            edges=(("x", ("a", "b")), ("", ("b", "c")), ("y", ("c", "d")), ("z", ("a", "d"))),
+        )
+        got = [c.coeffs for c in cycle_basis(square)]
+        assert got == [{"z": 1, "y": -1, "": -1, "x": -1}]
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_cycles_close_up_with_an_empty_edge_id(self, seed):
+        g = random_graph(Random(seed), max_vertices=6, max_edges=9)
+        g = AugmentedGraph(
+            vertices=g.vertices,
+            edges=tuple(("" if eid == "e0" else eid, uv) for eid, uv in g.edges),
+            genus=g.genus,
+        )
+        cycles = fundamental_cycles(g)
+        assert len(cycles) == graph_genus(g)
+        for c in cycles:
+            assert all(x == 0 for x in cycle_boundary(g, c).values())
+
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_each_cycle_owns_its_defining_edge(self, seed):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canmeas import (
+    AugmentedGraph,
     LayeringError,
     OrderedPartition,
     admissible_cycle_basis,
@@ -244,6 +245,17 @@ class TestAdmissibleBasis:
             for c in block:
                 assert c.support <= allowed
                 assert all(x == 0 for x in cycle_boundary(g, c).values())
+
+    def test_empty_edge_id_lifts(self):
+        g = AugmentedGraph(
+            vertices=("a", "b", "c"),
+            edges=(("", ("a", "b")), ("x", ("b", "c")), ("y", ("a", "c")), ("z", ("a", "c"))),
+        )
+        q = p({"", "y", "z"}, {"x"})
+        basis = admissible_cycle_basis(g, q)
+        assert basis.block_sizes == genus_decomposition(g, q)
+        for c in basis.flat:
+            assert all(x == 0 for x in cycle_boundary(g, c).values())
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)

@@ -23,7 +23,6 @@ from canmeas import (
     foster_by_trees,
     gram_matrices,
     graph_genus,
-    hybrid_mass_profile,
     integrate,
     total_genus,
     tropical_canonical_measure,
@@ -113,6 +112,31 @@ class TestCanonicalMeasure:
         assert foster_by_projection(m).edge_coeffs == a
         assert foster_by_matrix(m).edge_coeffs == a
 
+    def test_empty_edge_id_on_all_routes(self):
+        g = AugmentedGraph(
+            vertices=("u", "v"),
+            edges=(("", ("u", "v")), ("e2", ("u", "v")), ("e3", ("u", "v"))),
+        )
+        m = MetricGraph(g, {"": F(1), "e2": F(1, 2), "e3": F(1, 2)})
+        want = {"": F(4, 5), "e2": F(3, 5), "e3": F(3, 5)}
+        for route in (foster_by_trees, foster_by_projection, foster_by_matrix):
+            assert route(m).edge_coeffs == want
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_three_routes_agree_with_an_empty_edge_id(self, seed):
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        g = AugmentedGraph(
+            vertices=g.vertices,
+            edges=tuple(("" if eid == "e0" else eid, uv) for eid, uv in g.edges),
+            genus=g.genus,
+        )
+        m = random_metric(rng, g)
+        a = foster_by_trees(m).edge_coeffs
+        assert foster_by_projection(m).edge_coeffs == a
+        assert foster_by_matrix(m).edge_coeffs == a
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_total_edge_mass_is_genus(self, seed):
@@ -177,10 +201,11 @@ class TestGramMatrix:
         gram = gram_matrices(m)
         h = len(gram.basis)
         assembled = [[F(0)] * h for _ in range(h)]
-        for eid, block in gram.edge_matrices.items():
+        for eid in m.graph.edge_ids:
+            c = [gamma[eid] for gamma in gram.basis]
             for i in range(h):
                 for j in range(h):
-                    assembled[i][j] += m.lengths[eid] * block[i][j]
+                    assembled[i][j] += m.lengths[eid] * c[i] * c[j]
         assert tuple(tuple(row) for row in assembled) == gram.matrix
 
     def test_dependent_cycles_rejected(self):
@@ -234,7 +259,7 @@ class TestTropical:
 
     def test_hybrid_total_is_total_genus(self):
         curve = self.curve(theta_graph(genus=(1, 1)))
-        assert hybrid_mass_profile(curve).total_mass == total_genus(curve.graph) == 4
+        assert tropical_canonical_measure(curve).total_mass == total_genus(curve.graph) == 4
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -251,7 +276,7 @@ class TestTropical:
         )
         mu = tropical_canonical_measure(curve)
         assert mu.edge_mass == graph_genus(g)
-        assert hybrid_mass_profile(curve).total_mass == total_genus(g)
+        assert tropical_canonical_measure(curve).total_mass == total_genus(g)
 
 
 class TestIntegration:

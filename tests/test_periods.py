@@ -27,6 +27,7 @@ from canmeas import (
     verify_inverse_lemma,
 )
 from canmeas.corpus import random_block_profile
+from canmeas.linalg import rank_one_sum
 from canmeas.gallery import (
     theta_graph,
     theta_monodromy,
@@ -55,25 +56,28 @@ class TestMonodromySet:
 
     def test_edge_matrix_is_rank_one(self):
         mono = theta_monodromy()
-        m = mono.edge_matrix("e2")
-        assert m.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-        padded = theta_monodromy(genus=(1, 0)).padded_edge_matrix("e2")
-        assert padded.shape == (3, 3)
-        assert padded[2].tolist() == [0.0, 0.0, 0.0]
+        m = rank_one_sum([(F(1), mono.edge_rows["e2"])], mono.rank)
+        assert m == [[1, 1], [1, 1]]
 
-    def test_assemble_gram_matches_hand_formula(self):
+    def test_edge_rows_give_the_hand_formula(self):
         mono = theta_monodromy()
         a, b, c = F(3), F(5, 2), F(7)
-        gram = mono.assemble_gram({"e1": a, "e2": b, "e3": c})
+        lengths = {"e1": a, "e2": b, "e3": c}
+        gram = rank_one_sum(
+            ((lengths[e], row) for e, row in mono.edge_rows.items()), mono.rank
+        )
         assert gram == [[a + b, b], [b, b + c]]
 
-    def test_assemble_gram_matches_measure_route(self):
+    def test_edge_rows_match_the_measure_route(self):
         from canmeas import MetricGraph, gram_matrices
 
         mono = theta_monodromy()
         lengths = {"e1": F(2), "e2": F(1, 3), "e3": F(5)}
         direct = gram_matrices(MetricGraph(theta_graph(), lengths), list(mono.basis))
-        assert mono.assemble_gram(lengths) == [list(r) for r in direct.matrix]
+        gram = rank_one_sum(
+            ((lengths[e], row) for e, row in mono.edge_rows.items()), mono.rank
+        )
+        assert gram == [list(r) for r in direct.matrix]
 
     def test_wrong_cycle_count_rejected(self):
         g = theta_graph()
