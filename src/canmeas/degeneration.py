@@ -11,9 +11,10 @@ per-layer totals, and integrals of fixed test functions converge.  All
 limits here are computed symbolically from dominant exponents and
 leading coefficients; grid evaluations are exact rational arithmetic,
 with floats confined to report rendering elsewhere.  Fibers are
-measured by the matrix route (:func:`canmeas.measures.foster_by_matrix`),
-which agrees exactly with tree enumeration and costs no more than a
-Gram inverse.
+measured by the matrix route (:func:`canmeas.measures.foster_by_matrix`)
+and the tropical target by the same kernel on each graded minor, so
+neither enumerates trees: a fiber costs one Gram inverse, the target one
+per layer.  Only the per-tree weight limits enumerate.
 """
 
 from __future__ import annotations

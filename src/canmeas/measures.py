@@ -20,12 +20,13 @@ eliminate it once.  With positive lengths a Gram matrix is positive
 definite exactly when it is nonsingular, so the singular-matrix check of
 that one elimination does the work of Sylvester's criterion;
 :func:`gram_matrices` still applies the criterion to bases that callers
-supply.
+supply.  Only the tree route enumerates trees.
 
 For a tropical curve (a metric graph whose edges come with an ordered
 layering, unit total length per layer) the edge mass on layer j is the
-canonical edge mass of graded minor j.  Everything here is exact; no
-floats enter at any point.
+canonical edge mass of graded minor j, taken by the matrix route's
+kernel: one Gram inverse per layer.  Everything here is exact; no floats
+enter at any point.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .errors import (
 from .graphs import (
     AugmentedGraph,
     CycleVector,
-    cycle_basis,
     cycle_boundary,
+    fundamental_cycles,
     is_connected,
     spanning_trees,
 )
@@ -160,30 +161,22 @@ class GramMatrix:
     matrix: tuple[tuple[Fraction, ...], ...]
 
 
-def _forest_edge_masses(
-    graph: AugmentedGraph, lengths: Mapping[str, Fraction]
-) -> dict[str, Fraction]:
-    # Works per connected component through spanning forests, so callers
-    # may pass disconnected graphs (graded minors often are).
-    trees = spanning_trees(graph)
-    total = Fraction(0)
-    inside: dict[str, Fraction] = {e: Fraction(0) for e in graph.edge_ids}
-    for tree in trees:
-        weight = Fraction(1)
-        for eid in graph.edge_ids:
-            if eid not in tree:
-                weight *= lengths[eid]
-        total += weight
-        for eid in tree.edge_ids:
-            inside[eid] += weight
-    return {e: 1 - inside[e] / total for e in graph.edge_ids}
-
-
 def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     """Canonical measure by direct spanning tree enumeration."""
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
-    coeffs = _forest_edge_masses(m.graph, m.lengths)
+    edge_ids = m.graph.edge_ids
+    total = Fraction(0)
+    inside: dict[str, Fraction] = {e: Fraction(0) for e in edge_ids}
+    for tree in spanning_trees(m.graph):
+        weight = Fraction(1)
+        for eid in edge_ids:
+            if eid not in tree:
+                weight *= m.lengths[eid]
+        total += weight
+        for eid in tree.edge_ids:
+            inside[eid] += weight
+    coeffs = {e: 1 - inside[e] / total for e in edge_ids}
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 
@@ -196,15 +189,12 @@ def _cycle_gram(m: MetricGraph, basis: Sequence[CycleVector]) -> list[list[Fract
     )
 
 
-def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector] | None = None) -> GramMatrix:
+def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> GramMatrix:
     """Gram data of a cycle basis under the length inner product.
 
-    Uses the canonical fundamental cycle basis when none is given.  The
-    assembled matrix must be positive definite (checked exactly); a
+    The assembled matrix must be positive definite (checked exactly); a
     dependent family fails that check.
     """
-    if basis is None:
-        basis = cycle_basis(m.graph)
     basis = tuple(basis)
     for gamma in basis:
         for eid in gamma.support:
@@ -229,7 +219,7 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
-    basis = cycle_basis(m.graph)
+    basis = fundamental_cycles(m.graph)
     coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
     rhs: dict[str, list[Fraction]] = {}
     for eid in m.graph.edge_ids:
@@ -243,6 +233,19 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 
+def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
+    # The quadratic form of foster_by_matrix.  Fundamental cycles are
+    # taken per component, so m may be disconnected, as minors often are.
+    basis = fundamental_cycles(m.graph)
+    inv = linalg.inverse(_cycle_gram(m, basis))
+    coeffs = {}
+    for eid in m.graph.edge_ids:
+        c = [(i, x) for i, x in enumerate(gamma[eid] for gamma in basis) if x]
+        s = sum((inv[i][j] * x * y for i, x in c for j, y in c), Fraction(0))
+        coeffs[eid] = m.lengths[eid] * s
+    return coeffs
+
+
 def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     """Canonical measure from the inverse of the cycle Gram matrix.
 
@@ -253,20 +256,7 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
-    basis = cycle_basis(m.graph)
-    h = len(basis)
-    inv = linalg.inverse(_cycle_gram(m, basis))
-    coeffs = {}
-    for eid in m.graph.edge_ids:
-        c = [gamma[eid] for gamma in basis]
-        s = Fraction(0)
-        for i in range(h):
-            if c[i] == 0:
-                continue
-            for j in range(h):
-                if c[j] != 0:
-                    s += inv[i][j] * c[i] * c[j]
-        coeffs[eid] = m.lengths[eid] * s
+    coeffs = _cycle_space_masses(m)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
 
 
@@ -275,8 +265,9 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
 
     The mass of an edge in layer j is its canonical edge mass inside
     graded minor j, with lengths restricted to that layer.  Minors may
-    be disconnected; each of their components contributes independently
-    through its spanning forests.  Vertex atoms are the vertex genera.
+    be disconnected; each fundamental cycle lies in one component, so
+    each component contributes independently.  Vertex atoms are the
+    vertex genera.
     """
     if not is_connected(t.graph):
         raise DisconnectedGraph("tropical curves must be connected")
@@ -284,7 +275,7 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
     coeffs: dict[str, Fraction] = {}
     for minor in report.minors:
         restricted = {e: t.lengths[e] for e in minor.edge_ids}
-        coeffs.update(_forest_edge_masses(minor, restricted))
+        coeffs.update(_cycle_space_masses(MetricGraph(minor, restricted)))
     return EdgeMeasure(
         metric=t.metric, edge_coeffs=coeffs, vertex_atoms=dict(t.graph.genus)
     )

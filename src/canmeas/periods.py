@@ -49,13 +49,15 @@ class MonodromySet:
     cycle.  The matrix of an edge is the outer product of its row with
     itself; in the model period matrix it fills the top-left rank block,
     and the ``pad`` trailing rows and columns belong to the vertex
-    directions.
+    directions.  ``unit_gram`` is the Gram matrix of the basis with every
+    edge of length one, as checked positive definite on construction.
     """
 
     basis: tuple[CycleVector, ...]
     block_sizes: tuple[int, ...]
     pad: int
     edge_rows: Mapping[str, tuple[int, ...]]
+    unit_gram: tuple[tuple[Fraction, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -88,9 +90,10 @@ def monodromy_from_basis(
     h = graph_genus(g)
     if len(flat) != h:
         raise BasisError(f"expected {h} basis cycles, got {len(flat)}")
+    unit_gram: tuple[tuple[Fraction, ...], ...] = ()
     if h:
         unit = MetricGraph(g, {e: Fraction(1) for e in g.edge_ids})
-        gram_matrices(unit, flat)
+        unit_gram = gram_matrices(unit, flat).matrix
     if pad is None:
         pad = sum(g.genus.values())
     if pad < 0:
@@ -98,7 +101,9 @@ def monodromy_from_basis(
     rows = {
         eid: tuple(gamma[eid] for gamma in flat) for eid in g.edge_ids
     }
-    return MonodromySet(basis=tuple(flat), block_sizes=block_sizes, pad=pad, edge_rows=rows)
+    return MonodromySet(
+        basis=tuple(flat), block_sizes=block_sizes, pad=pad, edge_rows=rows, unit_gram=unit_gram
+    )
 
 
 def _positive_definite(m: np.ndarray) -> bool:
@@ -387,12 +392,16 @@ def _block_samples(
     The matrix is inverted directly and through the Schur recursion;
     block (k, l) of the inverse is rescaled by y_min(k,l), diagonal block
     k is compared against ``targets[k]`` and off-diagonal norms are
-    recorded.  Points with condition estimate beyond 1e12 are flagged.
+    recorded.  Points with condition estimate beyond 1e12 are flagged; a
+    point whose matrix or scales overflow binary64 raises FamilyError.
     """
     offsets = _block_offsets(sizes)
     samples = []
     for t in pts:
-        m, y = point(t)
+        try:
+            m, y = point(t)
+        except OverflowError:
+            raise FamilyError(f"grid point t = {t} overflows binary64") from None
         condition = float(np.linalg.cond(m))
         direct = np.linalg.inv(m)
         oracle = schur_block_inverse(m, sizes)

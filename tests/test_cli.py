@@ -442,6 +442,33 @@ class TestPeriodsCommand:
         assert out == ""
         assert "total genus 0" in err
 
+    def test_grid_beyond_the_float_range_is_a_precondition_error(self, capsys):
+        # At t = 1e-78 the default top scale t^-4 exceeds binary64.
+        code, out, err = run(
+            capsys,
+            "periods",
+            "--input",
+            example("theta_weighted.json"),
+            "--grid",
+            "1e-1..1e-80",
+        )
+        assert code == 3
+        assert out == ""
+        assert f"grid point t = 1/1{'0' * 78} overflows binary64" in err
+
+    def test_unit_gram_matrix_is_checked_once(self, capsys, monkeypatch):
+        # gram_matrices applies Sylvester's criterion once per assembly.
+        sizes = []
+
+        def counted(rows, check=canmeas.linalg.is_positive_definite):
+            sizes.append(len(rows))
+            return check(rows)
+
+        monkeypatch.setattr(canmeas.linalg, "is_positive_definite", counted)
+        code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
+        assert code == 0
+        assert sizes == [2]
+
     def test_widely_spread_scales_are_positive_definite(self, capsys, tmp_path):
         # K8 in three layers of 12, 2 and 14 edges at the default scales
         # t^-6, t^-4, t^-2: near t = 1e-4 the diagonal spans so many

@@ -27,9 +27,18 @@ from canmeas import (
     total_genus,
     tropical_canonical_measure,
 )
-from canmeas.corpus import random_graph, random_layering, random_metric, random_rational
+from canmeas.corpus import (
+    layered_family,
+    normalized_coordinates,
+    random_graph,
+    random_layering,
+    random_metric,
+    random_rational,
+)
+from canmeas.degeneration import limit_foster
 from canmeas.gallery import theta_graph, triangle_graph
-from canmeas.graphs import AugmentedGraph, CycleVector
+from canmeas.graphs import AugmentedGraph, CycleVector, spanning_trees
+from canmeas.layerings import graded_minors
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -38,6 +47,11 @@ F = Fraction
 
 def theta_metric():
     return MetricGraph(theta_graph(), {"e1": F(1), "e2": F(1, 2), "e3": F(1, 2)})
+
+
+def rename_e0_to_empty(g):
+    edges = tuple(("" if eid == "e0" else eid, uv) for eid, uv in g.edges)
+    return AugmentedGraph(vertices=g.vertices, edges=edges, genus=g.genus)
 
 
 class TestMetricGraph:
@@ -126,12 +140,7 @@ class TestCanonicalMeasure:
     @settings(max_examples=40, deadline=None)
     def test_three_routes_agree_with_an_empty_edge_id(self, seed):
         rng = Random(seed)
-        g = random_graph(rng, max_vertices=6, max_edges=9)
-        g = AugmentedGraph(
-            vertices=g.vertices,
-            edges=tuple(("" if eid == "e0" else eid, uv) for eid, uv in g.edges),
-            genus=g.genus,
-        )
+        g = rename_e0_to_empty(random_graph(rng, max_vertices=6, max_edges=9))
         m = random_metric(rng, g)
         a = foster_by_trees(m).edge_coeffs
         assert foster_by_projection(m).edge_coeffs == a
@@ -189,7 +198,7 @@ class TestEdgeMeasureValidation:
 class TestGramMatrix:
     def test_theta_matrix(self):
         m = theta_metric()
-        gram = gram_matrices(m)
+        gram = gram_matrices(m, cycle_basis(m.graph))
         # Cycles e2 - e1 and e3 - e1 share the edge e1.
         assert gram.matrix == (
             (F(3, 2), F(1)),
@@ -198,7 +207,7 @@ class TestGramMatrix:
 
     def test_edge_matrices_assemble_the_gram_matrix(self):
         m = theta_metric()
-        gram = gram_matrices(m)
+        gram = gram_matrices(m, cycle_basis(m.graph))
         h = len(gram.basis)
         assembled = [[F(0)] * h for _ in range(h)]
         for eid in m.graph.edge_ids:
@@ -264,8 +273,6 @@ class TestTropical:
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_random_tropical_mass_decomposes(self, seed):
-        from canmeas.corpus import normalized_coordinates
-
         rng = Random(seed)
         g = random_graph(rng, max_vertices=6, max_edges=9)
         if not g.edge_ids:
@@ -277,6 +284,84 @@ class TestTropical:
         mu = tropical_canonical_measure(curve)
         assert mu.edge_mass == graph_genus(g)
         assert tropical_canonical_measure(curve).total_mass == total_genus(g)
+
+
+def random_curve(seed, empty_id=False):
+    """A seeded random tropical curve; with empty_id, edge e0 is renamed ""."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=6, max_edges=9)
+    if empty_id:
+        g = rename_e0_to_empty(g)
+    q = random_layering(rng, g)
+    return TropicalCurve(graph=g, lengths=normalized_coordinates(rng, q), layering=q)
+
+
+def forest_masses(minor, lengths):
+    # 1 - (weight of the spanning forests through e) / (total weight), the
+    # weight of a forest being the product of the lengths it leaves out.
+    total = F(0)
+    inside = {e: F(0) for e in minor.edge_ids}
+    for forest in spanning_trees(minor):
+        weight = F(1)
+        for e in minor.edge_ids:
+            if e not in forest:
+                weight *= lengths[e]
+        total += weight
+        for e in forest:
+            inside[e] += weight
+    return {e: 1 - inside[e] / total for e in minor.edge_ids}
+
+
+def resistance_masses(minor, lengths):
+    resistance = effective_resistance(minor, lengths)
+    return {e: 1 - resistance[e] / lengths[e] for e in minor.edge_ids}
+
+
+def minor_wise(curve, masses):
+    """The tropical measure taken minor by minor with a reference formula."""
+    out = {}
+    for minor in graded_minors(curve.graph, curve.layering).minors:
+        out.update(masses(minor, {e: curve.lengths[e] for e in minor.edge_ids}))
+    return out
+
+
+def grid_family(n):
+    """corpus.layered_family on the n x n grid, two thirds of it in layer 0."""
+    name = lambda r, c: f"v{r}_{c}"
+    vertices = tuple(name(r, c) for r in range(n) for c in range(n))
+    edges = [(f"h{r}_{c}", (name(r, c), name(r, c + 1))) for r in range(n) for c in range(n - 1)]
+    edges += [(f"w{r}_{c}", (name(r, c), name(r + 1, c))) for r in range(n - 1) for c in range(n)]
+    g = AugmentedGraph(vertices=vertices, edges=tuple(edges))
+    rng = Random(0)
+    ids = list(g.edge_ids)
+    rng.shuffle(ids)
+    cut = 2 * len(ids) // 3
+    q = OrderedPartition(parts=(frozenset(ids[:cut]), frozenset(ids[cut:])))
+    return layered_family(g, q, normalized_coordinates(rng, q))
+
+
+class TestTropicalRoute:
+    @pytest.mark.parametrize("empty_id", [False, True])
+    def test_matches_forests_and_the_laplacian_oracle(self, empty_id):
+        for seed in range(200):
+            curve = random_curve(seed, empty_id)
+            got = tropical_canonical_measure(curve).edge_coeffs
+            assert got == minor_wise(curve, forest_masses), seed
+            assert got == minor_wise(curve, resistance_masses), seed
+
+    def test_target_enumerates_no_trees(self, monkeypatch):
+        # Minor 0 of the 5x5 grid family has 116,975 spanning forests.
+        def refuse(graph):
+            raise AssertionError("the tropical target must not enumerate trees")
+
+        monkeypatch.setattr("canmeas.measures.spanning_trees", refuse)
+        family = grid_family(5)
+        curve = family.target_curve()
+        mu = tropical_canonical_measure(curve)
+        assert mu.edge_coeffs == minor_wise(curve, resistance_masses)
+        assert mu.edge_mass == graph_genus(family.graph) == 16
+        targets = limit_foster(family, [F(1, 10), F(1, 100)]).targets
+        assert targets == mu.edge_coeffs
 
 
 class TestIntegration:
