@@ -572,3 +572,15 @@ def test_reports_match_the_golden_files(capsys):
                 if (code, out.encode(), err) != (0, golden, ""):
                     differ.append(f"{stem}.{command}{suffix}")
     assert differ == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_selftest_matches_the_golden_files(capsys, seed):
+    # tests/golden/selftest.<seed>.json holds the exact sections of
+    # `canmeas selftest --seed <seed>`.  The periods section is left out:
+    # its floats come from LAPACK and may differ between platforms.
+    code, report = run_json(capsys, "selftest", "--seed", str(seed))
+    assert code == 0
+    pinned = {k: report[k] for k in ("seed", "measures", "layerings", "limits")}
+    golden = (GOLDEN / f"selftest.{seed}.json").read_text()
+    assert canmeas.dump_report(pinned) == golden
