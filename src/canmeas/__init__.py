@@ -75,7 +75,6 @@ from .layerings import (
     GradedMinorReport,
     OrderedPartition,
     admissible_cycle_basis,
-    genus_decomposition,
     graded_minors,
     layered_spanning_trees,
     refines,

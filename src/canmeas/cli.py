@@ -37,7 +37,7 @@ from .documents import (
     render_table,
 )
 from .errors import CanmeasError, FamilyError
-from .families import ScaleFunction, geometric_grid, validate_grid
+from .families import geometric_grid, validate_grid
 from .graphs import (
     connected_components,
     graph_genus,
@@ -46,9 +46,11 @@ from .graphs import (
     total_genus,
 )
 from .kirchhoff import effective_resistance, tree_count
-from .layerings import admissible_cycle_basis, graded_minors, layered_spanning_trees
+from .layerings import GradedMinorReport, admissible_cycle_basis, graded_minors
 from .linalg import rank_one_sum
 from .measures import (
+    EdgeMeasure,
+    MetricGraph,
     foster_by_matrix,
     foster_by_projection,
     foster_by_trees,
@@ -113,25 +115,19 @@ def _finish(report: dict[str, Any], assertions: list[dict[str, Any]]) -> tuple[d
     return report, ok
 
 
-def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    doc = load_document(args.input)
-    metric = doc.metric()
-    names = list(_FORMULATIONS) if args.formulation == "all" else [args.formulation]
-    measures = {name: _FORMULATIONS[name](metric) for name in names}
-    report: dict[str, Any] = {
-        "command": "measure",
-        "formulation": args.formulation,
-        "graph": _graph_section(doc.graph),
-        "measures": {name: measure_section(mu) for name, mu in measures.items()},
-    }
+def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -> list[dict[str, Any]]:
+    """The measure checks: the formulations agree, the edge mass is the
+    genus, and the first formulation matches the resistance oracle."""
+    g = metric.graph
+    names = list(measures)
     assertions = []
-    h = graph_genus(doc.graph)
+    h = graph_genus(g)
     first = measures[names[0]]
     if len(names) > 1:
         split = next(
             (
                 (e, n)
-                for e in doc.graph.edge_ids
+                for e in g.edge_ids
                 for n in names[1:]
                 if measures[n].edge_coeffs[e] != first.edge_coeffs[e]
             ),
@@ -154,9 +150,9 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             genus=h,
         )
     )
-    resistance = effective_resistance(doc.graph, metric.lengths)
-    oracle = {e: 1 - resistance[e] / metric.lengths[e] for e in doc.graph.edge_ids}
-    wrong = next((e for e in doc.graph.edge_ids if first.edge_coeffs[e] != oracle[e]), None)
+    resistance = effective_resistance(g, metric.lengths)
+    oracle = {e: 1 - resistance[e] / metric.lengths[e] for e in g.edge_ids}
+    wrong = next((e for e in g.edge_ids if first.edge_coeffs[e] != oracle[e]), None)
     evidence = {}
     if wrong is not None:
         evidence = {
@@ -165,7 +161,21 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             "oracle": exact_field(oracle[wrong]),
         }
     assertions.append(_assertion("resistance_oracle", wrong is None, **evidence))
-    return _finish(report, assertions)
+    return assertions
+
+
+def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    doc = load_document(args.input)
+    metric = doc.metric()
+    names = list(_FORMULATIONS) if args.formulation == "all" else [args.formulation]
+    measures = {name: _FORMULATIONS[name](metric) for name in names}
+    report: dict[str, Any] = {
+        "command": "measure",
+        "formulation": args.formulation,
+        "graph": _graph_section(doc.graph),
+        "measures": {name: measure_section(mu) for name, mu in measures.items()},
+    }
+    return _finish(report, _measure_assertions(metric, measures))
 
 
 def cmd_trees(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
@@ -183,44 +193,19 @@ def cmd_trees(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return _finish(report, assertions)
 
 
-def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
-    doc = load_document(args.input)
-    layering = doc.require_layering()
-    report_data = graded_minors(doc.graph, layering)
-    basis = admissible_cycle_basis(doc.graph, layering)
+def _minors_checks(minors: GradedMinorReport) -> tuple[list[int], int, list[dict[str, Any]]]:
+    """Per-minor matrix-tree counts, the layered tree count, and the checks
+    that the genera sum to the genus and the two tree counts agree."""
+    counts = [tree_count(minor) for minor in minors.minors]
     # Unions of one forest per minor: the layers are disjoint, so counts multiply.
-    layered = product = 1
-    per_layer = []
-    for j, minor in enumerate(report_data.minors):
-        count = tree_count(minor)
-        layered *= len(spanning_trees(minor))
-        product *= count
-        per_layer.append(
-            {
-                "layer": j,
-                "edges": sorted(minor.edge_ids),
-                "vertices": len(minor.vertices),
-                "genus": report_data.genus_vector[j],
-                "tree_count": count,
-                "vertex_map": dict(sorted(report_data.vertex_maps[j].items())),
-            }
-        )
-    report: dict[str, Any] = {
-        "command": "minors",
-        "graph": _graph_section(doc.graph),
-        "layers": per_layer,
-        "genus_vector": list(report_data.genus_vector),
-        "layered_tree_count": layered,
-        "admissible_basis": [
-            [dict(sorted(c.coeffs.items())) for c in block] for block in basis.blocks
-        ],
-    }
-    h = graph_genus(doc.graph)
+    layered = math.prod(len(spanning_trees(minor)) for minor in minors.minors)
+    product = math.prod(counts)
+    h = graph_genus(minors.graph)
     assertions = [
         _assertion(
             "genus_decomposition_sums",
-            sum(report_data.genus_vector) == h,
-            genus_vector=list(report_data.genus_vector),
+            sum(minors.genus_vector) == h,
+            genus_vector=list(minors.genus_vector),
             genus=h,
         ),
         _assertion(
@@ -230,24 +215,70 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             product=product,
         ),
     ]
-    if doc.lengths is not None:
-        normalized = all(
-            sum((doc.lengths[e] for e in part), Fraction(0)) == 1
-            for part in layering.parts
-        )
-        if normalized:
-            # The hybrid mass profile is the tropical measure itself.
-            tropical = tropical_canonical_measure(doc.tropical())
-            report["tropical_measure"] = measure_section(tropical)
-            assertions.append(
-                _assertion(
-                    "hybrid_total_mass_equals_total_genus",
-                    tropical.total_mass == total_genus(doc.graph),
-                    total_mass=exact_field(tropical.total_mass),
-                    total_genus=total_genus(doc.graph),
-                )
+    return counts, layered, assertions
+
+
+def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    doc = load_document(args.input)
+    layering = doc.require_layering()
+    curve = None
+    if doc.lengths is not None and all(
+        sum((doc.lengths[e] for e in part), Fraction(0)) == 1 for part in layering.parts
+    ):
+        curve = doc.tropical()
+    minors = graded_minors(doc.graph, layering) if curve is None else curve.minors
+    basis = admissible_cycle_basis(minors)
+    counts, layered, assertions = _minors_checks(minors)
+    per_layer = [
+        {
+            "layer": j,
+            "edges": sorted(minor.edge_ids),
+            "vertices": len(minor.vertices),
+            "genus": minors.genus_vector[j],
+            "tree_count": counts[j],
+            "vertex_map": dict(sorted(minors.vertex_maps[j].items())),
+        }
+        for j, minor in enumerate(minors.minors)
+    ]
+    report: dict[str, Any] = {
+        "command": "minors",
+        "graph": _graph_section(doc.graph),
+        "layers": per_layer,
+        "genus_vector": list(minors.genus_vector),
+        "layered_tree_count": layered,
+        "admissible_basis": [
+            [dict(sorted(c.coeffs.items())) for c in block] for block in basis.blocks
+        ],
+    }
+    if curve is not None:
+        # With normalized lengths the hybrid mass profile is the tropical
+        # measure itself.
+        tropical = tropical_canonical_measure(curve)
+        report["tropical_measure"] = measure_section(tropical)
+        assertions.append(
+            _assertion(
+                "hybrid_total_mass_equals_total_genus",
+                tropical.total_mass == total_genus(doc.graph),
+                total_mass=exact_field(tropical.total_mass),
+                total_genus=total_genus(doc.graph),
             )
+        )
     return _finish(report, assertions)
+
+
+def _dichotomy_assertion(family: LengthFamily, limits: dict[frozenset[str], Fraction]) -> dict[str, Any]:
+    """Each tree's weight limit equals its layered closed form; a failure
+    names the first tree, in sorted order, that breaks it."""
+    closed_forms = layered_tree_weights(family, limits)
+    mismatch = next((t for t in sorted(limits, key=sorted) if limits[t] != closed_forms[t]), None)
+    evidence = {}
+    if mismatch is not None:
+        evidence = {
+            "tree": sorted(mismatch),
+            "limit": exact_field(limits[mismatch]),
+            "closed_form": exact_field(closed_forms[mismatch]),
+        }
+    return _assertion("tree_weight_dichotomy", mismatch is None, **evidence)
 
 
 def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
@@ -255,9 +286,8 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     family = doc.length_family()
     grid = _parse_grid(args.grid, (1, 6))
     limits = all_tree_limits(family)
-    closed_forms = layered_tree_weights(family, limits)
+    dichotomy = _dichotomy_assertion(family, limits)
     trees = sorted(limits, key=sorted)
-    mismatch = next((t for t in trees if limits[t] != closed_forms[t]), None)
     foster = limit_foster(family, grid)
     h = graph_genus(doc.graph)
     report: dict[str, Any] = {
@@ -275,13 +305,6 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             {"tree": sorted(t), "limit": exact_field(limits[t])} for t in trees
         ],
     }
-    evidence = {}
-    if mismatch is not None:
-        evidence = {
-            "tree": sorted(mismatch),
-            "limit": exact_field(limits[mismatch]),
-            "closed_form": exact_field(closed_forms[mismatch]),
-        }
     assertions = [
         _assertion(
             "edge_mass_equals_genus_on_grid",
@@ -289,17 +312,14 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             genus=h,
         ),
         _assertion("deviations_monotone", foster.monotone),
-        _assertion("tree_weight_dichotomy", mismatch is None, **evidence),
+        dichotomy,
     ]
     return _finish(report, assertions)
 
 
 def _load_lambda0(path: str | None, monodromy, graph) -> np.ndarray:
     if path is None:
-        vertex_blocks = {
-            v: np.eye(graph.genus[v]) for v in graph.vertices if graph.genus[v] > 0
-        }
-        return assemble_base(monodromy, graph, vertex_blocks)
+        return assemble_base(monodromy, graph)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -363,18 +383,8 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             raise FamilyError(
                 "need one strictly decreasing positive exponent per layer"
             )
-    target = {e: Fraction(x) for e, x in doc.target.items()}
-    param_lengths = {}
-    for j, part in enumerate(layering.parts):
-        for e in sorted(part):
-            param_lengths[e] = ScaleFunction.power(-exponents[j], target[e])
-    family = LengthFamily(
-        graph=doc.graph,
-        param_lengths=param_lengths,
-        target_layering=layering,
-        target_point=target,
-    )
-    basis = admissible_cycle_basis(doc.graph, layering)
+    family = corpus.layered_family(doc.graph, layering, doc.target, [-a for a in exponents])
+    basis = admissible_cycle_basis(family.target_curve.minors)
     monodromy = monodromy_from_basis(doc.graph, basis)
     base = _load_lambda0(args.lambda0, monodromy, doc.graph)
     model = ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
@@ -431,63 +441,53 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return _finish(report, assertions)
 
 
+# selftest runs the checks of measure and minors (and limit's dichotomy)
+# on each random case and counts those that pass, under these names where
+# its report names them differently.
+_SELFTEST_COUNTS = {
+    "edge_mass_equals_genus": "mass_identity",
+    "genus_decomposition_sums": "genus_decomposition",
+    "layered_tree_count_matches_product": "layered_tree_counts",
+}
+
+
+def _count_passed(counts: dict[str, int], assertions: list[dict[str, Any]]) -> None:
+    for a in assertions:
+        if a["passed"]:
+            counts[_SELFTEST_COUNTS.get(a["name"], a["name"])] += 1
+
+
+def _selftest_section(cases: int, counts: dict[str, int]) -> dict[str, Any]:
+    return {"cases": cases, **counts, "passed": all(c == cases for c in counts.values())}
+
+
 def _selftest_measures(rng: Random, cases: int) -> dict[str, Any]:
-    agree = mass = oracle = scale = 0
+    counts = dict.fromkeys(
+        ("formulations_agree", "mass_identity", "resistance_oracle", "scale_invariance"), 0
+    )
     for _ in range(cases):
         g = corpus.random_graph(rng, max_vertices=6, max_edges=9)
         m = corpus.random_metric(rng, g)
-        by_trees = foster_by_trees(m)
-        if (
-            by_trees.edge_coeffs == foster_by_projection(m).edge_coeffs
-            and by_trees.edge_coeffs == foster_by_matrix(m).edge_coeffs
-        ):
-            agree += 1
-        if by_trees.edge_mass == graph_genus(g):
-            mass += 1
-        resistance = effective_resistance(g, m.lengths)
-        if all(
-            by_trees.edge_coeffs[e] == 1 - resistance[e] / m.lengths[e]
-            for e in g.edge_ids
-        ):
-            oracle += 1
+        measures = {name: route(m) for name, route in _FORMULATIONS.items()}
+        _count_passed(counts, _measure_assertions(m, measures))
         factor = corpus.random_rational(rng, 20, 20)
-        if foster_by_trees(m.scaled(factor)).edge_coeffs == by_trees.edge_coeffs:
-            scale += 1
-    return {
-        "cases": cases,
-        "formulations_agree": agree,
-        "mass_identity": mass,
-        "resistance_oracle": oracle,
-        "scale_invariance": scale,
-        "passed": agree == mass == oracle == scale == cases,
-    }
+        if foster_by_trees(m.scaled(factor)).edge_coeffs == measures["trees"].edge_coeffs:
+            counts["scale_invariance"] += 1
+    return _selftest_section(cases, counts)
 
 
 def _selftest_layerings(rng: Random, cases: int) -> dict[str, Any]:
-    genus_ok = count_ok = dichotomy_ok = 0
+    counts = dict.fromkeys(
+        ("genus_decomposition", "layered_tree_counts", "tree_weight_dichotomy"), 0
+    )
     for _ in range(cases):
         g = corpus.random_graph(rng, max_vertices=5, max_edges=7)
         p = corpus.random_layering(rng, g)
-        minors = graded_minors(g, p)
-        if sum(minors.genus_vector) == graph_genus(g):
-            genus_ok += 1
-        layered = layered_spanning_trees(g, p)
-        product = 1
-        for minor in minors.minors:
-            product *= tree_count(minor)
-        if len(layered) == product:
-            count_ok += 1
         family = corpus.layered_family(g, p, corpus.normalized_coordinates(rng, p))
-        limits = all_tree_limits(family)
-        if limits == layered_tree_weights(family, limits):
-            dichotomy_ok += 1
-    return {
-        "cases": cases,
-        "genus_decomposition": genus_ok,
-        "layered_tree_counts": count_ok,
-        "tree_weight_dichotomy": dichotomy_ok,
-        "passed": genus_ok == count_ok == dichotomy_ok == cases,
-    }
+        _, _, assertions = _minors_checks(family.target_curve.minors)
+        assertions.append(_dichotomy_assertion(family, all_tree_limits(family)))
+        _count_passed(counts, assertions)
+    return _selftest_section(cases, counts)
 
 
 def _selftest_limits() -> dict[str, Any]:
@@ -556,9 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", required=True, help="path to a graph document")
-        p.add_argument(
-            "--json", action="store_true", help="JSON report (the default)"
-        )
         p.add_argument(
             "--table", action="store_true", help="plain text table instead of JSON"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -85,18 +86,25 @@ def normalized_coordinates(rng: Random, p: OrderedPartition) -> dict[str, Fracti
 
 
 def layered_family(
-    g: AugmentedGraph, p: OrderedPartition, coordinates: dict[str, Fraction]
+    g: AugmentedGraph,
+    p: OrderedPartition,
+    point: Mapping[str, Fraction],
+    exponents: Sequence[int] | None = None,
 ) -> LengthFamily:
-    """The straight-line family: layer-j edges have length x_e * t^j."""
-    lengths = {}
-    for j, part in enumerate(p.parts):
-        for e in part:
-            lengths[e] = ScaleFunction.power(j, coordinates[e])
+    """The straight-line family: layer-j edges have length x_e * t^a_j.
+
+    ``point`` gives the target coordinates x_e and ``exponents`` the
+    a_j, by default 0, 1, 2, ...  Lengths are built for the edges of
+    ``point`` alone, so a point that misses an edge fails the family's
+    own validation.
+    """
+    if exponents is None:
+        exponents = range(len(p.parts))
+    lengths = {
+        e: ScaleFunction.power(exponents[p.layer_of(e)], x) for e, x in point.items()
+    }
     return LengthFamily(
-        graph=g,
-        param_lengths=lengths,
-        target_layering=p,
-        target_point=coordinates,
+        graph=g, param_lengths=lengths, target_layering=p, target_point=point
     )
 
 

@@ -14,19 +14,23 @@ with floats confined to report rendering elsewhere.  Fibers are
 measured by the matrix route (:func:`canmeas.measures.foster_by_matrix`)
 and the tropical target by the same kernel on each graded minor, so
 neither enumerates trees: a fiber costs one Gram inverse, the target one
-per layer.  Only the per-tree weight limits enumerate.
+per layer.  Only the per-tree weight limits enumerate.  A family builds
+its target curve, and with it the graded minors, once: the tropical
+target, the tree-weight rescaling and the layered closed forms all read
+that one decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, ratio_limit, validate_grid
 from .graphs import AugmentedGraph, SpanningTree, connected_components, find_root, spanning_trees
-from .layerings import OrderedPartition, genus_decomposition, graded_minors
+from .layerings import OrderedPartition
 from .measures import (
     MetricGraph,
     PiecewiseLinear,
@@ -98,7 +102,9 @@ class LengthFamily:
         assert total is not None
         return total
 
+    @cached_property
     def target_curve(self) -> TropicalCurve:
+        """The limit point as a tropical curve, with its graded minors."""
         return TropicalCurve(
             graph=self.graph,
             lengths=dict(self.target_point),
@@ -214,7 +220,7 @@ def _weight_denominator(f: LengthFamily) -> ScaleFunction:
     of the factors' leading terms.
     """
     exponent, coeff = 0, Fraction(1)
-    for j, h in enumerate(genus_decomposition(f.graph, f.target_layering)):
+    for j, h in enumerate(f.target_curve.minors.genus_vector):
         if h > 0:
             total = f.layer_total(j)
             exponent += h * total.dominant_exponent
@@ -279,7 +285,7 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
     """
     _require_convergent(f)
     pts = validate_grid(grid)
-    target = tropical_canonical_measure(f.target_curve())
+    target = tropical_canonical_measure(f.target_curve)
     trajectories: dict[str, list[Fraction]] = {e: [] for e in f.graph.edge_ids}
     max_devs: list[Fraction] = []
     masses: list[Fraction] = []
@@ -369,7 +375,7 @@ def continuity_probe(
     """
     _require_convergent(f)
     pts = validate_grid(grid)
-    target_curve = f.target_curve()
+    target_curve = f.target_curve
     limit_value = integrate(
         tropical_canonical_measure(target_curve), fn.on_metric(target_curve.metric)
     )
@@ -395,9 +401,7 @@ def layered_tree_weights(
     is_forest = _spanning_forest_test(f.graph)
     layers = [
         (part, _spanning_forest_test(minor))
-        for part, minor in zip(
-            f.target_layering.parts, graded_minors(f.graph, f.target_layering).minors
-        )
+        for part, minor in zip(f.target_layering.parts, f.target_curve.minors.minors)
     ]
     weights: dict[frozenset[str], Fraction] = {}
     for edge_ids in trees:

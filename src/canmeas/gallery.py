@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
+from .corpus import layered_family
 from .degeneration import LengthFamily
-from .families import ScaleFunction
 from .graphs import AugmentedGraph
-from .layerings import OrderedPartition, admissible_cycle_basis
+from .layerings import OrderedPartition, admissible_cycle_basis, graded_minors
 from .periods import ModelPeriodFamily, MonodromySet, assemble_base, monodromy_from_basis
 
 
@@ -37,40 +35,24 @@ def triangle_graph(genus: tuple[int, int, int] = (0, 0, 0)) -> AugmentedGraph:
     )
 
 
-def _two_layer_family(
-    g: AugmentedGraph, x2: Fraction, x3: Fraction
-) -> LengthFamily:
-    # e1 stays at length 1; e2, e3 shrink linearly with ratio x2 : x3.
-    x2, x3 = Fraction(x2), Fraction(x3)
-    return LengthFamily(
-        graph=g,
-        param_lengths={
-            "e1": ScaleFunction.constant(1),
-            "e2": ScaleFunction.power(1, x2),
-            "e3": ScaleFunction.power(1, x3),
-        },
-        target_layering=OrderedPartition(
-            parts=(frozenset({"e1"}), frozenset({"e2", "e3"}))
-        ),
-        target_point={"e1": Fraction(1), "e2": x2, "e3": x3},
-    )
+# e1 alone in the first layer, e2 and e3 in the second.
+_SPLIT = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
 
 
 def theta_family(x2=Fraction(1, 2), x3=Fraction(1, 2)) -> LengthFamily:
     """Theta graph with lengths (1, x2*t, x3*t)."""
-    return _two_layer_family(theta_graph(), x2, x3)
+    return layered_family(theta_graph(), _SPLIT, {"e1": 1, "e2": x2, "e3": x3})
 
 
 def triangle_family(x2=Fraction(1, 2), x3=Fraction(1, 2)) -> LengthFamily:
     """Triangle with lengths (1, x2*t, x3*t); its measure limit puts all
     mass on the surviving loop edge."""
-    return _two_layer_family(triangle_graph(), x2, x3)
+    return layered_family(triangle_graph(), _SPLIT, {"e1": 1, "e2": x2, "e3": x3})
 
 
 def theta_monodromy(genus: tuple[int, int] = (0, 0)) -> MonodromySet:
     g = theta_graph(genus)
-    layering = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
-    return monodromy_from_basis(g, admissible_cycle_basis(g, layering))
+    return monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, _SPLIT)))
 
 
 def theta_period_family(
@@ -88,29 +70,8 @@ def theta_period_family(
     if a1 <= a2:
         raise ValueError("layer scales must decrease strictly")
     g = theta_graph(genus)
-    layering = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
-    family = LengthFamily(
-        graph=g,
-        param_lengths={
-            "e1": ScaleFunction.power(-a1),
-            "e2": ScaleFunction.power(-a2, Fraction(1, 2)),
-            "e3": ScaleFunction.power(-a2, Fraction(1, 2)),
-        },
-        target_layering=layering,
-        target_point={
-            "e1": Fraction(1),
-            "e2": Fraction(1, 2),
-            "e3": Fraction(1, 2),
-        },
-    )
+    half = Fraction(1, 2)
+    family = layered_family(g, _SPLIT, {"e1": 1, "e2": half, "e3": half}, (-a1, -a2))
     monodromy = theta_monodromy(genus)
-    if monodromy.pad:
-        if vertex_blocks is None:
-            vertex_blocks = {
-                v: np.eye(g.genus[v]) for v in g.vertices if g.genus[v] > 0
-            }
-        base = assemble_base(monodromy, g, vertex_blocks)
-    else:
-        n = monodromy.total_size
-        base = np.zeros((n, n))
+    base = assemble_base(monodromy, g, vertex_blocks)
     return ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)

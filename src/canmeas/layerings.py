@@ -116,11 +116,13 @@ def _validate_covering(g: AugmentedGraph, p: OrderedPartition) -> None:
 class GradedMinorReport:
     """The graded minors of a layered graph, with projection data.
 
-    ``minors[j]`` has edge set equal to layer j.  ``vertex_maps[j]``
-    sends each original vertex to its image in minor j, i.e. to its
-    connected component in the subgraph of strictly later edges.
+    ``graph`` is the layered graph itself.  ``minors[j]`` has edge set
+    equal to layer j.  ``vertex_maps[j]`` sends each original vertex to
+    its image in minor j, i.e. to its connected component in the
+    subgraph of strictly later edges.
     """
 
+    graph: AugmentedGraph
     layering: OrderedPartition
     minors: tuple[AugmentedGraph, ...]
     genus_vector: tuple[int, ...]
@@ -148,6 +150,7 @@ def graded_minors(g: AugmentedGraph, p: OrderedPartition) -> GradedMinorReport:
         minors.append(minor)
         maps.append(vmap)
     return GradedMinorReport(
+        graph=g,
         layering=p,
         minors=tuple(minors),
         genus_vector=tuple(graph_genus(m) for m in minors),
@@ -155,20 +158,15 @@ def graded_minors(g: AugmentedGraph, p: OrderedPartition) -> GradedMinorReport:
     )
 
 
-def genus_decomposition(g: AugmentedGraph, p: OrderedPartition) -> tuple[int, ...]:
-    """Graph genus of each graded minor.  These sum to the genus of g."""
-    return graded_minors(g, p).genus_vector
+def layered_spanning_trees(report: GradedMinorReport) -> list[SpanningTree]:
+    """Spanning trees of a layered graph assembled layer by layer.
 
-
-def layered_spanning_trees(g: AugmentedGraph, p: OrderedPartition) -> list[SpanningTree]:
-    """Spanning trees assembled layer by layer.
-
-    Takes one spanning forest of each graded minor and returns every
-    union.  Each union is a spanning forest of g, and the count is the
-    product of the per-minor counts.  Output is in the canonical sorted
-    order used by :func:`canmeas.graphs.spanning_trees`.
+    Takes one spanning forest of each graded minor in ``report`` (from
+    :func:`graded_minors`) and returns every union.  Each union is a spanning forest of the graph,
+    and the count is the product of the per-minor counts.  Output is in
+    the canonical sorted order used by
+    :func:`canmeas.graphs.spanning_trees`.
     """
-    report = graded_minors(g, p)
     combos: list[frozenset[str]] = [frozenset()]
     for minor in report.minors:
         layer_trees = spanning_trees(minor)
@@ -203,18 +201,19 @@ def restrict_cycle(cycle: CycleVector, edge_ids: frozenset[str]) -> CycleVector:
     return CycleVector({e: c for e, c in cycle.coeffs.items() if e in edge_ids})
 
 
-def admissible_cycle_basis(g: AugmentedGraph, p: OrderedPartition) -> AdmissibleBasis:
+def admissible_cycle_basis(report: GradedMinorReport) -> AdmissibleBasis:
     """Lift the canonical bases of the graded minors to a basis for g.
 
-    A cycle of minor j, read as a chain in g on layer-j edges, need not
-    close up: its boundary sits inside the contraction fibers, which are
-    the components of the subgraph of strictly later edges.  Routing the
-    boundary through a spanning forest of those fibers kills it without
-    leaving layers j+1..r, so the lift stays supported on layers j..r
-    and still restricts to the original cycle on layer j.
+    ``report`` is the graded-minor decomposition of g, as built by
+    :func:`graded_minors`; its minors are used as they are, not built
+    again.  A cycle of minor j, read as a chain in g on layer-j edges,
+    need not close up: its boundary sits inside the contraction fibers,
+    which are the components of the subgraph of strictly later edges.
+    Routing the boundary through a spanning forest of those fibers kills
+    it without leaving layers j+1..r, so the lift stays supported on
+    layers j..r and still restricts to the original cycle on layer j.
     """
-    _validate_covering(g, p)
-    report = graded_minors(g, p)
+    g, p = report.graph, report.layering
     blocks: list[tuple[CycleVector, ...]] = []
     for j, minor in enumerate(report.minors):
         later: set[str] = set()

@@ -88,16 +88,11 @@ def rank_one_sum(terms: Iterable[tuple[Fraction, Sequence[int]]], size: int) -> 
 def determinant(rows: Matrix) -> Fraction:
     """Determinant of a square rational matrix."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
     scaled, d = _to_integer_matrix(rows)
-    m, pivots, sign = bareiss_eliminate(scaled, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], d**n)
+    return Fraction(integer_determinant(scaled), d**n)
 
 
 def integer_determinant(rows: list[list[int]]) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -52,7 +53,7 @@ from .graphs import (
     is_connected,
     spanning_trees,
 )
-from .layerings import OrderedPartition, graded_minors
+from .layerings import GradedMinorReport, OrderedPartition, graded_minors
 
 
 def _as_fraction(x) -> Fraction:
@@ -114,6 +115,11 @@ class TropicalCurve:
     @property
     def metric(self) -> MetricGraph:
         return MetricGraph(self.graph, self.lengths)
+
+    @cached_property
+    def minors(self) -> GradedMinorReport:
+        """The graded minors of the layering, built once per curve."""
+        return graded_minors(self.graph, self.layering)
 
 
 @dataclass(frozen=True)
@@ -264,16 +270,15 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
     """Canonical measure of a tropical curve, layer by layer.
 
     The mass of an edge in layer j is its canonical edge mass inside
-    graded minor j, with lengths restricted to that layer.  Minors may
-    be disconnected; each fundamental cycle lies in one component, so
-    each component contributes independently.  Vertex atoms are the
-    vertex genera.
+    graded minor j (from the curve's cached ``minors``), with lengths
+    restricted to that layer.  Minors may be disconnected; each
+    fundamental cycle lies in one component, so each component
+    contributes independently.  Vertex atoms are the vertex genera.
     """
     if not is_connected(t.graph):
         raise DisconnectedGraph("tropical curves must be connected")
-    report = graded_minors(t.graph, t.layering)
     coeffs: dict[str, Fraction] = {}
-    for minor in report.minors:
+    for minor in t.minors.minors:
         restricted = {e: t.lengths[e] for e in minor.edge_ids}
         coeffs.update(_cycle_space_masses(MetricGraph(minor, restricted)))
     return EdgeMeasure(

@@ -181,16 +181,18 @@ class ModelPeriodFamily:
 def assemble_base(
     monodromy: MonodromySet,
     g: AugmentedGraph,
-    vertex_blocks: Mapping[str, Sequence[Sequence[float]]],
+    vertex_blocks: Mapping[str, Sequence[Sequence[float]]] | None = None,
     rank_block: Sequence[Sequence[float]] | None = None,
     cross: Sequence[Sequence[float]] | None = None,
 ) -> np.ndarray:
     """Build a base matrix from its constituent blocks.
 
     ``vertex_blocks`` maps each positive-genus vertex to a symmetric
-    positive definite genus-by-genus matrix.  ``rank_block`` (default
-    zero) fills the top-left; ``cross`` (default zero) fills the rank
-    rows of the pad columns.
+    positive definite genus-by-genus matrix; by default every such
+    vertex gets the identity.  ``rank_block`` (default zero) fills the
+    top-left; ``cross`` (default zero) fills the rank rows of the pad
+    columns.  Without vertex genus the pad is empty and ``vertex_blocks``
+    is not read.
     """
     n = monodromy.total_size
     h = monodromy.rank
@@ -200,7 +202,10 @@ def assemble_base(
         if block.shape != (h, h):
             raise FamilyError(f"rank block must be {h}x{h}")
         base[:h, :h] = block
-    for v, start, stop in _pad_block_layout(g, h):
+    layout = _pad_block_layout(g, h)
+    if vertex_blocks is None:
+        vertex_blocks = {v: np.eye(stop - start) for v, start, stop in layout}
+    for v, start, stop in layout:
         try:
             vb = np.array(vertex_blocks[v], dtype=float)
         except KeyError:
@@ -489,7 +494,6 @@ class GradedLimitReport:
     block_sizes: tuple[int, ...]
     samples: tuple[BlockSample, ...]
     layer_targets_exact: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    layer_targets: tuple[np.ndarray, ...]
     pad_target: np.ndarray | None
 
     @property
@@ -538,14 +542,10 @@ def graded_inverse_limits(
     exact_targets = []
     float_targets = []
     for k in range(r):
-        mk = layer_matrix(f, k)
-        inv = linalg.inverse(mk)
+        inv = linalg.inverse(layer_matrix(f, k))
         exact_targets.append(tuple(tuple(row) for row in inv))
-        fm = np.zeros((len(inv), len(inv)))
-        for i, row in enumerate(inv):
-            for j, x in enumerate(row):
-                fm[i, j] = float(x)
-        float_targets.append(fm)
+        # A genus-0 layer keeps its 0x0 shape.
+        float_targets.append(np.array(inv, dtype=float).reshape(len(inv), len(inv)))
     pad_target = f.pad_target
     has_pad = pad_target is not None
     sizes = f.monodromy.block_sizes + ((f.monodromy.pad,) if has_pad else ())
@@ -561,6 +561,5 @@ def graded_inverse_limits(
         block_sizes=sizes,
         samples=samples,
         layer_targets_exact=tuple(exact_targets),
-        layer_targets=tuple(float_targets),
         pad_target=pad_target,
     )

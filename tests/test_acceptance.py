@@ -120,7 +120,7 @@ def test_04_genus_decomposition_and_layered_trees():
         layering = corpus.random_layering(rng, g)
         report = graded_minors(g, layering)
         assert sum(report.genus_vector) == graph_genus(g)
-        layered = layered_spanning_trees(g, layering)
+        layered = layered_spanning_trees(graded_minors(g, layering))
         product = 1
         for minor in report.minors:
             product *= len(spanning_trees(minor))
@@ -142,7 +142,7 @@ def test_05_measure_limits_of_the_stock_families():
         report = limit_foster(family, grid)
         assert report.monotone
         assert report.final_deviation <= 1e-5
-        tropical = tropical_canonical_measure(family.target_curve())
+        tropical = tropical_canonical_measure(family.target_curve)
         assert dict(report.targets) == dict(tropical.edge_coeffs)
     for t in grid:
         triangle = foster_by_trees(gallery.triangle_family().metric_at(t))
@@ -167,7 +167,7 @@ def test_06_tree_weight_limits_split_by_layer():
             continue
         family = corpus.random_family(rng, g)
         layering = family.target_layering
-        layered = {t.edge_ids for t in layered_spanning_trees(g, layering)}
+        layered = {t.edge_ids for t in layered_spanning_trees(graded_minors(g, layering))}
         limits = all_tree_limits(family)
         for tree in spanning_trees(g):
             want = layered_tree_weight(family, tree)

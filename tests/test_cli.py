@@ -442,6 +442,16 @@ class TestPeriodsCommand:
         assert out == ""
         assert "total genus 0" in err
 
+    def test_partial_target_is_a_precondition_error(self, capsys, tmp_path):
+        data = json.loads(Path(example("theta_weighted.json")).read_text())
+        data["target"] = {"e1": "1", "e2": "1/2"}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "periods", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_grid_beyond_the_float_range_is_a_precondition_error(self, capsys):
         # At t = 1e-78 the default top scale t^-4 exceeds binary64.
         code, out, err = run(
@@ -515,6 +525,31 @@ class TestSelftestCommand:
         code, report = run_json(capsys, "selftest", "--seed", "3")
         assert code == 0
         assert report["ok"] is True
+
+
+def test_graded_minors_are_built_once_per_command(capsys, monkeypatch):
+    # Every canmeas module that holds graded_minors gets the counting
+    # wrapper, so calls from inside the package are counted too.
+    original = canmeas.layerings.graded_minors
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return original(g, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("canmeas") and getattr(module, "graded_minors", None) is original:
+            monkeypatch.setattr(module, "graded_minors", counted)
+    grid = str(FIXTURES / "layered_grid.json")
+    for command, path in (
+        ("minors", grid),
+        ("limit", grid),
+        ("periods", example("theta_weighted.json")),
+    ):
+        calls.clear()
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 0, command
+        assert len(calls) == 1, command
 
 
 class TestOutputModes:

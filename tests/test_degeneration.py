@@ -19,8 +19,8 @@ from canmeas import (
     check_convergence,
     continuity_probe,
     foster_by_trees,
-    genus_decomposition,
     geometric_grid,
+    graded_minors,
     integrate,
     layered_tree_weight,
     limit_foster,
@@ -48,7 +48,7 @@ def reference_tree_limit(f, tree):
     # rescaling prod_j layer_total(j) ** h_j, as omega_infinity once
     # computed it before reading leading terms only.
     numerator = product(f.param_lengths[e] for e in f.graph.edge_ids if e not in tree)
-    genus_vector = genus_decomposition(f.graph, f.target_layering)
+    genus_vector = graded_minors(f.graph, f.target_layering).genus_vector
     denominator = product(
         f.layer_total(j) ** h for j, h in enumerate(genus_vector) if h > 0
     )
@@ -331,7 +331,7 @@ class TestMeasureTrajectories:
     def test_targets_match_tropical_measure(self):
         f = theta_family()
         report = limit_foster(f, geometric_grid(1, 2))
-        mu = tropical_canonical_measure(f.target_curve())
+        mu = tropical_canonical_measure(f.target_curve)
         assert report.targets == mu.edge_coeffs
 
     def test_masses_stay_at_genus(self):

@@ -356,7 +356,7 @@ class TestTropicalRoute:
 
         monkeypatch.setattr("canmeas.measures.spanning_trees", refuse)
         family = grid_family(5)
-        curve = family.target_curve()
+        curve = family.target_curve
         mu = tropical_canonical_measure(curve)
         assert mu.edge_coeffs == minor_wise(curve, resistance_masses)
         assert mu.edge_mass == graph_genus(family.graph) == 16

@@ -20,6 +20,7 @@ from canmeas import (
     cycle_basis,
     geometric_grid,
     graded_inverse_limits,
+    graded_minors,
     layer_matrix,
     model_period,
     monodromy_from_basis,
@@ -98,7 +99,7 @@ class TestMonodromySet:
 class TestBaseMatrix:
     def test_default_blocks(self):
         g = theta_graph(genus=(1, 1))
-        mono = monodromy_from_basis(g, admissible_cycle_basis(g, THETA_SPLIT))
+        mono = monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, THETA_SPLIT)))
         base = assemble_base(mono, g, {"u": [[2.0]], "v": [[3.0]]})
         assert base.shape == (4, 4)
         assert base[2, 2] == 2.0 and base[3, 3] == 3.0
@@ -106,13 +107,13 @@ class TestBaseMatrix:
 
     def test_missing_vertex_block_rejected(self):
         g = theta_graph(genus=(1, 0))
-        mono = monodromy_from_basis(g, admissible_cycle_basis(g, THETA_SPLIT))
+        mono = monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, THETA_SPLIT)))
         with pytest.raises(FamilyError, match="no base block"):
             assemble_base(mono, g, {})
 
     def test_rank_and_cross_blocks_are_placed(self):
         g = theta_graph(genus=(1, 0))
-        mono = monodromy_from_basis(g, admissible_cycle_basis(g, THETA_SPLIT))
+        mono = monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, THETA_SPLIT)))
         base = assemble_base(
             mono,
             g,
@@ -126,7 +127,7 @@ class TestBaseMatrix:
 
     def test_wrong_shapes_rejected(self):
         g = theta_graph(genus=(1, 0))
-        mono = monodromy_from_basis(g, admissible_cycle_basis(g, THETA_SPLIT))
+        mono = monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, THETA_SPLIT)))
         with pytest.raises(FamilyError):
             assemble_base(mono, g, {"u": [[1.0, 0.0]]})
         with pytest.raises(FamilyError):
