@@ -591,6 +591,9 @@ def main(argv=None) -> int:
     except CanmeasError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as err:
+        print(f"error: numerical linear algebra failed: {err}", file=sys.stderr)
+        return 3
     text = render_table(report) if args.table else dump_report(report)
     sys.stdout.write(text)
     return 0 if ok else 4

@@ -96,7 +96,7 @@ def layered_family(
     ``point`` gives the target coordinates x_e and ``exponents`` the
     a_j, by default 0, 1, 2, ...  Lengths are built for the edges of
     ``point`` alone, so a point that misses an edge fails the family's
-    own validation.
+    own check of the target point.
     """
     if exponents is None:
         exponents = range(len(p.parts))

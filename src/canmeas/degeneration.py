@@ -64,17 +64,19 @@ class LengthFamily:
 
     def __post_init__(self) -> None:
         edge_ids = frozenset(self.graph.edge_ids)
+        # The target comes first: corpus.layered_family builds lengths
+        # from the target's edges, so a partial target is the fault there.
+        if self.target_layering.edge_ids != edge_ids:
+            raise FamilyError("target layering must cover exactly the edges of the graph")
+        target = {e: Fraction(x) for e, x in self.target_point.items()}
+        if set(target) != edge_ids:
+            raise FamilyError("target point must give a coordinate for every edge")
         lengths = dict(self.param_lengths)
         if set(lengths) != edge_ids:
             raise FamilyError("length family must cover exactly the edges of the graph")
         for eid, fn in lengths.items():
             if not isinstance(fn, ScaleFunction) or not fn:
                 raise FamilyError(f"edge {eid!r} needs a nonzero scale function")
-        if self.target_layering.edge_ids != edge_ids:
-            raise FamilyError("target layering must cover exactly the edges of the graph")
-        target = {e: Fraction(x) for e, x in self.target_point.items()}
-        if set(target) != edge_ids:
-            raise FamilyError("target point must give a coordinate for every edge")
         for eid, x in target.items():
             if x <= 0:
                 raise FamilyError(

@@ -4,7 +4,11 @@ These work entirely in the weighted vertex Laplacian, so they share no
 code path with the tree enumeration or cycle-space routes they are used
 to cross-check.  Each component's Laplacian is eliminated once: tree
 counting takes one determinant per component, and the resistances of all
-edges of a component come from one multi-column solve.
+edges of a component come from one multi-column solve.  That solve runs
+its own fraction-free elimination loop in integers
+(:func:`canmeas.linalg.solve`), apart from the Bareiss routine behind
+the Gram inverse of the matrix route, so the oracle shares no
+elimination code with the route it checks.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Matrices are lists of lists of Fraction (or int where noted).  Elimination
-uses the Bareiss fraction-free scheme on an integer rescaling of the input,
-so every intermediate division is exact and entry growth stays polynomial.
-Each matrix is eliminated once per call: :func:`solve` carries all of its
-right-hand sides through one forward pass, and :func:`is_positive_definite`
-reads every leading principal minor off one Bareiss pass.
+Matrices are lists of lists of Fraction (or int where noted).  Every
+kernel rescales its input to integers and eliminates it fraction free
+(Bareiss), so each intermediate division is exact and entry growth stays
+polynomial.  The triangular solves that follow stay in integers too: by
+Cramer's rule, D times the solution is an integer vector when D is the
+final pivot, so back-substitution against D divides exactly, and a
+system's answer is an integer matrix over one denominator.  Fractions
+are built only for the output.  Each matrix is eliminated once per call:
+:func:`solve` carries all of its right-hand sides through one forward
+pass, and :func:`is_positive_definite` reads every leading principal
+minor off one Bareiss pass.
 """
 
 from __future__ import annotations
@@ -106,76 +111,119 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse(rows: Matrix) -> Matrix:
-    """Inverse of a square rational matrix.
+def _integer_row(values: list) -> list[int]:
+    # The row times the lcm of its denominators.
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    d = 1
+    for x in values:
+        d = lcm(d, x.denominator)
+    return [x.numerator * (d // x.denominator) for x in values]
 
-    Raises BasisError if the matrix is singular.  Forward elimination is
-    fraction free on the integer rescaling; the triangular solves that
-    follow are done with exact rationals.
+
+def scaled_inverse(rows: Matrix) -> tuple[list[list[int]], int]:
+    """Inverse of a square rational matrix as (Y, D), with inverse = Y / D.
+
+    Y is an integer matrix and D a nonzero integer, the final Bareiss
+    pivot of [S A | S] for S the diagonal matrix that scales each row of
+    A to integers by its own lcm.  A common denominator for the whole
+    matrix would instead put the lcm of every entry's denominator into
+    each row, and D would grow by that factor per row.  Raises
+    BasisError if the matrix is singular.
     """
     n = len(rows)
     if n == 0:
-        return []
-    scaled, d = _to_integer_matrix(rows)
-    aug = [scaled[i] + [d if j == i else 0 for j in range(n)] for i in range(n)]
+        return [], 1
+    aug = [_integer_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(rows)]
     m, pivots, _ = bareiss_eliminate(aug, n)
     if len(pivots) < n:
         raise BasisError("matrix is singular")
-    inv: Matrix = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        x = [Fraction(0)] * n
+    det = m[n - 1][n - 1]
+    upper = [[j for j in range(i + 1, n) if m[i][j]] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for col in range(n, 2 * n):
+        # y = det * x is integral, so each division below is exact.
+        y = [0] * n
         for i in range(n - 1, -1, -1):
-            s = Fraction(m[i][n + col])
-            for j in range(i + 1, n):
-                s -= m[i][j] * x[j]
-            x[i] = s / m[i][i]
+            row = m[i]
+            s = det * row[col]
+            for j in upper[i]:
+                s -= row[j] * y[j]
+            y[i] = s // row[i]
         for i in range(n):
-            inv[i][col] = x[i]
-    return inv
+            out[i][col - n] = y[i]
+    return out, det
+
+
+def inverse(rows: Matrix) -> Matrix:
+    """Inverse of a square rational matrix, as Fractions.
+
+    Raises BasisError if the matrix is singular.  The elimination and the
+    triangular solves run in integers (:func:`scaled_inverse`); only the
+    n^2 output entries are built as Fractions.
+    """
+    y, det = scaled_inverse(rows)
+    return [[Fraction(x, det) for x in row] for row in y]
 
 
 def solve(rows: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
     """Solve a square rational system for several right-hand sides.
 
     ``rhs`` is a list of columns; the result lists one solution column
-    per right-hand side, in the same order.  One plain rational
-    pivot-and-eliminate pass reduces the matrix and carries every column
-    along, skipping zero entries; each column is then back-substituted.
-    This is deliberately a different code path from :func:`inverse`.
-    Raises BasisError on a singular matrix.
+    per right-hand side, in the same order.  Each row of [A | B] is
+    scaled to integers by its own lcm, then one fraction-free elimination
+    reduces the matrix and carries every column along.  A row whose entry
+    in the pivot column is zero is left alone and catches up later: a row
+    last updated at the step with pivot q is a multiple of its Bareiss
+    value, so its next update divides exactly by q.  Each column is then
+    back-substituted in integers against the final pivot D, and each
+    solution entry is one Fraction over D.  This is deliberately a
+    different code path from :func:`inverse`.  Raises BasisError on a
+    singular matrix.
     """
     n = len(rows)
     width = n + len(rhs)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(col[i]) for col in rhs]
-        for i, row in enumerate(rows)
-    ]
+    a = [_integer_row(list(row) + [col[i] for col in rhs]) for i, row in enumerate(rows)]
+    # level[i]: the pivot by which row i was last updated (1 for never).
+    level = [1] * n
+    prev = 1
     for c in range(n):
         p = next((i for i in range(c, n) if a[i][c] != 0), None)
         if p is None:
             raise BasisError("matrix is singular")
         a[c], a[p] = a[p], a[c]
+        level[c], level[p] = level[p], level[c]
         pivot = a[c]
-        support = [j for j in range(c + 1, width) if pivot[j] != 0]
+        if level[c] != prev:
+            # Catch the pivot row up to the previous step.
+            q = level[c]
+            for j in range(c, width):
+                if pivot[j]:
+                    pivot[j] = pivot[j] * prev // q
+        pc = pivot[c]
         for i in range(c + 1, n):
             row = a[i]
-            if row[c] == 0:
+            rc = row[c]
+            if rc == 0:
                 continue
-            f = row[c] / pivot[c]
-            for j in support:
-                row[j] -= f * pivot[j]
-            row[c] = Fraction(0)
-    upper = [[j for j in range(i + 1, n) if a[i][j] != 0] for i in range(n)]
+            q = level[i]
+            for j in range(c + 1, width):
+                if row[j] or pivot[j]:
+                    row[j] = (pc * row[j] - rc * pivot[j]) // q
+            row[c] = 0
+            level[i] = pc
+        prev = pc
+    det = prev
+    upper = [[j for j in range(i + 1, n) if a[i][j]] for i in range(n)]
     out = []
     for col in range(n, width):
-        x = [Fraction(0)] * n
+        y = [0] * n
         for i in range(n - 1, -1, -1):
             row = a[i]
-            s = row[col]
+            s = det * row[col]
             for j in upper[i]:
-                s -= row[j] * x[j]
-            x[i] = s / row[i]
-        out.append(x)
+                s -= row[j] * y[j]
+            y[i] = s // row[i]
+        out.append([Fraction(x, det) for x in y])
     return out
 
 

@@ -242,13 +242,16 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
 def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
     # The quadratic form of foster_by_matrix.  Fundamental cycles are
     # taken per component, so m may be disconnected, as minors often are.
+    # The inverse is Y / D with Y an integer matrix, so each quadratic
+    # form is an integer over D and each mass is one Fraction.
     basis = fundamental_cycles(m.graph)
-    inv = linalg.inverse(_cycle_gram(m, basis))
+    y, det = linalg.scaled_inverse(_cycle_gram(m, basis))
     coeffs = {}
     for eid in m.graph.edge_ids:
         c = [(i, x) for i, x in enumerate(gamma[eid] for gamma in basis) if x]
-        s = sum((inv[i][j] * x * y for i, x in c for j, y in c), Fraction(0))
-        coeffs[eid] = m.lengths[eid] * s
+        s = sum(y[i][j] * a * b for i, a in c for j, b in c)
+        length = m.lengths[eid]
+        coeffs[eid] = Fraction(length.numerator * s, length.denominator * det)
     return coeffs
 
 

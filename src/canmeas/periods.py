@@ -134,8 +134,10 @@ class ModelPeriodFamily:
     """A base matrix plus length-weighted padded cycle matrices.
 
     The base must be symmetric, with its pad region block diagonal
-    along the positive-genus vertices (in sorted vertex order) and each
-    vertex block positive definite.  The top-left rank block and the
+    along the positive-genus vertices (in sorted vertex order), each
+    vertex block positive definite, and the pad block's condition number
+    at most ``CONDITION_LIMIT``, since its inverse is the trailing
+    target.  The top-left rank block and the
     cross terms between rank and pad regions are unconstrained.
     """
 
@@ -167,6 +169,12 @@ class ModelPeriodFamily:
             pad_block = base[h:, h:]
             if not _positive_definite(pad_block):
                 raise NotPositiveDefinite("pad block of the base matrix must be positive definite")
+            condition = np.linalg.cond(pad_block)
+            if condition > CONDITION_LIMIT:
+                raise FamilyError(
+                    f"pad block of the base matrix is numerically singular: condition "
+                    f"number {condition:.3g} exceeds {CONDITION_LIMIT:.0e}"
+                )
         object.__setattr__(self, "base_im", base)
 
     @property

@@ -442,15 +442,39 @@ class TestPeriodsCommand:
         assert out == ""
         assert "total genus 0" in err
 
-    def test_partial_target_is_a_precondition_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["periods", "limit"])
+    def test_partial_target_is_a_precondition_error(self, capsys, tmp_path, command):
         data = json.loads(Path(example("theta_weighted.json")).read_text())
         data["target"] = {"e1": "1", "e2": "1/2"}
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "periods", "--input", str(path))
+        code, out, err = run(capsys, command, "--input", str(path))
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == "error: target point must give a coordinate for every edge\n"
+
+    def test_ill_conditioned_pad_block_is_a_precondition_error(self, capsys, tmp_path):
+        # Cholesky accepts the subnormal 1e-320, but the pad inverse would
+        # overflow and fill the report with nan.
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"vertex_blocks": {"u": [[1]], "v": [[1e-320]]}}))
+        code, out, err = run(
+            capsys, "periods", "--input", example("theta_weighted.json"), "--lambda0", str(path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: pad block of the base matrix is numerically singular")
+        assert len(err.splitlines()) == 1
+
+    def test_numpy_linear_algebra_errors_are_precondition_errors(self, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise cli.np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "graded_inverse_limits", singular)
+        code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
+        assert code == 3
+        assert out == ""
+        assert err == "error: numerical linear algebra failed: Singular matrix\n"
 
     def test_grid_beyond_the_float_range_is_a_precondition_error(self, capsys):
         # At t = 1e-78 the default top scale t^-4 exceeds binary64.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from canmeas import BasisError, OrderedPartition, effective_resistance, graded_minors
 from canmeas.gallery import theta_graph
 from canmeas.graphs import AugmentedGraph, connected_components
-from canmeas.linalg import determinant, inverse, is_positive_definite, solve
+from canmeas.linalg import determinant, inverse, is_positive_definite, scaled_inverse, solve
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -34,6 +34,40 @@ def matmul(a, b):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def fraction_solve(rows, rhs):
+    """Reference: pivot-and-eliminate in Fractions, then back-substitute."""
+    n = len(rows)
+    width = n + len(rhs)
+    a = [[F(x) for x in row] + [F(col[i]) for col in rhs] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            raise BasisError("matrix is singular")
+        a[c], a[p] = a[p], a[c]
+        pivot = a[c]
+        for i in range(c + 1, n):
+            row = a[i]
+            if row[c] == 0:
+                continue
+            f = row[c] / pivot[c]
+            for j in range(c, width):
+                row[j] -= f * pivot[j]
+    out = []
+    for col in range(n, width):
+        x = [F(0)] * n
+        for i in range(n - 1, -1, -1):
+            s = a[i][col] - sum((a[i][j] * x[j] for j in range(i + 1, n)), F(0))
+            x[i] = s / a[i][i]
+        out.append(x)
+    return out
+
+
+def fraction_inverse(rows):
+    n = len(rows)
+    identity = [[F(int(i == j)) for i in range(n)] for j in range(n)]
+    return transpose(fraction_solve(rows, identity)) if n else []
 
 
 def sylvester(a):
@@ -73,6 +107,90 @@ class TestSolve:
 
     def test_empty_system(self):
         assert solve([], [[], []]) == [[], []]
+
+
+def huge_entry(rng, sparse=False):
+    # Forty-digit numerators and denominators.
+    if sparse and rng.random() < 0.5:
+        return F(0)
+    return F(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+
+
+class TestAgainstFractionElimination:
+    """solve, inverse and scaled_inverse equal the Fraction loops exactly."""
+
+    def check(self, a, columns):
+        try:
+            want = fraction_solve(a, columns)
+        except BasisError:
+            for kernel in (inverse, scaled_inverse, lambda rows: solve(rows, columns)):
+                with pytest.raises(BasisError):
+                    kernel(a)
+            return
+        assert solve(a, columns) == want
+        inv = inverse(a)
+        assert inv == fraction_inverse(a)
+        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        y, det = scaled_inverse(a)
+        assert isinstance(det, int) and det != 0
+        assert all(type(x) is int for row in y for x in row)
+        assert [[F(x, det) for x in row] for row in y] == inv
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_random_rational_systems(self, seed):
+        rng = Random(seed)
+        n = rng.randint(0, 6)
+        sparse = rng.random() < 0.5
+        entry = huge_entry if rng.random() < 0.2 else random_entry
+        a = [[entry(rng, sparse) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            # A dependent row.
+            k = random_entry(rng)
+            a[-1] = [k * x for x in a[0]]
+        columns = [[entry(rng, sparse) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        self.check(a, columns)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # Zero leading pivots force row swaps.
+            [[F(0), F(0), F(3)], [F(0), F(2), F(1)], [F(5), F(1), F(0)]],
+            [[F(0), F(1)], [F(1, 3), F(0)]],
+            # Rows with a zero in the pivot column are skipped and later
+            # become pivots themselves: [0, 0, 3] waits two steps.
+            [[F(2), F(1), F(0)], [F(0), F(0), F(3)], [F(0), F(5), F(1)]],
+            [
+                [F(3, 2), F(0), F(1), F(0)],
+                [F(0), F(0), F(0), F(7, 3)],
+                [F(1), F(0), F(2), F(1)],
+                [F(0), F(4, 5), F(0), F(1)],
+            ],
+        ],
+    )
+    def test_structured_systems(self, a):
+        rng = Random(len(a))
+        columns = [[random_entry(rng, sparse=True) for _ in a] for _ in range(3)]
+        self.check(a, columns)
+
+    def test_forty_digit_entries(self):
+        rng = Random(40)
+        for n in (1, 3, 5):
+            a = [[huge_entry(rng) for _ in range(n)] for _ in range(n)]
+            columns = [[huge_entry(rng) for _ in range(n)] for _ in range(2)]
+            self.check(a, columns)
+
+    def test_empty_matrix(self):
+        assert inverse([]) == []
+        assert scaled_inverse([]) == ([], 1)
+
+    def test_singular_matrices_raise(self):
+        for a in (
+            [[F(1), F(2)], [F(2), F(4)]],
+            [[F(0)]],
+            [[F(1), F(0), F(1)], [F(0), F(0), F(0)], [F(2), F(3), F(5)]],
+        ):
+            self.check(a, [[F(1)] * len(a)])
 
 
 class TestPositiveDefinite:

@@ -325,13 +325,29 @@ def minor_wise(curve, masses):
     return out
 
 
-def grid_family(n):
-    """corpus.layered_family on the n x n grid, two thirds of it in layer 0."""
+def grid_graph(n):
     name = lambda r, c: f"v{r}_{c}"
     vertices = tuple(name(r, c) for r in range(n) for c in range(n))
     edges = [(f"h{r}_{c}", (name(r, c), name(r, c + 1))) for r in range(n) for c in range(n - 1)]
     edges += [(f"w{r}_{c}", (name(r, c), name(r + 1, c))) for r in range(n - 1) for c in range(n)]
-    g = AugmentedGraph(vertices=vertices, edges=tuple(edges))
+    return AugmentedGraph(vertices=vertices, edges=tuple(edges))
+
+
+def complete_graph(n):
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = [(f"e{i}_{j}", (f"v{i}", f"v{j}")) for i in range(n) for j in range(i + 1, n)]
+    return AugmentedGraph(vertices=vertices, edges=tuple(edges))
+
+
+def multigraph_with_loops(rng):
+    g = random_graph(rng, max_vertices=12, max_edges=30)
+    loops = tuple((f"loop{k}", (rng.choice(g.vertices),) * 2) for k in range(2))
+    return AugmentedGraph(vertices=g.vertices, edges=g.edges + loops, genus=g.genus)
+
+
+def grid_family(n):
+    """corpus.layered_family on the n x n grid, two thirds of it in layer 0."""
+    g = grid_graph(n)
     rng = Random(0)
     ids = list(g.edge_ids)
     rng.shuffle(ids)
@@ -362,6 +378,31 @@ class TestTropicalRoute:
         assert mu.edge_mass == graph_genus(family.graph) == 16
         targets = limit_foster(family, [F(1, 10), F(1, 100)]).targets
         assert targets == mu.edge_coeffs
+
+
+class TestLargerGraphs:
+    """The two cycle-space routes and the Laplacian oracle on graphs too
+    large for tree enumeration, with lengths p/q up to 10^6."""
+
+    SHAPES = {
+        "grid6x6": lambda rng: grid_graph(6),
+        "K9": lambda rng: complete_graph(9),
+        "multigraph": multigraph_with_loops,
+    }
+
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [("grid6x6", 0), ("K9", 0), ("K9", 1)] + [("multigraph", seed) for seed in range(20)],
+    )
+    def test_routes_agree_with_the_resistance_oracle(self, shape, seed):
+        rng = Random(seed)
+        m = random_metric(rng, self.SHAPES[shape](rng), 10**6)
+        mu = foster_by_matrix(m).edge_coeffs
+        assert foster_by_projection(m).edge_coeffs == mu
+        resistance = effective_resistance(m.graph, m.lengths)
+        for e in m.graph.edge_ids:
+            assert mu[e] == 1 - resistance[e] / m.lengths[e], e
+        assert sum(mu.values()) == graph_genus(m.graph)
 
 
 class TestIntegration:

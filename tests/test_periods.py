@@ -163,6 +163,15 @@ class TestModelPeriodFamily:
                 monodromy=fam.monodromy, lengths=fam.lengths, base_im=bad
             )
 
+    def test_pad_block_must_be_well_conditioned(self):
+        fam = theta_period_family(genus=(1, 1))
+        bad = fam.base_im.copy()
+        bad[3, 3] = 1e-13
+        with pytest.raises(FamilyError, match="pad block .* condition number 1e\\+13"):
+            ModelPeriodFamily(
+                monodromy=fam.monodromy, lengths=fam.lengths, base_im=bad
+            )
+
     def test_pad_target_inverts_the_pad_block(self):
         fam = theta_period_family(
             genus=(1, 1), vertex_blocks={"u": [[2.0]], "v": [[4.0]]}
