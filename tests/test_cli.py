@@ -442,8 +442,14 @@ class TestPeriodsCommand:
         assert out == ""
         assert "total genus 0" in err
 
-    @pytest.mark.parametrize("command", ["periods", "limit"])
-    def test_partial_target_is_a_precondition_error(self, capsys, tmp_path, command):
+    def test_partial_target_is_a_precondition_error(self, capsys, tmp_path):
+        self._assert_partial_target_rejected(capsys, tmp_path, "periods")
+
+    def test_partial_target_is_a_precondition_error_for_limit(self, capsys, tmp_path):
+        self._assert_partial_target_rejected(capsys, tmp_path, "limit")
+
+    @staticmethod
+    def _assert_partial_target_rejected(capsys, tmp_path, command):
         data = json.loads(Path(example("theta_weighted.json")).read_text())
         data["target"] = {"e1": "1", "e2": "1/2"}
         path = tmp_path / "partial.json"
