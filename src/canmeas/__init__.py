@@ -57,13 +57,9 @@ from .graphs import (
     SpanningTree,
     canonical_spanning_forest,
     connected_components,
-    contract,
-    contract_set,
     cycle_basis,
-    delete,
     fundamental_cycles,
     graph_genus,
-    is_bridge,
     is_connected,
     is_stable,
     spanning_trees,

@@ -10,6 +10,7 @@ and are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -545,7 +546,9 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return _finish(report, assertions)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="canmeas",
         description="canonical measures on layered metric graphs",

@@ -8,7 +8,7 @@ but is otherwise immaterial.
 
 Vertex genera and marked points only matter for stability and for the
 atoms of canonical measures; the purely combinatorial operations ignore
-them except where contraction folds genus together.
+them.
 """
 
 from __future__ import annotations
@@ -223,79 +223,6 @@ def is_stable(g: AugmentedGraph) -> bool:
     return True
 
 
-def delete(g: AugmentedGraph, edge_ids: Iterable[str]) -> AugmentedGraph:
-    """Remove the given edges, keeping every vertex, genus, and mark."""
-    drop = set(edge_ids)
-    for eid in drop:
-        if eid not in g._ends:
-            raise UnknownEdge(f"unknown edge {eid!r}")
-    return AugmentedGraph(
-        vertices=g.vertices,
-        edges=tuple((eid, uv) for eid, uv in g.edges if eid not in drop),
-        genus=dict(g.genus),
-        marks=dict(g.marks),
-    )
-
-
-def contract_with_map(g: AugmentedGraph, edge_id: str) -> tuple[AugmentedGraph, dict[str, str]]:
-    """Contract one edge; also return the induced vertex projection.
-
-    Contracting a loop removes it and raises the genus of its vertex by
-    one.  Contracting an ordinary edge merges its endpoints into the
-    lexicographically smaller of the two and adds their genera.  Total
-    genus is preserved either way.
-    """
-    u, v = g.ends(edge_id)
-    vmap = {w: w for w in g.vertices}
-    if u == v:
-        genus = dict(g.genus)
-        genus[u] += 1
-        contracted = AugmentedGraph(
-            vertices=g.vertices,
-            edges=tuple((eid, uv) for eid, uv in g.edges if eid != edge_id),
-            genus=genus,
-            marks=dict(g.marks),
-        )
-        return contracted, vmap
-    keep, gone = (u, v) if u < v else (v, u)
-    vmap[gone] = keep
-    genus = {w: gw for w, gw in g.genus.items() if w != gone}
-    genus[keep] = g.genus[u] + g.genus[v]
-    edges = tuple(
-        (eid, (vmap[a], vmap[b]))
-        for eid, (a, b) in g.edges
-        if eid != edge_id
-    )
-    marks = {label: vmap[w] for label, w in g.marks.items()}
-    contracted = AugmentedGraph(
-        vertices=tuple(w for w in g.vertices if w != gone),
-        edges=edges,
-        genus=genus,
-        marks=marks,
-    )
-    return contracted, vmap
-
-
-def contract(g: AugmentedGraph, edge_id: str) -> AugmentedGraph:
-    return contract_with_map(g, edge_id)[0]
-
-
-def contract_set_with_map(
-    g: AugmentedGraph, edge_ids: Iterable[str]
-) -> tuple[AugmentedGraph, dict[str, str]]:
-    """Contract a set of edges, one at a time in ascending id order."""
-    vmap = {w: w for w in g.vertices}
-    current = g
-    for eid in sorted(set(edge_ids)):
-        current, step = contract_with_map(current, eid)
-        vmap = {w: step[vmap[w]] for w in vmap}
-    return current, vmap
-
-
-def contract_set(g: AugmentedGraph, edge_ids: Iterable[str]) -> AugmentedGraph:
-    return contract_set_with_map(g, edge_ids)[0]
-
-
 def _reachable(ends: Mapping[str, tuple[str, str]], source: str, target: str) -> bool:
     if source == target:
         return True
@@ -314,15 +241,6 @@ def _reachable(ends: Mapping[str, tuple[str, str]], source: str, target: str) ->
                 seen.add(x)
                 queue.append(x)
     return False
-
-
-def is_bridge(g: AugmentedGraph, edge_id: str) -> bool:
-    """True if removing the edge disconnects its endpoints."""
-    u, v = g.ends(edge_id)
-    if u == v:
-        return False
-    rest = {eid: uv for eid, uv in g.edges if eid != edge_id}
-    return not _reachable(rest, u, v)
 
 
 def spanning_trees(g: AugmentedGraph) -> list[SpanningTree]:
@@ -371,15 +289,21 @@ def find_root(parent: dict[str, str], x: str) -> str:
     return x
 
 
-def canonical_spanning_forest(g: AugmentedGraph) -> frozenset[str]:
+def canonical_spanning_forest(
+    g: AugmentedGraph, edge_ids: Iterable[str] | None = None
+) -> frozenset[str]:
     """Greedy spanning forest taking the smallest usable edge id first.
 
-    This is exactly the first entry of :func:`spanning_trees` in its
-    canonical order, computed without enumerating the rest.
+    Over all edges, or only the given ones.  This is exactly the first
+    entry of :func:`spanning_trees` in its canonical order, computed
+    without enumerating the rest.
     """
+    keep = None if edge_ids is None else set(edge_ids)
     parent = {v: v for v in g.vertices}
     chosen: set[str] = set()
     for eid, (u, v) in g.edges:
+        if keep is not None and eid not in keep:
+            continue
         ru, rv = find_root(parent, u), find_root(parent, v)
         if ru != rv:
             parent[ru] = rv

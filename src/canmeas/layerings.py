@@ -1,8 +1,9 @@
 """Ordered partitions of an edge set and the graded minors they induce.
 
 An ordered partition splits the edges into consecutive layers.  Layer j
-determines a graded minor: keep the edges of layer j and later, then
-contract everything strictly later than j.  The graph genus distributes
+determines a graded minor: the edges of layer j, with each fiber (a
+component of the subgraph of strictly later edges) shrunk to one vertex
+that carries the fiber's genus.  The graph genus distributes
 over the graded minors, spanning trees factor layer by layer, and the
 cycle space admits bases adapted to the layers; this module materializes
 all three constructions.
@@ -21,11 +22,9 @@ from .graphs import (
     SpanningTree,
     bfs_tree,
     canonical_spanning_forest,
-    connected_components,
-    contract_set_with_map,
     cycle_boundary,
-    delete,
     edge_adjacency,
+    find_root,
     fundamental_cycles,
     graph_genus,
     spanning_trees,
@@ -118,8 +117,8 @@ class GradedMinorReport:
 
     ``graph`` is the layered graph itself.  ``minors[j]`` has edge set
     equal to layer j.  ``vertex_maps[j]`` sends each original vertex to
-    its image in minor j, i.e. to its connected component in the
-    subgraph of strictly later edges.
+    its image in minor j: the smallest vertex of its connected component
+    in the subgraph of strictly later edges.
     """
 
     graph: AugmentedGraph
@@ -132,23 +131,43 @@ class GradedMinorReport:
 def graded_minors(g: AugmentedGraph, p: OrderedPartition) -> GradedMinorReport:
     """Build every graded minor of g along p.
 
-    Layer j keeps the spanning subgraph on layers j..r and contracts
-    the edges of layers j+1..r.  Contraction folds vertex genera, so
-    each minor is again a valid augmented graph.
+    Minor j keeps the edges of layer j and contracts every later edge.
+    Its vertices are the fibers, the components of the subgraph of
+    layers j+1..r, each named by its smallest vertex; the layer-j edges
+    keep their ends through that fiber map.  A fiber's genus is the sum
+    of its vertex genera plus its own cycle count, and its marks move to
+    it, so each minor is again a valid augmented graph, and minor 0 has
+    the total genus of g.  One union-find sweep from the last layer back
+    decides every fiber map.
     """
     _validate_covering(g, p)
+    parent = {v: v for v in g.vertices}
+    # Keyed by the current roots: each fiber's vertex genera plus its
+    # cycles so far.
+    genus = dict(g.genus)
     minors: list[AugmentedGraph] = []
     maps: list[Mapping[str, str]] = []
-    r = len(p.parts)
-    for j in range(r):
-        later: set[str] = set()
-        for part in p.parts[j + 1 :]:
-            later |= part
-        keep = p.parts[j] | later
-        stage = delete(g, [eid for eid in g.edge_ids if eid not in keep])
-        minor, vmap = contract_set_with_map(stage, later)
-        minors.append(minor)
+    for part in reversed(p.parts):
+        vmap = {v: find_root(parent, v) for v in g.vertices}
+        layer = [(eid, uv) for eid, uv in g.edges if eid in part]
+        minors.append(
+            AugmentedGraph(
+                vertices=tuple(genus),
+                edges=tuple((eid, (vmap[u], vmap[v])) for eid, (u, v) in layer),
+                genus=dict(genus),
+                marks={label: vmap[v] for label, v in g.marks.items()},
+            )
+        )
         maps.append(vmap)
+        for _, (u, v) in layer:
+            ru, rv = sorted((find_root(parent, u), find_root(parent, v)))
+            if ru == rv:
+                genus[ru] += 1
+            else:
+                parent[rv] = ru
+                genus[ru] += genus.pop(rv)
+    minors.reverse()
+    maps.reverse()
     return GradedMinorReport(
         graph=g,
         layering=p,
@@ -196,19 +215,15 @@ class AdmissibleBasis:
         return tuple(len(block) for block in self.blocks)
 
 
-def restrict_cycle(cycle: CycleVector, edge_ids: frozenset[str]) -> CycleVector:
-    """Keep only the coefficients on the given edges."""
-    return CycleVector({e: c for e, c in cycle.coeffs.items() if e in edge_ids})
-
-
 def admissible_cycle_basis(report: GradedMinorReport) -> AdmissibleBasis:
     """Lift the canonical bases of the graded minors to a basis for g.
 
     ``report`` is the graded-minor decomposition of g, as built by
     :func:`graded_minors`; its minors are used as they are, not built
     again.  A cycle of minor j, read as a chain in g on layer-j edges,
-    need not close up: its boundary sits inside the contraction fibers,
-    which are the components of the subgraph of strictly later edges.
+    need not close up: its boundary sits inside the fibers, the
+    components of the subgraph of strictly later edges, whose smallest
+    vertices are the vertices of minor j.
     Routing the boundary through a spanning forest of those fibers kills
     it without leaving layers j+1..r, so the lift stays supported on
     layers j..r and still restricts to the original cycle on layer j.
@@ -219,13 +234,12 @@ def admissible_cycle_basis(report: GradedMinorReport) -> AdmissibleBasis:
         later: set[str] = set()
         for part in p.parts[j + 1 :]:
             later |= part
-        later_graph = delete(g, [eid for eid in g.edge_ids if eid not in later])
-        children = edge_adjacency(g, canonical_spanning_forest(later_graph))
+        children = edge_adjacency(g, canonical_spanning_forest(g, later))
         # One search tree per fiber, rooted at its smallest vertex; listed
         # in reverse, every vertex comes before its parent.
         fibers = [
-            list(bfs_tree(children, min(fiber)).items())[::-1]
-            for fiber in connected_components(later_graph)
+            list(bfs_tree(children, root).items())[::-1]
+            for root in minor.vertices
         ]
 
         lifted: list[CycleVector] = []

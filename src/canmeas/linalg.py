@@ -1,42 +1,27 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 Matrices are lists of lists of Fraction (or int where noted).  Every
-kernel rescales its input to integers and eliminates it fraction free
-(Bareiss), so each intermediate division is exact and entry growth stays
-polynomial.  The triangular solves that follow stay in integers too: by
-Cramer's rule, D times the solution is an integer vector when D is the
-final pivot, so back-substitution against D divides exactly, and a
-system's answer is an integer matrix over one denominator.  Fractions
-are built only for the output.  Each matrix is eliminated once per call:
-:func:`solve` carries all of its right-hand sides through one forward
-pass, and :func:`is_positive_definite` reads every leading principal
-minor off one Bareiss pass.
+kernel scales each row to integers by the row's own lcm and eliminates
+fraction free (Bareiss), so each intermediate division is exact and
+entry growth stays polynomial.  The triangular solves that follow stay
+in integers too: by Cramer's rule, D times the solution is an integer
+vector when D is the final pivot, so back-substitution against D
+divides exactly, and a system's answer is an integer matrix over one
+denominator.  Fractions are built only for the output.  Each matrix is
+eliminated once per call: :func:`solve` carries all of its right-hand
+sides through one forward pass, and :func:`is_positive_definite` reads
+every leading principal minor off one Bareiss pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import BasisError
 
 Matrix = list[list[Fraction]]
-
-
-def _common_denominator(rows: Matrix) -> int:
-    d = 1
-    for row in rows:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
-
-
-def _to_integer_matrix(rows: Matrix) -> tuple[list[list[int]], int]:
-    # Returns (d * rows, d) with d the least common denominator.
-    d = _common_denominator(rows)
-    scaled = [[int(Fraction(x) * d) for x in row] for row in rows]
-    return scaled, d
 
 
 def bareiss_eliminate(rows: list[list[int]], ncols_main: int) -> tuple[list[list[int]], list[int], int]:
@@ -91,13 +76,17 @@ def rank_one_sum(terms: Iterable[tuple[Fraction, Sequence[int]]], size: int) -> 
 
 
 def determinant(rows: Matrix) -> Fraction:
-    """Determinant of a square rational matrix."""
+    """Determinant of a square rational matrix.
+
+    Each row is scaled to integers by its own lcm, so the integer
+    determinant is divided by the product of the row scales.
+    """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    scaled, d = _to_integer_matrix(rows)
-    return Fraction(integer_determinant(scaled), d**n)
+    scale = prod(lcm(*(Fraction(x).denominator for x in row)) for row in rows)
+    return Fraction(integer_determinant([_integer_row(list(row)) for row in rows]), scale)
 
 
 def integer_determinant(rows: list[list[int]]) -> int:
@@ -230,13 +219,14 @@ def solve(rows: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
 def is_positive_definite(rows: Matrix) -> bool:
     """Sylvester's criterion from one fraction-free elimination.
 
-    Bareiss elimination without row swaps on the integer rescaling d * A
-    leaves as its k-th pivot the k-th leading principal minor of d * A,
-    which is d^k times that of A.  The matrix is positive definite
-    exactly when every pivot is positive; the first pivot <= 0 ends the
-    pass.
+    Each row of A is scaled to integers by its own lcm d_i > 0.  Bareiss
+    elimination without row swaps on the rescaled matrix leaves as its
+    k-th pivot its k-th leading principal minor, which is d_1 ... d_k
+    times that of A and so has the same sign.  The matrix is positive
+    definite exactly when every pivot is positive; the first pivot <= 0
+    ends the pass.
     """
-    m, _ = _to_integer_matrix(rows)
+    m = [_integer_row(list(row)) for row in rows]
     n = len(m)
     prev = 1
     for k in range(n):

@@ -71,7 +71,6 @@ class MonodromySet:
 def monodromy_from_basis(
     g: AugmentedGraph,
     basis: AdmissibleBasis | Sequence[CycleVector],
-    pad: int | None = None,
 ) -> MonodromySet:
     """Extract per-edge integer matrices from a cycle basis.
 
@@ -79,7 +78,7 @@ def monodromy_from_basis(
     a flat sequence (treated as a single block).  The basis must have
     one cycle per independent cycle of the graph and be independent;
     independence is checked exactly through the unit-length Gram matrix.
-    Pad defaults to the total vertex genus.
+    The pad is the total vertex genus.
     """
     if isinstance(basis, AdmissibleBasis):
         flat = list(basis.flat)
@@ -94,13 +93,10 @@ def monodromy_from_basis(
     if h:
         unit = MetricGraph(g, {e: Fraction(1) for e in g.edge_ids})
         unit_gram = gram_matrices(unit, flat).matrix
-    if pad is None:
-        pad = sum(g.genus.values())
-    if pad < 0:
-        raise FamilyError("pad must be nonnegative")
     rows = {
         eid: tuple(gamma[eid] for gamma in flat) for eid in g.edge_ids
     }
+    pad = sum(g.genus.values())
     return MonodromySet(
         basis=tuple(flat), block_sizes=block_sizes, pad=pad, edge_rows=rows, unit_gram=unit_gram
     )
@@ -373,14 +369,6 @@ class InverseLemmaReport:
     @property
     def max_oracle_gap(self) -> float:
         return max(s.oracle_gap for s in self.samples)
-
-    @property
-    def offdiag_sup(self) -> float:
-        sup = 0.0
-        for s in self.samples:
-            for norm in s.offdiag_norms.values():
-                sup = max(sup, norm)
-        return sup
 
 
 def _block_offsets(sizes: Sequence[int]) -> list[tuple[int, int]]:

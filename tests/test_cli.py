@@ -597,6 +597,19 @@ class TestOutputModes:
         _, out2, _ = run(capsys, "limit", "--input", example("theta.json"))
         assert out1 == out2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["minors", "--input", example("theta.json")]
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[2] == ""
+        assert "{" not in run(capsys, *argv, "--table")[1]
+        assert run(capsys, *argv) == first
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--no-such-flag"])
+        assert err.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert run(capsys, *argv) == first
+
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -10,18 +10,16 @@ from canmeas import (
     CycleVector,
     DisconnectedGraph,
     InvalidGraph,
+    OrderedPartition,
     SpanningTree,
     UnknownEdge,
     UnknownVertex,
     canonical_spanning_forest,
     connected_components,
-    contract,
-    contract_set,
     cycle_basis,
-    delete,
     fundamental_cycles,
+    graded_minors,
     graph_genus,
-    is_bridge,
     is_connected,
     is_stable,
     spanning_trees,
@@ -33,6 +31,10 @@ from canmeas.gallery import theta_graph, triangle_graph
 from canmeas.graphs import cycle_boundary
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+
+def layering(*parts):
+    return OrderedPartition(parts=tuple(frozenset(part) for part in parts))
 
 
 def dumbbell():
@@ -113,17 +115,22 @@ class TestGenus:
     def test_total_genus_adds_vertex_genera(self):
         assert total_genus(theta_graph(genus=(1, 3))) == 6
 
+    # A graded minor contracts every later layer, so minor 0 of the
+    # layering (rest, {e}) is g with e contracted.
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_contraction_preserves_total_genus(self, seed):
         rng = Random(seed)
         g = random_graph(rng, max_vertices=6, max_edges=9)
         for eid in g.edge_ids:
-            assert total_genus(contract(g, eid)) == total_genus(g)
+            rest = set(g.edge_ids) - {eid}
+            if rest:
+                minor = graded_minors(g, layering(rest, {eid})).minors[0]
+                assert total_genus(minor) == total_genus(g)
 
     def test_loop_contraction_raises_vertex_genus(self):
         g = dumbbell()
-        c = contract(g, "l1")
+        c = graded_minors(g, layering({"l2", "m"}, {"l1"})).minors[0]
         assert c.genus["a"] == 1
         assert "l1" not in c.edge_ids
         assert c.vertices == g.vertices
@@ -135,7 +142,7 @@ class TestGenus:
             genus={"a": 1, "b": 2},
             marks={"p": "b"},
         )
-        c = contract(g, "e")
+        c = graded_minors(g, layering({"f"}, {"e"})).minors[0]
         assert c.vertices == ("a",)
         assert c.genus["a"] == 3
         assert c.marks == {"p": "a"}
@@ -143,7 +150,7 @@ class TestGenus:
 
     def test_contract_set_composes(self):
         g = triangle_graph()
-        c = contract_set(g, ["e2", "e3"])
+        c = graded_minors(g, layering({"e1"}, {"e2", "e3"})).minors[0]
         assert c.vertices == ("v1",)
         assert graph_genus(c) == 1
 
@@ -213,21 +220,8 @@ class TestSpanningTrees:
         want = len(g.vertices) - len(connected_components(g))
         for t in spanning_trees(g):
             assert len(t) == want
-            assert is_connected(delete(g, [e for e in g.edge_ids if e not in t]))
-
-
-class TestBridgesAndDeletion:
-    def test_bridge(self):
-        assert is_bridge(dumbbell(), "m")
-        assert not is_bridge(dumbbell(), "l1")
-        assert not is_bridge(triangle_graph(), "e1")
-
-    def test_delete_keeps_vertices(self):
-        g = delete(triangle_graph(), ["e1"])
-        assert g.vertices == ("v1", "v2", "v3")
-        assert g.edge_ids == ("e2", "e3")
-        with pytest.raises(UnknownEdge):
-            delete(g, ["e1"])
+            kept = tuple((eid, uv) for eid, uv in g.edges if eid in t)
+            assert is_connected(AugmentedGraph(vertices=g.vertices, edges=kept))
 
 
 class TestCycles:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from canmeas import BasisError, OrderedPartition, effective_resistance, graded_minors
 from canmeas.gallery import theta_graph
-from canmeas.graphs import AugmentedGraph, connected_components
+from canmeas.corpus import random_metric
+from canmeas.graphs import AugmentedGraph, connected_components, cycle_basis
 from canmeas.linalg import determinant, inverse, is_positive_definite, scaled_inverse, solve
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -68,6 +69,18 @@ def fraction_inverse(rows):
     n = len(rows)
     identity = [[F(int(i == j)) for i in range(n)] for j in range(n)]
     return transpose(fraction_solve(rows, identity)) if n else []
+
+
+def grid_gram(n):
+    """Cycle Gram matrix of the n x n grid with lengths p/q up to 10^6."""
+    name = lambda r, c: f"v{r}_{c}"
+    edges = [(f"h{r}_{c}", (name(r, c), name(r, c + 1))) for r in range(n) for c in range(n - 1)]
+    edges += [(f"w{r}_{c}", (name(r, c), name(r + 1, c))) for r in range(n - 1) for c in range(n)]
+    vertices = tuple(name(r, c) for r in range(n) for c in range(n))
+    g = AugmentedGraph(vertices=vertices, edges=tuple(edges))
+    lengths = random_metric(Random(0), g, 10**6).lengths
+    basis = cycle_basis(g)
+    return [[sum((lengths[e] * a[e] * b[e] for e in a.support), F(0)) for b in basis] for a in basis]
 
 
 def sylvester(a):
@@ -239,6 +252,7 @@ class TestPositiveDefinite:
             ([[F(2), F(1)], [F(1), F(2, 3)]], True),
             ([[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]], False),
             ([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(-1, 7)]], False),
+            (grid_gram(6), True),
         ],
     )
     def test_small_cases(self, rows, want):

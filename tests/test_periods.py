@@ -342,7 +342,7 @@ class TestInverseLemma:
         )
         assert all(d <= 1e-6 for d in report.final_diag_deviations)
         assert report.max_oracle_gap <= 1e-9
-        assert report.offdiag_sup < 1e3
+        assert max(norm for s in report.samples for norm in s.offdiag_norms.values()) < 1e3
 
 
 class TestGradedInverseLimits:
