@@ -14,7 +14,6 @@ from .degeneration import (
     ConvergenceFailure,
     ConvergenceReport,
     LengthFamily,
-    NormalizedTestFunction,
     ProbeReport,
     all_tree_limits,
     check_convergence,
@@ -80,7 +79,7 @@ from .measures import (
     EdgeMeasure,
     GramMatrix,
     MetricGraph,
-    PiecewiseLinear,
+    NormalizedTestFunction,
     TropicalCurve,
     foster_by_matrix,
     foster_by_projection,

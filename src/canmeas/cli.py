@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 all requested checks passed, 2 malformed document, 3
-violated precondition (disconnected graph, missing section, family that
-does not converge, ...), 4 an assertion computed fine but failed.
+Exit codes: 0 all requested checks passed, 2 malformed document or flag,
+3 violated precondition (disconnected graph, missing section, family
+that does not converge, out of memory, ...), 4 an assertion computed
+fine but failed.
 Reports go to stdout as canonical JSON (or a plain table with --table)
 and are byte-identical for identical inputs.
 """
@@ -109,6 +110,16 @@ def _assertion(name: str, passed: bool, **extra: Any) -> dict[str, Any]:
     return out
 
 
+def _agreement(name: str, key_name: str, rows) -> dict[str, Any]:
+    """An assertion that each row ``(key, (label, a), (label, b))`` has
+    a == b; a failure names the first row that breaks it, with both values."""
+    for key, (label_a, a), (label_b, b) in rows:
+        if a != b:
+            evidence = {key_name: key, label_a: exact_field(a), label_b: exact_field(b)}
+            return _assertion(name, False, **evidence)
+    return _assertion(name, True)
+
+
 def _finish(report: dict[str, Any], assertions: list[dict[str, Any]]) -> tuple[dict[str, Any], bool]:
     ok = all(a["passed"] for a in assertions)
     report["assertions"] = assertions
@@ -125,24 +136,12 @@ def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -
     h = graph_genus(g)
     first = measures[names[0]]
     if len(names) > 1:
-        split = next(
-            (
-                (e, n)
-                for e in g.edge_ids
-                for n in names[1:]
-                if measures[n].edge_coeffs[e] != first.edge_coeffs[e]
-            ),
-            None,
+        rows = (
+            (e, (names[0], first.edge_coeffs[e]), (n, measures[n].edge_coeffs[e]))
+            for e in g.edge_ids
+            for n in names[1:]
         )
-        evidence = {}
-        if split is not None:
-            e, n = split
-            evidence = {
-                "edge": e,
-                names[0]: exact_field(first.edge_coeffs[e]),
-                n: exact_field(measures[n].edge_coeffs[e]),
-            }
-        assertions.append(_assertion("formulations_agree", split is None, **evidence))
+        assertions.append(_agreement("formulations_agree", "edge", rows))
     assertions.append(
         _assertion(
             "edge_mass_equals_genus",
@@ -152,16 +151,11 @@ def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -
         )
     )
     resistance = effective_resistance(g, metric.lengths)
-    oracle = {e: 1 - resistance[e] / metric.lengths[e] for e in g.edge_ids}
-    wrong = next((e for e in g.edge_ids if first.edge_coeffs[e] != oracle[e]), None)
-    evidence = {}
-    if wrong is not None:
-        evidence = {
-            "edge": wrong,
-            "measure": exact_field(first.edge_coeffs[wrong]),
-            "oracle": exact_field(oracle[wrong]),
-        }
-    assertions.append(_assertion("resistance_oracle", wrong is None, **evidence))
+    rows = (
+        (e, ("measure", first.edge_coeffs[e]), ("oracle", 1 - resistance[e] / metric.lengths[e]))
+        for e in g.edge_ids
+    )
+    assertions.append(_agreement("resistance_oracle", "edge", rows))
     return assertions
 
 
@@ -271,15 +265,11 @@ def _dichotomy_assertion(family: LengthFamily, limits: dict[frozenset[str], Frac
     """Each tree's weight limit equals its layered closed form; a failure
     names the first tree, in sorted order, that breaks it."""
     closed_forms = layered_tree_weights(family, limits)
-    mismatch = next((t for t in sorted(limits, key=sorted) if limits[t] != closed_forms[t]), None)
-    evidence = {}
-    if mismatch is not None:
-        evidence = {
-            "tree": sorted(mismatch),
-            "limit": exact_field(limits[mismatch]),
-            "closed_form": exact_field(closed_forms[mismatch]),
-        }
-    return _assertion("tree_weight_dichotomy", mismatch is None, **evidence)
+    rows = (
+        (sorted(t), ("limit", limits[t]), ("closed_form", closed_forms[t]))
+        for t in sorted(limits, key=sorted)
+    )
+    return _agreement("tree_weight_dichotomy", "tree", rows)
 
 
 def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
@@ -579,8 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="'1e-1..1e-5' or comma list of rationals")
     p.add_argument("--scales", help="comma list of layer scale exponents")
     p.add_argument("--lambda0", help="JSON file with base matrix blocks")
+    def seed(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+        return value
+
     p = add("selftest", cmd_selftest, "seeded randomized self checks", needs_input=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     return parser
 
 
@@ -596,6 +592,9 @@ def main(argv=None) -> int:
         return 3
     except np.linalg.LinAlgError as err:
         print(f"error: numerical linear algebra failed: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 3
     text = render_table(report) if args.table else dump_report(report)
     sys.stdout.write(text)

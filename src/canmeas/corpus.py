@@ -14,11 +14,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .degeneration import LengthFamily, NormalizedTestFunction
+from .degeneration import LengthFamily
 from .families import ScaleFunction
 from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
-from .measures import MetricGraph
+from .measures import MetricGraph, NormalizedTestFunction
 from .periods import BlockScaleProfile
 
 

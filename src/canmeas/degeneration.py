@@ -7,33 +7,35 @@ ratios converge to the target coordinates, and each later layer shrinks
 to nothing against each earlier one.  When that holds, the canonical
 measures of the fibers converge edgewise to the tropical canonical
 measure of the target curve, tree weights converge after rescaling by
-per-layer totals, and integrals of fixed test functions converge.  All
-limits here are computed symbolically from dominant exponents and
-leading coefficients; grid evaluations are exact rational arithmetic,
-with floats confined to report rendering elsewhere.  Fibers are
-measured by the matrix route (:func:`canmeas.measures.foster_by_matrix`)
-and the tropical target by the same kernel on each graded minor, so
-neither enumerates trees: a fiber costs one Gram inverse, the target one
-per layer.  Only the per-tree weight limits enumerate.  A family builds
-its target curve, and with it the graded minors, once: the tropical
-target, the tree-weight rescaling and the layered closed forms all read
-that one decomposition.
+per-layer totals, and integrals of fixed test functions converge; a
+test function lives in normalized edge coordinates, so it is integrated
+as it stands against every fiber and against the limit.  All limits
+here are computed symbolically from dominant exponents and leading
+coefficients; grid evaluations are exact rational arithmetic, with
+floats confined to report rendering elsewhere.  Fibers are measured by
+the matrix route (:func:`canmeas.measures.foster_by_matrix`) and the
+tropical target by the same kernel on each graded minor, so neither
+enumerates trees: a fiber costs one Gram inverse, the target one per
+layer.  Only the per-tree weight limits enumerate.  A family builds its
+target curve, and with it the graded minors, once: the tropical target,
+the tree-weight rescaling and the layered closed forms all read that
+one decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, ratio_limit, validate_grid
-from .graphs import AugmentedGraph, SpanningTree, connected_components, find_root, spanning_trees
+from .graphs import AugmentedGraph, SpanningTree, canonical_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
     MetricGraph,
-    PiecewiseLinear,
+    NormalizedTestFunction,
     TropicalCurve,
     foster_by_matrix,
     integrate,
@@ -189,22 +191,13 @@ def _require_convergent(f: LengthFamily) -> None:
 def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]:
     """A membership test for the spanning forests of g.
 
-    The size every spanning forest has, |V| minus the number of
-    components, is found once, so each test costs one union-find pass.
+    A spanning forest has as many edges as the canonical one (found
+    once), and the greedy forest over its edges keeps them all.
     """
-    size = len(g.vertices) - len(connected_components(g))
-
-    def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
-        parent: dict[str, str] = {v: v for v in g.vertices}
-        for eid in edge_ids:
-            u, v = g.ends(eid)
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return len(edge_ids) == size
-
-    return is_spanning_forest
+    size = len(canonical_spanning_forest(g))
+    return lambda edge_ids: (
+        len(edge_ids) == size and canonical_spanning_forest(g, edge_ids) == edge_ids
+    )
 
 
 def _validate_tree(
@@ -314,45 +307,6 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
 
 
 @dataclass(frozen=True)
-class NormalizedTestFunction:
-    """A piecewise linear function written in normalized edge coordinates.
-
-    Breakpoint positions live in (0, 1) and are rescaled by each fiber's
-    edge lengths, so one function makes sense on every fiber of a family
-    and on the limit curve; that shared parametrization is what lets the
-    same function be integrated across the whole degeneration.
-    """
-
-    vertex_values: Mapping[str, Fraction]
-    normalized_breaks: Mapping[str, tuple[tuple[Fraction, Fraction], ...]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        values = {v: Fraction(x) for v, x in self.vertex_values.items()}
-        breaks = {}
-        for e, pts in self.normalized_breaks.items():
-            fixed = tuple((Fraction(u), Fraction(y)) for u, y in pts)
-            for u, _ in fixed:
-                if u <= 0 or u >= 1:
-                    raise FamilyError(
-                        f"normalized breakpoint {u} on edge {e!r} is outside (0, 1)"
-                    )
-            breaks[e] = fixed
-        object.__setattr__(self, "vertex_values", values)
-        object.__setattr__(self, "normalized_breaks", breaks)
-
-    def on_metric(self, m: MetricGraph) -> PiecewiseLinear:
-        return PiecewiseLinear(
-            vertex_values=dict(self.vertex_values),
-            breakpoints={
-                e: tuple((u * m.length(e), y) for u, y in pts)
-                for e, pts in self.normalized_breaks.items()
-            },
-        )
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Integrals of one test function along the family, with their limit."""
 
@@ -377,18 +331,10 @@ def continuity_probe(
     """
     _require_convergent(f)
     pts = validate_grid(grid)
-    target_curve = f.target_curve
-    limit_value = integrate(
-        tropical_canonical_measure(target_curve), fn.on_metric(target_curve.metric)
-    )
-    values: list[Fraction] = []
-    for t in pts:
-        m = f.metric_at(t)
-        values.append(integrate(foster_by_matrix(m), fn.on_metric(m)))
+    limit_value = integrate(tropical_canonical_measure(f.target_curve), fn)
+    values = tuple(integrate(foster_by_matrix(f.metric_at(t)), fn) for t in pts)
     deviations = tuple(abs(v - limit_value) for v in values)
-    return ProbeReport(
-        grid=pts, values=tuple(values), limit=limit_value, deviations=deviations
-    )
+    return ProbeReport(grid=pts, values=values, limit=limit_value, deviations=deviations)
 
 
 def layered_tree_weights(

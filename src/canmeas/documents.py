@@ -47,6 +47,32 @@ def parse_rational(value: Any, where: str) -> Fraction:
         raise DocumentError(f"{where}: malformed rational {value!r}") from None
 
 
+def _document_scale(value: Any, where: str) -> ScaleFunction:
+    try:
+        fn = parse_scale(str(value))
+    except CanmeasError as err:
+        raise DocumentError(f"{where}: {err}") from None
+    if fn.dominant_exponent < 0:
+        raise DocumentError(f"{where}: negative exponents are not allowed in documents")
+    return fn
+
+
+def _edge_section(
+    data: Mapping[str, Any], key: str, values: str, known: set[str], parse
+) -> dict[str, Any]:
+    # A section mapping edge ids, each checked against the known edges,
+    # to values parsed as parse(value, where).
+    raw = data[key]
+    if not isinstance(raw, dict):
+        raise DocumentError(f"'{key}' must map edge ids to {values}")
+    out = {}
+    for eid, value in raw.items():
+        if eid not in known:
+            raise DocumentError(f"{key} names unknown edge {eid!r}")
+        out[eid] = parse(value, f"edge {eid!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class GraphDocument:
     """A parsed document; optional sections are None when absent."""
@@ -166,6 +192,7 @@ def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
     except CanmeasError as err:
         raise DocumentError(f"invalid graph: {err}") from None
 
+    known = set(graph.edge_ids)
     layering = None
     if "layering" in data:
         raw_layering = data["layering"]
@@ -173,7 +200,6 @@ def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
             isinstance(part, list) for part in raw_layering
         ):
             raise DocumentError("'layering' must be a list of lists of edge ids")
-        known = set(graph.edge_ids)
         for part in raw_layering:
             for eid in part:
                 if str(eid) not in known:
@@ -192,33 +218,10 @@ def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
 
     family = None
     if "family" in data:
-        raw_family = data["family"]
-        if not isinstance(raw_family, dict):
-            raise DocumentError("'family' must map edge ids to scale expressions")
-        family = {}
-        for eid, expr in raw_family.items():
-            if eid not in set(graph.edge_ids):
-                raise DocumentError(f"family names unknown edge {eid!r}")
-            try:
-                fn = parse_scale(str(expr))
-            except CanmeasError as err:
-                raise DocumentError(f"edge {eid!r}: {err}") from None
-            if fn.dominant_exponent < 0:
-                raise DocumentError(
-                    f"edge {eid!r}: negative exponents are not allowed in documents"
-                )
-            family[eid] = fn
-
+        family = _edge_section(data, "family", "scale expressions", known, _document_scale)
     target = None
     if "target" in data:
-        raw_target = data["target"]
-        if not isinstance(raw_target, dict):
-            raise DocumentError("'target' must map edge ids to rationals")
-        target = {}
-        for eid, value in raw_target.items():
-            if eid not in set(graph.edge_ids):
-                raise DocumentError(f"target names unknown edge {eid!r}")
-            target[eid] = parse_rational(value, f"edge {eid!r}")
+        target = _edge_section(data, "target", "rationals", known, parse_rational)
 
     description = data.get("description")
     if description is not None:

@@ -46,7 +46,7 @@ class NotPositiveDefinite(CanmeasError):
 
 
 class InvalidTestFunction(CanmeasError):
-    """A piecewise linear test function does not fit its graph."""
+    """A test function has unordered breakpoints or lacks a vertex value."""
 
 
 class MissingSection(CanmeasError):

@@ -25,8 +25,10 @@ supply.  Only the tree route enumerates trees.
 For a tropical curve (a metric graph whose edges come with an ordered
 layering, unit total length per layer) the edge mass on layer j is the
 canonical edge mass of graded minor j, taken by the matrix route's
-kernel: one Gram inverse per layer.  Everything here is exact; no floats
-enter at any point.
+kernel: one Gram inverse per layer.  A test function's mean along an
+edge does not depend on the edge's length, so :func:`integrate` reads it
+off breakpoints in normalized edge coordinates.  Everything here is
+exact; no floats enter at any point.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from . import linalg
 from .errors import (
     BasisError,
     DisconnectedGraph,
+    FamilyError,
     InvalidGraph,
     LayeringError,
     InvalidTestFunction,
@@ -290,71 +293,59 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear:
-    """A continuous piecewise linear function on a metric graph.
+class NormalizedTestFunction:
+    """A continuous piecewise linear function in normalized edge coordinates.
 
     Values are pinned at the vertices; each edge may add interior
-    breakpoints as (position, value) pairs with positions measured from
-    the edge's tail.  Between pins the function interpolates linearly.
+    breakpoints as (position, value) pairs, with positions in (0, 1)
+    measured from the edge's tail as a share of its length.  Between
+    pins the function interpolates linearly.  The mean of f along an
+    edge does not depend on the edge's length, so one function serves
+    every fiber of a family and its limit curve.
     """
 
     vertex_values: Mapping[str, Fraction]
-    breakpoints: Mapping[str, tuple[tuple[Fraction, Fraction], ...]] = field(
+    normalized_breaks: Mapping[str, tuple[tuple[Fraction, Fraction], ...]] = field(
         default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        values = {v: _as_fraction(x) for v, x in self.vertex_values.items()}
-        breaks = {
-            e: tuple((_as_fraction(p), _as_fraction(y)) for p, y in pts)
-            for e, pts in self.breakpoints.items()
-        }
+        values = {v: Fraction(x) for v, x in self.vertex_values.items()}
+        breaks = {}
+        for e, pts in self.normalized_breaks.items():
+            fixed = tuple((Fraction(u), Fraction(y)) for u, y in pts)
+            for u, _ in fixed:
+                if u <= 0 or u >= 1:
+                    raise FamilyError(
+                        f"normalized breakpoint {u} on edge {e!r} is outside (0, 1)"
+                    )
+            if any(b[0] <= a[0] for a, b in zip(fixed, fixed[1:])):
+                raise InvalidTestFunction(
+                    f"breakpoints on edge {e!r} must be strictly increasing"
+                )
+            breaks[e] = fixed
         object.__setattr__(self, "vertex_values", values)
-        object.__setattr__(self, "breakpoints", breaks)
-
-    def edge_profile(self, m: MetricGraph, edge_id: str) -> list[tuple[Fraction, Fraction]]:
-        """Pins on one edge, endpoints included, validated against m."""
-        u, v = m.graph.ends(edge_id)
-        try:
-            fu, fv = self.vertex_values[u], self.vertex_values[v]
-        except KeyError as missing:
-            raise InvalidTestFunction(f"no value at vertex {missing.args[0]!r}") from None
-        le = m.length(edge_id)
-        pts = [(Fraction(0), fu)]
-        last = Fraction(0)
-        for pos, val in self.breakpoints.get(edge_id, ()):
-            if pos <= 0 or pos >= le:
-                raise InvalidTestFunction(
-                    f"breakpoint at {pos} on edge {edge_id!r} is outside [0, {le}]"
-                )
-            if pos <= last:
-                raise InvalidTestFunction(
-                    f"breakpoints on edge {edge_id!r} must be strictly increasing"
-                )
-            pts.append((pos, val))
-            last = pos
-        pts.append((le, fv))
-        return pts
+        object.__setattr__(self, "normalized_breaks", breaks)
 
 
-def integrate(mu: EdgeMeasure, f: PiecewiseLinear) -> Fraction:
-    """Exact integral of a piecewise linear function against a measure.
+def integrate(mu: EdgeMeasure, f: NormalizedTestFunction) -> Fraction:
+    """Exact integral of a test function against a measure.
 
-    Each edge contributes its mass times the mean of f along the edge;
-    each vertex atom contributes the atom times the vertex value.
+    Each edge contributes its mass times the mean of f along the edge,
+    read off the normalized breakpoints; each vertex atom contributes the
+    atom times the vertex value.
     """
     m = mu.metric
+    for eid in f.normalized_breaks:
+        m.length(eid)  # a breakpoint off the graph raises UnknownEdge
+    atoms = [v for v, atom in mu.vertex_atoms.items() if atom]
+    for v in [x for _, ends in m.graph.edges for x in ends] + atoms:
+        if v not in f.vertex_values:
+            raise InvalidTestFunction(f"no value at vertex {v!r}")
     total = Fraction(0)
-    for eid in m.graph.edge_ids:
-        pts = f.edge_profile(m, eid)
-        area = Fraction(0)
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            area += (x1 - x0) * (y0 + y1) / 2
-        total += mu.edge_coeffs[eid] * area / m.length(eid)
-    for v, atom in mu.vertex_atoms.items():
-        if atom:
-            try:
-                total += atom * f.vertex_values[v]
-            except KeyError:
-                raise InvalidTestFunction(f"no value at vertex {v!r}") from None
-    return total
+    for eid, (u, v) in m.graph.edges:
+        breaks = f.normalized_breaks.get(eid, ())
+        pts = [(0, f.vertex_values[u]), *breaks, (1, f.vertex_values[v])]
+        twice_mean = sum((x1 - x0) * (y0 + y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+        total += mu.edge_coeffs[eid] * twice_mean / 2
+    return total + sum(mu.vertex_atoms[v] * f.vertex_values[v] for v in atoms)

@@ -115,14 +115,9 @@ def _positive_definite(m: np.ndarray) -> bool:
 
 def _pad_block_layout(g: AugmentedGraph, offset: int) -> list[tuple[str, int, int]]:
     # (vertex, start, stop) for each positive-genus vertex, sorted by id.
-    layout = []
-    pos = offset
-    for v in g.vertices:
-        size = g.genus[v]
-        if size > 0:
-            layout.append((v, pos, pos + size))
-            pos += size
-    return layout
+    padded = [v for v in g.vertices if g.genus[v] > 0]
+    blocks = _block_offsets([g.genus[v] for v in padded])
+    return [(v, offset + a, offset + b) for v, (a, b) in zip(padded, blocks)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -482,6 +482,19 @@ class TestPeriodsCommand:
         assert out == ""
         assert err == "error: numerical linear algebra failed: Singular matrix\n"
 
+    def test_out_of_memory_is_a_precondition_error(self, capsys, monkeypatch):
+        # A huge vertex genus asks assemble_base for a matrix that cannot
+        # be allocated; the stand-in raises as numpy would, allocating
+        # nothing.
+        def huge(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "assemble_base", huge)
+        code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
     def test_grid_beyond_the_float_range_is_a_precondition_error(self, capsys):
         # At t = 1e-78 the default top scale t^-4 exceeds binary64.
         code, out, err = run(
@@ -555,6 +568,15 @@ class TestSelftestCommand:
         code, report = run_json(capsys, "selftest", "--seed", "3")
         assert code == 0
         assert report["ok"] is True
+
+    @pytest.mark.parametrize("seed", ["-1", "-20", "x"])
+    def test_negative_or_malformed_seeds_are_usage_errors(self, capsys, seed):
+        with pytest.raises(SystemExit) as err:
+            main(["selftest", "--seed", seed])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
 
 def test_graded_minors_are_built_once_per_command(capsys, monkeypatch):

@@ -379,7 +379,7 @@ class TestMeasureTrajectories:
             mu = foster_by_trees(m)
             assert {e: v[i] for e, v in report.trajectories.items()} == mu.edge_coeffs
             assert report.edge_masses[i] == mu.edge_mass
-            assert probe.values[i] == integrate(mu, fn.on_metric(m))
+            assert probe.values[i] == integrate(mu, fn)
 
 
 class TestContinuityProbe:
@@ -413,15 +413,6 @@ class TestContinuityProbe:
                 vertex_values={"u": F(0)},
                 normalized_breaks={"e1": ((F(1), F(2)),)},
             )
-
-    def test_on_metric_rescales_breaks(self):
-        f = theta_family()
-        tent = NormalizedTestFunction(
-            vertex_values={"u": F(0), "v": F(0)},
-            normalized_breaks={"e2": ((F(1, 2), F(1)),)},
-        )
-        pinned = tent.on_metric(f.metric_at(F(1, 10)))
-        assert pinned.breakpoints["e2"] == ((F(1, 40), F(1)),)
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)

@@ -12,15 +12,18 @@ from canmeas import (
     InvalidGraph,
     LayeringError,
     MetricGraph,
+    NormalizedTestFunction,
     OrderedPartition,
-    PiecewiseLinear,
     InvalidTestFunction,
     TropicalCurve,
+    UnknownEdge,
+    continuity_probe,
     cycle_basis,
     effective_resistance,
     foster_by_matrix,
     foster_by_projection,
     foster_by_trees,
+    geometric_grid,
     gram_matrices,
     graph_genus,
     integrate,
@@ -30,10 +33,12 @@ from canmeas import (
 from canmeas.corpus import (
     layered_family,
     normalized_coordinates,
+    random_family,
     random_graph,
     random_layering,
     random_metric,
     random_rational,
+    random_test_function,
 )
 from canmeas.degeneration import limit_foster
 from canmeas.gallery import theta_graph, triangle_graph
@@ -409,7 +414,7 @@ class TestIntegration:
     def test_constant_function_integrates_to_total_mass(self):
         m = theta_metric()
         mu = foster_by_trees(m)
-        f = PiecewiseLinear(vertex_values={"u": F(3), "v": F(3)})
+        f = NormalizedTestFunction(vertex_values={"u": F(3), "v": F(3)})
         assert integrate(mu, f) == 3 * mu.total_mass
 
     def test_linear_ramp_uses_edge_means(self):
@@ -418,7 +423,7 @@ class TestIntegration:
         )
         m = MetricGraph(g, {"e1": F(1), "e2": F(1)})
         mu = foster_by_trees(m)
-        f = PiecewiseLinear(vertex_values={"a": F(0), "b": F(1)})
+        f = NormalizedTestFunction(vertex_values={"a": F(0), "b": F(1)})
         # Both edges carry mass 1/2 and the average value along each is 1/2.
         assert integrate(mu, f) == F(1, 2)
 
@@ -426,9 +431,9 @@ class TestIntegration:
         g = AugmentedGraph(vertices=("a",), edges=(("l", ("a", "a")),))
         m = MetricGraph(g, {"l": F(1)})
         mu = foster_by_trees(m)
-        tent = PiecewiseLinear(
+        tent = NormalizedTestFunction(
             vertex_values={"a": F(0)},
-            breakpoints={"l": ((F(1, 2), F(1)),)},
+            normalized_breaks={"l": ((F(1, 2), F(1)),)},
         )
         assert integrate(mu, tent) == F(1, 2)
 
@@ -436,27 +441,66 @@ class TestIntegration:
         g = AugmentedGraph(vertices=("a",), edges=(("l", ("a", "a")),), genus={"a": 2})
         m = MetricGraph(g, {"l": F(1)})
         mu = foster_by_trees(m)
-        f = PiecewiseLinear(vertex_values={"a": F(5)})
+        f = NormalizedTestFunction(vertex_values={"a": F(5)})
         assert integrate(mu, f) == 5 * 1 + 5 * 2
 
-    def test_breakpoints_must_sit_inside_the_edge(self):
-        g = AugmentedGraph(vertices=("a",), edges=(("l", ("a", "a")),))
-        m = MetricGraph(g, {"l": F(1)})
-        mu = foster_by_trees(m)
-        outside = PiecewiseLinear(
-            vertex_values={"a": F(0)},
-            breakpoints={"l": ((F(2), F(1)),)},
-        )
-        with pytest.raises(InvalidTestFunction):
-            integrate(mu, outside)
-
     def test_breakpoints_must_increase(self):
-        g = AugmentedGraph(vertices=("a",), edges=(("l", ("a", "a")),))
-        m = MetricGraph(g, {"l": F(1)})
-        mu = foster_by_trees(m)
-        bad = PiecewiseLinear(
-            vertex_values={"a": F(0)},
-            breakpoints={"l": ((F(1, 2), F(1)), (F(1, 4), F(2)))},
+        # Caught when the function is built, before any measure is taken.
+        for breaks in (((F(1, 2), F(1)), (F(1, 4), F(2))), ((F(1, 2), F(1)), (F(1, 2), F(2)))):
+            with pytest.raises(InvalidTestFunction):
+                NormalizedTestFunction(vertex_values={"a": F(0)}, normalized_breaks={"l": breaks})
+
+    def test_missing_vertex_values_fail_when_integrated(self):
+        g = AugmentedGraph(
+            vertices=("a", "b"), edges=(("e", ("a", "b")),), genus={"b": 1}
         )
-        with pytest.raises(InvalidTestFunction):
-            integrate(mu, bad)
+        mu = foster_by_trees(MetricGraph(g, {"e": F(2)}))
+        for values in ({"a": F(1)}, {"b": F(1)}):
+            with pytest.raises(InvalidTestFunction):
+                integrate(mu, NormalizedTestFunction(vertex_values=values))
+
+    def test_breakpoints_off_the_graph_are_unknown_edges(self):
+        mu = foster_by_trees(theta_metric())
+        f = NormalizedTestFunction(
+            vertex_values={"u": F(0), "v": F(0)}, normalized_breaks={"x": ((F(1, 2), F(1)),)}
+        )
+        with pytest.raises(UnknownEdge):
+            integrate(mu, f)
+
+    def test_matches_the_trapezoid_rule_at_absolute_positions(self):
+        # Reference: breakpoints placed at u * length(e), trapezoid areas
+        # summed and divided by length(e), plus the vertex atoms.  This is
+        # the integral in absolute edge coordinates; normalized positions
+        # must give it exactly, on fibres and on the tropical target.
+        for seed in range(240):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            if not g.edge_ids:
+                continue
+            family = random_family(rng, g)
+            fn = random_test_function(rng, g)
+            grid = geometric_grid(1, 3)
+            probe = continuity_probe(family, fn, grid)
+            target = tropical_canonical_measure(family.target_curve)
+            want_limit = _trapezoid_integral(target, fn)
+            assert integrate(target, fn) == want_limit == probe.limit, seed
+            for t, value in zip(grid, probe.values):
+                mu = foster_by_matrix(family.metric_at(t))
+                assert integrate(mu, fn) == _trapezoid_integral(mu, fn) == value, seed
+            m = random_metric(rng, g)
+            mu = foster_by_matrix(m)
+            assert integrate(mu, fn) == _trapezoid_integral(mu, fn), seed
+
+
+def _trapezoid_integral(mu, fn):
+    m = mu.metric
+    total = F(0)
+    for eid in m.graph.edge_ids:
+        u, v = m.graph.ends(eid)
+        le = m.lengths[eid]
+        pts = [(F(0), fn.vertex_values[u])]
+        pts += [(x * le, y) for x, y in fn.normalized_breaks.get(eid, ())]
+        pts.append((le, fn.vertex_values[v]))
+        area = sum(((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:])), F(0))
+        total += mu.edge_coeffs[eid] * area / le
+    return total + sum(atom * fn.vertex_values[v] for v, atom in mu.vertex_atoms.items())
