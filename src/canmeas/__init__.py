@@ -53,7 +53,6 @@ from .families import ScaleFunction, geometric_grid, parse_scale, ratio_limit
 from .graphs import (
     AugmentedGraph,
     CycleVector,
-    SpanningTree,
     canonical_spanning_forest,
     connected_components,
     cycle_basis,
@@ -77,7 +76,6 @@ from .layerings import (
 )
 from .measures import (
     EdgeMeasure,
-    GramMatrix,
     MetricGraph,
     NormalizedTestFunction,
     TropicalCurve,

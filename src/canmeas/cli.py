@@ -49,7 +49,6 @@ from .graphs import (
 )
 from .kirchhoff import effective_resistance, tree_count
 from .layerings import GradedMinorReport, admissible_cycle_basis, graded_minors
-from .linalg import rank_one_sum
 from .measures import (
     EdgeMeasure,
     MetricGraph,
@@ -182,7 +181,7 @@ def cmd_trees(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "graph": _graph_section(doc.graph),
         "count": len(trees),
         "matrix_tree_count": oracle,
-        "trees": [list(t.sorted_ids) for t in trees],
+        "trees": [sorted(t) for t in trees],
     }
     assertions = [_assertion("count_matches_matrix_tree", len(trees) == oracle)]
     return _finish(report, assertions)
@@ -381,19 +380,19 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     model = ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
     grid = _parse_grid(args.grid, (1, 5))
     limits = graded_inverse_limits(model, grid)
-    from_rows = rank_one_sum(
-        ((Fraction(1), row) for row in monodromy.edge_rows.values()), monodromy.rank
-    )
-    gram_ok = from_rows == [list(row) for row in monodromy.unit_gram]
+    # The unit Gram matrix is the sum of the edge matrices the report
+    # prints, added here in integers apart from the Gram assembly.
+    edge_matrices = {
+        e: np.outer(row, row).astype(int) for e, row in sorted(monodromy.edge_rows.items())
+    }
+    summed = sum(edge_matrices.values(), np.zeros((monodromy.rank,) * 2, dtype=int))
+    gram_ok = summed.tolist() == monodromy.unit_gram
     report: dict[str, Any] = {
         "command": "periods",
         "graph": _graph_section(doc.graph),
         "scales": [f"t^-{a}" for a in exponents],
         "block_sizes": list(limits.block_sizes),
-        "monodromy": {
-            e: [list(map(int, row)) for row in np.outer(rowv, rowv).astype(int)]
-            for e, rowv in sorted(monodromy.edge_rows.items())
-        },
+        "monodromy": {e: m.tolist() for e, m in edge_matrices.items()},
         "layer_targets": [
             [[exact_field(x) for x in row] for row in target_k]
             for target_k in limits.layer_targets_exact

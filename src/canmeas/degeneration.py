@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, ratio_limit, validate_grid
-from .graphs import AugmentedGraph, SpanningTree, canonical_spanning_forest, spanning_trees
+from .graphs import AugmentedGraph, canonical_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
     MetricGraph,
@@ -236,19 +236,21 @@ def _tree_limit(
     return ratio_limit(ScaleFunction.power(exponent, coeff), denominator)
 
 
-def omega_infinity(f: LengthFamily, tree: SpanningTree) -> Fraction:
+def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     """Limit of the rescaled tree weight of one spanning tree.
 
-    The raw weight (product of lengths over edges off the tree) is
-    divided by each layer total raised to the layer's graded genus.  The
-    limit is zero unless the tree restricts to a spanning forest of
-    every graded minor, in which case it is the product of the minors'
-    tree weights at the target coordinates.  Returned exactly; only the
-    leading terms of numerator and denominator enter.
+    The tree is its edge id set, as :func:`canmeas.graphs.spanning_trees`
+    lists it; a set that is not a spanning forest of the graph raises
+    InvalidGraph.  The raw weight (product of lengths over edges off the
+    tree) is divided by each layer total raised to the layer's graded
+    genus.  The limit is zero unless the tree restricts to a spanning
+    forest of every graded minor, in which case it is the product of the
+    minors' tree weights at the target coordinates.  Returned exactly;
+    only the leading terms of numerator and denominator enter.
     """
     _require_convergent(f)
-    _validate_tree(_spanning_forest_test(f.graph), tree.edge_ids)
-    return _tree_limit(f, tree.edge_ids, _weight_denominator(f))
+    _validate_tree(_spanning_forest_test(f.graph), tree)
+    return _tree_limit(f, tree, _weight_denominator(f))
 
 
 @dataclass(frozen=True)
@@ -364,26 +366,25 @@ def layered_tree_weights(
     return weights
 
 
-def layered_tree_weight(f: LengthFamily, tree: SpanningTree) -> Fraction:
+def layered_tree_weight(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     """Product of graded-minor tree weights at the target coordinates.
 
-    Zero when the tree is not layered, i.e. when some layer's slice of
-    the tree fails to be a spanning forest of that layer's graded minor.
-    This is the closed form the limit in :func:`omega_infinity` must
-    match.
+    The tree is its edge id set and must be a spanning forest of the
+    graph (else InvalidGraph).  Zero when the tree is not layered, i.e.
+    when some layer's slice of the tree fails to be a spanning forest of
+    that layer's graded minor.  This is the closed form the limit in
+    :func:`omega_infinity` must match.
     """
-    return layered_tree_weights(f, [tree.edge_ids])[tree.edge_ids]
+    return layered_tree_weights(f, [tree])[tree]
 
 
 def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
-    """omega_infinity over every spanning tree of the graph.
+    """omega_infinity over every spanning tree of the graph, keyed by the
+    edge id sets that :func:`canmeas.graphs.spanning_trees` lists.
 
     Convergence is checked and the rescaling denominator built once;
     each tree then costs one pass over its off-tree edges.
     """
     _require_convergent(f)
     denominator = _weight_denominator(f)
-    return {
-        tree.edge_ids: _tree_limit(f, tree.edge_ids, denominator)
-        for tree in spanning_trees(f.graph)
-    }
+    return {tree: _tree_limit(f, tree, denominator) for tree in spanning_trees(f.graph)}

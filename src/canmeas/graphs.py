@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DisconnectedGraph, InvalidGraph, UnknownEdge, UnknownVertex
 
@@ -83,10 +83,6 @@ class AugmentedGraph:
         except KeyError:
             raise UnknownEdge(f"unknown edge {edge_id!r}") from None
 
-    def is_loop(self, edge_id: str) -> bool:
-        u, v = self.ends(edge_id)
-        return u == v
-
     def degree(self, vertex: str) -> int:
         """Number of half edges at a vertex; a loop counts twice."""
         if vertex not in self.genus:
@@ -98,33 +94,6 @@ class AugmentedGraph:
 
     def marks_at(self, vertex: str) -> int:
         return sum(1 for v in self.marks.values() if v == vertex)
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """A spanning forest of a graph, recorded as its set of edge ids.
-
-    For a connected graph this is a spanning tree; in general it spans
-    every connected component, so it has ``|V| - c`` edges.
-    """
-
-    edge_ids: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edge_ids", frozenset(self.edge_ids))
-
-    def __contains__(self, edge_id: str) -> bool:
-        return edge_id in self.edge_ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.edge_ids))
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def sorted_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.edge_ids))
 
 
 @dataclass(frozen=True)
@@ -243,15 +212,17 @@ def _reachable(ends: Mapping[str, tuple[str, str]], source: str, target: str) ->
     return False
 
 
-def spanning_trees(g: AugmentedGraph) -> list[SpanningTree]:
+def spanning_trees(g: AugmentedGraph) -> list[frozenset[str]]:
     """All spanning forests, each with one tree per connected component.
 
-    Enumeration is by deletion and contraction on the first non-loop
-    edge in id order: forests avoiding the edge come from the deletion
-    (skipped when the edge is a bridge), forests through it from the
-    contraction.  Loops are pruned outright.  Each forest is produced
-    exactly once; the result is sorted lexicographically on sorted edge
-    id tuples.  Meant for small graphs (up to roughly 16 edges).
+    A forest is its set of edge ids; for a connected graph it is a
+    spanning tree, and in general it has ``|V| - c`` edges.  Enumeration
+    is by deletion and contraction on the first non-loop edge in id
+    order: forests avoiding the edge come from the deletion (skipped
+    when the edge is a bridge), forests through it from the contraction.
+    Loops are pruned outright.  Each forest is produced exactly once;
+    the result is sorted lexicographically on sorted edge id tuples.
+    Meant for small graphs (up to roughly 16 edges).
     """
 
     def rec(ends: dict[str, tuple[str, str]]) -> list[set[str]]:
@@ -272,9 +243,9 @@ def spanning_trees(g: AugmentedGraph) -> list[SpanningTree]:
             found.append(t)
         return found
 
-    forests = rec(dict(g._ends))
-    forests.sort(key=lambda t: tuple(sorted(t)))
-    return [SpanningTree(frozenset(t)) for t in forests]
+    forests = [frozenset(t) for t in rec(dict(g._ends))]
+    forests.sort(key=sorted)
+    return forests
 
 
 def find_root(parent: dict[str, str], x: str) -> str:

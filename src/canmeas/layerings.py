@@ -19,7 +19,6 @@ from .errors import LayeringError
 from .graphs import (
     AugmentedGraph,
     CycleVector,
-    SpanningTree,
     bfs_tree,
     canonical_spanning_forest,
     cycle_boundary,
@@ -177,21 +176,21 @@ def graded_minors(g: AugmentedGraph, p: OrderedPartition) -> GradedMinorReport:
     )
 
 
-def layered_spanning_trees(report: GradedMinorReport) -> list[SpanningTree]:
-    """Spanning trees of a layered graph assembled layer by layer.
+def layered_spanning_trees(report: GradedMinorReport) -> list[frozenset[str]]:
+    """Spanning forests of a layered graph assembled layer by layer.
 
     Takes one spanning forest of each graded minor in ``report`` (from
-    :func:`graded_minors`) and returns every union.  Each union is a spanning forest of the graph,
-    and the count is the product of the per-minor counts.  Output is in
-    the canonical sorted order used by
-    :func:`canmeas.graphs.spanning_trees`.
+    :func:`graded_minors`) and returns every union, as edge id sets.
+    Each union is a spanning forest of the graph, and the count is the
+    product of the per-minor counts.  Output is in the canonical sorted
+    order used by :func:`canmeas.graphs.spanning_trees`.
     """
     combos: list[frozenset[str]] = [frozenset()]
     for minor in report.minors:
         layer_trees = spanning_trees(minor)
-        combos = [c | t.edge_ids for c in combos for t in layer_trees]
-    combos.sort(key=lambda t: tuple(sorted(t)))
-    return [SpanningTree(t) for t in combos]
+        combos = [c | t for c in combos for t in layer_trees]
+    combos.sort(key=sorted)
+    return combos
 
 
 @dataclass(frozen=True)

@@ -158,18 +158,6 @@ class EdgeMeasure:
         return self.edge_mass + sum(self.vertex_atoms.values())
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """The length-weighted Gram matrix of a cycle basis.
-
-    ``matrix[i][j]`` is the inner product of basis cycles i and j, where
-    edges are orthogonal and edge e has squared norm length(e).
-    """
-
-    basis: tuple[CycleVector, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-
 def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     """Canonical measure by direct spanning tree enumeration."""
     if not is_connected(m.graph):
@@ -183,7 +171,7 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
             if eid not in tree:
                 weight *= m.lengths[eid]
         total += weight
-        for eid in tree.edge_ids:
+        for eid in tree:
             inside[eid] += weight
     coeffs = {e: 1 - inside[e] / total for e in edge_ids}
     return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
@@ -198,13 +186,14 @@ def _cycle_gram(m: MetricGraph, basis: Sequence[CycleVector]) -> list[list[Fract
     )
 
 
-def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> GramMatrix:
-    """Gram data of a cycle basis under the length inner product.
+def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix:
+    """Gram matrix of a cycle basis under the length inner product.
 
-    The assembled matrix must be positive definite (checked exactly); a
-    dependent family fails that check.
+    Row i, column j is the inner product of basis cycles i and j, where
+    edges are orthogonal and edge e has squared norm length(e).  Every
+    cycle must have zero boundary, and the matrix must be positive
+    definite (checked exactly); a dependent family fails that check.
     """
-    basis = tuple(basis)
     for gamma in basis:
         for eid in gamma.support:
             if eid not in m.graph._ends:
@@ -214,7 +203,7 @@ def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> GramMatrix:
     matrix = _cycle_gram(m, basis)
     if not linalg.is_positive_definite(matrix):
         raise BasisError("cycle family is dependent; Gram matrix is not positive definite")
-    return GramMatrix(basis=basis, matrix=tuple(tuple(row) for row in matrix))
+    return matrix
 
 
 def foster_by_projection(m: MetricGraph) -> EdgeMeasure:

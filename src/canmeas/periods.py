@@ -57,7 +57,7 @@ class MonodromySet:
     block_sizes: tuple[int, ...]
     pad: int
     edge_rows: Mapping[str, tuple[int, ...]]
-    unit_gram: tuple[tuple[Fraction, ...], ...]
+    unit_gram: linalg.Matrix
 
     @property
     def rank(self) -> int:
@@ -68,37 +68,29 @@ class MonodromySet:
         return self.rank + self.pad
 
 
-def monodromy_from_basis(
-    g: AugmentedGraph,
-    basis: AdmissibleBasis | Sequence[CycleVector],
-) -> MonodromySet:
-    """Extract per-edge integer matrices from a cycle basis.
+def monodromy_from_basis(g: AugmentedGraph, basis: AdmissibleBasis) -> MonodromySet:
+    """Extract per-edge integer matrices from an admissible cycle basis.
 
-    Accepts either an admissible basis (keeping its block structure) or
-    a flat sequence (treated as a single block).  The basis must have
-    one cycle per independent cycle of the graph and be independent;
+    The monodromy keeps the basis's blocks; the one-block basis of the
+    trivial partition gives a single block.  The basis must have one
+    cycle per independent cycle of the graph and be independent;
     independence is checked exactly through the unit-length Gram matrix.
     The pad is the total vertex genus.
     """
-    if isinstance(basis, AdmissibleBasis):
-        flat = list(basis.flat)
-        block_sizes = basis.block_sizes
-    else:
-        flat = list(basis)
-        block_sizes = (len(flat),)
+    flat = basis.flat
     h = graph_genus(g)
     if len(flat) != h:
         raise BasisError(f"expected {h} basis cycles, got {len(flat)}")
-    unit_gram: tuple[tuple[Fraction, ...], ...] = ()
+    unit_gram: linalg.Matrix = []
     if h:
         unit = MetricGraph(g, {e: Fraction(1) for e in g.edge_ids})
-        unit_gram = gram_matrices(unit, flat).matrix
+        unit_gram = gram_matrices(unit, flat)
     rows = {
         eid: tuple(gamma[eid] for gamma in flat) for eid in g.edge_ids
     }
     pad = sum(g.genus.values())
     return MonodromySet(
-        basis=tuple(flat), block_sizes=block_sizes, pad=pad, edge_rows=rows, unit_gram=unit_gram
+        basis=flat, block_sizes=basis.block_sizes, pad=pad, edge_rows=rows, unit_gram=unit_gram
     )
 
 

@@ -127,7 +127,7 @@ def test_04_genus_decomposition_and_layered_trees():
         assert len(layered) == product
         for tree in layered:
             for j, part in enumerate(layering.parts):
-                assert len(part - tree.edge_ids) == report.genus_vector[j]
+                assert len(part - tree) == report.genus_vector[j]
         pairs += 1
     print(f"PASS genus decomposition and layered tree counts on {pairs} pairs")
 
@@ -167,15 +167,15 @@ def test_06_tree_weight_limits_split_by_layer():
             continue
         family = corpus.random_family(rng, g)
         layering = family.target_layering
-        layered = {t.edge_ids for t in layered_spanning_trees(graded_minors(g, layering))}
+        layered = set(layered_spanning_trees(graded_minors(g, layering)))
         limits = all_tree_limits(family)
         for tree in spanning_trees(g):
             want = layered_tree_weight(family, tree)
-            assert limits[tree.edge_ids] == want
-            if tree.edge_ids in layered:
-                assert limits[tree.edge_ids] > 0
+            assert limits[tree] == want
+            if tree in layered:
+                assert limits[tree] > 0
             else:
-                assert limits[tree.edge_ids] == 0
+                assert limits[tree] == 0
         checked += 1
     print(f"PASS tree weight limits match the layered dichotomy on {checked} families")
 

@@ -522,6 +522,27 @@ class TestPeriodsCommand:
         assert code == 0
         assert sizes == [2]
 
+    def test_gram_consistency_catches_a_faulty_rank_one_sum(self, capsys, monkeypatch):
+        # The unit Gram matrix is assembled by rank_one_sum; the check adds
+        # the printed edge matrices apart from it.  A sum that raises one
+        # diagonal entry keeps the matrix positive definite but breaks the
+        # check.
+        real = canmeas.linalg.rank_one_sum
+
+        def faulty(terms, size):
+            out = real(terms, size)
+            if size:
+                out[0][0] += 1
+            return out
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("canmeas")]:
+            if getattr(module, "rank_one_sum", None) is real:
+                monkeypatch.setattr(module, "rank_one_sum", faulty)
+        code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
+        assessed = {a["name"]: a["passed"] for a in json.loads(out)["assertions"]}
+        assert assessed["gram_consistency"] is False
+        assert code == 4
+
     def test_widely_spread_scales_are_positive_definite(self, capsys, tmp_path):
         # K8 in three layers of 12, 2 and 14 edges at the default scales
         # t^-6, t^-4, t^-2: near t = 1e-4 the diagonal spans so many
@@ -672,6 +693,43 @@ def test_reports_match_the_golden_files(capsys):
                 if (code, out.encode(), err) != (0, golden, ""):
                     differ.append(f"{stem}.{command}{suffix}")
     assert differ == []
+
+
+def test_forest_reports_do_not_depend_on_the_hash_seed(capsys):
+    # Forests are frozensets of edge ids, whose iteration order follows
+    # the string hash seed; `trees` and `limit` must list them and their
+    # edges in sorted order all the same.
+    argvs = [
+        [command, "--input", path]
+        for path in (example("triangle.json"), str(FIXTURES / "layered_grid.json"))
+        for command in ("trees", "limit")
+    ]
+    expected = b""
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        expected += out.encode()
+    script = (
+        "import json, sys\n"
+        "from canmeas.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+    )
+    outs = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=str(Path(canmeas.__file__).parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outs.add(done.stdout)
+    assert outs == {expected}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

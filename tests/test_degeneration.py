@@ -14,7 +14,6 @@ from canmeas import (
     NormalizedTestFunction,
     OrderedPartition,
     ScaleFunction,
-    SpanningTree,
     all_tree_limits,
     check_convergence,
     continuity_probe,
@@ -249,7 +248,7 @@ class TestTreeWeightLimits:
             frozenset({"e3"}): F(1, 2),
         }
         for tree in spanning_trees(f.graph):
-            assert limits[tree.edge_ids] == reference_tree_limit(f, tree)
+            assert limits[tree] == reference_tree_limit(f, tree)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -265,16 +264,18 @@ class TestTreeWeightLimits:
         ]
         for f in families:
             trees = spanning_trees(g)
-            expected = {t.edge_ids: reference_tree_limit(f, t) for t in trees}
-            assert all_tree_limits(f) == expected
-            assert omega_infinity(f, trees[0]) == expected[trees[0].edge_ids]
-            assert expected == {t.edge_ids: layered_tree_weight(f, t) for t in trees}
+            expected = {t: reference_tree_limit(f, t) for t in trees}
+            limits = all_tree_limits(f)
+            assert set(limits) == set(trees)
+            assert limits == expected
+            assert omega_infinity(f, trees[0]) == expected[trees[0]]
+            assert expected == {t: layered_tree_weight(f, t) for t in trees}
 
     def test_non_tree_rejected(self):
         with pytest.raises(InvalidGraph):
-            omega_infinity(theta_family(), SpanningTree(frozenset({"e1", "e2"})))
+            omega_infinity(theta_family(), frozenset({"e1", "e2"}))
         with pytest.raises(InvalidGraph):
-            layered_tree_weight(theta_family(), SpanningTree(frozenset()))
+            layered_tree_weight(theta_family(), frozenset())
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)

@@ -11,7 +11,6 @@ from canmeas import (
     DisconnectedGraph,
     InvalidGraph,
     OrderedPartition,
-    SpanningTree,
     UnknownEdge,
     UnknownVertex,
     canonical_spanning_forest,
@@ -87,8 +86,10 @@ class TestAugmentedGraph:
     def test_loop_counts_twice_in_degree(self):
         g = dumbbell()
         assert g.degree("a") == 3
-        assert g.is_loop("l1")
-        assert not g.is_loop("m")
+        tail, head = g.ends("l1")
+        assert tail == head
+        tail, head = g.ends("m")
+        assert tail != head
 
     def test_unknown_edge_lookup(self):
         with pytest.raises(UnknownEdge):
@@ -180,15 +181,15 @@ class TestStability:
 
 class TestSpanningTrees:
     def test_theta(self):
-        got = [t.sorted_ids for t in spanning_trees(theta_graph())]
+        got = [tuple(sorted(t)) for t in spanning_trees(theta_graph())]
         assert got == [("e1",), ("e2",), ("e3",)]
 
     def test_triangle(self):
-        got = [t.sorted_ids for t in spanning_trees(triangle_graph())]
+        got = [tuple(sorted(t)) for t in spanning_trees(triangle_graph())]
         assert got == [("e1", "e2"), ("e1", "e3"), ("e2", "e3")]
 
     def test_loops_never_appear(self):
-        got = [t.sorted_ids for t in spanning_trees(dumbbell())]
+        got = [tuple(sorted(t)) for t in spanning_trees(dumbbell())]
         assert got == [("m",)]
 
     def test_forest_per_component(self):
@@ -200,12 +201,30 @@ class TestSpanningTrees:
                 ("f1", ("c", "d")),
             ),
         )
-        got = [t.sorted_ids for t in spanning_trees(g)]
+        got = [tuple(sorted(t)) for t in spanning_trees(g)]
         assert got == [("e1", "f1"), ("e2", "f1")]
 
     def test_canonical_forest_is_first_tree(self):
         for g in (theta_graph(), triangle_graph(), dumbbell()):
-            assert canonical_spanning_forest(g) == spanning_trees(g)[0].edge_ids
+            assert canonical_spanning_forest(g) == spanning_trees(g)[0]
+
+    def test_forests_are_sorted_edge_sets(self):
+        # Edge ids given out of order: forests are frozensets of ids,
+        # listed in lexicographic order of their sorted ids.
+        g = AugmentedGraph(
+            vertices=("x", "y", "z"),
+            edges=(("c", ("z", "x")), ("b", ("x", "y")), ("a", ("y", "z"))),
+        )
+        trees = spanning_trees(g)
+        assert all(type(t) is frozenset for t in trees)
+        t = trees[0]
+        assert "a" in t and "c" not in t
+        assert sorted(t) == ["a", "b"]
+        assert len(t) == 2
+        assert [sorted(t) for t in trees] == [["a", "b"], ["a", "c"], ["b", "c"]]
+        for seed in range(20):
+            keys = [sorted(t) for t in spanning_trees(random_graph(Random(seed), 6, 9))]
+            assert keys == sorted(keys) and len({tuple(k) for k in keys}) == len(keys)
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -300,9 +319,3 @@ class TestValueObjects:
         assert c.coeffs == {"b": -2}
         assert c["a"] == 0
         assert c.support == frozenset({"b"})
-
-    def test_spanning_tree_container_protocol(self):
-        t = SpanningTree(frozenset({"b", "a"}))
-        assert "a" in t and "c" not in t
-        assert list(t) == ["a", "b"]
-        assert len(t) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canmeas import (
+    AdmissibleBasis,
     BasisError,
     BlockScaleProfile,
     FamilyError,
@@ -38,6 +39,13 @@ from canmeas.gallery import (
 seeds = st.integers(min_value=0, max_value=10**6)
 
 F = Fraction
+
+
+def one_block_basis(g):
+    # The admissible basis of the trivial partition: on a connected graph
+    # it is cycle_basis(g) as a single block.
+    return admissible_cycle_basis(graded_minors(g, OrderedPartition.trivial(g.edge_ids)))
+
 
 THETA_SPLIT = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
 
@@ -78,17 +86,19 @@ class TestMonodromySet:
         gram = rank_one_sum(
             ((lengths[e], row) for e, row in mono.edge_rows.items()), mono.rank
         )
-        assert gram == [list(r) for r in direct.matrix]
+        assert gram == direct
 
     def test_wrong_cycle_count_rejected(self):
         g = theta_graph()
+        basis = one_block_basis(g)
         with pytest.raises(BasisError):
-            monodromy_from_basis(g, cycle_basis(g)[:1])
+            monodromy_from_basis(g, AdmissibleBasis(basis.layering, (basis.blocks[0][:1],)))
 
     def test_flat_basis_is_one_block(self):
         g = theta_graph()
-        mono = monodromy_from_basis(g, cycle_basis(g))
+        mono = monodromy_from_basis(g, one_block_basis(g))
         assert mono.block_sizes == (2,)
+        assert mono.basis == tuple(cycle_basis(g))
 
     def test_pad_defaults_to_vertex_genus(self):
         mono = theta_monodromy(genus=(1, 2))
@@ -377,7 +387,7 @@ class TestGradedInverseLimits:
 
     def test_block_count_must_match_layers(self):
         fam = theta_period_family()
-        flat = monodromy_from_basis(fam.lengths.graph, list(fam.monodromy.basis))
+        flat = monodromy_from_basis(fam.lengths.graph, one_block_basis(fam.lengths.graph))
         model = ModelPeriodFamily(
             monodromy=flat, lengths=fam.lengths, base_im=np.zeros((2, 2))
         )
