@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
-from .families import ScaleFunction, ratio_limit, validate_grid
-from .graphs import AugmentedGraph, canonical_spanning_forest, spanning_trees
+from .families import ScaleFunction, validate_grid
+from .graphs import AugmentedGraph, canonical_spanning_forest, find_root, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
     MetricGraph,
@@ -192,12 +192,30 @@ def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]
     """A membership test for the spanning forests of g.
 
     A spanning forest has as many edges as the canonical one (found
-    once), and the greedy forest over its edges keeps them all.
+    once), and the greedy forest over its edges keeps them all: every
+    one is an edge of g, and a union-find over those edges alone joins
+    two trees at each, so none is a loop or closes a cycle.
     """
     size = len(canonical_spanning_forest(g))
-    return lambda edge_ids: (
-        len(edge_ids) == size and canonical_spanning_forest(g, edge_ids) == edge_ids
-    )
+    ends = dict(g.edges)
+
+    def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
+        if len(edge_ids) != size:
+            return False
+        parent: dict[str, str] = {}
+        for e in edge_ids:
+            if e not in ends:
+                return False
+            u, v = ends[e]
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    return is_spanning_forest
 
 
 def _validate_tree(
@@ -207,8 +225,9 @@ def _validate_tree(
         raise InvalidGraph("edge set is not a spanning forest of the graph")
 
 
-def _weight_denominator(f: LengthFamily) -> ScaleFunction:
-    """Leading term of the rescaling prod_j layer_total(j) ** h_j.
+def _weight_denominator(f: LengthFamily) -> tuple[int, Fraction]:
+    """Leading term (exponent, coefficient) of the rescaling
+    prod_j layer_total(j) ** h_j.
 
     h_j is the genus of graded minor j.  Coefficients are positive, so
     nothing cancels and the leading term of the product is the product
@@ -220,20 +239,37 @@ def _weight_denominator(f: LengthFamily) -> ScaleFunction:
             total = f.layer_total(j)
             exponent += h * total.dominant_exponent
             coeff *= total.leading_coefficient**h
-    return ScaleFunction.power(exponent, coeff)
+    return exponent, coeff
+
+
+def _leading_terms(f: LengthFamily) -> list[tuple[str, int, int, int]]:
+    """(edge, exponent, numerator, denominator) of each length's leading term."""
+    out = []
+    for e, fn in f.param_lengths.items():
+        c = fn.leading_coefficient
+        out.append((e, fn.dominant_exponent, c.numerator, c.denominator))
+    return out
 
 
 def _tree_limit(
-    f: LengthFamily, edge_ids: frozenset[str], denominator: ScaleFunction
+    leading: list[tuple[str, int, int, int]],
+    edge_ids: frozenset[str],
+    denominator: tuple[int, Fraction],
 ) -> Fraction:
     # The raw weight is the product of the off-tree lengths; only its
     # leading term, the product of theirs, decides the limit.
-    exponent, coeff = 0, Fraction(1)
-    for e, fn in f.param_lengths.items():
-        if e not in edge_ids:
-            exponent += fn.dominant_exponent
-            coeff *= fn.leading_coefficient
-    return ratio_limit(ScaleFunction.power(exponent, coeff), denominator)
+    off_tree = [term for term in leading if term[0] not in edge_ids]
+    exponent = sum(term[1] for term in off_tree)
+    low, coeff = denominator
+    if exponent > low:
+        return Fraction(0)
+    if exponent < low:
+        raise FamilyError("ratio diverges as t -> 0")
+    num, den = coeff.denominator, coeff.numerator
+    for _, _, p, q in off_tree:
+        num *= p
+        den *= q
+    return Fraction(num, den)
 
 
 def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
@@ -250,7 +286,7 @@ def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     """
     _require_convergent(f)
     _validate_tree(_spanning_forest_test(f.graph), tree)
-    return _tree_limit(f, tree, _weight_denominator(f))
+    return _tree_limit(_leading_terms(f), tree, _weight_denominator(f))
 
 
 @dataclass(frozen=True)
@@ -353,15 +389,18 @@ def layered_tree_weights(
         (part, _spanning_forest_test(minor))
         for part, minor in zip(f.target_layering.parts, f.target_curve.minors.minors)
     ]
+    coords = [(e, x.numerator, x.denominator) for e, x in f.target_point.items()]
     weights: dict[frozenset[str], Fraction] = {}
     for edge_ids in trees:
         _validate_tree(is_forest, edge_ids)
         weight = Fraction(0)
         if all(is_minor_forest(edge_ids & part) for part, is_minor_forest in layers):
-            weight = Fraction(1)
-            for e, x in f.target_point.items():
+            num = den = 1
+            for e, p, q in coords:
                 if e not in edge_ids:
-                    weight *= x
+                    num *= p
+                    den *= q
+            weight = Fraction(num, den)
         weights[edge_ids] = weight
     return weights
 
@@ -380,11 +419,14 @@ def layered_tree_weight(f: LengthFamily, tree: frozenset[str]) -> Fraction:
 
 def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
     """omega_infinity over every spanning tree of the graph, keyed by the
-    edge id sets that :func:`canmeas.graphs.spanning_trees` lists.
+    edge id sets that :func:`canmeas.graphs.spanning_trees` lists, in its
+    order: the keys come in the canonical sorted order.
 
-    Convergence is checked and the rescaling denominator built once;
-    each tree then costs one pass over its off-tree edges.
+    Convergence is checked, and the leading terms and the rescaling
+    denominator read, once; each tree then costs one pass over the
+    edges, in integers.
     """
     _require_convergent(f)
+    leading = _leading_terms(f)
     denominator = _weight_denominator(f)
-    return {tree: _tree_limit(f, tree, denominator) for tree in spanning_trees(f.graph)}
+    return {tree: _tree_limit(leading, tree, denominator) for tree in spanning_trees(f.graph)}

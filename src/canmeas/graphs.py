@@ -192,13 +192,12 @@ def is_stable(g: AugmentedGraph) -> bool:
     return True
 
 
-def _reachable(ends: Mapping[str, tuple[str, str]], source: str, target: str) -> bool:
-    if source == target:
-        return True
-    adjacency: dict[str, set[str]] = {}
-    for u, v in ends.values():
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+def _reachable(edges: list[tuple[str, str, str]], source: str, target: str) -> bool:
+    """Whether the (id, tail, head) edges join source to target."""
+    adjacency: dict[str, list[str]] = {}
+    for _, u, v in edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
     queue = deque([source])
     seen = {source}
     while queue:
@@ -212,40 +211,47 @@ def _reachable(ends: Mapping[str, tuple[str, str]], source: str, target: str) ->
     return False
 
 
+def _forests(
+    edges: list[tuple[str, str, str]], chosen: list[str], out: list[frozenset[str]]
+) -> None:
+    # A module-level recursion, not a closure over out: a closure that
+    # refers to itself is a reference cycle, which keeps every call's
+    # forests alive until the cyclic collector runs.
+    if not edges:
+        out.append(frozenset(chosen))
+        return
+    pick, u, v = edges[0]
+    rest = edges[1:]
+    merged = []
+    for eid, a, b in rest:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a != b:
+            merged.append((eid, a, b))
+    chosen.append(pick)
+    _forests(merged, chosen, out)
+    chosen.pop()
+    if _reachable(rest, u, v):
+        _forests(rest, chosen, out)
+
+
 def spanning_trees(g: AugmentedGraph) -> list[frozenset[str]]:
     """All spanning forests, each with one tree per connected component.
 
     A forest is its set of edge ids; for a connected graph it is a
-    spanning tree, and in general it has ``|V| - c`` edges.  Enumeration
-    is by deletion and contraction on the first non-loop edge in id
-    order: forests avoiding the edge come from the deletion (skipped
-    when the edge is a bridge), forests through it from the contraction.
-    Loops are pruned outright.  Each forest is produced exactly once;
-    the result is sorted lexicographically on sorted edge id tuples.
-    Meant for small graphs (up to roughly 16 edges).
+    spanning tree, and in general it has ``|V| - c`` edges.  Loops are
+    dropped up front.  Enumeration is by contraction and deletion on the
+    first remaining edge in id order: forests through the edge come from
+    the contraction (which drops the loops it creates), then forests
+    avoiding it from the deletion (skipped when the edge is a bridge).
+    Every forest through an edge sorts before every forest avoiding it,
+    so the forests come out exactly once each and already in the
+    canonical order, lexicographic on sorted edge id tuples, with no
+    sort.  Meant for small graphs (up to roughly 16 edges).
     """
-
-    def rec(ends: dict[str, tuple[str, str]]) -> list[set[str]]:
-        pick = next((eid for eid in sorted(ends) if ends[eid][0] != ends[eid][1]), None)
-        if pick is None:
-            return [set()]
-        u, v = ends[pick]
-        rest = {eid: uv for eid, uv in ends.items() if eid != pick}
-        found: list[set[str]] = []
-        if _reachable(rest, u, v):
-            found.extend(rec(rest))
-        merged = {
-            eid: (u if a == v else a, u if b == v else b)
-            for eid, (a, b) in rest.items()
-        }
-        for t in rec(merged):
-            t.add(pick)
-            found.append(t)
-        return found
-
-    forests = [frozenset(t) for t in rec(dict(g._ends))]
-    forests.sort(key=sorted)
-    return forests
+    out: list[frozenset[str]] = []
+    _forests([(eid, u, v) for eid, (u, v) in g.edges if u != v], [], out)
+    return out
 
 
 def find_root(parent: dict[str, str], x: str) -> str:

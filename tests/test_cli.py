@@ -226,6 +226,13 @@ class TestLimitCommand:
             )
             assert code == 2, grid
 
+    def test_tree_limits_are_in_sorted_order(self, capsys):
+        for path in (example("theta.json"), str(FIXTURES / "layered_grid.json")):
+            code, report = run_json(capsys, "limit", "--input", path)
+            assert code == 0
+            trees = [row["tree"] for row in report["tree_limits"]]
+            assert trees == sorted(trees) and len(trees) > 2, path
+
     def test_dichotomy_failure_names_the_first_tree(self, capsys, monkeypatch):
         code, report = run_json(capsys, "limit", "--input", example("theta.json"))
         assert {"name": "tree_weight_dichotomy", "passed": True} in report["assertions"]

@@ -1,4 +1,7 @@
+import gc
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,6 +18,7 @@ from canmeas import (
     OrderedPartition,
     ScaleFunction,
     all_tree_limits,
+    canonical_spanning_forest,
     check_convergence,
     continuity_probe,
     foster_by_trees,
@@ -23,6 +27,7 @@ from canmeas import (
     integrate,
     layered_tree_weight,
     limit_foster,
+    load_document,
     omega_infinity,
     spanning_trees,
     tropical_canonical_measure,
@@ -34,10 +39,14 @@ from canmeas.corpus import (
     random_graph,
     random_layering,
 )
+from canmeas.degeneration import _spanning_forest_test, _tree_limit, layered_tree_weights
 from canmeas.families import product, ratio_limit
 from canmeas.gallery import theta_family, theta_graph, triangle_family
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+# The 3x3 grid with a loop at one corner, in three layers.
+LAYERED_GRID = Path(__file__).parent / "fixtures" / "layered_grid.json"
 
 F = Fraction
 
@@ -277,6 +286,41 @@ class TestTreeWeightLimits:
         with pytest.raises(InvalidGraph):
             layered_tree_weight(theta_family(), frozenset())
 
+    def test_right_size_non_forest_rejected(self):
+        f = load_document(str(LAYERED_GRID)).length_family()
+        trees = set(spanning_trees(f.graph))
+        first = canonical_spanning_forest(f.graph)
+        some_edge = min(first)
+        with_cycle = next(
+            frozenset(c)
+            for c in combinations(sorted(set(f.graph.edge_ids) - {"l22"}), len(first))
+            if frozenset(c) not in trees
+        )
+        for bad in (with_cycle, first - {some_edge} | {"l22"}, first - {some_edge} | {"zz"}):
+            assert len(bad) == len(first)
+            with pytest.raises(InvalidGraph):
+                omega_infinity(f, bad)
+            with pytest.raises(InvalidGraph):
+                layered_tree_weight(f, bad)
+
+    def test_divergent_ratio_raises(self):
+        # Off the tree, t^0 against a denominator at t^1: the ratio grows.
+        with pytest.raises(FamilyError, match="diverges"):
+            _tree_limit([("e", 0, 1, 1)], frozenset(), (1, F(1)))
+        assert _tree_limit([("e", 2, 1, 1)], frozenset(), (1, F(1))) == 0
+        terms = [("e", 1, 3, 4), ("f", 0, 9, 1)]
+        assert _tree_limit(terms, frozenset({"f"}), (1, F(1, 2))) == F(3, 2)
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_limits_come_in_enumeration_order(self, seed):
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        if not g.edge_ids:
+            return
+        f = random_family(rng, g)
+        assert list(all_tree_limits(f)) == spanning_trees(g)
+
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_limit_equals_layered_weight(self, seed):
@@ -310,6 +354,47 @@ class TestTreeWeightLimits:
                 layer_sum += w
             product *= layer_sum
         assert total == product
+
+
+class TestForestTest:
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_greedy_forest(self, seed):
+        # Loops come from random_graph's extra edges; unknown ids are added.
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=10)
+        canonical = canonical_spanning_forest(g)
+        is_forest = _spanning_forest_test(g)
+        pool = list(g.edge_ids) + ["zz", "e99"]
+        candidates = list(spanning_trees(g)[:5])
+        for _ in range(30):
+            size = max(0, len(canonical) + rng.choice((-1, 0, 0, 0, 1)))
+            candidates.append(frozenset(rng.sample(pool, min(size, len(pool)))))
+        for s in candidates:
+            want = len(s) == len(canonical) and canonical_spanning_forest(g, s) == s
+            assert is_forest(s) == want, sorted(s)
+
+
+def test_tree_route_leaves_no_reference_cycles():
+    # Reference cycles outlive their last use until the cyclic collector
+    # runs; with it off, each call must leave nothing for it to find.
+    f = load_document(str(LAYERED_GRID)).length_family()
+    trees = spanning_trees(f.graph)
+    calls = {
+        "spanning_trees": lambda: spanning_trees(f.graph),
+        "all_tree_limits": lambda: all_tree_limits(f),
+        "layered_tree_weights": lambda: layered_tree_weights(f, trees),
+    }
+    for call in calls.values():
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 class TestMeasureTrajectories:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -241,6 +242,75 @@ class TestSpanningTrees:
             assert len(t) == want
             kept = tuple((eid, uv) for eid, uv in g.edges if eid in t)
             assert is_connected(AugmentedGraph(vertices=g.vertices, edges=kept))
+
+
+@st.composite
+def split_multigraphs(draw):
+    """A multigraph with at least two components, loops and parallel
+    edges allowed, up to 10 edges, as (vertices, [(id, tail, head)]).
+
+    Edge ids are shuffled against creation order, so id order is not the
+    order in which the edges were drawn.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    blocks, start = [], 0
+    for n in sizes:
+        blocks.append([f"v{i}" for i in range(start, start + n)])
+        start += n
+    pairs = draw(
+        st.lists(
+            st.sampled_from(blocks).flatmap(
+                lambda b: st.tuples(st.sampled_from(b), st.sampled_from(b))
+            ),
+            max_size=10,
+        )
+    )
+    ids = draw(st.permutations([f"e{k:02d}" for k in range(len(pairs))]))
+    vertices = [v for b in blocks for v in b]
+    return vertices, [(eid, u, v) for eid, (u, v) in zip(ids, pairs)]
+
+
+def forests_by_brute_force(vertices, edges):
+    """Every spanning forest, from all edge subsets of size |V| - c in
+    lexicographic order, kept when a union-find finds no cycle."""
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def acyclic(chosen):
+        parent = {v: v for v in vertices}
+        for eid in chosen:
+            a, b = root(parent, ends[eid][0]), root(parent, ends[eid][1])
+            if a == b:
+                return False
+            parent[a] = b
+        return True
+
+    ends = {eid: (u, v) for eid, u, v in edges}
+    parent = {v: v for v in vertices}
+    components = len(vertices)
+    for _, u, v in edges:
+        a, b = root(parent, u), root(parent, v)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    ids = sorted(eid for eid, u, v in edges if u != v)
+    return [
+        frozenset(c) for c in combinations(ids, len(vertices) - components) if acyclic(c)
+    ]
+
+
+class TestEnumerationOracle:
+    @given(split_multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_in_order(self, drawn):
+        vertices, edges = drawn
+        g = AugmentedGraph(
+            vertices=tuple(vertices), edges=tuple((eid, (u, v)) for eid, u, v in edges)
+        )
+        assert spanning_trees(g) == forests_by_brute_force(vertices, edges)
 
 
 class TestCycles:
