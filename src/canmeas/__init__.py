@@ -24,7 +24,6 @@ from .degeneration import (
 )
 from .documents import (
     GraphDocument,
-    document_to_data,
     dump_report,
     exact_field,
     float_field,
@@ -33,7 +32,6 @@ from .documents import (
     parse_document,
     parse_rational,
     render_table,
-    serialize_document,
 )
 from .errors import (
     BasisError,

@@ -3,7 +3,10 @@
 Everything here is driven by a caller-supplied random.Random, so a fixed
 seed reproduces the same corpus byte for byte.  Graphs are connected
 multigraphs built from a random spanning tree plus extra edges (loops
-and parallels allowed); lengths are small random rationals.
+and parallels allowed); lengths are small random rationals.  Callers
+choose sizes and length bounds; the other bounds are fixed constants:
+vertex genera 0 to 2, at most 4 layers, at most 3 breakpoints per edge,
+and blocks of size 1 to 3 with consecutive scale ratios t^2.
 """
 
 from __future__ import annotations
@@ -22,13 +25,8 @@ from .measures import MetricGraph, NormalizedTestFunction
 from .periods import BlockScaleProfile
 
 
-def random_graph(
-    rng: Random,
-    max_vertices: int = 8,
-    max_edges: int = 12,
-    max_vertex_genus: int = 2,
-) -> AugmentedGraph:
-    """A random connected multigraph with random vertex genera."""
+def random_graph(rng: Random, max_vertices: int = 8, max_edges: int = 12) -> AugmentedGraph:
+    """A random connected multigraph with vertex genera drawn from 0 to 2."""
     nv = rng.randint(1, max_vertices)
     vertices = tuple(f"v{i}" for i in range(nv))
     edges: list[tuple[str, tuple[str, str]]] = []
@@ -44,7 +42,7 @@ def random_graph(
         u = rng.choice(vertices)
         v = rng.choice(vertices)
         edges.append((f"e{len(edges)}", (u, v)))
-    genus = {v: rng.randint(0, max_vertex_genus) for v in vertices}
+    genus = {v: rng.randint(0, 2) for v in vertices}
     return AugmentedGraph(vertices=vertices, edges=tuple(edges), genus=genus)
 
 
@@ -57,13 +55,13 @@ def random_metric(rng: Random, g: AugmentedGraph, max_part: int = 100) -> Metric
     return MetricGraph(g, lengths)
 
 
-def random_layering(rng: Random, g: AugmentedGraph, max_layers: int = 4) -> OrderedPartition:
-    """A random ordered partition of the edge set."""
+def random_layering(rng: Random, g: AugmentedGraph) -> OrderedPartition:
+    """A random ordered partition of the edge set into at most 4 layers."""
     ids = list(g.edge_ids)
     if not ids:
         return OrderedPartition(parts=())
     rng.shuffle(ids)
-    layers = rng.randint(1, min(max_layers, len(ids)))
+    layers = rng.randint(1, min(4, len(ids)))
     cuts = sorted(rng.sample(range(1, len(ids)), layers - 1)) if layers > 1 else []
     parts = []
     start = 0
@@ -108,19 +106,20 @@ def layered_family(
     )
 
 
-def random_family(rng: Random, g: AugmentedGraph, max_layers: int = 4) -> LengthFamily:
-    p = random_layering(rng, g, max_layers)
+def random_family(rng: Random, g: AugmentedGraph) -> LengthFamily:
+    p = random_layering(rng, g)
     return layered_family(g, p, normalized_coordinates(rng, p))
 
 
-def random_test_function(rng: Random, g: AugmentedGraph, max_breaks: int = 3) -> NormalizedTestFunction:
-    """Random rational piecewise-linear data in normalized coordinates."""
+def random_test_function(rng: Random, g: AugmentedGraph) -> NormalizedTestFunction:
+    """Random rational piecewise-linear data in normalized coordinates,
+    with at most 3 breakpoints per edge."""
     values = {
         v: Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for v in g.vertices
     }
     breaks = {}
     for e in g.edge_ids:
-        n = rng.randint(0, max_breaks)
+        n = rng.randint(0, 3)
         if not n:
             continue
         spots = sorted(rng.sample(range(1, 20), n))
@@ -132,21 +131,18 @@ def random_test_function(rng: Random, g: AugmentedGraph, max_breaks: int = 3) ->
 
 
 def random_block_profile(
-    gen: np.random.Generator,
-    n_blocks: int | None = None,
-    max_block: int = 3,
-    gap: int = 2,
+    gen: np.random.Generator, n_blocks: int | None = None
 ) -> BlockScaleProfile:
     """A random graded block profile with well-separated scales.
 
-    Block k carries scale t^(-gap*(r-1-k)), so consecutive scale ratios
-    vanish like t^gap.  Diagonal limits are identity plus a small
-    symmetric part, off-diagonal limits are moderate, which keeps every
-    diagonal block comfortably invertible.
+    Blocks have sizes 1 to 3.  Block k carries scale t^(-2(r-1-k)), so
+    consecutive scale ratios vanish like t^2.  Diagonal limits are
+    identity plus a small symmetric part, off-diagonal limits are
+    moderate, which keeps every diagonal block comfortably invertible.
     """
     r = n_blocks if n_blocks is not None else int(gen.integers(2, 5))
-    sizes = tuple(int(gen.integers(1, max_block + 1)) for _ in range(r))
-    scales = tuple(ScaleFunction.power(-gap * (r - 1 - k)) for k in range(r))
+    sizes = tuple(int(gen.integers(1, 4)) for _ in range(r))
+    scales = tuple(ScaleFunction.power(-2 * (r - 1 - k)) for k in range(r))
     limits = []
     for k in range(r):
         row = []

@@ -77,8 +77,8 @@ class LengthFamily:
         if set(lengths) != edge_ids:
             raise FamilyError("length family must cover exactly the edges of the graph")
         for eid, fn in lengths.items():
-            if not isinstance(fn, ScaleFunction) or not fn:
-                raise FamilyError(f"edge {eid!r} needs a nonzero scale function")
+            if not isinstance(fn, ScaleFunction):
+                raise FamilyError(f"edge {eid!r} needs a scale function")
         for eid, x in target.items():
             if x <= 0:
                 raise FamilyError(
@@ -99,12 +99,8 @@ class LengthFamily:
 
     def layer_total(self, j: int) -> ScaleFunction:
         """Sum of the scale functions over layer j."""
-        total = None
-        for e in sorted(self.target_layering.parts[j]):
-            fn = self.param_lengths[e]
-            total = fn if total is None else total + fn
-        assert total is not None
-        return total
+        part = sorted(self.target_layering.parts[j])
+        return ScaleFunction(terms=tuple(t for e in part for t in self.param_lengths[e].terms))
 
     @cached_property
     def target_curve(self) -> TropicalCurve:

@@ -1,4 +1,4 @@
-"""JSON documents describing graphs, and deterministic report rendering.
+"""Parsing of JSON graph documents, and deterministic report rendering.
 
 Document layout::
 
@@ -14,8 +14,8 @@ Document layout::
 Rationals are exact strings ("p/q" or an integer string); JSON floats
 are rejected so no binary rounding sneaks into exact lanes.  All
 optional sections may be omitted; operations that need a missing section
-say so.  Serialization is canonical (sorted keys, fixed indentation), so
-equal documents and equal reports are equal byte for byte.
+say so.  Reports are serialized canonically (sorted keys, fixed
+indentation), so equal reports are equal byte for byte.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
 the float rendered with 17 significant digits.
@@ -244,39 +244,6 @@ def load_document(path: str) -> GraphDocument:
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
     return parse_document(text)
-
-
-def document_to_data(doc: GraphDocument) -> dict[str, Any]:
-    data: dict[str, Any] = {}
-    if doc.description is not None:
-        data["description"] = doc.description
-    data["vertices"] = []
-    for v in doc.graph.vertices:
-        item: dict[str, Any] = {"id": v}
-        if doc.graph.genus[v]:
-            item["genus"] = doc.graph.genus[v]
-        labels = sorted(l for l, w in doc.graph.marks.items() if w == v)
-        if labels:
-            item["marks"] = labels
-        data["vertices"].append(item)
-    data["edges"] = []
-    for eid, (u, v) in doc.graph.edges:
-        item = {"id": eid, "ends": [u, v]}
-        if doc.lengths is not None:
-            item["length"] = str(doc.lengths[eid])
-        data["edges"].append(item)
-    if doc.layering is not None:
-        data["layering"] = [sorted(part) for part in doc.layering.parts]
-    if doc.family is not None:
-        data["family"] = {e: fn.render() for e, fn in sorted(doc.family.items())}
-    if doc.target is not None:
-        data["target"] = {e: str(x) for e, x in sorted(doc.target.items())}
-    return data
-
-
-def serialize_document(doc: GraphDocument) -> str:
-    """Canonical JSON text; parse(serialize(d)) equals d."""
-    return json.dumps(document_to_data(doc), indent=2, sort_keys=True) + "\n"
 
 
 def exact_field(x: Fraction) -> dict[str, str]:

@@ -32,6 +32,8 @@ class ScaleFunction:
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if not self.terms:
+            raise FamilyError("a scale function needs at least one term")
         merged: dict[int, Fraction] = {}
         for k, c in self.terms:
             c = Fraction(c)
@@ -40,9 +42,6 @@ class ScaleFunction:
             if c <= 0:
                 raise FamilyError(f"coefficient of t^{k} must be positive, got {c}")
         object.__setattr__(self, "terms", tuple(sorted(merged.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     @classmethod
     def constant(cls, value) -> "ScaleFunction":
@@ -55,14 +54,10 @@ class ScaleFunction:
     @property
     def dominant_exponent(self) -> int:
         """Exponent governing the behaviour as t -> 0+."""
-        if not self.terms:
-            raise FamilyError("the zero function has no dominant exponent")
         return self.terms[0][0]
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            raise FamilyError("the zero function has no leading coefficient")
         return self.terms[0][1]
 
     def coefficient_at(self, exponent: int) -> Fraction:
@@ -86,36 +81,9 @@ class ScaleFunction:
             )
         )
 
-    def __add__(self, other: "ScaleFunction") -> "ScaleFunction":
-        if not isinstance(other, ScaleFunction):
-            return NotImplemented
-        return ScaleFunction(terms=self.terms + other.terms)
-
     def scaled(self, factor) -> "ScaleFunction":
         f = Fraction(factor)
         return ScaleFunction(terms=tuple((k, c * f) for k, c in self.terms))
-
-    def __pow__(self, n: int) -> "ScaleFunction":
-        if n < 0:
-            raise FamilyError("only nonnegative powers of scale functions")
-        out = ScaleFunction.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def render(self) -> str:
-        """Canonical string form; parse(render(f)) == f."""
-        if not self.terms:
-            raise FamilyError("the zero function has no rendering")
-        parts = []
-        for k, c in self.terms:
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{k}")
-        return " + ".join(parts)
 
 
 def parse_scale(text: str) -> ScaleFunction:
@@ -139,8 +107,6 @@ def parse_scale(text: str) -> ScaleFunction:
         else:
             exp = 0
         terms.append((exp, coeff))
-    if not terms:
-        raise FamilyError("empty scale expression")
     return ScaleFunction(terms=tuple(terms))
 
 
@@ -159,11 +125,11 @@ def ratio_limit(numerator: ScaleFunction, denominator: ScaleFunction) -> Fractio
     raise FamilyError("ratio diverges as t -> 0")
 
 
-def geometric_grid(first_exp: int = 1, last_exp: int = 6, base: int = 10) -> tuple[Fraction, ...]:
-    """Sample points base^-k for k from first_exp to last_exp."""
+def geometric_grid(first_exp: int = 1, last_exp: int = 6) -> tuple[Fraction, ...]:
+    """Sample points 10^-k, base fixed at 10, for k from first_exp to last_exp."""
     if first_exp > last_exp or first_exp < 1:
         raise FamilyError("grid exponents must satisfy 1 <= first <= last")
-    return tuple(Fraction(1, base**k) for k in range(first_exp, last_exp + 1))
+    return tuple(Fraction(1, 10**k) for k in range(first_exp, last_exp + 1))
 
 
 def validate_grid(grid: Iterable[Fraction]) -> tuple[Fraction, ...]:

@@ -127,11 +127,14 @@ class TropicalCurve:
 
 @dataclass(frozen=True)
 class EdgeMeasure:
-    """A measure with a rational mass per edge and integer vertex atoms."""
+    """A rational mass per edge plus an atom at each vertex.
+
+    The atoms are the vertex genera, as in the canonical measure, so
+    they are read from the graph rather than stored.
+    """
 
     metric: MetricGraph
     edge_coeffs: Mapping[str, Fraction]
-    vertex_atoms: Mapping[str, int]
 
     def __post_init__(self) -> None:
         coeffs = {e: _as_fraction(x) for e, x in self.edge_coeffs.items()}
@@ -140,14 +143,11 @@ class EdgeMeasure:
         for e, x in coeffs.items():
             if x < 0 or x > 1:
                 raise InvalidGraph(f"edge mass {x} on {e!r} is outside [0, 1]")
-        atoms = dict(self.vertex_atoms)
-        if set(atoms) != set(self.metric.graph.vertices):
-            raise InvalidGraph("vertex atoms must cover exactly the vertices")
-        for v, a in atoms.items():
-            if a < 0:
-                raise InvalidGraph(f"negative atom at vertex {v!r}")
         object.__setattr__(self, "edge_coeffs", coeffs)
-        object.__setattr__(self, "vertex_atoms", atoms)
+
+    @property
+    def vertex_atoms(self) -> Mapping[str, int]:
+        return self.metric.graph.genus
 
     @property
     def edge_mass(self) -> Fraction:
@@ -174,7 +174,7 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
         for eid in tree:
             inside[eid] += weight
     coeffs = {e: 1 - inside[e] / total for e in edge_ids}
-    return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
+    return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
 def _cycle_gram(m: MetricGraph, basis: Sequence[CycleVector]) -> list[list[Fraction]]:
@@ -228,7 +228,7 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     for (eid, column), a in zip(rhs.items(), solutions):
         q = sum((ai * ri for ai, ri in zip(a, column)), Fraction(0))
         coeffs[eid] = q / m.lengths[eid]
-    return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
+    return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
 def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
@@ -258,7 +258,7 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     coeffs = _cycle_space_masses(m)
-    return EdgeMeasure(metric=m, edge_coeffs=coeffs, vertex_atoms=dict(m.graph.genus))
+    return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
 def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
@@ -276,9 +276,7 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
     for minor in t.minors.minors:
         restricted = {e: t.lengths[e] for e in minor.edge_ids}
         coeffs.update(_cycle_space_masses(MetricGraph(minor, restricted)))
-    return EdgeMeasure(
-        metric=t.metric, edge_coeffs=coeffs, vertex_atoms=dict(t.graph.genus)
-    )
+    return EdgeMeasure(metric=t.metric, edge_coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ class TestMeasureCommand:
         assert "vertices" in err
 
     def test_marks_must_be_a_list(self, capsys, tmp_path):
-        doc = json.loads(open(example("theta.json")).read())
+        doc = json.loads(Path(example("theta.json")).read_text())
         doc["vertices"][0]["marks"] = 5
         path = tmp_path / "marks.json"
         path.write_text(json.dumps(doc))
@@ -96,7 +96,7 @@ class TestMeasureCommand:
         def skewed(m):
             mu = real(m)
             coeffs = dict(mu.edge_coeffs, e2=mu.edge_coeffs["e2"] / 2, e3=Fraction(0))
-            return canmeas.EdgeMeasure(mu.metric, coeffs, mu.vertex_atoms)
+            return canmeas.EdgeMeasure(mu.metric, coeffs)
 
         monkeypatch.setitem(cli._FORMULATIONS, "matrix", skewed)
         code, out, err = run(capsys, "measure", "--input", example("theta.json"))
@@ -181,7 +181,7 @@ class TestMinorsCommand:
 
     def test_layering_required(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
-        doc = json.loads(open(example("theta.json")).read())
+        doc = json.loads(Path(example("theta.json")).read_text())
         del doc["layering"]
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "minors", "--input", str(path))
@@ -259,7 +259,7 @@ class TestLimitCommand:
         ]
 
     def test_divergent_family(self, capsys, tmp_path):
-        doc = json.loads(open(example("theta.json")).read())
+        doc = json.loads(Path(example("theta.json")).read_text())
         doc["family"]["e2"] = "1/3*t"
         path = tmp_path / "skew.json"
         path.write_text(json.dumps(doc))

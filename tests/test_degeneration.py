@@ -53,12 +53,12 @@ F = Fraction
 
 def reference_tree_limit(f, tree):
     # The full product of the off-tree lengths against the full
-    # rescaling prod_j layer_total(j) ** h_j, as omega_infinity once
+    # rescaling prod_j layer_total(j)^h_j, as omega_infinity once
     # computed it before reading leading terms only.
     numerator = product(f.param_lengths[e] for e in f.graph.edge_ids if e not in tree)
     genus_vector = graded_minors(f.graph, f.target_layering).genus_vector
     denominator = product(
-        f.layer_total(j) ** h for j, h in enumerate(genus_vector) if h > 0
+        f.layer_total(j) for j, h in enumerate(genus_vector) for _ in range(h)
     )
     return ratio_limit(numerator, denominator)
 
@@ -132,6 +132,21 @@ class TestLengthFamily:
             "e3": F(1, 20),
         }
         assert f.layer_total(1).terms == ((1, F(1)),)
+
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_layer_total_adds_coefficients_per_exponent(self, seed):
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=5, max_edges=7)
+        if not g.edge_ids:
+            return
+        f = multi_term_family(rng, g)
+        for j, part in enumerate(f.target_layering.parts):
+            want = {}
+            for e in part:
+                for k, c in f.param_lengths[e].terms:
+                    want[k] = want.get(k, 0) + c
+            assert f.layer_total(j).terms == tuple(sorted(want.items()))
 
     def test_growing_lengths_are_allowed(self):
         f = LengthFamily(

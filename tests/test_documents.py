@@ -1,17 +1,17 @@
 import json
 from fractions import Fraction
 from importlib import resources
-from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canmeas import (
+    AugmentedGraph,
     DocumentError,
-    GraphDocument,
     MissingSection,
-    document_to_data,
+    OrderedPartition,
+    ScaleFunction,
     dump_report,
     exact_field,
     float_field,
@@ -20,20 +20,12 @@ from canmeas import (
     measure_section,
     parse_document,
     render_table,
-    serialize_document,
-)
-from canmeas.corpus import (
-    layered_family,
-    normalized_coordinates,
-    random_graph,
-    random_layering,
-    random_metric,
 )
 from canmeas.gallery import theta_graph
 
-seeds = st.integers(min_value=0, max_value=10**9)
-
 F = Fraction
+
+rationals = st.fractions(min_value=F(1, 99), max_value=99, max_denominator=99)
 
 THETA_TEXT = """
 {
@@ -93,6 +85,48 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(DocumentError, match="cannot read"):
             load_document("/nonexistent/doc.json")
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_documents_round_trip(self, data):
+        # Raw JSON written straight from the draws parses to exactly them.
+        vertices = [f"v{i}" for i in range(data.draw(st.integers(1, 5)))]
+        genus = {v: data.draw(st.integers(0, 2)) for v in vertices}
+        vertex = st.sampled_from(vertices)
+        ends = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+        ids = data.draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+
+        def per_edge(values):
+            return data.draw(st.lists(values, min_size=len(ids), max_size=len(ids)))
+
+        lengths = per_edge(st.tuples(st.integers(1, 99), st.integers(1, 99)))
+        layer_of = per_edge(st.integers(0, 3))
+        family = dict(zip(ids, zip(per_edge(rationals), per_edge(st.integers(0, 5)))))
+        target = dict(zip(ids, per_edge(rationals)))
+        layers = [[e for e, j in zip(ids, layer_of) if j == k] for k in range(4)]
+        layers = [layer for layer in layers if layer]
+        doc = parse_document(
+            json.dumps(
+                {
+                    "vertices": [{"id": v, "genus": genus[v]} for v in vertices],
+                    "edges": [
+                        {"id": e, "ends": list(uv), "length": f"{p}/{q}"}
+                        for e, uv, (p, q) in zip(ids, ends, lengths)
+                    ],
+                    "layering": layers,
+                    "family": {e: f"{x}*t^{a}" for e, (x, a) in family.items()},
+                    "target": {e: str(x) for e, x in target.items()},
+                }
+            )
+        )
+        assert doc.graph == AugmentedGraph(
+            vertices=tuple(vertices), edges=tuple(zip(ids, ends)), genus=genus
+        )
+        assert doc.lengths == {e: F(p, q) for e, (p, q) in zip(ids, lengths)}
+        assert doc.layering == OrderedPartition(parts=tuple(map(frozenset, layers)))
+        assert doc.family == {e: ScaleFunction.power(a, x) for e, (x, a) in family.items()}
+        assert doc.target == target
+        assert doc.description is None
 
 
 class TestParseErrors:
@@ -262,49 +296,6 @@ class TestMissingSections:
         del data["target"]
         with pytest.raises(MissingSection, match="target point"):
             parse_document(data).length_family()
-
-
-class TestSerialization:
-    def test_round_trip_is_byte_identical(self):
-        text = serialize_document(parse_document(THETA_TEXT))
-        assert serialize_document(parse_document(text)) == text
-        assert text.endswith("\n")
-
-    def test_zero_genus_is_omitted(self):
-        doc = parse_document(THETA_TEXT)
-        data = document_to_data(doc)
-        by_id = {item["id"]: item for item in data["vertices"]}
-        assert by_id["u"]["genus"] == 1 and by_id["u"]["marks"] == ["p"]
-        assert "genus" not in by_id["v"] and "marks" not in by_id["v"]
-        assert data["edges"][1]["length"] == "1/2"
-        assert data["layering"] == [["e1"], ["e2", "e3"]]
-        assert data["family"]["e2"] == "1/2*t"
-        assert data["target"]["e1"] == "1"
-
-    def test_bundled_examples_round_trip(self):
-        for name in ("theta.json", "triangle.json", "theta_weighted.json"):
-            doc = load_document(example_path(name))
-            assert parse_document(serialize_document(doc)).graph == doc.graph
-
-    @given(seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_random_documents_round_trip(self, seed):
-        rng = Random(seed)
-        g = random_graph(rng, max_vertices=5, max_edges=7)
-        if not g.edge_ids:
-            return
-        layering = random_layering(rng, g)
-        coords = normalized_coordinates(rng, layering)
-        doc = GraphDocument(
-            graph=g,
-            lengths=dict(random_metric(rng, g).lengths),
-            layering=layering,
-            family=dict(layered_family(g, layering, coords).param_lengths),
-            target=dict(coords),
-            description="random round trip",
-        )
-        text = serialize_document(doc)
-        assert serialize_document(parse_document(text)) == text
 
 
 class TestReportRendering:

@@ -187,16 +187,6 @@ class TestEdgeMeasureValidation:
             EdgeMeasure(
                 metric=m,
                 edge_coeffs={"e1": F(2), "e2": F(0), "e3": F(0)},
-                vertex_atoms={},
-            )
-
-    def test_atoms_must_be_nonnegative(self):
-        m = theta_metric()
-        with pytest.raises(InvalidGraph):
-            EdgeMeasure(
-                metric=m,
-                edge_coeffs={"e1": F(1), "e2": F(1, 2), "e3": F(1, 2)},
-                vertex_atoms={"u": -1},
             )
 
 
