@@ -18,9 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from random import Random
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import corpus, gallery
 from .degeneration import (
@@ -66,11 +64,28 @@ from .periods import (
     verify_inverse_lemma,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _FORMULATIONS = {
     "trees": foster_by_trees,
     "projection": foster_by_projection,
     "matrix": foster_by_matrix,
 }
+
+# The most spanning trees a command enumerates.  The 4x4 grid (100,352)
+# and K8 (262,144) are below it; the 4x5 grid (4,140,081) and K9
+# (4,782,969) are above it, and listing theirs exhausts 2 GiB of memory.
+TREE_BUDGET = 1_000_000
+
+
+def _require_tree_budget(count: int, holder: str = "the graph") -> None:
+    """Refuse, from the exact count and before enumerating, to list more
+    than TREE_BUDGET trees."""
+    if count > TREE_BUDGET:
+        raise CanmeasError(
+            f"{holder} has {count} spanning trees, over the budget of {TREE_BUDGET}"
+        )
 
 
 def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, ...]:
@@ -162,6 +177,8 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     metric = doc.metric()
     names = list(_FORMULATIONS) if args.formulation == "all" else [args.formulation]
+    if "trees" in names:
+        _require_tree_budget(tree_count(doc.graph))
     measures = {name: _FORMULATIONS[name](metric) for name in names}
     report: dict[str, Any] = {
         "command": "measure",
@@ -174,8 +191,9 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 def cmd_trees(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
-    trees = spanning_trees(doc.graph)
     oracle = tree_count(doc.graph)
+    _require_tree_budget(oracle)
+    trees = spanning_trees(doc.graph)
     report = {
         "command": "trees",
         "graph": _graph_section(doc.graph),
@@ -191,9 +209,13 @@ def _minors_checks(minors: GradedMinorReport) -> tuple[list[int], int, list[dict
     """Per-minor matrix-tree counts, the layered tree count, and the checks
     that the genera sum to the genus and the two tree counts agree."""
     counts = [tree_count(minor) for minor in minors.minors]
+    # One minor's forests are listed at a time, so each count is budgeted
+    # on its own, not their product.
+    for j, count in enumerate(counts):
+        _require_tree_budget(count, f"graded minor {j}")
+    product = math.prod(counts)
     # Unions of one forest per minor: the layers are disjoint, so counts multiply.
     layered = math.prod(len(spanning_trees(minor)) for minor in minors.minors)
-    product = math.prod(counts)
     h = graph_genus(minors.graph)
     assertions = [
         _assertion(
@@ -276,6 +298,7 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     family = doc.length_family()
     grid = _parse_grid(args.grid, (1, 6))
+    _require_tree_budget(tree_count(doc.graph))
     limits = all_tree_limits(family)
     dichotomy = _dichotomy_assertion(family, limits)
     foster = limit_foster(family, grid)
@@ -373,6 +396,8 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             raise FamilyError(
                 "need one strictly decreasing positive exponent per layer"
             )
+    import numpy as np
+
     family = corpus.layered_family(doc.graph, layering, doc.target, [-a for a in exponents])
     basis = admissible_cycle_basis(family.target_curve.minors)
     monodromy = monodromy_from_basis(doc.graph, basis)
@@ -498,6 +523,8 @@ def _selftest_limits() -> dict[str, Any]:
 
 
 def _selftest_periods(seed: int) -> dict[str, Any]:
+    import numpy as np
+
     model = gallery.theta_period_family()
     limits = graded_inverse_limits(model, geometric_grid(1, 4))
     gen = np.random.default_rng(seed + 1)
@@ -579,6 +606,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_linalg_errors() -> tuple[type[Exception], ...]:
+    """numpy's LinAlgError once the period lane has loaded numpy, else
+    nothing: an except clause evaluates this only when an exception
+    reaches it, and numpy cannot raise before it is loaded."""
+    np = sys.modules.get("numpy")
+    return () if np is None else (np.linalg.LinAlgError,)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -589,11 +624,11 @@ def main(argv=None) -> int:
     except CanmeasError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as err:
-        print(f"error: numerical linear algebra failed: {err}", file=sys.stderr)
-        return 3
     except MemoryError as err:
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
+        return 3
+    except _loaded_linalg_errors() as err:
+        print(f"error: numerical linear algebra failed: {err}", file=sys.stderr)
         return 3
     text = render_table(report) if args.table else dump_report(report)
     sys.stdout.write(text)

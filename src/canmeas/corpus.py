@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .degeneration import LengthFamily
 from .families import ScaleFunction
@@ -23,6 +21,9 @@ from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
 from .measures import MetricGraph, NormalizedTestFunction
 from .periods import BlockScaleProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def random_graph(rng: Random, max_vertices: int = 8, max_edges: int = 12) -> AugmentedGraph:
@@ -140,6 +141,8 @@ def random_block_profile(
     identity plus a small symmetric part, off-diagonal limits are
     moderate, which keeps every diagonal block comfortably invertible.
     """
+    import numpy as np
+
     r = n_blocks if n_blocks is not None else int(gen.integers(2, 5))
     sizes = tuple(int(gen.integers(1, 4)) for _ in range(r))
     scales = tuple(ScaleFunction.power(-2 * (r - 1 - k)) for k in range(r))

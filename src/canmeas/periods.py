@@ -20,15 +20,19 @@ by :func:`canmeas.linalg.rank_one_sum` like the cycle Gram matrix.  A
 recursive Schur-complement inverter provides an independent oracle for
 every direct inversion, and grid points whose condition number estimate
 exceeds 1e12 are flagged.
+
+numpy is imported inside each function that calls it, not at module
+level.  The command line loads this module on every run, and numpy
+would take more than half of its start-up time, so only the commands
+that sample period matrices (``periods`` and the period section of
+``selftest``) load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import linalg
 from .degeneration import LengthFamily
@@ -37,6 +41,9 @@ from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
 from .layerings import AdmissibleBasis
 from .measures import MetricGraph, gram_matrices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONDITION_LIMIT = 1e12
 
@@ -95,6 +102,8 @@ def monodromy_from_basis(g: AugmentedGraph, basis: AdmissibleBasis) -> Monodromy
 
 
 def _positive_definite(m: np.ndarray) -> bool:
+    import numpy as np
+
     # A Cholesky factorization exists exactly for positive definite
     # matrices.  It succeeds on diagonals spread over many decades, where a
     # smallest-eigenvalue test drowns in rounding error.
@@ -129,6 +138,8 @@ class ModelPeriodFamily:
     base_im: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         base = np.array(self.base_im, dtype=float)
         n = self.monodromy.total_size
         if n == 0:
@@ -165,6 +176,8 @@ class ModelPeriodFamily:
         """Inverse of the base's pad block, or None without a pad."""
         if not self.monodromy.pad:
             return None
+        import numpy as np
+
         h = self.monodromy.rank
         return np.linalg.inv(self.base_im[h:, h:])
 
@@ -185,6 +198,8 @@ def assemble_base(
     columns.  Without vertex genus the pad is empty and ``vertex_blocks``
     is not read.
     """
+    import numpy as np
+
     n = monodromy.total_size
     h = monodromy.rank
     base = np.zeros((n, n))
@@ -221,6 +236,8 @@ def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     family was built.  Raises NotPositiveDefinite, naming t, if the
     result fails to be positive definite.
     """
+    import numpy as np
+
     out = f.base_im.copy()
     h = f.monodromy.rank
     for eid, fn in sorted(f.lengths.param_lengths.items()):
@@ -244,6 +261,8 @@ def schur_block_inverse(m: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     This is an independent path to the inverse used as an oracle against
     direct inversion.
     """
+    import numpy as np
+
     sizes = [s for s in sizes]
     if sum(sizes) != m.shape[0]:
         raise FamilyError("block sizes do not sum to the matrix size")
@@ -294,6 +313,8 @@ class BlockScaleProfile:
     limits: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
         object.__setattr__(self, "scales", tuple(self.scales))
         r = len(self.block_sizes)
@@ -383,6 +404,8 @@ def _block_samples(
     recorded.  Points with condition estimate beyond 1e12 are flagged; a
     point whose matrix or scales overflow binary64 raises FamilyError.
     """
+    import numpy as np
+
     offsets = _block_offsets(sizes)
     samples = []
     for t in pts:
@@ -432,6 +455,8 @@ def verify_inverse_lemma(
     inversion is cross-checked against the Schur recursion oracle, and
     points with condition estimate beyond 1e12 are flagged.
     """
+    import numpy as np
+
     if noise is None:
         noise = NoiseSpec()
     pts = geometric_grid(1, 4) if grid is None else validate_grid(grid)
@@ -508,6 +533,8 @@ def graded_inverse_limits(
     total, must approach the inverse of the exact layer matrix; the pad
     block, unrescaled, must approach the inverse of the base pad block.
     """
+    import numpy as np
+
     layering = f.lengths.target_layering
     r = len(layering.parts)
     if len(f.monodromy.block_sizes) != r:

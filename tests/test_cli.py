@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import canmeas
-from canmeas import cli
+from canmeas import cli, graphs
 from canmeas.cli import main
 
 
@@ -480,14 +480,25 @@ class TestPeriodsCommand:
         assert len(err.splitlines()) == 1
 
     def test_numpy_linear_algebra_errors_are_precondition_errors(self, capsys, monkeypatch):
+        import numpy as np
+
         def singular(*args, **kwargs):
-            raise cli.np.linalg.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(cli, "graded_inverse_limits", singular)
         code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
         assert code == 3
         assert out == ""
         assert err == "error: numerical linear algebra failed: Singular matrix\n"
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a precondition")
+
+        monkeypatch.setattr(cli, "graded_inverse_limits", broken)
+        with pytest.raises(RuntimeError, match="not a precondition"):
+            main(["periods", "--input", example("theta_weighted.json")])
+        assert capsys.readouterr().out == ""
 
     def test_out_of_memory_is_a_precondition_error(self, capsys, monkeypatch):
         # A huge vertex genus asks assemble_base for a matrix that cannot
@@ -630,6 +641,91 @@ def test_graded_minors_are_built_once_per_command(capsys, monkeypatch):
         code, out, err = run(capsys, command, "--input", path)
         assert code == 0, command
         assert len(calls) == 1, command
+
+
+def _complete_blocks_document(path, n, blocks=1):
+    """``blocks`` copies of K_n glued at the vertex v0, one layer each,
+    with unit lengths."""
+    ids = [[f"v{b}_{i}" if i else "v0" for i in range(n)] for b in range(blocks)]
+    layers = [
+        {f"e{b}_{i}_{j}": [ids[b][i], ids[b][j]] for i in range(n) for j in range(i + 1, n)}
+        for b in range(blocks)
+    ]
+    ends = {e: pair for layer in layers for e, pair in layer.items()}
+    share = f"1/{len(ends)}"
+    doc = {
+        "vertices": [{"id": v} for v in dict.fromkeys(v for block in ids for v in block)],
+        "edges": [{"id": e, "ends": pair, "length": "1"} for e, pair in ends.items()],
+        "layering": [sorted(layer) for layer in layers],
+        "family": dict.fromkeys(ends, share),
+        "target": dict.fromkeys(ends, share),
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("spanning trees were enumerated")
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["trees"], ["minors"], ["limit"]])
+def test_tree_enumeration_over_the_budget_is_refused(capsys, monkeypatch, tmp_path, argv):
+    # K9 has 9^7 = 4,782,969 spanning trees; the exact count refuses them
+    # before any is listed.  Every enumeration goes through graphs._forests.
+    monkeypatch.setattr(graphs, "_forests", _no_enumeration)
+    path = _complete_blocks_document(tmp_path / "k9.json", 9)
+    code, out, err = run(capsys, *argv, "--input", path)
+    assert code == 3
+    assert out == ""
+    holder = "graded minor 0" if argv == ["minors"] else "the graph"
+    assert err == f"error: {holder} has 4782969 spanning trees, over the budget of 1000000\n"
+
+
+def test_minors_budgets_each_minor_not_their_product(capsys, tmp_path):
+    # Two K6 blocks, one layer each: 1,296 forests per minor, listed one
+    # minor at a time, though their product 1,679,616 is over the budget.
+    path = _complete_blocks_document(tmp_path / "k6k6.json", 6, blocks=2)
+    code, report = run_json(capsys, "minors", "--input", path)
+    assert code == 0
+    assert [layer["tree_count"] for layer in report["layers"]] == [1296, 1296]
+    assert report["layered_tree_count"] == 1296**2
+
+
+def test_measure_without_trees_ignores_the_budget(capsys, tmp_path):
+    path = _complete_blocks_document(tmp_path / "k9.json", 9)
+    code, out, err = run(capsys, "measure", "--input", path, "--formulation", "matrix")
+    assert code == 0
+    assert err == ""
+
+
+def test_only_the_period_lane_loads_numpy():
+    # A fresh interpreter: the test session itself has numpy loaded.
+    script = (
+        "import json, sys\n"
+        "import canmeas.cli\n"
+        "from canmeas.cli import main\n"
+        "loaded = ['canmeas.periods' in sys.modules, 'numpy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    exact = [
+        [command, "--input", example(name)]
+        for command in ("measure", "trees", "minors", "limit")
+        for name in ("theta.json", "theta_weighted.json", "triangle.json")
+    ]
+    argvs = exact + [["periods", "--input", example("theta_weighted.json")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(canmeas.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env,
+        capture_output=True,
+        check=True,
+        text=True,
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == [True, False] + [False] * len(exact) + [True]
 
 
 class TestOutputModes:
