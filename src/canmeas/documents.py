@@ -1,4 +1,4 @@
-"""Parsing of JSON graph documents, and deterministic report rendering.
+"""Reading of the two JSON inputs, and deterministic report rendering.
 
 Document layout::
 
@@ -14,8 +14,15 @@ Document layout::
 Rationals are exact strings ("p/q" or an integer string); JSON floats
 are rejected so no binary rounding sneaks into exact lanes.  All
 optional sections may be omitted; operations that need a missing section
-say so.  Reports are serialized canonically (sorted keys, fixed
-indentation), so equal reports are equal byte for byte.
+say so; the description is ignored.  The base matrix file of ``periods
+--lambda0`` is an object of optional float blocks, each a list of equal
+rows of finite numbers: ``vertex_blocks`` (vertex id to block),
+``rank_block`` and ``cross``, as taken by
+:func:`canmeas.periods.assemble_base`.  Both inputs pass one check (a
+JSON object with known keys only), and neither is ever written.
+
+Reports are serialized canonically (sorted keys, fixed indentation), so
+equal reports are equal byte for byte.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
 the float rendered with 17 significant digits.
@@ -24,6 +31,7 @@ the float rendered with 17 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -36,6 +44,7 @@ from .layerings import OrderedPartition
 from .measures import EdgeMeasure, MetricGraph, TropicalCurve
 
 _DOC_KEYS = {"description", "vertices", "edges", "layering", "family", "target"}
+_BASE_KEYS = {"vertex_blocks", "rank_block", "cross"}
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -82,7 +91,6 @@ class GraphDocument:
     layering: OrderedPartition | None
     family: Mapping[str, ScaleFunction] | None
     target: Mapping[str, Fraction] | None
-    description: str | None = None
 
     def metric(self) -> MetricGraph:
         if self.lengths is None:
@@ -114,21 +122,31 @@ class GraphDocument:
         )
 
 
-def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
-    """Parse a JSON string or already-decoded mapping into a document."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as err:
-            raise DocumentError(f"invalid JSON: {err}") from None
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise DocumentError("document must be a JSON object")
-    unknown = sorted(set(data) - _DOC_KEYS)
-    if unknown:
-        raise DocumentError(f"unknown document keys {unknown}")
+def _read(path: str, name: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise DocumentError(f"cannot read {name} {path}: {err}") from None
 
+
+def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
+    """Decode a JSON object with keys only from ``keys``; errors name the input."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DocumentError(f"invalid JSON in {name}: {err}") from None
+    if not isinstance(data, dict):
+        raise DocumentError(f"{name} must be a JSON object")
+    unknown = sorted(set(data) - keys)
+    if unknown:
+        raise DocumentError(f"unknown {name} keys {unknown}")
+    return data
+
+
+def parse_document(text: str) -> GraphDocument:
+    """Parse a graph document from JSON text."""
+    data = _json_object(text, "document", _DOC_KEYS)
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise DocumentError("document needs a nonempty 'vertices' list")
@@ -223,27 +241,45 @@ def parse_document(source: str | Mapping[str, Any]) -> GraphDocument:
     if "target" in data:
         target = _edge_section(data, "target", "rationals", known, parse_rational)
 
-    description = data.get("description")
-    if description is not None:
-        description = str(description)
-
     return GraphDocument(
         graph=graph,
         lengths=lengths or None,
         layering=layering,
         family=family,
         target=target,
-        description=description,
     )
 
 
 def load_document(path: str) -> GraphDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise DocumentError(f"cannot read {path}: {err}") from None
-    return parse_document(text)
+    return parse_document(_read(path, "document"))
+
+
+def _base_block(name: str, block: Any) -> list[list[float]]:
+    """A base matrix block read from JSON: equal rows of finite numbers."""
+    if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
+        raise DocumentError(f"base matrix block {name} must be a list of rows")
+    if len({len(row) for row in block}) > 1:
+        raise DocumentError(f"rows of base matrix block {name} differ in length")
+    for row in block:
+        for x in row:
+            number = isinstance(x, (int, float)) and not isinstance(x, bool)
+            if not number or not math.isfinite(x):
+                raise DocumentError(
+                    f"base matrix block {name} has entry {x!r}, not a finite number"
+                )
+    return block
+
+
+def load_base_matrix(path: str) -> dict[str, Any]:
+    """Read a base matrix file into :func:`canmeas.periods.assemble_base`
+    arguments; a file without ``vertex_blocks`` gives no vertex blocks."""
+    data = _json_object(_read(path, "base matrix"), "base matrix", _BASE_KEYS)
+    vertex_blocks = data.get("vertex_blocks", {})
+    if not isinstance(vertex_blocks, dict):
+        raise DocumentError("base matrix vertex_blocks must map vertex ids to blocks")
+    vertex_blocks = {v: _base_block(f"vertex_blocks[{v!r}]", b) for v, b in vertex_blocks.items()}
+    others = {k: _base_block(k, data[k]) for k in ("rank_block", "cross") if data.get(k) is not None}
+    return {"vertex_blocks": vertex_blocks, **others}
 
 
 def exact_field(x: Fraction) -> dict[str, str]:

@@ -44,10 +44,6 @@ class ScaleFunction:
         object.__setattr__(self, "terms", tuple(sorted(merged.items())))
 
     @classmethod
-    def constant(cls, value) -> "ScaleFunction":
-        return cls(terms=((0, Fraction(value)),))
-
-    @classmethod
     def power(cls, exponent: int, coeff=1) -> "ScaleFunction":
         return cls(terms=((exponent, Fraction(coeff)),))
 
@@ -71,15 +67,6 @@ class ScaleFunction:
         if t <= 0:
             raise FamilyError("scale functions are evaluated at t > 0")
         return sum((c * t**k for k, c in self.terms), Fraction(0))
-
-    def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
-        if not isinstance(other, ScaleFunction):
-            return NotImplemented
-        return ScaleFunction(
-            terms=tuple(
-                (k1 + k2, c1 * c2) for k1, c1 in self.terms for k2, c2 in other.terms
-            )
-        )
 
     def scaled(self, factor) -> "ScaleFunction":
         f = Fraction(factor)
@@ -145,7 +132,11 @@ def validate_grid(grid: Iterable[Fraction]) -> tuple[Fraction, ...]:
 
 
 def product(factors: Iterable[ScaleFunction]) -> ScaleFunction:
-    out = ScaleFunction.constant(1)
+    """Product of scale functions, each term of the product so far times
+    each term of the next factor; the empty product is 1."""
+    out = ScaleFunction.power(0)
     for f in factors:
-        out = out * f
+        out = ScaleFunction(
+            terms=tuple((k1 + k2, c1 * c2) for k1, c1 in out.terms for k2, c2 in f.terms)
+        )
     return out

@@ -132,23 +132,28 @@ def edge_adjacency(
     return out
 
 
-def bfs_tree(
-    adjacent: Mapping[str, list[tuple[str, str]]], root: str
+def search_forest(
+    adjacent: Mapping[str, list[tuple[str, str]]], roots: Iterable[str]
 ) -> dict[str, tuple[str, str] | None]:
-    """Breadth-first search tree of the component of root.
+    """Parent links of the breadth-first search trees from each given
+    root that no earlier tree reached.
 
     Maps every vertex reached, in the order reached, to the (edge id,
-    vertex) pair it was reached through; the root maps to None, since
+    vertex) pair it was reached through; a root maps to None, since
     any string, the empty one included, may be an edge id.
     """
-    parents: dict[str, tuple[str, str] | None] = {root: None}
-    queue = deque([root])
-    while queue:
-        w = queue.popleft()
-        for eid, x in adjacent[w]:
-            if x not in parents:
-                parents[x] = (eid, w)
-                queue.append(x)
+    parents: dict[str, tuple[str, str] | None] = {}
+    for root in roots:
+        if root in parents:
+            continue
+        parents[root] = None
+        queue = deque([root])
+        while queue:
+            w = queue.popleft()
+            for eid, x in adjacent[w]:
+                if x not in parents:
+                    parents[x] = (eid, w)
+                    queue.append(x)
     return parents
 
 
@@ -159,7 +164,7 @@ def connected_components(g: AugmentedGraph) -> list[frozenset[str]]:
     parts: list[frozenset[str]] = []
     for start in g.vertices:
         if start not in seen:
-            comp = frozenset(bfs_tree(adjacent, start))
+            comp = frozenset(search_forest(adjacent, [start]))
             seen |= comp
             parts.append(comp)
     return sorted(parts, key=min)
@@ -298,6 +303,28 @@ def cycle_boundary(g: AugmentedGraph, cycle: CycleVector) -> dict[str, int]:
     return b
 
 
+def add_forest_path(
+    g: AugmentedGraph, parents: Mapping[str, tuple[str, str] | None],
+    coeffs: dict[str, int], tail: str, head: str, c: int,
+) -> tuple[str, str]:
+    """Add c * (path head -> root - path tail -> root) to a chain.
+
+    The paths climb the ``parents`` of :func:`search_forest`.  With c on
+    an edge from tail to head, the sum's boundary sits at the two roots
+    returned, head's then tail's, and vanishes when they are one.
+    """
+    roots = []
+    for start, sign in ((head, c), (tail, -c)):
+        node = start
+        while parents[node] is not None:
+            feid, above = parents[node]
+            step = sign if g.ends(feid) == (node, above) else -sign
+            coeffs[feid] = coeffs.get(feid, 0) + step
+            node = above
+        roots.append(node)
+    return roots[0], roots[1]
+
+
 def fundamental_cycles(g: AugmentedGraph) -> list[CycleVector]:
     """Fundamental cycles of the canonical spanning forest.
 
@@ -307,28 +334,13 @@ def fundamental_cycles(g: AugmentedGraph) -> list[CycleVector]:
     edge always has coefficient +1.
     """
     forest = canonical_spanning_forest(g)
-    adjacent = edge_adjacency(g, forest)
-    parents: dict[str, tuple[str, str] | None] = {}
-    for v in g.vertices:
-        if v not in parents:
-            parents.update(bfs_tree(adjacent, v))
-
+    parents = search_forest(edge_adjacency(g, forest), g.vertices)
     cycles: list[CycleVector] = []
     for eid, (u, v) in g.edges:
-        if eid in forest:
-            continue
-        # The forest path from v to u is the climb from v to the root
-        # followed by the descent from the root to u; the steps above the
-        # meeting point are walked both ways and cancel.
-        coeffs = {eid: 1}
-        for start, sign in ((v, 1), (u, -1)):
-            node = start
-            while parents[node] is not None:
-                feid, above = parents[node]
-                step = 1 if g.ends(feid) == (node, above) else -1
-                coeffs[feid] = coeffs.get(feid, 0) + sign * step
-                node = above
-        cycles.append(CycleVector(coeffs))
+        if eid not in forest:
+            coeffs = {eid: 1}
+            add_forest_path(g, parents, coeffs, u, v, 1)
+            cycles.append(CycleVector(coeffs))
     return cycles
 
 

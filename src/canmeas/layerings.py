@@ -11,21 +11,22 @@ all three constructions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import LayeringError
 from .graphs import (
     AugmentedGraph,
     CycleVector,
-    bfs_tree,
+    add_forest_path,
     canonical_spanning_forest,
-    cycle_boundary,
     edge_adjacency,
     find_root,
     fundamental_cycles,
     graph_genus,
+    search_forest,
     spanning_trees,
 )
 
@@ -53,9 +54,6 @@ class OrderedPartition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.parts)
 
     @cached_property
     def edge_ids(self) -> frozenset[str]:
@@ -202,7 +200,6 @@ class AdmissibleBasis:
     to layer j recovers a cycle basis of minor j.
     """
 
-    layering: OrderedPartition
     blocks: tuple[tuple[CycleVector, ...], ...]
 
     @property
@@ -223,42 +220,28 @@ def admissible_cycle_basis(report: GradedMinorReport) -> AdmissibleBasis:
     need not close up: its boundary sits inside the fibers, the
     components of the subgraph of strictly later edges, whose smallest
     vertices are the vertices of minor j.
-    Routing the boundary through a spanning forest of those fibers kills
-    it without leaving layers j+1..r, so the lift stays supported on
-    layers j..r and still restricts to the original cycle on layer j.
+    Routing each edge's ends to their roots through a spanning forest of
+    the fibers kills it without leaving layers j+1..r, so the lift stays
+    supported on layers j..r and still restricts to the cycle on layer j.
     """
     g, p = report.graph, report.layering
     blocks: list[tuple[CycleVector, ...]] = []
     for j, minor in enumerate(report.minors):
-        later: set[str] = set()
-        for part in p.parts[j + 1 :]:
-            later |= part
-        children = edge_adjacency(g, canonical_spanning_forest(g, later))
-        # One search tree per fiber, rooted at its smallest vertex; listed
-        # in reverse, every vertex comes before its parent.
-        fibers = [
-            list(bfs_tree(children, root).items())[::-1]
-            for root in minor.vertices
-        ]
-
+        forest = canonical_spanning_forest(g, frozenset().union(*p.parts[j + 1 :]))
+        parents = search_forest(edge_adjacency(g, forest), minor.vertices)
         lifted: list[CycleVector] = []
         for gamma in fundamental_cycles(minor):
             coeffs = dict(gamma.coeffs)
-            residual = cycle_boundary(g, gamma)
-            for tree in fibers:
-                for w, (eid, par) in tree[:-1]:
-                    s = residual[w]
-                    if s == 0:
-                        continue
-                    tail, _ = g.ends(eid)
-                    coeffs[eid] = coeffs.get(eid, 0) + (s if tail == w else -s)
-                    residual[par] += s
-                    residual[w] = 0
-                root = tree[-1][0]
-                if residual[root] != 0:
-                    raise LayeringError(
-                        "graded minor cycle does not lift; partition is inconsistent"
-                    )
+            # Boundary left at the fiber roots: none for a cycle of the minor.
+            residual: Counter[str] = Counter()
+            for eid, c in gamma.coeffs.items():
+                head_root, tail_root = add_forest_path(g, parents, coeffs, *g.ends(eid), c)
+                residual[head_root] += c
+                residual[tail_root] -= c
+            if any(residual.values()):
+                raise LayeringError(
+                    "graded minor cycle does not lift; partition is inconsistent"
+                )
             lifted.append(CycleVector(coeffs))
         blocks.append(tuple(lifted))
-    return AdmissibleBasis(layering=p, blocks=tuple(blocks))
+    return AdmissibleBasis(blocks=tuple(blocks))

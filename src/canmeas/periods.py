@@ -259,11 +259,13 @@ def schur_block_inverse(m: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
     with S = P11 - P12 inv(P22) P21, recursing into the trailing blocks.
     This is an independent path to the inverse used as an oracle against
-    direct inversion.
+    direct inversion.  Empty blocks are dropped first: peeling one only
+    subtracts an exact zero matrix, yet it would double the recursion,
+    which calls itself twice per block.
     """
     import numpy as np
 
-    sizes = [s for s in sizes]
+    sizes = [s for s in sizes if s]
     if sum(sizes) != m.shape[0]:
         raise FamilyError("block sizes do not sum to the matrix size")
     if len(sizes) <= 1:

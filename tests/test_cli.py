@@ -1,15 +1,20 @@
+import collections
+import copy
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import canmeas
-from canmeas import cli, graphs
+from canmeas import cli, graphs, periods
 from canmeas.cli import main
 
 
@@ -363,6 +368,47 @@ class TestPeriodsCommand:
             assert out == "", name
             assert ("'v'" if name == "vertex_nan" else "rank_block") in err, name
 
+    # Base matrix files the reader refuses: (text, or None for no file; message).
+    BAD_BASE_FILES = {
+        "missing": (None, "cannot read"),
+        "json": ("{not json", "invalid JSON in"),
+        "object": ("[1, 2]", "must be a JSON object"),
+        "vertex_blocks": (
+            '{"vertex_blocks": [[1.0]]}',
+            "vertex_blocks must map vertex ids to blocks",
+        ),
+        "rows": (
+            '{"vertex_blocks": {"u": [1.0], "v": [[1.0]]}}',
+            "base matrix block vertex_blocks['u'] must be a list of rows",
+        ),
+        "ragged": (
+            '{"rank_block": [[1.0, 0.0], [1.0]]}',
+            "rows of base matrix block rank_block differ in length",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", BAD_BASE_FILES)
+    def test_unreadable_base_matrix_files(self, capsys, tmp_path, name):
+        text, message = self.BAD_BASE_FILES[name]
+        path = tmp_path / f"{name}.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(
+            capsys, "periods", "--input", example("theta_weighted.json"), "--lambda0", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "base matrix" in err
+
+    def test_layering_without_target_is_a_precondition_error(self, capsys, tmp_path):
+        data = json.loads(Path(example("theta.json")).read_text())
+        del data["target"]
+        path = tmp_path / "untargeted.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "periods", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: period models need a target point in the document\n"
+
     def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
         # Set iteration order follows the string hash seed, so summing the
         # edge terms in a layer's set order moved the float fields.
@@ -587,6 +633,65 @@ class TestPeriodsCommand:
         assert report["scales"] == ["t^-6", "t^-4", "t^-2"]
         assert sum(report["block_sizes"]) == 28 - 8 + 1
 
+    @staticmethod
+    def _one_edge_per_layer(path, edges, genus=0):
+        """A document whose layer j holds the (id, ends) pair edges[j]; its
+        first vertex in sorted order has the given genus."""
+        first, *rest = sorted({v for _, ends in edges for v in ends})
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": first, "genus": genus}] + [{"id": v} for v in rest],
+                    "edges": [{"id": e, "ends": ends} for e, ends in edges],
+                    "layering": [[e] for e, _ in edges],
+                    "target": {e: "1" for e, _ in edges},
+                }
+            )
+        )
+        return str(path)
+
+    def test_schur_oracle_skips_empty_blocks(self, capsys, monkeypatch, tmp_path):
+        # The 16-cycle with one edge per layer has block sizes 1, 0, ..., 0.
+        # Recursing into every empty block took 2^15 oracle calls per point.
+        original = periods.schur_block_inverse
+        calls = []
+
+        def counted(m, sizes):
+            calls.append(list(sizes))
+            return original(m, sizes)
+
+        monkeypatch.setattr(periods, "schur_block_inverse", counted)
+        ring = [(f"e{i:02d}", [f"v{i:02d}", f"v{(i + 1) % 16:02d}"]) for i in range(16)]
+        path = self._one_edge_per_layer(tmp_path / "cycle16.json", ring)
+        code, report = run_json(capsys, "periods", "--input", path)
+        assert code == 0
+        assert report["block_sizes"] == [1] + [0] * 15
+        assert len(report["samples"][0]["diag_deviations"]) == 16
+        assert len(calls) == len(report["grid"])
+
+    @pytest.mark.parametrize(
+        "name, loops, genus, message",
+        [
+            ("genus", 1, 10_000, "10001 rows, over the budget of 100"),
+            ("blocks", 11, 0, "11 nonempty blocks, over the budget of 10"),
+        ],
+    )
+    def test_large_period_matrices_are_refused(
+        self, capsys, monkeypatch, tmp_path, name, loops, genus, message
+    ):
+        # A chain of vertices, each with a loop in its own layer; the first
+        # vertex carries the vertex genus.  No array may be built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble_base was called")
+
+        monkeypatch.setattr(cli, "assemble_base", refuse)
+        edges = [(f"l{i:02d}", [f"v{i:02d}"] * 2) for i in range(loops)]
+        edges += [(f"p{i:02d}", [f"v{i:02d}", f"v{i + 1:02d}"]) for i in range(loops - 1)]
+        path = self._one_edge_per_layer(tmp_path / f"{name}.json", edges, genus)
+        code, out, err = run(capsys, "periods", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == f"error: the period matrix has {message}\n"
+
 
 class TestSelftestCommand:
     def test_deterministic_across_runs(self, capsys):
@@ -798,6 +903,34 @@ def test_reports_match_the_golden_files(capsys):
     assert differ == []
 
 
+# (golden name, document, base matrix file) triples whose `periods`
+# reports have their exact sections pinned in tests/golden/<name>.periods.json.
+PERIODS_GOLDEN = [
+    (stem, example(f"{stem}.json"), None) for stem in ("theta", "theta_weighted", "triangle")
+] + [
+    ("layered_grid", str(FIXTURES / "layered_grid.json"), None),
+    (
+        "theta_weighted.lambda0",
+        example("theta_weighted.json"),
+        str(FIXTURES / "theta_weighted.lambda0.json"),
+    ),
+]
+PERIODS_EXACT = ("command", "graph", "scales", "block_sizes", "monodromy", "layer_targets", "grid")
+
+
+def test_periods_exact_sections_match_the_golden_files(capsys):
+    # The samples and the assertions are left out: their floats come from
+    # LAPACK and may differ between platforms.
+    differ = []
+    for name, path, base in PERIODS_GOLDEN:
+        argv = ["periods", "--input", path] + ([] if base is None else ["--lambda0", base])
+        code, report = run_json(capsys, *argv)
+        pinned = canmeas.dump_report({k: report[k] for k in PERIODS_EXACT})
+        if (code, pinned) != (0, (GOLDEN / f"{name}.periods.json").read_text()):
+            differ.append(name)
+    assert differ == []
+
+
 def test_forest_reports_do_not_depend_on_the_hash_seed(capsys):
     # Forests are frozensets of edge ids, whose iteration order follows
     # the string hash seed; `trees` and `limit` must list them and their
@@ -845,3 +978,69 @@ def test_selftest_matches_the_golden_files(capsys, seed):
     pinned = {k: report[k] for k in ("seed", "measures", "layerings", "limits")}
     golden = (GOLDEN / f"selftest.{seed}.json").read_text()
     assert canmeas.dump_report(pinned) == golden
+
+
+# Values a mutant may put in place of any value of a bundled example: JSON
+# scalars of every kind, non-finite floats, malformed and huge rationals,
+# empty containers, and an edge id that names no edge.
+MUTANT_VALUES = [
+    None,
+    True,
+    1.5,
+    float("nan"),
+    float("inf"),
+    "",
+    "1/0",
+    "-1",
+    "9" * 600 + "/7",
+    [],
+    {},
+    "dangling",
+]
+
+
+def _value_paths(node, path=()):
+    """Key paths to every value under node, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+def _mutant(doc, rng):
+    """doc with one key or list item dropped, one list item duplicated,
+    or one value replaced by a MUTANT_VALUES entry."""
+    doc = copy.deepcopy(doc)
+    *head, key = rng.choice(list(_value_paths(doc)))
+    holder = functools.reduce(operator.getitem, head, doc)
+    action = rng.choice(("drop", "duplicate", "replace", "replace"))
+    if action == "drop":
+        del holder[key]
+    elif action == "duplicate" and isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(holder[key]))
+    else:
+        holder[key] = rng.choice(MUTANT_VALUES)
+    return doc
+
+
+def test_mutated_documents_end_in_a_documented_exit(capsys, tmp_path):
+    # Every input ends in a report (exit 0, or 4 for a failed check) or in
+    # a document (2) or precondition (3) error with nothing on stdout.
+    rng = Random(20201)
+    examples = [
+        json.loads(Path(example(f"{stem}.json")).read_text())
+        for stem in ("theta", "theta_weighted", "triangle")
+    ]
+    path = tmp_path / "mutant.json"
+    codes = collections.Counter()
+    for i in range(300):
+        path.write_text(json.dumps(_mutant(rng.choice(examples), rng)))
+        for command in ("measure", "trees", "minors", "limit", "periods"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code in (0, 2, 3, 4), (i, command, code)
+            assert (out != "") == (code in (0, 4)), (i, command, code, err)
+            codes[code] += 1
+    assert all(codes[code] for code in (0, 2, 3)), codes

@@ -89,7 +89,7 @@ class TestLengthFamily:
         with pytest.raises(FamilyError):
             LengthFamily(
                 graph=theta_graph(),
-                param_lengths={"e1": ScaleFunction.constant(1)},
+                param_lengths={"e1": ScaleFunction.power(0, 1)},
                 target_layering=OrderedPartition.trivial(["e1", "e2", "e3"]),
                 target_point={"e1": F(1), "e2": F(1), "e3": F(1)},
             )
@@ -99,7 +99,7 @@ class TestLengthFamily:
             LengthFamily(
                 graph=theta_graph(),
                 param_lengths={
-                    "e1": ScaleFunction.constant(1),
+                    "e1": ScaleFunction.power(0, 1),
                     "e2": ScaleFunction.power(1),
                     "e3": ScaleFunction.power(1),
                 },
@@ -114,7 +114,7 @@ class TestLengthFamily:
             LengthFamily(
                 graph=theta_graph(),
                 param_lengths={
-                    "e1": ScaleFunction.constant(1),
+                    "e1": ScaleFunction.power(0, 1),
                     "e2": ScaleFunction.power(1),
                     "e3": ScaleFunction.power(1),
                 },
@@ -173,7 +173,7 @@ class TestConvergenceConditions:
         f = LengthFamily(
             graph=theta_graph(),
             param_lengths={
-                "e1": ScaleFunction.constant(1),
+                "e1": ScaleFunction.power(0, 1),
                 "e2": ScaleFunction.power(1, F(1, 3)),
                 "e3": ScaleFunction.power(1, F(1, 2)),
             },
@@ -191,9 +191,9 @@ class TestConvergenceConditions:
         f = LengthFamily(
             graph=theta_graph(),
             param_lengths={
-                "e1": ScaleFunction.constant(1),
-                "e2": ScaleFunction.constant(F(1, 2)),
-                "e3": ScaleFunction.constant(F(1, 2)),
+                "e1": ScaleFunction.power(0, 1),
+                "e2": ScaleFunction.power(0, F(1, 2)),
+                "e3": ScaleFunction.power(0, F(1, 2)),
             },
             target_layering=OrderedPartition(
                 parts=(frozenset({"e1"}), frozenset({"e2", "e3"}))
@@ -209,9 +209,9 @@ class TestConvergenceConditions:
         f = LengthFamily(
             graph=theta_graph(),
             param_lengths={
-                "e1": ScaleFunction.constant(1),
-                "e2": ScaleFunction.constant(F(1, 2)),
-                "e3": ScaleFunction.constant(F(1, 2)),
+                "e1": ScaleFunction.power(0, 1),
+                "e2": ScaleFunction.power(0, F(1, 2)),
+                "e3": ScaleFunction.power(0, F(1, 2)),
             },
             target_layering=OrderedPartition(
                 parts=(frozenset({"e1"}), frozenset({"e2", "e3"}))

@@ -50,7 +50,6 @@ def example_path(name):
 class TestParsing:
     def test_full_document(self):
         doc = parse_document(THETA_TEXT)
-        assert doc.description == "three parallel edges"
         assert doc.graph.vertices == ("u", "v")
         assert doc.graph.genus == {"u": 1, "v": 0}
         assert doc.graph.marks == {"p": "u"}
@@ -64,16 +63,17 @@ class TestParsing:
 
     def test_optional_sections_default_to_none(self):
         doc = parse_document(
-            {
-                "vertices": [{"id": "u"}],
-                "edges": [{"id": "e1", "ends": ["u", "u"]}],
-            }
+            json.dumps(
+                {
+                    "vertices": [{"id": "u"}],
+                    "edges": [{"id": "e1", "ends": ["u", "u"]}],
+                }
+            )
         )
         assert doc.lengths is None
         assert doc.layering is None
         assert doc.family is None
         assert doc.target is None
-        assert doc.description is None
 
     def test_bundled_examples_load(self):
         for name in ("theta.json", "triangle.json", "theta_weighted.json"):
@@ -126,7 +126,6 @@ class TestParsing:
         assert doc.layering == OrderedPartition(parts=tuple(map(frozenset, layers)))
         assert doc.family == {e: ScaleFunction.power(a, x) for e, (x, a) in family.items()}
         assert doc.target == target
-        assert doc.description is None
 
 
 class TestParseErrors:
@@ -135,7 +134,7 @@ class TestParseErrors:
 
     def reject(self, data, pattern):
         with pytest.raises(DocumentError, match=pattern):
-            parse_document(data)
+            parse_document(data if isinstance(data, str) else json.dumps(data))
 
     def test_invalid_json_text(self):
         self.reject("{not json", "invalid JSON")
@@ -268,10 +267,12 @@ class TestParseErrors:
 class TestMissingSections:
     def bare(self):
         return parse_document(
-            {
-                "vertices": [{"id": "u"}],
-                "edges": [{"id": "e1", "ends": ["u", "u"]}],
-            }
+            json.dumps(
+                {
+                    "vertices": [{"id": "u"}],
+                    "edges": [{"id": "e1", "ends": ["u", "u"]}],
+                }
+            )
         )
 
     def test_each_accessor_names_its_need(self):
@@ -289,13 +290,13 @@ class TestMissingSections:
         data = json.loads(THETA_TEXT)
         del data["layering"]
         with pytest.raises(MissingSection, match="layering"):
-            parse_document(data).tropical()
+            parse_document(json.dumps(data)).tropical()
 
     def test_length_family_needs_target(self):
         data = json.loads(THETA_TEXT)
         del data["target"]
         with pytest.raises(MissingSection, match="target point"):
-            parse_document(data).length_family()
+            parse_document(json.dumps(data)).length_family()
 
 
 class TestReportRendering:

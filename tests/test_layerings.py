@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -18,7 +19,14 @@ from canmeas import (
 )
 from canmeas.corpus import random_graph, random_layering
 from canmeas.gallery import theta_graph, triangle_graph
-from canmeas.graphs import cycle_boundary
+from canmeas.graphs import (
+    CycleVector,
+    canonical_spanning_forest,
+    cycle_boundary,
+    edge_adjacency,
+    fundamental_cycles,
+    search_forest,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -79,6 +87,36 @@ def decorated_graph(rng):
     edges = tuple(("" if eid == "e0" else eid, uv) for eid, uv in g.edges + loops)
     marks = {f"p{k}": rng.choice(g.vertices) for k in range(rng.randint(0, 3))}
     return AugmentedGraph(vertices=g.vertices, edges=edges, genus=g.genus, marks=marks)
+
+
+def residual_lift(report):
+    """The admissible basis by residual propagation, block by block.
+
+    Each minor cycle, read as a chain in g, has its boundary pushed from
+    the leaves of each fiber's search tree to the root, one forest edge
+    at a time, until only the roots could hold any.
+    """
+    g, p = report.graph, report.layering
+    blocks = []
+    for j, minor in enumerate(report.minors):
+        later = frozenset().union(*p.parts[j + 1 :])
+        children = edge_adjacency(g, canonical_spanning_forest(g, later))
+        fibers = [list(search_forest(children, [root]).items())[::-1] for root in minor.vertices]
+        lifted = []
+        for gamma in fundamental_cycles(minor):
+            coeffs = dict(gamma.coeffs)
+            residual = cycle_boundary(g, gamma)
+            for tree in fibers:
+                for w, (eid, par) in tree[:-1]:
+                    s = residual[w]
+                    tail, _ = g.ends(eid)
+                    coeffs[eid] = coeffs.get(eid, 0) + (s if tail == w else -s)
+                    residual[par] += s
+                    residual[w] = 0
+                assert residual[tree[-1][0]] == 0
+            lifted.append(CycleVector(coeffs))
+        blocks.append(tuple(lifted))
+    return tuple(blocks)
 
 
 class TestOrderedPartition:
@@ -306,6 +344,31 @@ class TestAdmissibleBasis:
             for c in block:
                 assert c.support <= allowed
                 assert all(x == 0 for x in cycle_boundary(g, c).values())
+
+    def test_matches_residual_propagation(self):
+        # Loops, parallel edges, vertex genera, marks and the empty edge id,
+        # in up to four layers.  On a forest one chain cancels a given
+        # boundary, so any correct routing gives the same coefficients.
+        checked = 0
+        for seed in range(300):
+            rng = Random(seed)
+            g = decorated_graph(rng)
+            report = graded_minors(g, random_layering(rng, g))
+            got = admissible_cycle_basis(report)
+            assert [[c.coeffs for c in b] for b in got.blocks] == [
+                [c.coeffs for c in b] for b in residual_lift(report)
+            ], seed
+            checked += len(report.minors) > 1 and any(got.block_sizes[1:])
+        assert checked > 100
+
+    def test_inconsistent_report_does_not_lift(self):
+        # A minor whose edges do not join the fibers of their ends in g:
+        # e2 and e3 run from u to v in the theta graph, loops here.
+        report = graded_minors(theta_graph(), THETA_SPLIT)
+        loops = AugmentedGraph(vertices=("u", "v"), edges=(("e2", ("u", "u")), ("e3", ("u", "u"))))
+        bad = dataclasses.replace(report, minors=(report.minors[0], loops))
+        with pytest.raises(LayeringError, match="does not lift"):
+            admissible_cycle_basis(bad)
 
     def test_empty_edge_id_lifts(self):
         g = AugmentedGraph(

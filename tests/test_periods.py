@@ -92,7 +92,7 @@ class TestMonodromySet:
         g = theta_graph()
         basis = one_block_basis(g)
         with pytest.raises(BasisError):
-            monodromy_from_basis(g, AdmissibleBasis(basis.layering, (basis.blocks[0][:1],)))
+            monodromy_from_basis(g, AdmissibleBasis((basis.blocks[0][:1],)))
 
     def test_flat_basis_is_one_block(self):
         g = theta_graph()
