@@ -250,18 +250,19 @@ def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
 
 
 def schur_block_inverse(m: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Invert a block matrix by the two-by-two Schur recursion.
+    """Invert a block matrix by a Schur recursion that calls itself once.
 
-    Peels the first block: with M = [[P11, P12], [P21, P22]],
+    Peels the first block: with M = [[P11, P12], [P21, P22]], the trailing
+    inverse inv(P22) from the one recursive call, S = P11 - P12 inv(P22) P21
+    and B = -inv(P22) P21 inv(S),
 
-        inv(M) = [[inv(S),            -inv(S) P12 inv(P22)],
-                  [-inv(P22) P21 inv(S),  inv(P22 - P21 inv(P11) P12)]]
+        inv(M) = [[inv(S),  -inv(S) P12 inv(P22)],
+                  [B,       inv(P22) - B P12 inv(P22)]]
 
-    with S = P11 - P12 inv(P22) P21, recursing into the trailing blocks.
-    This is an independent path to the inverse used as an oracle against
-    direct inversion.  Empty blocks are dropped first: peeling one only
-    subtracts an exact zero matrix, yet it would double the recursion,
-    which calls itself twice per block.
+    the last block by Woodbury.  No step inverts M as a whole, so this is
+    an independent path to the inverse, used as an oracle against direct
+    inversion; M need not be symmetric.  Empty blocks are dropped first,
+    so the recursion runs once per nonempty block.
     """
     import numpy as np
 
@@ -274,17 +275,11 @@ def schur_block_inverse(m: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     p11 = m[:n1, :n1]
     p12 = m[:n1, n1:]
     p21 = m[n1:, :n1]
-    p22 = m[n1:, n1:]
-    inv22 = schur_block_inverse(p22, sizes[1:])
-    s = p11 - p12 @ inv22 @ p21
-    inv_s = np.linalg.inv(s)
-    trailing = schur_block_inverse(p22 - p21 @ np.linalg.inv(p11) @ p12, sizes[1:])
-    out = np.zeros_like(m, dtype=float)
-    out[:n1, :n1] = inv_s
-    out[:n1, n1:] = -inv_s @ p12 @ inv22
-    out[n1:, :n1] = -inv22 @ p21 @ inv_s
-    out[n1:, n1:] = trailing
-    return out
+    inv22 = schur_block_inverse(m[n1:, n1:], sizes[1:])
+    inv_s = np.linalg.inv(p11 - p12 @ inv22 @ p21)
+    lower = -inv22 @ p21 @ inv_s
+    p12_inv22 = p12 @ inv22
+    return np.block([[inv_s, -inv_s @ p12_inv22], [lower, inv22 - lower @ p12_inv22]])
 
 
 @dataclass(frozen=True)
