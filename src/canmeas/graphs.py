@@ -65,7 +65,7 @@ class AugmentedGraph:
             if v not in vset:
                 raise UnknownVertex(f"mark {label!r} placed on unknown vertex {v!r}")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple((eid, (u, v)) for eid, (u, v) in edges))
+        object.__setattr__(self, "edges", tuple([(eid, (u, v)) for eid, (u, v) in edges]))
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "marks", marks)
 
@@ -75,7 +75,11 @@ class AugmentedGraph:
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(eid for eid, _ in self.edges)
+        # Built from a list, as in __post_init__: a tuple built from a
+        # generator is grown by resizing, and a resized tuple is freed onto
+        # the free list of its final size, which then fills until a full
+        # collection clears it.
+        return tuple([eid for eid, _ in self.edges])
 
     def ends(self, edge_id: str) -> tuple[str, str]:
         try:

@@ -3,49 +3,60 @@
 These work entirely in the weighted vertex Laplacian, so they share no
 code path with the tree enumeration or cycle-space routes they are used
 to cross-check.  One helper assembles each component's grounded
-Laplacian, with conductance 1 for tree counting and 1/length for
-resistance, and each is eliminated once: tree counting takes one
-determinant per component, and the resistances of all edges of a
-component come from one multi-column solve.  That solve runs its own
-fraction-free elimination loop in integers (:func:`canmeas.linalg.solve`),
-apart from the Bareiss routine behind the Gram inverse of the matrix
-route, so the oracle shares no elimination code with the route it checks.
+Laplacian in integers, with conductance 1 for tree counting and 1/length
+for resistance: row v is scaled by the lcm of the conductance
+denominators at v, its own scale, never by one lcm for the whole
+matrix.  Each Laplacian is eliminated once: tree counting takes one
+determinant per component (every scale is 1 there), and the resistances
+of all edges of a component come from one multi-column solve.  That
+solve runs its own fraction-free elimination loop in integers
+(:func:`canmeas.linalg.solve`), apart from the Bareiss routine behind
+the Gram inverse of the matrix route, so the oracle shares no
+elimination code with the route it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping
+from math import lcm
+from typing import Callable, Iterator, Mapping
 
 from . import linalg
 from .graphs import AugmentedGraph, connected_components
 
 
 def _grounded_laplacians(
-    g: AugmentedGraph, conductance: Callable[[str], Any]
-) -> Iterator[tuple[list[list[Any]], list[tuple[str, int, int]]]]:
+    g: AugmentedGraph, conductance: Callable[[str], tuple[int, int]]
+) -> Iterator[tuple[list[list[int]], list[int], list[tuple[str, int, int]]]]:
     # The Laplacian of each component with an edge, less the row and
     # column of its last vertex (the grounded one; vertices are indexed in
     # sorted order), with each non-loop edge as (edge id, index of its
-    # tail, index of its head).  Loops drop out of the Laplacian.
+    # tail, index of its head).  Loops drop out of the Laplacian.  Each
+    # edge conducts num/den, and row v is scaled by t_v, the lcm of the
+    # den at v, so every entry is an integer; the scales come along.
     for comp in connected_components(g):
         verts = sorted(comp)
         if len(verts) == 1:
             continue
         index = {v: i for i, v in enumerate(verts)}
-        lap = [[0] * len(verts) for _ in verts]
         edges = []
         for eid, (u, v) in g.edges:
             if u == v or u not in comp:
                 continue
-            i, j = index[u], index[v]
-            c = conductance(eid)
-            lap[i][i] += c
-            lap[j][j] += c
-            lap[i][j] -= c
-            lap[j][i] -= c
-            edges.append((eid, i, j))
-        yield [row[:-1] for row in lap[:-1]], edges
+            edges.append((eid, index[u], index[v], *conductance(eid)))
+        scales = [1] * len(verts)
+        for _, i, j, _, den in edges:
+            scales[i] = lcm(scales[i], den)
+            scales[j] = lcm(scales[j], den)
+        lap = [[0] * len(verts) for _ in verts]
+        for _, i, j, num, den in edges:
+            ci = scales[i] // den * num
+            cj = scales[j] // den * num
+            lap[i][i] += ci
+            lap[i][j] -= ci
+            lap[j][j] += cj
+            lap[j][i] -= cj
+        yield [row[:-1] for row in lap[:-1]], scales, [e[:3] for e in edges]
 
 
 def tree_count(g: AugmentedGraph) -> int:
@@ -56,7 +67,7 @@ def tree_count(g: AugmentedGraph) -> int:
     never enter a tree.
     """
     total = 1
-    for grounded, _ in _grounded_laplacians(g, lambda eid: 1):
+    for grounded, _, _ in _grounded_laplacians(g, lambda eid: (1, 1)):
         total *= linalg.integer_determinant(grounded)
     return total
 
@@ -68,19 +79,23 @@ def effective_resistance(
 
     Each edge conducts 1/length.  Per connected component, one vertex is
     grounded and the grounded Laplacian is solved once, with one unit
-    current column e_u - e_v per non-loop edge u-v; the resistance is the
-    potential difference that column produces.  A loop has resistance
-    zero.  Returns ``{edge_id: resistance}`` for every edge.
+    current column e_u - e_v per non-loop edge u-v (scaled by the rows'
+    scales); the resistance is the potential difference that column
+    produces, one integer over the solve's denominator.  A loop has
+    resistance zero.  Returns ``{edge_id: resistance}`` for every edge.
     """
-    out = {eid: Fraction(0) for eid in g.edge_ids}
-    for grounded, edges in _grounded_laplacians(g, lambda eid: 1 / Fraction(lengths[eid])):
+    out = dict.fromkeys(g.edge_ids, Fraction(0))
+    for grounded, scales, edges in _grounded_laplacians(
+        g, lambda eid: (lengths[eid].denominator, lengths[eid].numerator)
+    ):
         n = len(grounded)  # the grounded vertex has index n
         columns = []
         for _, i, j in edges:
             col = [0] * (n + 1)
-            col[i], col[j] = 1, -1
+            col[i], col[j] = scales[i], -scales[j]
             columns.append(col[:n])
-        for (eid, i, j), x in zip(edges, linalg.solve(grounded, columns)):
-            x.append(Fraction(0))
-            out[eid] = x[i] - x[j]
+        ys, det = linalg.solve(grounded, columns)
+        for (eid, i, j), y in zip(edges, ys):
+            y.append(0)
+            out[eid] = Fraction(y[i] - y[j], det)
     return out

@@ -1,16 +1,24 @@
 """Exact linear algebra over the rationals, computed in integers.
 
-Matrices are lists of lists of Fraction (or int where noted).  Every
-kernel scales each row to integers by the row's own lcm and eliminates
-fraction free (Bareiss), so each intermediate division is exact and
-entry growth stays polynomial.  The triangular solves that follow stay
-in integers too: by Cramer's rule, D times the solution is an integer
-vector when D is the final pivot, so back-substitution against D
-divides exactly, and a system's answer is an integer matrix over one
-denominator.  Fractions are built only for the output.  Each matrix is
-eliminated once per call: :func:`solve` carries all of its right-hand
-sides through one forward pass, and :func:`is_positive_definite` reads
-every leading principal minor off one Bareiss pass.
+Every kernel works on a matrix whose rows are scaled to integers, each
+by a positive factor of its own, and eliminates fraction free
+(Bareiss), so each intermediate division is exact and entry growth
+stays polynomial.  The triangular solves that follow stay in integers
+too: by Cramer's rule, D times the solution is an integer vector when D
+is the final pivot, so back-substitution against D divides exactly, and
+a system's answer is an integer matrix over one denominator.
+
+:func:`scaled_inverse` and :func:`solve` take the integer rows and their
+scales from the caller and return that integer answer, so a caller that
+knows its rows' scales (the measure routes and the resistance oracle
+read them off the edge lengths) never builds a Fraction until its own
+result.  :func:`inverse`, :func:`determinant` and
+:func:`is_positive_definite` take rational matrices, scale each row by
+the lcm of its denominators, and build Fractions only for the output.
+Each matrix is eliminated once per call: :func:`solve` carries all of
+its right-hand sides through one forward pass, and
+:func:`is_positive_definite` reads every leading principal minor off
+one Bareiss pass.
 """
 
 from __future__ import annotations
@@ -85,8 +93,8 @@ def determinant(rows: Matrix) -> Fraction:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    scale = prod(lcm(*(Fraction(x).denominator for x in row)) for row in rows)
-    return Fraction(integer_determinant([_integer_row(list(row)) for row in rows]), scale)
+    scaled, scales = _integer_rows(rows)
+    return Fraction(integer_determinant(scaled), prod(scales))
 
 
 def integer_determinant(rows: list[list[int]]) -> int:
@@ -100,29 +108,35 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _integer_row(values: list) -> list[int]:
-    # The row times the lcm of its denominators.
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
-    d = 1
-    for x in values:
-        d = lcm(d, x.denominator)
-    return [x.numerator * (d // x.denominator) for x in values]
+def _integer_rows(rows: Matrix) -> tuple[list[list[int]], list[int]]:
+    # Each row times the lcm of its denominators, and those lcms.
+    scaled, scales = [], []
+    for row in rows:
+        values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        d = lcm(*[x.denominator for x in values])
+        scaled.append([x.numerator * (d // x.denominator) for x in values])
+        scales.append(d)
+    return scaled, scales
 
 
-def scaled_inverse(rows: Matrix) -> tuple[list[list[int]], int]:
-    """Inverse of a square rational matrix as (Y, D), with inverse = Y / D.
+def scaled_inverse(rows: list[list[int]], scales: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Inverse of a square rational matrix A as (Y, D), with inverse = Y / D.
 
-    Y is an integer matrix and D a nonzero integer, the final Bareiss
-    pivot of [S A | S] for S the diagonal matrix that scales each row of
-    A to integers by its own lcm.  A common denominator for the whole
-    matrix would instead put the lcm of every entry's denominator into
+    The caller passes S A as integer ``rows``, for S the diagonal matrix
+    of the positive integer row ``scales``.  Y is an integer matrix and D
+    a nonzero integer, the final Bareiss pivot of [S A | S].  Scaling
+    each row by its own lcm keeps D small: a common denominator for the
+    whole matrix would put the lcm of every entry's denominator into
     each row, and D would grow by that factor per row.  Raises
     BasisError if the matrix is singular.
     """
     n = len(rows)
     if n == 0:
         return [], 1
-    aug = [_integer_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(rows)]
+    aug = [
+        list(row) + [s if i == j else 0 for j in range(n)]
+        for i, (row, s) in enumerate(zip(rows, scales))
+    ]
     m, pivots, _ = bareiss_eliminate(aug, n)
     if len(pivots) < n:
         raise BasisError("matrix is singular")
@@ -146,32 +160,34 @@ def scaled_inverse(rows: Matrix) -> tuple[list[list[int]], int]:
 def inverse(rows: Matrix) -> Matrix:
     """Inverse of a square rational matrix, as Fractions.
 
-    Raises BasisError if the matrix is singular.  The elimination and the
-    triangular solves run in integers (:func:`scaled_inverse`); only the
-    n^2 output entries are built as Fractions.
+    Raises BasisError if the matrix is singular.  Each row is scaled to
+    integers by its own lcm, the elimination and the triangular solves
+    run in integers (:func:`scaled_inverse`), and only the n^2 output
+    entries are built as Fractions.
     """
-    y, det = scaled_inverse(rows)
+    y, det = scaled_inverse(*_integer_rows(rows))
     return [[Fraction(x, det) for x in row] for row in y]
 
 
-def solve(rows: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve a square rational system for several right-hand sides.
+def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Solve a square system A X = B for several right-hand sides.
 
-    ``rhs`` is a list of columns; the result lists one solution column
-    per right-hand side, in the same order.  Each row of [A | B] is
-    scaled to integers by its own lcm, then one fraction-free elimination
-    reduces the matrix and carries every column along.  A row whose entry
-    in the pivot column is zero is left alone and catches up later: a row
-    last updated at the step with pivot q is a multiple of its Bareiss
-    value, so its next update divides exactly by q.  Each column is then
-    back-substituted in integers against the final pivot D, and each
-    solution entry is one Fraction over D.  This is deliberately a
-    different code path from :func:`inverse`.  Raises BasisError on a
-    singular matrix.
+    The caller passes [A | B] with each row scaled to integers by a
+    nonzero factor of its own: ``rows`` is the scaled A and ``rhs`` the
+    list of scaled columns of B.  Returns (Y, D): Y lists one integer
+    column per right-hand side, in the same order, and X = Y / D.  One
+    fraction-free elimination reduces the matrix and carries every
+    column along.  A row whose entry in the pivot column is zero is left
+    alone and catches up later: a row last updated at the step with
+    pivot q is a multiple of its Bareiss value, so its next update
+    divides exactly by q.  D is the final pivot, so by Cramer's rule
+    each column back-substitutes in integers with exact divisions.
+    This is deliberately a different code path from :func:`inverse`.
+    Raises BasisError on a singular matrix.
     """
     n = len(rows)
     width = n + len(rhs)
-    a = [_integer_row(list(row) + [col[i] for col in rhs]) for i, row in enumerate(rows)]
+    a = [list(row) + [col[i] for col in rhs] for i, row in enumerate(rows)]
     # level[i]: the pivot by which row i was last updated (1 for never).
     level = [1] * n
     prev = 1
@@ -212,8 +228,8 @@ def solve(rows: Matrix, rhs: list[list[Fraction]]) -> list[list[Fraction]]:
             for j in upper[i]:
                 s -= row[j] * y[j]
             y[i] = s // row[i]
-        out.append([Fraction(x, det) for x in y])
-    return out
+        out.append(y)
+    return out, det
 
 
 def is_positive_definite(rows: Matrix) -> bool:
@@ -226,7 +242,7 @@ def is_positive_definite(rows: Matrix) -> bool:
     definite exactly when every pivot is positive; the first pivot <= 0
     ends the pass.
     """
-    m = [_integer_row(list(row)) for row in rows]
+    m, _ = _integer_rows(rows)
     n = len(m)
     prev = 1
     for k in range(n):

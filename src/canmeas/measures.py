@@ -15,12 +15,17 @@ another and the Laplacian oracle in :mod:`canmeas.kirchhoff` checks them
 all from outside.
 
 The projection and matrix routes assemble the Gram matrix of the
-fundamental cycle basis with :func:`canmeas.linalg.rank_one_sum` and
-eliminate it once.  With positive lengths a Gram matrix is positive
-definite exactly when it is nonsingular, so the singular-matrix check of
-that one elimination does the work of Sylvester's criterion;
-:func:`gram_matrices` still applies the criterion to bases that callers
-supply.  Only the tree route enumerates trees.
+fundamental cycle basis in integers and eliminate it once.  Writing
+each length as p/q, row i is scaled by s_i, the lcm of the q over the
+edges of cycle i, its own scale and never one lcm for the whole matrix;
+every entry is then an integer, and so is every projection right-hand
+side.  The elimination returns integers over one denominator, so each
+route builds exactly one Fraction per edge, its mass.  With positive
+lengths a Gram matrix is positive definite exactly when it is
+nonsingular, so the singular-matrix check of that one elimination does
+the work of Sylvester's criterion; :func:`gram_matrices` still applies
+the criterion to bases that callers supply.  Only the tree route
+enumerates trees.
 
 For a tropical curve (a metric graph whose edges come with an ordered
 layering, unit total length per layer) the edge mass on layer j is the
@@ -36,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -149,7 +155,7 @@ class EdgeMeasure:
     def vertex_atoms(self) -> Mapping[str, int]:
         return self.metric.graph.genus
 
-    @property
+    @cached_property
     def edge_mass(self) -> Fraction:
         return sum(self.edge_coeffs.values(), Fraction(0))
 
@@ -177,13 +183,29 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
-def _cycle_gram(m: MetricGraph, basis: Sequence[CycleVector]) -> list[list[Fraction]]:
-    # Sum over edges of length(e) times the outer square of e's basis
-    # coefficients.
-    return linalg.rank_one_sum(
-        ((m.lengths[eid], [gamma[eid] for gamma in basis]) for eid in m.graph.edge_ids),
-        len(basis),
-    )
+def _scaled_cycle_gram(
+    m: MetricGraph, basis: Sequence[CycleVector]
+) -> tuple[list[list[int]], list[int], dict[str, list[tuple[int, int]]]]:
+    # The Gram matrix G as (S G, S, support): S scales row i by s_i, the
+    # lcm of the length denominators q_e over cycle i, so entry (i, j) is
+    # the integer sum over edges of p_e (s_i / q_e) c_i(e) c_j(e).
+    # support[e] lists (i, c_i(e)) for the cycles through e, i ascending,
+    # and the assembly runs over it once, edge by edge.
+    support: dict[str, list[tuple[int, int]]] = {}
+    for i, gamma in enumerate(basis):
+        for eid, c in gamma.coeffs.items():
+            support.setdefault(eid, []).append((i, c))
+    scales = [lcm(*[m.lengths[eid].denominator for eid in gamma.coeffs]) for gamma in basis]
+    rows = [[0] * len(basis) for _ in basis]
+    for eid, coeffs in support.items():
+        length = m.lengths[eid]
+        p, q = length.numerator, length.denominator
+        for i, a in coeffs:
+            row = rows[i]
+            w = scales[i] // q * p * a
+            for j, b in coeffs:
+                row[j] += w * b
+    return rows, scales, support
 
 
 def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix:
@@ -200,10 +222,10 @@ def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix
                 raise UnknownEdge(f"cycle uses unknown edge {eid!r}")
         if any(b != 0 for b in cycle_boundary(m.graph, gamma).values()):
             raise BasisError("basis element has nonzero boundary")
-    matrix = _cycle_gram(m, basis)
-    if not linalg.is_positive_definite(matrix):
+    rows, scales, _ = _scaled_cycle_gram(m, basis)
+    if not linalg.is_positive_definite(rows):
         raise BasisError("cycle family is dependent; Gram matrix is not positive definite")
-    return matrix
+    return [[Fraction(x, s) for x in row] for row, s in zip(rows, scales)]
 
 
 def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
@@ -213,21 +235,27 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     the cycle space, divided by the length of e.  The projection is
     found by solving the normal equations exactly, for all edges at once:
     one solve of the Gram matrix, with a column for each edge that lies
-    on some basis cycle.
+    on some basis cycle.  Scaled by the Gram rows' scales, the column of
+    e is s_i length(e) c_i(e), an integer, and length(e) cancels from the
+    mass: it is sum_i x_i c_i(e) for x the solution.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     basis = fundamental_cycles(m.graph)
-    coeffs = {e: Fraction(0) for e in m.graph.edge_ids}
-    rhs: dict[str, list[Fraction]] = {}
-    for eid in m.graph.edge_ids:
-        column = [m.lengths[eid] * gamma[eid] for gamma in basis]
-        if any(x != 0 for x in column):
-            rhs[eid] = column
-    solutions = linalg.solve(_cycle_gram(m, basis), list(rhs.values()))
-    for (eid, column), a in zip(rhs.items(), solutions):
-        q = sum((ai * ri for ai, ri in zip(a, column)), Fraction(0))
-        coeffs[eid] = q / m.lengths[eid]
+    rows, scales, support = _scaled_cycle_gram(m, basis)
+    on_cycles = [eid for eid in m.graph.edge_ids if eid in support]
+    columns = []
+    for eid in on_cycles:
+        length = m.lengths[eid]
+        p, q = length.numerator, length.denominator
+        column = [0] * len(basis)
+        for i, c in support[eid]:
+            column[i] = scales[i] // q * p * c
+        columns.append(column)
+    ys, det = linalg.solve(rows, columns)
+    coeffs = dict.fromkeys(m.graph.edge_ids, Fraction(0))
+    for eid, y in zip(on_cycles, ys):
+        coeffs[eid] = Fraction(sum(y[i] * c for i, c in support[eid]), det)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
@@ -237,10 +265,11 @@ def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
     # The inverse is Y / D with Y an integer matrix, so each quadratic
     # form is an integer over D and each mass is one Fraction.
     basis = fundamental_cycles(m.graph)
-    y, det = linalg.scaled_inverse(_cycle_gram(m, basis))
+    rows, scales, support = _scaled_cycle_gram(m, basis)
+    y, det = linalg.scaled_inverse(rows, scales)
     coeffs = {}
     for eid in m.graph.edge_ids:
-        c = [(i, x) for i, x in enumerate(gamma[eid] for gamma in basis) if x]
+        c = support.get(eid, ())
         s = sum(y[i][j] * a * b for i, a in c for j, b in c)
         length = m.lengths[eid]
         coeffs[eid] = Fraction(length.numerator * s, length.denominator * det)

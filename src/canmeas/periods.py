@@ -16,10 +16,9 @@ and :func:`graded_inverse_limits` on a model family, run one sampling
 routine: it walks a decreasing grid, inverts in binary64, rescales, and
 compares against targets that are computed exactly first and rounded
 once.  The exact layer matrices are rank-one sums over edges, assembled
-by :func:`canmeas.linalg.rank_one_sum` like the cycle Gram matrix.  A
-recursive Schur-complement inverter provides an independent oracle for
-every direct inversion, and grid points whose condition number estimate
-exceeds 1e12 are flagged.
+by :func:`canmeas.linalg.rank_one_sum`.  A recursive Schur-complement
+inverter provides an independent oracle for every direct inversion, and
+grid points whose condition number estimate exceeds 1e12 are flagged.
 
 numpy is imported inside each function that calls it, not at module
 level.  The command line loads this module on every run, and numpy

@@ -586,22 +586,20 @@ class TestPeriodsCommand:
         assert code == 0
         assert sizes == [2]
 
-    def test_gram_consistency_catches_a_faulty_rank_one_sum(self, capsys, monkeypatch):
-        # The unit Gram matrix is assembled by rank_one_sum; the check adds
-        # the printed edge matrices apart from it.  A sum that raises one
+    def test_gram_consistency_catches_a_faulty_gram_assembly(self, capsys, monkeypatch):
+        # gram_matrices assembles the unit Gram matrix; the check adds the
+        # printed edge matrices apart from it.  An assembly that raises one
         # diagonal entry keeps the matrix positive definite but breaks the
         # check.
-        real = canmeas.linalg.rank_one_sum
+        real = canmeas.measures._scaled_cycle_gram
 
-        def faulty(terms, size):
-            out = real(terms, size)
-            if size:
-                out[0][0] += 1
-            return out
+        def faulty(m, basis):
+            rows, scales, support = real(m, basis)
+            if rows:
+                rows[0][0] += scales[0]
+            return rows, scales, support
 
-        for module in [m for name, m in sys.modules.items() if name.startswith("canmeas")]:
-            if getattr(module, "rank_one_sum", None) is real:
-                monkeypatch.setattr(module, "rank_one_sum", faulty)
+        monkeypatch.setattr(canmeas.measures, "_scaled_cycle_gram", faulty)
         code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
         assessed = {a["name"]: a["passed"] for a in json.loads(out)["assertions"]}
         assert assessed["gram_consistency"] is False

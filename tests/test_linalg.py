@@ -1,15 +1,32 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canmeas import BasisError, OrderedPartition, effective_resistance, graded_minors
+from canmeas import (
+    BasisError,
+    MetricGraph,
+    OrderedPartition,
+    effective_resistance,
+    foster_by_projection,
+    gram_matrices,
+    graded_minors,
+)
 from canmeas.gallery import theta_graph
-from canmeas.corpus import random_metric
-from canmeas.graphs import AugmentedGraph, connected_components, cycle_basis
+from canmeas.corpus import random_graph, random_layering, random_metric
+from canmeas.graphs import (
+    AugmentedGraph,
+    canonical_spanning_forest,
+    connected_components,
+    cycle_basis,
+    fundamental_cycles,
+    is_connected,
+)
 from canmeas.linalg import determinant, inverse, is_positive_definite, scaled_inverse, solve
+from canmeas.measures import _cycle_space_masses
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -65,6 +82,25 @@ def fraction_solve(rows, rhs):
     return out
 
 
+def scaled_rows(rows):
+    """Each row times the lcm of its denominators, and those lcms."""
+    scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
+    return [[int(F(x) * d) for x in row] for row, d in zip(rows, scales)], scales
+
+
+def rational_solve(rows, rhs, factor=1):
+    """linalg.solve on a rational system, each row of [A | B] scaled to
+    integers by its lcm times ``factor``; the solution as Fractions."""
+    n = len(rows)
+    scaled, _ = scaled_rows([list(row) + [col[i] for col in rhs] for i, row in enumerate(rows)])
+    scaled = [[factor * x for x in row] for row in scaled]
+    columns = [[row[n + k] for row in scaled] for k in range(len(rhs))]
+    ys, det = solve([row[:n] for row in scaled], columns)
+    assert type(det) is int and det != 0
+    assert all(type(y) is int for col in ys for y in col)
+    return [[F(y, det) for y in col] for col in ys]
+
+
 def fraction_inverse(rows):
     n = len(rows)
     identity = [[F(int(i == j)) for i in range(n)] for j in range(n)]
@@ -99,27 +135,28 @@ class TestSolve:
         a = random_matrix(rng, n, n, sparse)
         if determinant(a) == 0:
             with pytest.raises(BasisError):
-                solve(a, [[F(1)] * n])
+                rational_solve(a, [[F(1)] * n])
             return
         columns = [[random_entry(rng, sparse) for _ in range(n)] for _ in range(rng.randint(0, 4))]
-        together = solve(a, columns)
+        together = rational_solve(a, columns)
         assert len(together) == len(columns)
         inv = inverse(a)
         for b, x in zip(columns, together):
-            assert solve(a, [b]) == [x]
+            # Any nonzero row factor gives the same solution.
+            assert rational_solve(a, [b], factor=rng.choice([-3, 1, 2])) == [x]
             assert x == [sum((inv[i][j] * b[j] for j in range(n)), F(0)) for i in range(n)]
             assert [sum((a[i][j] * x[j] for j in range(n)), F(0)) for i in range(n)] == b
 
     def test_pivoting_past_a_zero_diagonal(self):
-        a = [[F(0), F(1)], [F(2), F(0)]]
-        assert solve(a, [[F(3), F(4)], [F(0), F(0)]]) == [[F(2), F(3)], [F(0), F(0)]]
+        ys, det = solve([[0, 1], [2, 0]], [[3, 4], [0, 0]])
+        assert [[F(y, det) for y in col] for col in ys] == [[2, 3], [0, 0]]
 
     def test_singular_matrix_raises(self):
         with pytest.raises(BasisError):
-            solve([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(0)]])
+            solve([[1, 2], [2, 4]], [[1, 0]])
 
     def test_empty_system(self):
-        assert solve([], [[], []]) == [[], []]
+        assert solve([], [[], []]) == ([[], []], 1)
 
 
 def huge_entry(rng, sparse=False):
@@ -130,21 +167,28 @@ def huge_entry(rng, sparse=False):
 
 
 class TestAgainstFractionElimination:
-    """solve, inverse and scaled_inverse equal the Fraction loops exactly."""
+    """solve, inverse and scaled_inverse equal the Fraction loops exactly.
+
+    solve and scaled_inverse get each row scaled by the lcm of its
+    denominators."""
 
     def check(self, a, columns):
         try:
             want = fraction_solve(a, columns)
         except BasisError:
-            for kernel in (inverse, scaled_inverse, lambda rows: solve(rows, columns)):
+            for kernel in (
+                inverse,
+                lambda rows: scaled_inverse(*scaled_rows(rows)),
+                lambda rows: rational_solve(rows, columns),
+            ):
                 with pytest.raises(BasisError):
                     kernel(a)
             return
-        assert solve(a, columns) == want
+        assert rational_solve(a, columns) == want
         inv = inverse(a)
         assert inv == fraction_inverse(a)
         assert all(isinstance(x, Fraction) for row in inv for x in row)
-        y, det = scaled_inverse(a)
+        y, det = scaled_inverse(*scaled_rows(a))
         assert isinstance(det, int) and det != 0
         assert all(type(x) is int for row in y for x in row)
         assert [[F(x, det) for x in row] for row in y] == inv
@@ -195,7 +239,7 @@ class TestAgainstFractionElimination:
 
     def test_empty_matrix(self):
         assert inverse([]) == []
-        assert scaled_inverse([]) == ([], 1)
+        assert scaled_inverse([], []) == ([], 1)
 
     def test_singular_matrices_raise(self):
         for a in (
@@ -303,3 +347,96 @@ class TestEffectiveResistance:
         lengths = {"f1": F(1, 2), "f2": F(1, 3), "g1": F(1, 7), "g2": F(1, 7)}
         got = effective_resistance(minor, lengths)
         assert got == {"f1": F(1, 5), "f2": F(1, 5), "g1": F(1, 14), "g2": F(1, 14)}
+
+
+def reference_masses(g, lengths):
+    """mu(e) = length(e) c(e)^T G^-1 c(e) over the fundamental cycles, and
+    the Gram matrix G, by Fraction elimination."""
+    basis = fundamental_cycles(g)
+    gram = [
+        [sum((lengths[e] * a[e] * b[e] for e in a.support), F(0)) for b in basis] for a in basis
+    ]
+    coeffs = {e: [gamma[e] for gamma in basis] for e in g.edge_ids}
+    solutions = fraction_solve(gram, list(coeffs.values()))
+    mu = {
+        e: lengths[e] * sum((c * x for c, x in zip(coeffs[e], xs)), F(0))
+        for e, xs in zip(coeffs, solutions)
+    }
+    return mu, basis, gram
+
+
+def reference_resistance(g, lengths):
+    """Potential differences of unit currents in the grounded Laplacian of
+    each component, by Fraction elimination; a loop gets zero."""
+    out = {e: F(0) for e in g.edge_ids}
+    for comp in connected_components(g):
+        index = {v: i for i, v in enumerate(sorted(comp))}
+        n = len(index) - 1  # the grounded vertex has index n
+        lap = [[F(0)] * (n + 1) for _ in range(n + 1)]
+        edges = [(e, index[u], index[v]) for e, (u, v) in g.edges if u in comp and u != v]
+        for e, i, j in edges:
+            c = 1 / lengths[e]
+            lap[i][i] += c
+            lap[j][j] += c
+            lap[i][j] -= c
+            lap[j][i] -= c
+        columns = [[int(k == i) - int(k == j) for k in range(n)] for _, i, j in edges]
+        for (e, i, j), x in zip(edges, fraction_solve([row[:n] for row in lap[:n]], columns)):
+            x.append(F(0))
+            out[e] = x[i] - x[j]
+    return out
+
+
+def small_lengths(rng, layer_of):
+    return {e: F(rng.randint(1, 12), rng.randint(1, 12)) for e in layer_of}
+
+
+def layered_lengths(rng, layer_of):
+    # A grid point of a limit family: layer j shrinks like 10^(-6j).
+    return {
+        e: F(rng.randint(1, 12), rng.randint(1, 12) * 10 ** (6 * j)) for e, j in layer_of.items()
+    }
+
+
+def huge_lengths(rng, layer_of):
+    # Numerators near 10^30: the resistance oracle's row scales are lcms
+    # of length numerators.
+    return {e: F(10**30 + rng.randint(-(10**6), 10**6), rng.randint(1, 12)) for e in layer_of}
+
+
+class TestKernelsAgainstFractionElimination:
+    """The matrix route's masses, the projection route and the resistance
+    oracle, all computed in integers with per-row scales, equal Fraction
+    elimination exactly: on random multigraphs with loops, on their
+    graded minors (often disconnected) under up to four layers, and on
+    spanning trees (h = 0)."""
+
+    @pytest.mark.parametrize("regime", [small_lengths, layered_lengths, huge_lengths])
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_random_multigraphs_minors_and_trees(self, regime, seed):
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=10)
+        graphs = [g]
+        layer_of = {}
+        if g.edges:
+            layering = random_layering(rng, g)
+            layer_of = {e: j for j, part in enumerate(layering.parts) for e in part}
+            graphs += graded_minors(g, layering).minors
+        forest = canonical_spanning_forest(g)
+        graphs.append(
+            AugmentedGraph(vertices=g.vertices, edges=tuple(x for x in g.edges if x[0] in forest))
+        )
+        lengths = regime(rng, layer_of)
+        for h in graphs:
+            restricted = {e: lengths[e] for e in h.edge_ids}
+            m = MetricGraph(h, restricted)
+            mu, basis, gram = reference_masses(h, restricted)
+            resistance = reference_resistance(h, restricted)
+            assert _cycle_space_masses(m) == mu
+            assert effective_resistance(h, restricted) == resistance
+            assert gram_matrices(m, basis) == gram
+            if is_connected(h):
+                assert foster_by_projection(m).edge_coeffs == mu
+            for e in h.edge_ids:
+                assert mu[e] == 1 - resistance[e] / restricted[e], e

@@ -378,21 +378,23 @@ class TestTropicalRoute:
 
 class TestLargerGraphs:
     """The two cycle-space routes and the Laplacian oracle on graphs too
-    large for tree enumeration, with lengths p/q up to 10^6."""
+    large for tree enumeration, with lengths p/q up to 10^6, or up to 12
+    on the 8x8 grid, where 10^6 costs seconds per route."""
 
     SHAPES = {
         "grid6x6": lambda rng: grid_graph(6),
+        "grid8x8": lambda rng: grid_graph(8),
         "K9": lambda rng: complete_graph(9),
         "multigraph": multigraph_with_loops,
     }
 
     @pytest.mark.parametrize(
         "shape, seed",
-        [("grid6x6", 0), ("K9", 0), ("K9", 1)] + [("multigraph", seed) for seed in range(20)],
+        [("grid6x6", 0), ("grid8x8", 0), ("K9", 0), ("K9", 1)] + [("multigraph", seed) for seed in range(20)],
     )
     def test_routes_agree_with_the_resistance_oracle(self, shape, seed):
         rng = Random(seed)
-        m = random_metric(rng, self.SHAPES[shape](rng), 10**6)
+        m = random_metric(rng, self.SHAPES[shape](rng), 12 if shape == "grid8x8" else 10**6)
         mu = foster_by_matrix(m).edge_coeffs
         assert foster_by_projection(m).edge_coeffs == mu
         resistance = effective_resistance(m.graph, m.lengths)
