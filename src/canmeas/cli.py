@@ -148,6 +148,14 @@ def _finish(report: dict[str, Any], assertions: list[dict[str, Any]]) -> tuple[d
     return report, ok
 
 
+def _foster_mass(resistance: Fraction, length: Fraction) -> Fraction:
+    """Foster's 1 - R/l as one Fraction: with R = r/d and l = p/q it is
+    (d p - r q) / (d p)."""
+    r, d = resistance.numerator, resistance.denominator
+    p, q = length.numerator, length.denominator
+    return Fraction(d * p - r * q, d * p)
+
+
 def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -> list[dict[str, Any]]:
     """The measure checks: the formulations agree, the edge mass is the
     genus, and the first formulation matches the resistance oracle."""
@@ -171,9 +179,10 @@ def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -
             genus=h,
         )
     )
-    resistance = effective_resistance(g, metric.lengths)
+    lengths = metric.lengths
+    resistance = effective_resistance(g, lengths)
     rows = (
-        (e, ("measure", first.edge_coeffs[e]), ("oracle", 1 - resistance[e] / metric.lengths[e]))
+        (e, ("measure", first.edge_coeffs[e]), ("oracle", _foster_mass(resistance[e], lengths[e])))
         for e in g.edge_ids
     )
     assertions.append(_agreement("resistance_oracle", "edge", rows))

@@ -73,6 +73,18 @@ class AugmentedGraph:
     def _ends(self) -> dict[str, tuple[str, str]]:
         return {eid: uv for eid, uv in self.edges}
 
+    @cached_property
+    def _components(self) -> tuple[frozenset[str], ...]:
+        # One search from every vertex in sorted order: each tree's root
+        # is its smallest vertex, and the trees are reached one after the
+        # other, so a component starts at each root.
+        parts: list[list[str]] = []
+        for v, link in search_forest(edge_adjacency(self), self.vertices).items():
+            if link is None:
+                parts.append([])
+            parts[-1].append(v)
+        return tuple([frozenset(part) for part in parts])
+
     @property
     def edge_ids(self) -> tuple[str, ...]:
         # Built from a list, as in __post_init__: a tuple built from a
@@ -162,16 +174,12 @@ def search_forest(
 
 
 def connected_components(g: AugmentedGraph) -> list[frozenset[str]]:
-    """Vertex sets of the connected components, sorted by smallest vertex."""
-    adjacent = edge_adjacency(g)
-    seen: set[str] = set()
-    parts: list[frozenset[str]] = []
-    for start in g.vertices:
-        if start not in seen:
-            comp = frozenset(search_forest(adjacent, [start]))
-            seen |= comp
-            parts.append(comp)
-    return sorted(parts, key=min)
+    """Vertex sets of the connected components, sorted by smallest vertex.
+
+    The graph searches its components once and keeps them; each call
+    returns a new list of them.
+    """
+    return list(g._components)
 
 
 def is_connected(g: AugmentedGraph) -> bool:

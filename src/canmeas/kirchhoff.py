@@ -8,11 +8,13 @@ for resistance: row v is scaled by the lcm of the conductance
 denominators at v, its own scale, never by one lcm for the whole
 matrix.  Each Laplacian is eliminated once: tree counting takes one
 determinant per component (every scale is 1 there), and the resistances
-of all edges of a component come from one multi-column solve.  That
-solve runs its own fraction-free elimination loop in integers
-(:func:`canmeas.linalg.solve`), apart from the Bareiss routine behind
-the Gram inverse of the matrix route, so the oracle shares no
-elimination code with the route it checks.
+of all edges of a component come from one solve against the unit
+columns, which gives the grounded inverse; each edge's resistance is
+then read off three of its entries.  That solve runs its own
+fraction-free elimination loop in integers (:func:`canmeas.linalg.solve`),
+apart from the Bareiss routine behind the Gram inverse of the matrix
+route, so the oracle shares no elimination code with the route it
+checks.
 """
 
 from __future__ import annotations
@@ -78,24 +80,27 @@ def effective_resistance(
     """Effective resistance across each edge's endpoints, edge included.
 
     Each edge conducts 1/length.  Per connected component, one vertex is
-    grounded and the grounded Laplacian is solved once, with one unit
-    current column e_u - e_v per non-loop edge u-v (scaled by the rows'
-    scales); the resistance is the potential difference that column
-    produces, one integer over the solve's denominator.  A loop has
-    resistance zero.  Returns ``{edge_id: resistance}`` for every edge.
+    grounded and the grounded Laplacian L is solved once against its
+    unit columns (column k scaled by row k's scale), which gives
+    Y = D L^-1 in integers, one column per non-grounded vertex.  With a
+    zero row and column for the grounded vertex, the resistance across
+    u-v is (y_uu + y_vv - 2 y_uv) / D, one Fraction per edge.  A loop
+    has resistance zero.  Returns ``{edge_id: resistance}`` for every
+    edge.
     """
     out = dict.fromkeys(g.edge_ids, Fraction(0))
     for grounded, scales, edges in _grounded_laplacians(
         g, lambda eid: (lengths[eid].denominator, lengths[eid].numerator)
     ):
         n = len(grounded)  # the grounded vertex has index n
-        columns = []
-        for _, i, j in edges:
-            col = [0] * (n + 1)
-            col[i], col[j] = scales[i], -scales[j]
-            columns.append(col[:n])
+        columns = [[0] * n for _ in range(n)]
+        for k, col in enumerate(columns):
+            col[k] = scales[k]
         ys, det = linalg.solve(grounded, columns)
-        for (eid, i, j), y in zip(edges, ys):
+        # L^-1 is symmetric, so column k of Y is also its row k.
+        for y in ys:
             y.append(0)
-            out[eid] = Fraction(y[i] - y[j], det)
+        ys.append([0] * (n + 1))
+        for eid, i, j in edges:
+            out[eid] = Fraction(ys[i][i] + ys[j][j] - 2 * ys[i][j], det)
     return out

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import linalg
@@ -45,6 +46,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 CONDITION_LIMIT = 1e12
+# Above 10^309 a value has no binary64 rounding (the largest finite one
+# is about 1.8e308).
+_BINARY64_DECADES = 309
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +231,23 @@ def assemble_base(
     return base
 
 
+def _binary64_value(fn: ScaleFunction, t: Fraction) -> float:
+    """fn(t) rounded to binary64.
+
+    Raises OverflowError before any exact power is taken when some term
+    c t^k exceeds 10^309, by log10(c) + k log10(t).  Such a value would
+    overflow anyway, and the exact power alone takes time growing faster
+    than k: (1/10)^-(10^7) takes seconds.
+    """
+    t = Fraction(t)
+    if t > 0:
+        decades = log10(t.numerator) - log10(t.denominator)
+        for k, c in fn.terms:
+            if log10(c.numerator) - log10(c.denominator) + k * decades > _BINARY64_DECADES:
+                raise OverflowError(f"a scale term exceeds 10^{_BINARY64_DECADES}")
+    return float(fn.evaluate(t))
+
+
 def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     """Imaginary part of the model period matrix at parameter t.
 
@@ -240,7 +261,7 @@ def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     out = f.base_im.copy()
     h = f.monodromy.rank
     for eid, fn in sorted(f.lengths.param_lengths.items()):
-        le = float(fn.evaluate(Fraction(t)))
+        le = _binary64_value(fn, t)
         row = np.array(f.monodromy.edge_rows[eid], dtype=float)
         out[:h, :h] += le * np.outer(row, row)
     if not _positive_definite(out):
@@ -469,7 +490,7 @@ def verify_inverse_lemma(
     offsets = _block_offsets(profile.block_sizes)
 
     def point(t: Fraction) -> tuple[np.ndarray, list[float]]:
-        y = [float(s.evaluate(t)) for s in profile.scales]
+        y = [_binary64_value(s, t) for s in profile.scales]
         eps = noise.amplitude * float(t) ** noise.exponent
         m = np.zeros((profile.total_size, profile.total_size))
         for k in range(r):
@@ -558,7 +579,7 @@ def graded_inverse_limits(
     targets = float_targets + ([pad_target] if has_pad else [])
 
     def point(t: Fraction) -> tuple[np.ndarray, list[float]]:
-        y = [float(s.evaluate(t)) for s in scales]
+        y = [_binary64_value(s, t) for s in scales]
         return model_period(f, t), y + ([1.0] if has_pad else [])
 
     samples = _block_samples(pts, sizes, targets, point)

@@ -139,6 +139,22 @@ class TestMeasureCommand:
             }
         ]
 
+    def test_one_component_search_per_report(self, capsys, monkeypatch):
+        # The report's graph section, the genus, the connectivity checks
+        # and the oracle all read the document graph's components; only
+        # the first reader searches for them.  theta.json has six half
+        # edges; the cycle-basis walks search spanning trees with two.
+        full = []
+
+        def counted(adjacent, roots, search=graphs.search_forest):
+            full.append(sum(map(len, adjacent.values())) == 6)
+            return search(adjacent, roots)
+
+        monkeypatch.setattr(graphs, "search_forest", counted)
+        code, out, err = run(capsys, "measure", "--input", example("theta.json"))
+        assert code == 0
+        assert full.count(True) == 1
+
     def test_lengths_required(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -572,6 +588,20 @@ class TestPeriodsCommand:
         assert code == 3
         assert out == ""
         assert f"grid point t = 1/1{'0' * 78} overflows binary64" in err
+
+    def test_huge_scale_exponents_are_refused_before_the_exact_power(self, capsys, monkeypatch):
+        # t^-100000001 at t = 1/10 has 10^8 digits: the term sizes are
+        # bounded by logarithms before any exact power is taken.
+        def unreachable(self, t):
+            raise AssertionError("a scale function was evaluated")
+
+        monkeypatch.setattr(canmeas.families.ScaleFunction, "evaluate", unreachable)
+        code, out, err = run(
+            capsys, "periods", "--input", example("theta.json"), "--scales", "100000001,100000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: grid point t = 1/10 overflows binary64\n"
 
     def test_unit_gram_matrix_is_checked_once(self, capsys, monkeypatch):
         # gram_matrices applies Sylvester's criterion once per assembly.

@@ -114,6 +114,13 @@ class TestGenus:
         assert len(connected_components(g)) == 3
         assert graph_genus(g) == 1
 
+    def test_components_are_handed_out_as_new_lists(self):
+        g = AugmentedGraph(vertices=("c", "a", "b"), edges=(("e", ("c", "b")),))
+        parts = connected_components(g)
+        assert parts == [frozenset("a"), frozenset("bc")]
+        parts.clear()
+        assert connected_components(g) == [frozenset("a"), frozenset("bc")]
+
     def test_total_genus_adds_vertex_genera(self):
         assert total_genus(theta_graph(genus=(1, 3))) == 6
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canmeas.linalg
 from canmeas import (
     BasisError,
     MetricGraph,
@@ -25,6 +26,7 @@ from canmeas.graphs import (
     fundamental_cycles,
     is_connected,
 )
+from canmeas.kirchhoff import _grounded_laplacians
 from canmeas.linalg import determinant, inverse, is_positive_definite, scaled_inverse, solve
 from canmeas.measures import _cycle_space_masses
 
@@ -404,6 +406,45 @@ def huge_lengths(rng, layer_of):
     return {e: F(10**30 + rng.randint(-(10**6), 10**6), rng.randint(1, 12)) for e in layer_of}
 
 
+def multigraphs_minors_and_trees(rng, regime):
+    """A random multigraph with loops, its graded minors under a random
+    layering of up to four layers (often disconnected), and its canonical
+    spanning forest, with lengths on its edges drawn by ``regime``."""
+    g = random_graph(rng, max_vertices=6, max_edges=10)
+    graphs = [g]
+    layer_of = {}
+    if g.edges:
+        layering = random_layering(rng, g)
+        layer_of = {e: j for j, part in enumerate(layering.parts) for e in part}
+        graphs += graded_minors(g, layering).minors
+    forest = canonical_spanning_forest(g)
+    graphs.append(
+        AugmentedGraph(vertices=g.vertices, edges=tuple(x for x in g.edges if x[0] in forest))
+    )
+    return graphs, regime(rng, layer_of)
+
+
+def edge_column_resistance(g, lengths):
+    """The resistance oracle with one unit-current column per non-loop
+    edge u-v, sent as s_u e_u - s_v e_v through the scaled grounded
+    Laplacian: each resistance is the potential difference it produces."""
+    out = dict.fromkeys(g.edge_ids, F(0))
+    for grounded, scales, edges in _grounded_laplacians(
+        g, lambda e: (lengths[e].denominator, lengths[e].numerator)
+    ):
+        n = len(grounded)
+        columns = []
+        for _, i, j in edges:
+            col = [0] * (n + 1)
+            col[i], col[j] = scales[i], -scales[j]
+            columns.append(col[:n])
+        ys, det = solve(grounded, columns)
+        for (e, i, j), y in zip(edges, ys):
+            y.append(0)
+            out[e] = F(y[i] - y[j], det)
+    return out
+
+
 class TestKernelsAgainstFractionElimination:
     """The matrix route's masses, the projection route and the resistance
     oracle, all computed in integers with per-row scales, equal Fraction
@@ -415,19 +456,7 @@ class TestKernelsAgainstFractionElimination:
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_random_multigraphs_minors_and_trees(self, regime, seed):
-        rng = Random(seed)
-        g = random_graph(rng, max_vertices=6, max_edges=10)
-        graphs = [g]
-        layer_of = {}
-        if g.edges:
-            layering = random_layering(rng, g)
-            layer_of = {e: j for j, part in enumerate(layering.parts) for e in part}
-            graphs += graded_minors(g, layering).minors
-        forest = canonical_spanning_forest(g)
-        graphs.append(
-            AugmentedGraph(vertices=g.vertices, edges=tuple(x for x in g.edges if x[0] in forest))
-        )
-        lengths = regime(rng, layer_of)
+        graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)
         for h in graphs:
             restricted = {e: lengths[e] for e in h.edge_ids}
             m = MetricGraph(h, restricted)
@@ -440,3 +469,34 @@ class TestKernelsAgainstFractionElimination:
                 assert foster_by_projection(m).edge_coeffs == mu
             for e in h.edge_ids:
                 assert mu[e] == 1 - resistance[e] / restricted[e], e
+
+
+class TestResistanceFromTheGroundedInverse:
+    """The oracle solves each component's grounded Laplacian against its
+    |V_c| - 1 unit columns only, gets the symmetric D L^-1 back, and
+    gives the same Fractions as one unit-current column per edge."""
+
+    @pytest.mark.parametrize("regime", [small_lengths, layered_lengths, huge_lengths])
+    def test_unit_columns_match_edge_columns(self, regime, monkeypatch):
+        calls = []
+
+        def recorded(rows, rhs):
+            ys, det = solve(rows, rhs)
+            calls.append((len(rows), len(rhs), [y[:] for y in ys]))
+            return ys, det
+
+        monkeypatch.setattr(canmeas.linalg, "solve", recorded)
+        loops = split = 0
+        for seed in range(30):
+            graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)
+            for h in graphs:
+                restricted = {e: lengths[e] for e in h.edge_ids}
+                calls.clear()
+                assert effective_resistance(h, restricted) == edge_column_resistance(h, restricted)
+                sides = [len(c) - 1 for c in connected_components(h) if len(c) > 1]
+                assert [(n, k) for n, k, _ in calls] == [(n, n) for n in sides], seed
+                for n, _, ys in calls:
+                    assert all(ys[i][j] == ys[j][i] for i in range(n) for j in range(i)), seed
+                loops += any(u == v for _, (u, v) in h.edges)
+                split += len(sides) > 1
+        assert loops and split

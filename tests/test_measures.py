@@ -30,6 +30,7 @@ from canmeas import (
     total_genus,
     tropical_canonical_measure,
 )
+from canmeas.cli import _foster_mass
 from canmeas.corpus import (
     layered_family,
     normalized_coordinates,
@@ -170,6 +171,8 @@ class TestCanonicalMeasure:
         for e in g.edge_ids:
             drop = resistance[e] / m.lengths[e]
             assert mu.edge_coeffs[e] == 1 - drop
+            # The command line builds 1 - R/l as one Fraction.
+            assert _foster_mass(resistance[e], m.lengths[e]) == 1 - drop
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
