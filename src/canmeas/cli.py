@@ -86,6 +86,41 @@ TREE_BUDGET = 1_000_000
 PERIOD_SIDE_BUDGET = 100
 
 
+# The most decimal digits, numerator and denominator together, that
+# `limit` lets an exact edge length take at a grid point.  The fibres are
+# measured exactly, and the cost grows faster than the square of the
+# digits: theta.json with e2 and e3 at 1/2*t^k on the default grid
+# (lengths of about 6k digits at t = 1e-6) took 0.45 s at k = 3,000,
+# 3.5 s at 10,000 and 29 s at 30,000.  At the budget, k = 1,666 took
+# 0.25 s, and tests/fixtures/layered_grid.json with every exponent times
+# 275 (9,900 digits) 0.75 s.
+LENGTH_DIGITS_BUDGET = 10_000
+
+
+def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> None:
+    """Refuse an exact edge length of more than LENGTH_DIGITS_BUDGET digits
+    at a grid point, naming the first in grid then edge order.
+
+    The digits of fn(t) written as p/q are estimated from logarithms,
+    before any power is taken: each term c t^k counts those of c plus
+    |k| times those of t, exactly up to a digit per integer.
+    """
+    for t in grid:
+        t_digits = math.log10(t.numerator) + math.log10(t.denominator)
+        for e, fn in sorted(family.param_lengths.items()):
+            digits = math.ceil(
+                sum(
+                    math.log10(c.numerator) + math.log10(c.denominator) + abs(k) * t_digits + 2
+                    for k, c in fn.terms
+                )
+            )
+            if digits > LENGTH_DIGITS_BUDGET:
+                raise CanmeasError(
+                    f"the length of edge {e!r} at t = {t} has {digits} digits, "
+                    f"over the budget of {LENGTH_DIGITS_BUDGET}"
+                )
+
+
 def _require_budget(
     count: int, holder: str = "the graph", what: str = "spanning trees", budget: int = TREE_BUDGET
 ) -> None:
@@ -303,17 +338,19 @@ def _dichotomy_assertion(family: LengthFamily, limits: dict[frozenset[str], Frac
     names the first tree, in the canonical order of ``limits``, that
     breaks it."""
     closed_forms = layered_tree_weights(family, limits)
-    rows = (
-        (sorted(t), ("limit", x), ("closed_form", closed_forms[t]))
-        for t, x in limits.items()
-    )
-    return _agreement("tree_weight_dichotomy", "tree", rows)
+    rows = ((t, ("limit", x), ("closed_form", closed_forms[t])) for t, x in limits.items())
+    assertion = _agreement("tree_weight_dichotomy", "tree", rows)
+    if not assertion["passed"]:
+        # Only the failing tree is shown, so only it is sorted.
+        assertion["tree"] = sorted(assertion["tree"])
+    return assertion
 
 
 def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     family = doc.length_family()
     grid = _parse_grid(args.grid, (1, 6))
+    _require_length_budget(family, grid)
     _require_budget(tree_count(doc.graph))
     limits = all_tree_limits(family)
     dichotomy = _dichotomy_assertion(family, limits)

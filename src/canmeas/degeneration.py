@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, validate_grid
-from .graphs import AugmentedGraph, canonical_spanning_forest, find_root, spanning_trees
+from .graphs import AugmentedGraph, canonical_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
     MetricGraph,
@@ -190,25 +190,31 @@ def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]
     A spanning forest has as many edges as the canonical one (found
     once), and the greedy forest over its edges keeps them all: every
     one is an edge of g, and a union-find over those edges alone joins
-    two trees at each, so none is a loop or closes a cycle.
+    two trees at each, so none is a loop or closes a cycle.  Vertices
+    are numbered once; each test runs the union-find on a list of
+    parent indices, halving paths.
     """
     size = len(canonical_spanning_forest(g))
-    ends = dict(g.edges)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = {eid: (index[u], index[v]) for eid, (u, v) in g.edges}
+    n = len(index)
 
     def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
         if len(edge_ids) != size:
             return False
-        parent: dict[str, str] = {}
+        parent = list(range(n))
         for e in edge_ids:
-            if e not in ends:
+            uv = ends.get(e)
+            if uv is None:
                 return False
-            u, v = ends[e]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru == rv:
+            u, v = uv
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
                 return False
-            parent[ru] = rv
+            parent[u] = v
         return True
 
     return is_spanning_forest

@@ -21,8 +21,13 @@ rows of finite numbers: ``vertex_blocks`` (vertex id to block),
 :func:`canmeas.periods.assemble_base`.  Both inputs pass one check (a
 JSON object with known keys only), and neither is ever written.
 
-Reports are serialized canonically (sorted keys, fixed indentation), so
-equal reports are equal byte for byte.
+Reports are serialized canonically, so equal reports are equal byte for
+byte: :func:`dump_report` writes exactly what ``json.dumps(report,
+indent=2, sort_keys=True)`` writes, in one recursive pass.  That call
+would run json's pure-Python encoder, since the C encoder takes no
+indent; here each container joins its items, dict items sorted as json
+sorts them, and leaves are written inline, strings through json's own C
+escaper.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
 the float rendered with 17 significant digits.
@@ -34,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
 from .degeneration import LengthFamily
@@ -283,7 +289,9 @@ def load_base_matrix(path: str) -> dict[str, Any]:
 
 
 def exact_field(x: Fraction) -> dict[str, str]:
-    return {"exact": str(Fraction(x))}
+    # A Fraction or an int already prints as its Fraction does; anything
+    # else, a bool included, is made a Fraction first.
+    return {"exact": str(x if type(x) in (Fraction, int) else Fraction(x))}
 
 
 def float_field(x: float) -> dict[str, str]:
@@ -299,8 +307,45 @@ def measure_section(mu: EdgeMeasure) -> dict[str, Any]:
     }
 
 
+def _report_text(x: Any, pad: str) -> str:
+    # Containers, each item on its own line indented by pad plus two
+    # spaces, then the leaves json writes.
+    if isinstance(x, str):
+        return _escape(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_escape(k) + ": " + _report_text(v, inner) for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        items = [_report_text(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def dump_report(report: Mapping[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
+    it, plus a newline.  Keys must be strings; a key or a leaf of another
+    type raises TypeError."""
+    return _report_text(report, "") + "\n"
 
 
 def _table_lines(value: Any, label: str, indent: int, out: list[str]) -> None:

@@ -210,22 +210,27 @@ def is_stable(g: AugmentedGraph) -> bool:
 
 
 def _reachable(edges: list[tuple[str, str, str]], source: str, target: str) -> bool:
-    """Whether the (id, tail, head) edges join source to target."""
-    adjacency: dict[str, list[str]] = {}
-    for _, u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    queue = deque([source])
-    seen = {source}
-    while queue:
-        w = queue.popleft()
-        for x in adjacency.get(w, ()):
-            if x == target:
-                return True
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-    return False
+    """Whether the (id, tail, head) edges join source to target.
+
+    A union-find over the edges: a vertex that is no key of ``parent``
+    is a root, each edge points one root at the other, and every climb
+    halves its path, so chains stay short.
+    """
+    parent: dict[str, str] = {}
+    for _, a, b in edges:
+        while a in parent:
+            up = parent[a]
+            parent[a] = a = parent.get(up, up)
+        while b in parent:
+            up = parent[b]
+            parent[b] = b = parent.get(up, up)
+        if a != b:
+            parent[a] = b
+    while source in parent:
+        source = parent[source]
+    while target in parent:
+        target = parent[target]
+    return source == target
 
 
 def _forests(
@@ -248,6 +253,8 @@ def _forests(
     chosen.append(pick)
     _forests(merged, chosen, out)
     chosen.pop()
+    # The deletion has forests unless the edge is a bridge: the remaining
+    # edges must still join its ends, which a union-find over them decides.
     if _reachable(rest, u, v):
         _forests(rest, chosen, out)
 

@@ -279,6 +279,54 @@ class TestLimitCommand:
             }
         ]
 
+    def test_dichotomy_failure_sorts_the_failing_tree(self, capsys, monkeypatch):
+        real = cli.all_tree_limits
+        broken = []
+
+        def corrupted(family):
+            limits = real(family)
+            broken.append(list(limits)[-1])
+            limits[broken[0]] += 1
+            return limits
+
+        monkeypatch.setattr(cli, "all_tree_limits", corrupted)
+        code, out, err = run(capsys, "limit", "--input", str(FIXTURES / "layered_grid.json"))
+        assert code == 4
+        failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
+        assert [a["tree"] for a in failed] == [sorted(broken[0])]
+        assert len(broken[0]) == 8
+
+    def test_huge_scale_exponents_are_refused_before_the_exact_power(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # At t = 1/10, t^1000000 has a million digits: the length sizes
+        # are bounded by logarithms before any exact power is taken.
+        doc = json.loads(Path(example("theta.json")).read_text())
+        doc["family"]["e2"] = doc["family"]["e3"] = "1/2*t^1000000"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+
+        def unreachable(self, t):
+            raise AssertionError("a scale function was evaluated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(canmeas.families.ScaleFunction, "evaluate", unreachable)
+            code, out, err = run(capsys, "limit", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the length of edge 'e2' at t = 1/10 has 1000003 digits, "
+            f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
+        )
+        # The budget holds at every grid point: t^1500 has 4,500 digits
+        # at t = 1e-3, and 10,500 at 1e-7.
+        doc["family"]["e2"] = doc["family"]["e3"] = "1/2*t^1500"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "limit", "--input", str(path), "--grid", "1e-1..1e-3")
+        assert code == 0 and json.loads(out)["ok"]
+        code, out, err = run(capsys, "limit", "--input", str(path), "--grid", "1/2,1/10000000")
+        assert code == 3
+        assert err.startswith("error: the length of edge 'e2' at t = 1/10000000 has 10503 digits")
+
     def test_divergent_family(self, capsys, tmp_path):
         doc = json.loads(Path(example("theta.json")).read_text())
         doc["family"]["e2"] = "1/3*t"

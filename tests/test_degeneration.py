@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from canmeas import (
     CROSS_LAYER,
     WITHIN_LAYER,
+    AugmentedGraph,
     FamilyError,
     InvalidGraph,
     LengthFamily,
@@ -388,6 +389,38 @@ class TestForestTest:
         for s in candidates:
             want = len(s) == len(canonical) and canonical_spanning_forest(g, s) == s
             assert is_forest(s) == want, sorted(s)
+
+
+    def test_layered_tree_weights_rejects_non_forests(self):
+        # Vertices declared out of sorted order: the test numbers them
+        # once, and every edge must still find its own two ends.
+        g = AugmentedGraph(
+            vertices=("d", "b", "c", "a"),
+            edges=(
+                ("e1", ("d", "a")),
+                ("e2", ("a", "b")),
+                ("e3", ("b", "c")),
+                ("e4", ("c", "d")),
+                ("e5", ("b", "d")),
+                ("e6", ("c", "c")),
+            ),
+        )
+        p = OrderedPartition(parts=(frozenset({"e1", "e2", "e5"}), frozenset({"e3", "e4", "e6"})))
+        third = F(1, 3)
+        point = {"e1": F(1, 2), "e2": F(1, 4), "e5": F(1, 4), "e3": third, "e4": third, "e6": third}
+        f = layered_family(g, p, point)
+        trees = spanning_trees(g)
+        assert len(trees) == 8
+        assert set(layered_tree_weights(f, trees)) == set(trees)
+        for bad in (
+            frozenset({"e1", "e2", "zz"}),  # an unknown id
+            frozenset({"e1", "e2"}),  # too few edges
+            frozenset({"e1", "e2", "e3", "e4"}),  # too many edges
+            frozenset({"e1", "e2", "e5"}),  # the cycle d-a-b-d
+            frozenset({"e1", "e2", "e6"}),  # a loop
+        ):
+            with pytest.raises(InvalidGraph, match="not a spanning forest"):
+                layered_tree_weights(f, trees[:2] + [bad])
 
 
 def test_tree_route_leaves_no_reference_cycles():

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canmeas import (
@@ -303,6 +304,9 @@ class TestReportRendering:
     def test_numeric_fields(self):
         assert exact_field(F(4, 5)) == {"exact": "4/5"}
         assert exact_field(F(10, 5)) == {"exact": "2"}
+        assert exact_field(-7) == {"exact": "-7"}
+        assert exact_field(True) == {"exact": "1"}
+        assert exact_field(0.5) == {"exact": "1/2"}
         assert float_field(0.1) == {"float": "0.10000000000000001"}
         assert float_field(2) == {"float": "2"}
 
@@ -342,3 +346,80 @@ class TestReportRendering:
             "    [1]: 3\n"
             "ok: True\n"
         )
+
+
+def json_dumps_report(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Text with the characters an escaper must get right: quotes, backslashes,
+# control characters, and non-ASCII ones inside and outside the BMP.
+report_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+report_leaves = st.one_of(
+    report_text,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+)
+reports = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(report_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    """dump_report writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(reports, st.dictionaries(report_text, reports, max_size=4)))
+    @example([-0.0, float("nan"), float("inf"), float("-inf"), 10**40, -1, True, None])
+    @example({"\u00e9\"\\\n\x00": ["\U0001f600\u2028", {}, []]})
+    def test_agrees_with_json(self, value):
+        assert dump_report(value) == json_dumps_report(value)
+
+    def test_empty_containers_at_every_depth(self):
+        value = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()}
+        assert dump_report(value) == json_dumps_report(value)
+        for empty in ([], {}, ()):
+            assert dump_report(empty) == json_dumps_report(empty)
+
+    def test_unsupported_values_raise_type_error(self):
+        # Report keys are ids and names, always strings.
+        for value in ({"x": F(1, 2)}, [F(1, 2)], F(1, 2), {"x": {1, 2}}, {1: "a"}, {None: 0}):
+            with pytest.raises(TypeError):
+                dump_report(value)
+
+    def test_does_not_call_json_dumps(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("json.dumps was called")
+
+        monkeypatch.setattr(json, "dumps", unreachable)
+        assert dump_report({"a": [1, {"exact": "1/2"}]}) == (
+            '{\n  "a": [\n    1,\n    {\n      "exact": "1/2"\n    }\n  ]\n}\n'
+        )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_golden_reports_round_trip(path):
+    # Every JSON golden file is a report as dump_report wrote it; read back
+    # and written again, it must come out byte for byte.  The .txt golden
+    # files are --table renderings, which are not JSON.
+    text = path.read_text()
+    assert dump_report(json.loads(text)) == text

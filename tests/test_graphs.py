@@ -28,7 +28,7 @@ from canmeas import (
 )
 from canmeas.corpus import random_graph
 from canmeas.gallery import theta_graph, triangle_graph
-from canmeas.graphs import cycle_boundary
+from canmeas.graphs import _reachable, cycle_boundary
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -318,6 +318,52 @@ class TestEnumerationOracle:
             vertices=tuple(vertices), edges=tuple((eid, (u, v)) for eid, u, v in edges)
         )
         assert spanning_trees(g) == forests_by_brute_force(vertices, edges)
+
+
+def reachable_by_search(edges, source, target):
+    # Breadth-first search from source over the (id, tail, head) edges.
+    adjacent = {}
+    for _, u, v in edges:
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    reached, frontier = {source}, [source]
+    while frontier:
+        frontier = [x for w in frontier for x in adjacent.get(w, ()) if x not in reached]
+        reached.update(frontier)
+    return target in reached
+
+
+class TestReachable:
+    def test_agrees_with_breadth_first_search(self):
+        # Seeded multigraphs with loops, parallel edges, isolated vertices
+        # and several components, in the (id, tail, head) form the
+        # forest enumeration hands to _reachable.
+        for seed in range(300):
+            rng = Random(seed)
+            vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+            edges = [
+                (f"e{k}", rng.choice(vertices), rng.choice(vertices))
+                for k in range(rng.randint(0, 12))
+            ]
+            if edges:
+                _, u, v = rng.choice(edges)
+                edges.append(("parallel", u, v))
+                edges.append(("loop", u, u))
+                rng.shuffle(edges)
+            for source in vertices:
+                for target in vertices:
+                    assert _reachable(edges, source, target) == reachable_by_search(
+                        edges, source, target
+                    ), (seed, source, target)
+
+    def test_long_chains(self):
+        # A path given from either end, so the union-find builds long
+        # chains of parent links before it halves them.
+        path = [(f"e{i}", f"v{i:03d}", f"v{i + 1:03d}") for i in range(200)]
+        for edges in (path, path[::-1]):
+            assert _reachable(edges, "v000", "v200")
+            assert _reachable(edges[:100] + edges[101:], "v000", "v099")
+            assert not _reachable(edges[:100] + edges[101:], "v000", "v200")
 
 
 class TestCycles:
