@@ -130,20 +130,49 @@ def _require_budget(
         raise CanmeasError(f"{holder} has {count} {what}, over the budget of {budget}")
 
 
+# The most decimal digits a grid point's numerator or denominator may
+# have.  Reports print every point in full, and Python refuses to print
+# an int of more than 4,300 digits by default.
+GRID_POINT_DIGITS = 4_000
+_GRID_POINT_BOUND = 10**GRID_POINT_DIGITS
+
+
+def _oversized_point(token: str) -> DocumentError:
+    return DocumentError(
+        f"bad --grid: point {token} has more than {GRID_POINT_DIGITS} digits"
+    )
+
+
+def _decade(digits: str) -> int:
+    """The N of a point 1e-N, or GRID_POINT_DIGITS when N has more digits
+    than that bound, before int() meets a string too long to convert."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(GRID_POINT_DIGITS)) else GRID_POINT_DIGITS
+
+
 def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, ...]:
+    """The grid of --grid, refusing before any point is built one whose
+    numerator or denominator has more than GRID_POINT_DIGITS digits."""
     if text is None:
         return geometric_grid(*default)
     decades = re.fullmatch(r"1e-(\d+)\s*\.\.\s*1e-(\d+)", text.strip())
     try:
         if decades:
-            return geometric_grid(int(decades.group(1)), int(decades.group(2)))
+            first, last = decades.groups()
+            # 1e-N has N + 1 digits in its denominator.
+            if _decade(last) >= GRID_POINT_DIGITS:
+                raise _oversized_point(f"1e-{last}")
+            return geometric_grid(_decade(first), _decade(last))
         points = []
         for token in text.split(","):
             token = token.strip()
             try:
-                points.append(Fraction(token))
+                t = Fraction(token)
             except (ValueError, ZeroDivisionError):
                 raise DocumentError(f"cannot parse grid point {token!r}") from None
+            if abs(t.numerator) >= _GRID_POINT_BOUND or t.denominator >= _GRID_POINT_BOUND:
+                raise _oversized_point(token)
+            points.append(t)
         return validate_grid(points)
     except FamilyError as err:
         raise DocumentError(f"bad --grid: {err}") from None

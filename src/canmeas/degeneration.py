@@ -19,7 +19,8 @@ enumerates trees: a fiber costs one Gram inverse, the target one per
 layer.  Only the per-tree weight limits enumerate.  A family builds its
 target curve, and with it the graded minors, once: the tropical target,
 the tree-weight rescaling and the layered closed forms all read that
-one decomposition.
+one decomposition.  It decides convergence once as well, and every
+limit taken from it reads that one verdict.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class LengthFamily:
     normalized limit coordinates: positive on every edge and summing to
     one within each layer of ``target_layering``.  Whether the family
     actually converges to that point is a separate question answered by
-    :func:`check_convergence`.
+    :func:`check_convergence`, asked once per family through
+    ``convergence``.
     """
 
     graph: AugmentedGraph
@@ -101,6 +103,11 @@ class LengthFamily:
         """Sum of the scale functions over layer j."""
         part = sorted(self.target_layering.parts[j])
         return ScaleFunction(terms=tuple(t for e in part for t in self.param_lengths[e].terms))
+
+    @cached_property
+    def convergence(self) -> "ConvergenceDiagnostics":
+        """:func:`check_convergence` of this family, decided once."""
+        return check_convergence(self)
 
     @cached_property
     def target_curve(self) -> TropicalCurve:
@@ -176,7 +183,7 @@ def check_convergence(f: LengthFamily) -> ConvergenceDiagnostics:
 
 
 def _require_convergent(f: LengthFamily) -> None:
-    diag = check_convergence(f)
+    diag = f.convergence
     if not diag.ok:
         first = diag.failures[0]
         raise FamilyError(

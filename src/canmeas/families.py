@@ -5,6 +5,12 @@ are written in: c1*t^k1 + c2*t^k2 + ... with every coefficient a positive
 rational and every exponent an integer.  Positivity of the coefficients
 means no cancellation, so the behaviour as t -> 0+ is read off the
 smallest exponent; limits computed here are exact.
+
+Evaluation is the one place that takes exact powers of t, and it works
+in integers: with t = p/q, the terms (a_i/b_i) t^k_i are summed as
+integers over the one common denominator B p^-k_min q^k_max, for B the
+lcm of the b_i, k_min the smallest exponent or 0 and k_max the largest
+or 0, and the value is built as one Fraction.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import FamilyError
@@ -36,10 +43,11 @@ class ScaleFunction:
             raise FamilyError("a scale function needs at least one term")
         merged: dict[int, Fraction] = {}
         for k, c in self.terms:
-            c = Fraction(c)
-            merged[k] = merged.get(k, Fraction(0)) + c
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            merged[k] = merged[k] + c if k in merged else c
         for k, c in merged.items():
-            if c <= 0:
+            if c.numerator <= 0:
                 raise FamilyError(f"coefficient of t^{k} must be positive, got {c}")
         object.__setattr__(self, "terms", tuple(sorted(merged.items())))
 
@@ -63,10 +71,17 @@ class ScaleFunction:
         return Fraction(0)
 
     def evaluate(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if t <= 0:
+        t = t if isinstance(t, Fraction) else Fraction(t)
+        p, q = t.numerator, t.denominator
+        if p <= 0:
             raise FamilyError("scale functions are evaluated at t > 0")
-        return sum((c * t**k for k, c in self.terms), Fraction(0))
+        low, high = min(self.terms[0][0], 0), max(self.terms[-1][0], 0)
+        base = lcm(*[c.denominator for _, c in self.terms])
+        num = sum(
+            base // c.denominator * c.numerator * p ** (k - low) * q ** (high - k)
+            for k, c in self.terms
+        )
+        return Fraction(num, base * p**-low * q**high)
 
     def scaled(self, factor) -> "ScaleFunction":
         f = Fraction(factor)

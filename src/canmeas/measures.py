@@ -84,7 +84,7 @@ class MetricGraph:
         for eid in self.graph.edge_ids:
             if eid not in lengths:
                 raise InvalidGraph(f"edge {eid!r} has no length")
-            if lengths[eid] <= 0:
+            if lengths[eid].numerator <= 0:
                 raise InvalidGraph(f"edge {eid!r} has nonpositive length")
         object.__setattr__(self, "lengths", lengths)
 
@@ -147,7 +147,7 @@ class EdgeMeasure:
         if set(coeffs) != set(self.metric.graph.edge_ids):
             raise InvalidGraph("edge coefficients must cover exactly the edges")
         for e, x in coeffs.items():
-            if x < 0 or x > 1:
+            if x.numerator < 0 or x.numerator > x.denominator:
                 raise InvalidGraph(f"edge mass {x} on {e!r} is outside [0, 1]")
         object.__setattr__(self, "edge_coeffs", coeffs)
 
@@ -165,21 +165,30 @@ class EdgeMeasure:
 
 
 def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
-    """Canonical measure by direct spanning tree enumeration."""
+    """Canonical measure by direct spanning tree enumeration.
+
+    The sums run in integers.  Every length is scaled by L, the lcm of
+    the length denominators; each tree weight then scales by L^h, which
+    cancels from the ratio, and is an int product.  The total weight and
+    the weight of the trees through each edge stay ints, so each mass
+    (total - inside) / total is the one Fraction built for its edge.
+    """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     edge_ids = m.graph.edge_ids
-    total = Fraction(0)
-    inside: dict[str, Fraction] = {e: Fraction(0) for e in edge_ids}
+    scale = lcm(*[x.denominator for x in m.lengths.values()])
+    scaled = [(eid, scale // x.denominator * x.numerator) for eid, x in m.lengths.items()]
+    total = 0
+    inside = dict.fromkeys(edge_ids, 0)
     for tree in spanning_trees(m.graph):
-        weight = Fraction(1)
-        for eid in edge_ids:
+        weight = 1
+        for eid, w in scaled:
             if eid not in tree:
-                weight *= m.lengths[eid]
+                weight *= w
         total += weight
         for eid in tree:
             inside[eid] += weight
-    coeffs = {e: 1 - inside[e] / total for e in edge_ids}
+    coeffs = {e: Fraction(total - inside[e], total) for e in edge_ids}
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 

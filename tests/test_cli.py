@@ -247,6 +247,57 @@ class TestLimitCommand:
             )
             assert code == 2, grid
 
+    @pytest.mark.parametrize(
+        "command, grid",
+        [("limit", "1e-5000"), ("limit", "1e-1..1e-5000"), ("periods", "1e-5000")],
+    )
+    def test_grid_points_too_long_to_print_are_bad_grids(self, capsys, command, grid):
+        code, out, err = run(capsys, command, "--input", example("theta.json"), "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad --grid: point 1e-5000 has more than {cli.GRID_POINT_DIGITS} digits\n"
+        )
+
+    def test_grid_digit_bounds(self, capsys, monkeypatch):
+        theta = example("theta.json")
+        # 1e-N has N + 1 digits, so 1e-3999 is the smallest decade accepted.
+        code, out, err = run(capsys, "limit", "--input", theta, "--grid", "1/2,1e-4000")
+        assert (code, out) == (2, "") and "point 1e-4000 has more" in err
+        code, out, err = run(capsys, "periods", "--input", theta, "--grid", "1/2,1e-3999")
+        assert (code, out) == (3, "")
+        assert err == f"error: grid point t = 1/1{'0' * 3999} overflows binary64\n"
+        code, out, err = run(capsys, "limit", "--input", theta, "--grid", "1e4000")
+        assert (code, out) == (2, "") and "point 1e4000 has more" in err
+        # Decade exponents too long to convert to an int are still read.
+        huge = "9" * 5000
+        code, out, err = run(capsys, "limit", "--input", theta, "--grid", f"1e-{huge}..1e-2")
+        assert (code, out) == (2, "")
+        assert err == "error: bad --grid: grid exponents must satisfy 1 <= first <= last\n"
+
+        # The decades form is refused before its points are built.
+        def unreachable(first, last):
+            raise AssertionError("the decades were built")
+
+        monkeypatch.setattr(cli, "geometric_grid", unreachable)
+        code, out, err = run(capsys, "limit", "--input", theta, "--grid", f"1e-1..1e-{huge}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad --grid: point 1e-{huge} has more than {cli.GRID_POINT_DIGITS} digits\n"
+        )
+
+    def test_convergence_is_checked_once(self, capsys, monkeypatch):
+        calls = []
+        real = canmeas.degeneration.check_convergence
+
+        def counted(family):
+            calls.append(family)
+            return real(family)
+
+        monkeypatch.setattr(canmeas.degeneration, "check_convergence", counted)
+        code, report = run_json(capsys, "limit", "--input", example("theta.json"))
+        assert code == 0 and report["ok"]
+        assert len(calls) == 1
+
     def test_tree_limits_are_in_sorted_order(self, capsys):
         for path in (example("theta.json"), str(FIXTURES / "layered_grid.json")):
             code, report = run_json(capsys, "limit", "--input", path)
@@ -333,8 +384,11 @@ class TestLimitCommand:
         path = tmp_path / "skew.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "limit", "--input", str(path))
-        assert code == 3
-        assert "within_layer" in err
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: family does not converge to its target (within_layer): normalized "
+            "length of edge 'e2' in layer 1 tends to 2/5, target says 1/2\n"
+        )
 
 
 class TestPeriodsCommand:

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canmeas import FamilyError, ScaleFunction, geometric_grid, parse_scale, ratio_limit
 from canmeas.families import product
+from canmeas.periods import _binary64_value
 
 F = Fraction
 
@@ -13,6 +15,20 @@ rationals = st.fractions(
     min_value=F(1, 1000), max_value=F(1000), max_denominator=1000
 )
 exponents = st.integers(min_value=-6, max_value=6)
+# Coefficients with numerators and denominators of up to 40 digits, and
+# sample points on both sides of 1.
+big_coefficients = st.fractions(
+    min_value=F(1, 10**40), max_value=F(10**40), max_denominator=10**40
+)
+wide_terms = st.lists(
+    st.tuples(st.integers(min_value=-12, max_value=12), big_coefficients),
+    min_size=1,
+    max_size=5,
+)
+points = st.one_of(
+    st.fractions(min_value=F(1, 10**9), max_value=F(99, 100), max_denominator=10**9),
+    st.fractions(min_value=F(101, 100), max_value=F(10**9), max_denominator=10**9),
+)
 
 
 def fn(*terms):
@@ -50,6 +66,43 @@ class TestScaleFunction:
     def test_negative_exponents_evaluate(self):
         f = fn((-2, 1))
         assert f.evaluate(F(1, 10)) == 100
+
+    @given(wide_terms, points)
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_is_the_exact_sum(self, terms, t):
+        reference = sum(c * t**k for k, c in terms)
+        assert fn(*terms).evaluate(t) == reference
+
+    @given(wide_terms, st.fractions(max_value=0, max_denominator=10**9))
+    @settings(max_examples=50, deadline=None)
+    def test_evaluate_needs_a_positive_point(self, terms, t):
+        with pytest.raises(FamilyError, match="t > 0"):
+            fn(*terms).evaluate(t)
+
+    @given(
+        st.sampled_from([F(1, 10), F(10), F(2, 3), F(7, 2)]),
+        st.integers(min_value=-330, max_value=312),
+        big_coefficients,
+        st.lists(st.tuples(exponents, big_coefficients), max_size=2),
+    )
+    @example(F(1, 10), 308, F(17, 10), [])  # 1.7e308, just below the largest double
+    @example(F(1, 10), 308, F(18, 10), [])  # 1.8e308 overflows
+    @example(F(1, 10), -320, F(3), [(0, F(1, 10**330))])  # subnormal
+    @example(F(1, 10), -324, F(24, 10), [])  # rounds down to zero
+    @settings(max_examples=300, deadline=None)
+    def test_binary64_value_rounds_the_exact_sum(self, t, decade, coeff, small_terms):
+        # One term near 10^decade, from the subnormal range to past the
+        # largest double, plus terms of moderate size.
+        k = round(decade / math.log10(t))
+        terms = [(k, coeff), *small_terms]
+        reference = sum(c * t**k for k, c in terms)
+        try:
+            want = float(reference)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _binary64_value(fn(*terms), t)
+        else:
+            assert _binary64_value(fn(*terms), t) == want
 
     def test_arithmetic(self):
         a, b = fn((1, 2)), fn((0, 3), (1, 1))

@@ -66,10 +66,10 @@ class TestMetricGraph:
             MetricGraph(theta_graph(), {"e1": F(1)})
 
     def test_lengths_must_be_positive(self):
-        with pytest.raises(InvalidGraph):
-            MetricGraph(
-                theta_graph(), {"e1": F(1), "e2": F(0), "e3": F(1)}
-            )
+        for bad in (F(0), F(-1, 3), -2):
+            with pytest.raises(InvalidGraph, match="^edge 'e2' has nonpositive length$"):
+                MetricGraph(theta_graph(), {"e1": F(1), "e2": bad, "e3": F(1)})
+        assert MetricGraph(theta_graph(), {"e1": 1, "e2": F(1, 10**9), "e3": 1})
 
     def test_scaled(self):
         m = theta_metric().scaled(F(2))
@@ -183,14 +183,53 @@ class TestCanonicalMeasure:
         assert foster_by_trees(m.scaled(factor)).edge_coeffs == foster_by_trees(m).edge_coeffs
 
 
+def looped_multigraph(rng):
+    """A random connected multigraph with a loop and a doubled edge."""
+    g = random_graph(rng, max_vertices=6, max_edges=8)
+    loop = ("loop", (rng.choice(g.vertices),) * 2)
+    double = ("double", rng.choice(g.edges)[1]) if g.edges else ("double", loop[1])
+    return AugmentedGraph(vertices=g.vertices, edges=g.edges + (loop, double), genus=g.genus)
+
+
+def small_lengths(rng, g):
+    return {e: random_rational(rng, 12, 12) for e in g.edge_ids}
+
+
+def long_lengths(rng, g):
+    # Numerators 10^30 +- 10^6 over distinct denominators, so the lcm L
+    # of the denominators differs from each one of them.
+    denominators = rng.sample(range(2, 10**6), len(g.edge_ids))
+    return {
+        e: F(10**30 + rng.randint(-(10**6), 10**6), q)
+        for e, q in zip(g.edge_ids, denominators)
+    }
+
+
+class TestTreeRoute:
+    """foster_by_trees sums in integers; forest_masses is the same sum in
+    Fractions, term by term."""
+
+    @pytest.mark.parametrize("lengths", [small_lengths, long_lengths])
+    def test_matches_the_fraction_sum(self, lengths):
+        for seed in range(40):
+            rng = Random(seed)
+            g = looped_multigraph(rng)
+            m = MetricGraph(g, lengths(rng, g))
+            mu = foster_by_trees(m)
+            assert mu.edge_coeffs == forest_masses(g, m.lengths), seed
+            assert mu.edge_coeffs["loop"] == 1
+            factor = random_rational(rng, 10**9, 10**9)
+            assert foster_by_trees(m.scaled(factor)).edge_coeffs == mu.edge_coeffs, seed
+
+
 class TestEdgeMeasureValidation:
     def test_coefficients_must_lie_in_unit_interval(self):
         m = theta_metric()
-        with pytest.raises(InvalidGraph):
-            EdgeMeasure(
-                metric=m,
-                edge_coeffs={"e1": F(2), "e2": F(0), "e3": F(0)},
-            )
+        for bad in (F(2), F(4, 3), F(-1, 3), 2):
+            with pytest.raises(InvalidGraph, match=f"^edge mass {bad} on 'e1' is outside"):
+                EdgeMeasure(metric=m, edge_coeffs={"e1": bad, "e2": F(0), "e3": F(0)})
+        mu = EdgeMeasure(metric=m, edge_coeffs={"e1": 1, "e2": F(0), "e3": F(1, 3)})
+        assert mu.edge_coeffs == {"e1": 1, "e2": 0, "e3": F(1, 3)}
 
 
 class TestGramMatrix:
