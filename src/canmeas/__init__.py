@@ -93,7 +93,6 @@ from .periods import (
     NoiseSpec,
     assemble_base,
     graded_inverse_limits,
-    layer_matrix,
     model_period,
     monodromy_from_basis,
     schur_block_inverse,

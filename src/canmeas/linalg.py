@@ -10,11 +10,13 @@ a system's answer is an integer matrix over one denominator.
 
 :func:`scaled_inverse` and :func:`solve` take the integer rows and their
 scales from the caller and return that integer answer, so a caller that
-knows its rows' scales (the measure routes and the resistance oracle
-read them off the edge lengths) never builds a Fraction until its own
-result.  :func:`inverse`, :func:`determinant` and
-:func:`is_positive_definite` take rational matrices, scale each row by
-the lcm of its denominators, and build Fractions only for the output.
+knows its rows' scales (the measure routes, the period layer targets and
+the resistance oracle read them off the edge lengths) never builds a
+Fraction until its own result.  :func:`is_positive_definite` scales
+each rational row by the lcm of its denominators.  :func:`inverse` and
+:func:`determinant` are Fraction wrappers of the same kind that no
+package module calls; they stay while the benchmark tracer names them
+(ROADMAP item 1).
 Each matrix is eliminated once per call: :func:`solve` carries all of
 its right-hand sides through one forward pass, and
 :func:`is_positive_definite` reads every leading principal minor off
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BasisError
 
@@ -65,22 +67,6 @@ def bareiss_eliminate(rows: list[list[int]], ncols_main: int) -> tuple[list[list
         pivots.append(c)
         r += 1
     return m, pivots, sign
-
-
-def rank_one_sum(terms: Iterable[tuple[Fraction, Sequence[int]]], size: int) -> Matrix:
-    """Exact sum of w * r r^T over (weight w, integer row r) pairs.
-
-    Every row has ``size`` entries; zero entries are skipped, so a sparse
-    row costs only its support squared.
-    """
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for weight, row in terms:
-        support = [i for i in range(size) if row[i] != 0]
-        for i in support:
-            wi = weight * row[i]
-            for j in support:
-                out[i][j] += wi * row[j]
-    return out
 
 
 def determinant(rows: Matrix) -> Fraction:

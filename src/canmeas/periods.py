@@ -15,10 +15,11 @@ verifications, :func:`verify_inverse_lemma` on a synthetic graded matrix
 and :func:`graded_inverse_limits` on a model family, run one sampling
 routine: it walks a decreasing grid, inverts in binary64, rescales, and
 compares against targets that are computed exactly first and rounded
-once.  The exact layer matrices are rank-one sums over edges, assembled
-by :func:`canmeas.linalg.rank_one_sum`.  A recursive Schur-complement
-inverter provides an independent oracle for every direct inversion, and
-grid points whose condition number estimate exceeds 1e12 are flagged.
+once.  Layer target k inverts the Gram matrix of the block-k cycles on
+layer k, built by the measure routes' integer kernel.  A recursive
+Schur-complement inverter provides an independent oracle for every
+direct inversion, and grid points whose condition number estimate
+exceeds 1e12 are flagged.
 
 numpy is imported inside each function that calls it, not at module
 level.  The command line loads this module on every run, and numpy
@@ -40,7 +41,7 @@ from .errors import BasisError, FamilyError, NotPositiveDefinite
 from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
 from .layerings import AdmissibleBasis
-from .measures import MetricGraph, gram_matrices
+from .measures import MetricGraph, _scaled_cycle_gram, gram_matrices
 
 if TYPE_CHECKING:
     import numpy as np
@@ -508,8 +509,8 @@ def verify_inverse_lemma(
 class GradedLimitReport:
     """Verification that a model family's inverse follows its layering.
 
-    The layer targets are the inverses of the exact layer matrices
-    (computed with rational arithmetic and rounded once); the pad target
+    The layer targets are the inverses of the exact layer Gram matrices
+    (computed in integers and rounded once); the pad target
     is the inverse of the base's pad block.  The pad deviation sits in
     the last entry of each sample's diagonal deviations when a pad is
     present.
@@ -526,19 +527,6 @@ class GradedLimitReport:
         return self.samples[-1].diag_deviations
 
 
-def layer_matrix(f: ModelPeriodFamily, k: int) -> list[list[Fraction]]:
-    """Exact layer matrix: sum over layer-k edges of x_e times the
-    block-k square of the edge's cycle coefficients."""
-    start, stop = _block_offsets(f.monodromy.block_sizes)[k]
-    return linalg.rank_one_sum(
-        (
-            (f.lengths.target_point[e], f.monodromy.edge_rows[e][start:stop])
-            for e in sorted(f.lengths.target_layering.parts[k])
-        ),
-        stop - start,
-    )
-
-
 def graded_inverse_limits(
     f: ModelPeriodFamily, grid: Sequence[Fraction] | None = None
 ) -> GradedLimitReport:
@@ -547,8 +535,10 @@ def graded_inverse_limits(
     Requires the family's lengths to factor as (layer total) * (target
     coordinate) on every edge, and the monodromy blocks to match the
     layering.  Diagonal block k of the inverse, rescaled by the layer-k
-    total, must approach the inverse of the exact layer matrix; the pad
-    block, unrescaled, must approach the inverse of the base pad block.
+    total, must approach the inverse of the Gram matrix, at the target
+    coordinates, of the monodromy's own block-k cycles restricted to
+    layer k (a singular one raises BasisError); the pad block,
+    unrescaled, must approach the inverse of the base pad block.
     """
     import numpy as np
 
@@ -566,11 +556,16 @@ def graded_inverse_limits(
                     f"length of edge {e!r} does not factor as layer scale times target coordinate"
                 )
     pts = geometric_grid(1, 6) if grid is None else validate_grid(grid)
+    target = f.lengths.target_curve.metric
     exact_targets = []
     float_targets = []
-    for k in range(r):
-        inv = linalg.inverse(layer_matrix(f, k))
-        exact_targets.append(tuple(tuple(row) for row in inv))
+    for part, (start, stop) in zip(layering.parts, _block_offsets(f.monodromy.block_sizes)):
+        # Block k's cycles on layer k alone, a cycle basis of minor k.
+        block = [CycleVector({e: c[e] for e in part}) for c in f.monodromy.basis[start:stop]]
+        rows, row_scales, _ = _scaled_cycle_gram(target, block)
+        y, det = linalg.scaled_inverse(rows, row_scales)
+        inv = tuple(tuple(Fraction(x, det) for x in row) for row in y)
+        exact_targets.append(inv)
         # A genus-0 layer keeps its 0x0 shape.
         float_targets.append(np.array(inv, dtype=float).reshape(len(inv), len(inv)))
     pad_target = f.pad_target

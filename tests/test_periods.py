@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from canmeas import (
     AdmissibleBasis,
+    AugmentedGraph,
     BasisError,
     BlockScaleProfile,
+    CycleVector,
     FamilyError,
     LengthFamily,
     ModelPeriodFamily,
@@ -22,14 +25,19 @@ from canmeas import (
     geometric_grid,
     graded_inverse_limits,
     graded_minors,
-    layer_matrix,
     model_period,
     monodromy_from_basis,
     schur_block_inverse,
+    total_genus,
     verify_inverse_lemma,
 )
-from canmeas.corpus import random_block_profile
-from canmeas.linalg import rank_one_sum
+from canmeas.corpus import (
+    layered_family,
+    normalized_coordinates,
+    random_block_profile,
+    random_graph,
+    random_layering,
+)
 from canmeas.gallery import (
     theta_graph,
     theta_monodromy,
@@ -45,6 +53,47 @@ def one_block_basis(g):
     # The admissible basis of the trivial partition: on a connected graph
     # it is cycle_basis(g) as a single block.
     return admissible_cycle_basis(graded_minors(g, OrderedPartition.trivial(g.edge_ids)))
+
+
+def rank_one_sum(terms, size):
+    # The exact sum of w r r^T over (weight w, integer row r) pairs.
+    out = [[F(0)] * size for _ in range(size)]
+    for weight, row in terms:
+        for i in range(size):
+            for j in range(size):
+                out[i][j] += weight * row[i] * row[j]
+    return out
+
+
+def layered_model(g, p, point, basis=None):
+    # The period model of the straight-line family at the default scales
+    # t^-2(r-j), on the canonical admissible basis unless one is given.
+    r = len(p.parts)
+    family = layered_family(g, p, point, [-2 * (r - j) for j in range(r)])
+    if basis is None:
+        basis = admissible_cycle_basis(family.target_curve.minors)
+    mono = monodromy_from_basis(g, basis)
+    return ModelPeriodFamily(monodromy=mono, lengths=family, base_im=assemble_base(mono, g))
+
+
+def assert_targets_invert_layer_matrices(model, targets):
+    # Target k times the layer matrix, the sum over layer-k edges of
+    # x_e r_e r_e^T with r_e the edge's block-k row, is exactly the
+    # identity.  The product is exact, so no inverse code is involved.
+    point = model.lengths.target_point
+    start = 0
+    for k, (part, size) in enumerate(
+        zip(model.lengths.target_layering.parts, model.monodromy.block_sizes)
+    ):
+        rows = model.monodromy.edge_rows
+        m = rank_one_sum(((point[e], rows[e][start : start + size]) for e in sorted(part)), size)
+        t = targets[k]
+        product = [
+            [sum(t[i][l] * m[l][j] for l in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        assert product == [[int(i == j) for j in range(size)] for i in range(size)], k
+        start += size
 
 
 THETA_SPLIT = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
@@ -358,11 +407,6 @@ class TestInverseLemma:
 
 
 class TestGradedInverseLimits:
-    def test_theta_layer_matrices(self):
-        fam = theta_period_family()
-        assert layer_matrix(fam, 0) == [[F(1)]]
-        assert layer_matrix(fam, 1) == [[F(1)]]
-
     def test_theta_limits(self):
         report = graded_inverse_limits(theta_period_family())
         assert report.block_sizes == (1, 1)
@@ -376,6 +420,42 @@ class TestGradedInverseLimits:
             assert s.diag_deviations[1] == pytest.approx(want, rel=1e-6)
         assert all(d <= 1e-6 for d in report.final_deviations)
         assert max(s.oracle_gap for s in report.samples) <= 1e-9
+
+    def test_random_targets_invert_the_layer_matrices(self):
+        checked = 0
+        for seed in range(250):
+            rng = Random(seed)
+            g = random_graph(rng)
+            p = random_layering(rng, g)
+            point = normalized_coordinates(rng, p)
+            if total_genus(g) == 0:
+                continue  # an empty period matrix has no model
+            model = layered_model(g, p, point)
+            report = graded_inverse_limits(model, grid=(F(1, 10),))
+            assert_targets_invert_layer_matrices(model, report.layer_targets_exact)
+            checked += 1
+        assert checked >= 200
+
+    def test_targets_follow_a_non_canonical_basis(self):
+        # Four parallel edges; minor 0 is the loop e1 and minor 1 the
+        # banana e2, e3, e4.  The sheared basis holds (g1, g1 + g2) in
+        # place of the canonical block (g1, g2).
+        g = AugmentedGraph(
+            vertices=("u", "v"), edges=tuple((f"e{i}", ("u", "v")) for i in range(1, 5))
+        )
+        p = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3", "e4"})))
+        point = {"e1": F(1), "e2": F(1, 2), "e3": F(1, 3), "e4": F(1, 6)}
+        canonical = admissible_cycle_basis(graded_minors(g, p))
+        g1, g2 = canonical.blocks[1]
+        sheared = AdmissibleBasis(
+            (canonical.blocks[0], (g1, CycleVector({e: g1[e] + g2[e] for e in g.edge_ids})))
+        )
+        model = layered_model(g, p, point, sheared)
+        want = graded_inverse_limits(layered_model(g, p, point)).layer_targets_exact
+        got = graded_inverse_limits(model).layer_targets_exact
+        assert got[0] == want[0]
+        assert got[1] != want[1]
+        assert_targets_invert_layer_matrices(model, got)
 
     def test_padded_theta_limits(self):
         report = graded_inverse_limits(
