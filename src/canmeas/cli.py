@@ -37,7 +37,7 @@ from .documents import (
     render_table,
 )
 from .errors import CanmeasError, FamilyError
-from .families import geometric_grid, validate_grid
+from .families import RATIONAL_DIGITS, geometric_grid, oversized_rational, validate_grid
 from .graphs import (
     connected_components,
     graph_genus,
@@ -103,20 +103,25 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
 
     The digits of fn(t) written as p/q are estimated from logarithms,
     before any power is taken: each term c t^k counts those of c plus
-    |k| times those of t, exactly up to a digit per integer.
+    |k| times those of t, exactly up to a digit per integer.  An
+    exponent beyond binary64 is over any budget.
     """
     for t in grid:
         t_digits = math.log10(t.numerator) + math.log10(t.denominator)
         for e, fn in sorted(family.param_lengths.items()):
-            digits = math.ceil(
-                sum(
-                    math.log10(c.numerator) + math.log10(c.denominator) + abs(k) * t_digits + 2
-                    for k, c in fn.terms
+            try:
+                digits = math.ceil(
+                    sum(
+                        math.log10(c.numerator) + math.log10(c.denominator) + abs(k) * t_digits + 2
+                        for k, c in fn.terms
+                    )
                 )
-            )
-            if digits > LENGTH_DIGITS_BUDGET:
+            except OverflowError:
+                digits = None
+            if digits is None or digits > LENGTH_DIGITS_BUDGET:
+                count = "more than 10^308" if digits is None else digits
                 raise CanmeasError(
-                    f"the length of edge {e!r} at t = {t} has {digits} digits, "
+                    f"the length of edge {e!r} at t = {t} has {count} digits, "
                     f"over the budget of {LENGTH_DIGITS_BUDGET}"
                 )
 
@@ -130,29 +135,23 @@ def _require_budget(
         raise CanmeasError(f"{holder} has {count} {what}, over the budget of {budget}")
 
 
-# The most decimal digits a grid point's numerator or denominator may
-# have.  Reports print every point in full, and Python refuses to print
-# an int of more than 4,300 digits by default.
-GRID_POINT_DIGITS = 4_000
-_GRID_POINT_BOUND = 10**GRID_POINT_DIGITS
-
-
 def _oversized_point(token: str) -> DocumentError:
     return DocumentError(
-        f"bad --grid: point {token} has more than {GRID_POINT_DIGITS} digits"
+        f"bad --grid: point {token} has more than {RATIONAL_DIGITS} digits"
     )
 
 
 def _decade(digits: str) -> int:
-    """The N of a point 1e-N, or GRID_POINT_DIGITS when N has more digits
+    """The N of a point 1e-N, or RATIONAL_DIGITS when N has more digits
     than that bound, before int() meets a string too long to convert."""
     digits = digits.lstrip("0") or "0"
-    return int(digits) if len(digits) <= len(str(GRID_POINT_DIGITS)) else GRID_POINT_DIGITS
+    return int(digits) if len(digits) <= len(str(RATIONAL_DIGITS)) else RATIONAL_DIGITS
 
 
 def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, ...]:
     """The grid of --grid, refusing before any point is built one whose
-    numerator or denominator has more than GRID_POINT_DIGITS digits."""
+    numerator or denominator has more than RATIONAL_DIGITS digits, the
+    bound of every exact input: reports print every point in full."""
     if text is None:
         return geometric_grid(*default)
     decades = re.fullmatch(r"1e-(\d+)\s*\.\.\s*1e-(\d+)", text.strip())
@@ -160,19 +159,18 @@ def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, .
         if decades:
             first, last = decades.groups()
             # 1e-N has N + 1 digits in its denominator.
-            if _decade(last) >= GRID_POINT_DIGITS:
+            if _decade(last) >= RATIONAL_DIGITS:
                 raise _oversized_point(f"1e-{last}")
             return geometric_grid(_decade(first), _decade(last))
         points = []
         for token in text.split(","):
             token = token.strip()
+            if oversized_rational(token):
+                raise _oversized_point(token)
             try:
-                t = Fraction(token)
+                points.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
                 raise DocumentError(f"cannot parse grid point {token!r}") from None
-            if abs(t.numerator) >= _GRID_POINT_BOUND or t.denominator >= _GRID_POINT_BOUND:
-                raise _oversized_point(token)
-            points.append(t)
         return validate_grid(points)
     except FamilyError as err:
         raise DocumentError(f"bad --grid: {err}") from None

@@ -13,14 +13,15 @@ as it stands against every fiber and against the limit.  All limits
 here are computed symbolically from dominant exponents and leading
 coefficients; grid evaluations are exact rational arithmetic, with
 floats confined to report rendering elsewhere.  Fibers are measured by
-the matrix route (:func:`canmeas.measures.foster_by_matrix`) and the
-tropical target by the same kernel on each graded minor, so neither
-enumerates trees: a fiber costs one Gram inverse, the target one per
-layer.  Only the per-tree weight limits enumerate.  A family builds its
-target curve, and with it the graded minors, once: the tropical target,
-the tree-weight rescaling and the layered closed forms all read that
-one decomposition.  It decides convergence once as well, and every
-limit taken from it reads that one verdict.
+the matrix route's kernel (:class:`canmeas.measures.CycleSpace`, built
+once per family) and the tropical target by the same kernel on each
+graded minor, so neither enumerates trees: a fiber costs one Gram
+inverse, the target one per layer.  Only the per-tree weight limits
+enumerate.  A family builds its target curve, and with it the graded
+minors, once: the tropical target, the tree-weight rescaling and the
+layered closed forms all read that one decomposition.  It decides
+convergence once as well, and every limit taken from it reads that one
+verdict.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
@@ -35,9 +37,11 @@ from .families import ScaleFunction, validate_grid
 from .graphs import AugmentedGraph, canonical_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
+    CycleSpace,
     MetricGraph,
     NormalizedTestFunction,
     TropicalCurve,
+    check_edge_mass,
     foster_by_matrix,
     integrate,
     tropical_canonical_measure,
@@ -98,6 +102,19 @@ class LengthFamily:
 
     def metric_at(self, t: Fraction) -> MetricGraph:
         return MetricGraph(self.graph, self.lengths_at(t))
+
+    def integer_lengths_at(self, t: Fraction) -> dict[str, tuple[int, int]]:
+        """Each length at t as its reduced (numerator, denominator), the
+        pair the Fraction of :meth:`lengths_at` holds; a nonpositive one
+        raises InvalidGraph."""
+        out = {}
+        for e, fn in self.param_lengths.items():
+            p, q = fn.evaluate_pair(t)
+            if p <= 0:
+                raise InvalidGraph(f"edge {e!r} has nonpositive length")
+            g = gcd(p, q)
+            out[e] = (p // g, q // g)
+        return out
 
     def layer_total(self, j: int) -> ScaleFunction:
         """Sum of the scale functions over layer j."""
@@ -322,26 +339,46 @@ class ConvergenceReport:
 def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport:
     """Exact canonical measures along the grid against the tropical limit.
 
-    Each fiber is measured by the matrix route; the limit is the
-    tropical canonical measure of the target curve.
+    The limit is the tropical canonical measure of the target curve; its
+    check that the graph is connected covers every fiber.  The fibers
+    are measured by the matrix route's kernel,
+    :class:`canmeas.measures.CycleSpace`, whose fundamental cycles and
+    edge supports are built once for the family.  A grid point then does
+    only its own work: the lengths as integer pairs, the integer Gram
+    matrix, its inverse and the edge quadratic forms.  The deviations
+    are compared and the edge masses summed in integers, so a point
+    builds one Fraction per edge, one for its largest deviation and one
+    for its edge mass.
     """
     _require_convergent(f)
     pts = validate_grid(grid)
     target = tropical_canonical_measure(f.target_curve)
+    space = CycleSpace(f.graph)
+    coeffs = target.edge_coeffs
+    goals = [(e, coeffs[e].numerator, coeffs[e].denominator) for e in space.edge_ids]
     trajectories: dict[str, list[Fraction]] = {e: [] for e in f.graph.edge_ids}
     max_devs: list[Fraction] = []
     masses: list[Fraction] = []
     for t in pts:
-        mu = foster_by_matrix(f.metric_at(t))
-        worst = Fraction(0)
-        for e in f.graph.edge_ids:
-            val = mu.edge_coeffs[e]
+        lengths = f.integer_lengths_at(t)
+        forms, det = space.forms(lengths)
+        # The edge mass sums p_e s_e / (q_e D) over L D, L the lcm of the q_e.
+        lcm_q = lcm(*[q for _, q in lengths.values()])
+        total = 0
+        worst, worst_den = 0, 1
+        for (e, a, b), s in zip(goals, forms):
+            p, q = lengths[e]
+            total += lcm_q // q * p * s
+            val = Fraction(p * s, q * det)
+            check_edge_mass(e, val)
             trajectories[e].append(val)
-            dev = abs(val - target.edge_coeffs[e])
-            if dev > worst:
-                worst = dev
-        max_devs.append(worst)
-        masses.append(mu.edge_mass)
+            # |val - a/b| as dev / (d b), compared across edges in integers.
+            n, d = val.numerator, val.denominator
+            dev = abs(n * b - a * d)
+            if dev * worst_den > worst * d * b:
+                worst, worst_den = dev, d * b
+        max_devs.append(Fraction(worst, worst_den))
+        masses.append(Fraction(total, lcm_q * det))
     monotone = all(b <= a for a, b in zip(max_devs, max_devs[1:]))
     return ConvergenceReport(
         grid=pts,

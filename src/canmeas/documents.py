@@ -12,7 +12,9 @@ Document layout::
     }
 
 Rationals are exact strings ("p/q" or an integer string); JSON floats
-are rejected so no binary rounding sneaks into exact lanes.  All
+are rejected so no binary rounding sneaks into exact lanes, and so is a
+rational whose numerator or denominator would have more than
+:data:`canmeas.families.RATIONAL_DIGITS` digits, judged from its text.  All
 optional sections may be omitted; operations that need a missing section
 say so; the description is ignored.  The base matrix file of ``periods
 --lambda0`` is an object of optional float blocks, each a list of equal
@@ -30,13 +32,15 @@ sorts them, and leaves are written inline, strings through json's own C
 escaper.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
-the float rendered with 17 significant digits.
+the float rendered with 17 significant digits.  An exact value too long
+for Python to print ends the command as a failed precondition.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
@@ -44,7 +48,7 @@ from typing import Any, Mapping
 
 from .degeneration import LengthFamily
 from .errors import CanmeasError, DocumentError, MissingSection
-from .families import ScaleFunction, parse_scale
+from .families import RATIONAL_DIGITS, ScaleFunction, oversized_rational, parse_scale
 from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
 from .measures import EdgeMeasure, MetricGraph, TropicalCurve
@@ -56,8 +60,11 @@ _BASE_KEYS = {"vertex_blocks", "rank_block", "cross"}
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"{where}: rationals must be exact strings, got {value!r}")
+    text = str(value)
+    if oversized_rational(text):
+        raise DocumentError(f"{where}: rational of more than {RATIONAL_DIGITS} digits")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"{where}: malformed rational {value!r}") from None
 
@@ -140,7 +147,7 @@ def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
     """Decode a JSON object with keys only from ``keys``; errors name the input."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSON error, or an int too long to convert
         raise DocumentError(f"invalid JSON in {name}: {err}") from None
     if not isinstance(data, dict):
         raise DocumentError(f"{name} must be a JSON object")
@@ -260,6 +267,16 @@ def load_document(path: str) -> GraphDocument:
     return parse_document(_read(path, "document"))
 
 
+def _finite_number(x: Any) -> bool:
+    """Whether x is a JSON number with a finite binary64 value."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond binary64
+        return False
+
+
 def _base_block(name: str, block: Any) -> list[list[float]]:
     """A base matrix block read from JSON: equal rows of finite numbers."""
     if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
@@ -268,8 +285,7 @@ def _base_block(name: str, block: Any) -> list[list[float]]:
         raise DocumentError(f"rows of base matrix block {name} differ in length")
     for row in block:
         for x in row:
-            number = isinstance(x, (int, float)) and not isinstance(x, bool)
-            if not number or not math.isfinite(x):
+            if not _finite_number(x):
                 raise DocumentError(
                     f"base matrix block {name} has entry {x!r}, not a finite number"
                 )
@@ -291,7 +307,14 @@ def load_base_matrix(path: str) -> dict[str, Any]:
 def exact_field(x: Fraction) -> dict[str, str]:
     # A Fraction or an int already prints as its Fraction does; anything
     # else, a bool included, is made a Fraction first.
-    return {"exact": str(x if type(x) in (Fraction, int) else Fraction(x))}
+    value = x if type(x) in (Fraction, int) else Fraction(x)
+    try:
+        return {"exact": str(value)}
+    except ValueError:  # Python prints ints of at most this many digits
+        raise CanmeasError(
+            f"a report value has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print"
+        ) from None
 
 
 def float_field(x: float) -> dict[str, str]:

@@ -15,7 +15,11 @@ another and the Laplacian oracle in :mod:`canmeas.kirchhoff` checks them
 all from outside.
 
 The projection and matrix routes assemble the Gram matrix of the
-fundamental cycle basis in integers and eliminate it once.  Writing
+fundamental cycle basis in integers and eliminate it once.  The matrix
+route's kernel, :class:`CycleSpace`, holds a graph's fundamental cycles
+and each edge's support on them and takes the lengths as integer pairs
+(p, q), so a caller that measures one graph at many lengths (the fibres
+of :func:`canmeas.degeneration.limit_foster`) builds them once.  Writing
 each length as p/q, row i is scaled by s_i, the lcm of the q over the
 edges of cycle i, its own scale and never one lcm for the whole matrix;
 every entry is then an integer, and so is every projection right-hand
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -88,6 +92,11 @@ class MetricGraph:
                 raise InvalidGraph(f"edge {eid!r} has nonpositive length")
         object.__setattr__(self, "lengths", lengths)
 
+    @property
+    def integer_lengths(self) -> dict[str, tuple[int, int]]:
+        """Each length as its (numerator, denominator)."""
+        return {e: (x.numerator, x.denominator) for e, x in self.lengths.items()}
+
     def length(self, edge_id: str) -> Fraction:
         try:
             return self.lengths[edge_id]
@@ -131,6 +140,12 @@ class TropicalCurve:
         return graded_minors(self.graph, self.layering)
 
 
+def check_edge_mass(edge_id: str, x: Fraction) -> None:
+    """Raise InvalidGraph unless the edge mass x lies in [0, 1]."""
+    if x.numerator < 0 or x.numerator > x.denominator:
+        raise InvalidGraph(f"edge mass {x} on {edge_id!r} is outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class EdgeMeasure:
     """A rational mass per edge plus an atom at each vertex.
@@ -147,8 +162,7 @@ class EdgeMeasure:
         if set(coeffs) != set(self.metric.graph.edge_ids):
             raise InvalidGraph("edge coefficients must cover exactly the edges")
         for e, x in coeffs.items():
-            if x.numerator < 0 or x.numerator > x.denominator:
-                raise InvalidGraph(f"edge mass {x} on {e!r} is outside [0, 1]")
+            check_edge_mass(e, x)
         object.__setattr__(self, "edge_coeffs", coeffs)
 
     @property
@@ -192,28 +206,43 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
-def _scaled_cycle_gram(
-    m: MetricGraph, basis: Sequence[CycleVector]
-) -> tuple[list[list[int]], list[int], dict[str, list[tuple[int, int]]]]:
-    # The Gram matrix G as (S G, S, support): S scales row i by s_i, the
-    # lcm of the length denominators q_e over cycle i, so entry (i, j) is
-    # the integer sum over edges of p_e (s_i / q_e) c_i(e) c_j(e).
-    # support[e] lists (i, c_i(e)) for the cycles through e, i ascending,
-    # and the assembly runs over it once, edge by edge.
+def _edge_support(basis: Sequence[CycleVector]) -> dict[str, list[tuple[int, int]]]:
+    # support[e] lists (i, c_i(e)) for the cycles through e, i ascending.
     support: dict[str, list[tuple[int, int]]] = {}
     for i, gamma in enumerate(basis):
         for eid, c in gamma.coeffs.items():
             support.setdefault(eid, []).append((i, c))
-    scales = [lcm(*[m.lengths[eid].denominator for eid in gamma.coeffs]) for gamma in basis]
-    rows = [[0] * len(basis) for _ in basis]
+    return support
+
+
+def _integer_gram(
+    lengths: Mapping[str, tuple[int, int]],
+    cycle_edges: Iterable[Iterable[str]],
+    support: Mapping[str, list[tuple[int, int]]],
+) -> tuple[list[list[int]], list[int]]:
+    # The Gram matrix G as (S G, S): S scales row i by s_i, the lcm of the
+    # length denominators q_e over the edges of cycle i, so entry (i, j) is
+    # the integer sum over edges of p_e (s_i / q_e) c_i(e) c_j(e).  The
+    # assembly runs over the edge supports once, edge by edge.
+    scales = [lcm(*[lengths[eid][1] for eid in edges]) for edges in cycle_edges]
+    rows = [[0] * len(scales) for _ in scales]
     for eid, coeffs in support.items():
-        length = m.lengths[eid]
-        p, q = length.numerator, length.denominator
+        p, q = lengths[eid]
         for i, a in coeffs:
             row = rows[i]
             w = scales[i] // q * p * a
             for j, b in coeffs:
                 row[j] += w * b
+    return rows, scales
+
+
+def _scaled_cycle_gram(
+    m: MetricGraph, basis: Sequence[CycleVector]
+) -> tuple[list[list[int]], list[int], dict[str, list[tuple[int, int]]]]:
+    # The Gram matrix of a basis as (S G, S, support), from _integer_gram.
+    support = _edge_support(basis)
+    cycle_edges = [gamma.coeffs for gamma in basis]
+    rows, scales = _integer_gram(m.integer_lengths, cycle_edges, support)
     return rows, scales, support
 
 
@@ -268,21 +297,53 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
+class CycleSpace:
+    """A graph's fundamental cycles and each edge's support on them.
+
+    The matrix route's kernel, built once per graph: :meth:`forms` then
+    measures the graph at any lengths.  Fundamental cycles are taken per
+    component, so the graph may be disconnected, as minors often are.
+    """
+
+    __slots__ = ("edge_ids", "cycle_edges", "support")
+
+    def __init__(self, g: AugmentedGraph) -> None:
+        basis = fundamental_cycles(g)
+        self.edge_ids = g.edge_ids
+        self.cycle_edges = [gamma.coeffs for gamma in basis]
+        self.support = _edge_support(basis)
+
+    def forms(self, lengths: Mapping[str, tuple[int, int]]) -> tuple[list[int], int]:
+        """The edge quadratic forms as integers (s, D) at lengths p/q.
+
+        With the Gram inverse Y / D, Y an integer matrix, the mass of edge
+        e is p_e s_e / (q_e D), for s_e = sum_{i,j} Y[i][j] c_i(e) c_j(e)
+        (zero on an edge that lies on no cycle).  The s_e come in the
+        order of ``edge_ids``.  Raises BasisError on a singular Gram
+        matrix.
+        """
+        rows, scales = _integer_gram(lengths, self.cycle_edges, self.support)
+        y, det = linalg.scaled_inverse(rows, scales)
+        support = self.support
+        forms = []
+        for eid in self.edge_ids:
+            c = support.get(eid, ())
+            forms.append(sum(y[i][j] * a * b for i, a in c for j, b in c))
+        return forms, det
+
+
 def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
-    # The quadratic form of foster_by_matrix.  Fundamental cycles are
-    # taken per component, so m may be disconnected, as minors often are.
-    # The inverse is Y / D with Y an integer matrix, so each quadratic
-    # form is an integer over D and each mass is one Fraction.
-    basis = fundamental_cycles(m.graph)
-    rows, scales, support = _scaled_cycle_gram(m, basis)
-    y, det = linalg.scaled_inverse(rows, scales)
-    coeffs = {}
-    for eid in m.graph.edge_ids:
-        c = support.get(eid, ())
-        s = sum(y[i][j] * a * b for i, a in c for j, b in c)
-        length = m.lengths[eid]
-        coeffs[eid] = Fraction(length.numerator * s, length.denominator * det)
-    return coeffs
+    """The edge masses of the matrix route: the :class:`CycleSpace` kernel
+    of m's graph, built and run once, and one Fraction per edge.  m may
+    be disconnected."""
+    lengths = m.integer_lengths
+    space = CycleSpace(m.graph)
+    forms, det = space.forms(lengths)
+    masses = {}
+    for eid, s in zip(space.edge_ids, forms):
+        p, q = lengths[eid]
+        masses[eid] = Fraction(p * s, q * det)
+    return masses
 
 
 def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
@@ -290,8 +351,9 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
 
     mu(e) = length(e) * sum_{i,j} inv(G)[i][j] * c_i(e) * c_j(e), with
     c_i(e) the coefficient of e in the i-th basis cycle.  The inverse is
-    computed by fraction-free elimination; a singular matrix (dependent
-    basis) raises BasisError.
+    computed by fraction-free elimination in the :class:`CycleSpace`
+    kernel, the same one that measures the fibres of a family; a
+    singular matrix (dependent basis) raises BasisError.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")

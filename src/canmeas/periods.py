@@ -13,13 +13,18 @@ inverse of the base's pad block.
 This module is the package's one floating point lane.  Both
 verifications, :func:`verify_inverse_lemma` on a synthetic graded matrix
 and :func:`graded_inverse_limits` on a model family, run one sampling
-routine: it walks a decreasing grid, inverts in binary64, rescales, and
-compares against targets that are computed exactly first and rounded
-once.  Layer target k inverts the Gram matrix of the block-k cycles on
-layer k, built by the measure routes' integer kernel.  A recursive
-Schur-complement inverter provides an independent oracle for every
-direct inversion, and grid points whose condition number estimate
-exceeds 1e12 are flagged.
+routine over a decreasing grid.  It builds every point's matrix in grid
+order, so the first point that fails raises its own error, then inverts
+the whole stack in binary64 at once, rescales, and compares against
+targets that are computed exactly first and rounded once.  Stacked
+numpy calls run the same LAPACK routine on each matrix as one call per
+point, so the samples are the same bit for bit; the Frobenius norms
+stay 2-D calls, since a norm over axes sums in another order.  A model
+family builds each edge's outer product once.  Layer target k inverts
+the Gram matrix of the block-k cycles on layer k, built by the measure
+routes' integer kernel.  A recursive Schur-complement inverter provides an independent
+oracle for every direct inversion, and grid points whose condition
+number estimate exceeds 1e12 are flagged.
 
 numpy is imported inside each function that calls it, not at module
 level.  The command line loads this module on every run, and numpy
@@ -30,8 +35,9 @@ that sample period matrices (``periods`` and the period section of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import log10
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -132,14 +138,16 @@ class ModelPeriodFamily:
     The base must be symmetric, with its pad region block diagonal
     along the positive-genus vertices (in sorted vertex order), each
     vertex block positive definite, and the pad block's condition number
-    at most ``CONDITION_LIMIT``, since its inverse is the trailing
-    target.  The top-left rank block and the
-    cross terms between rank and pad regions are unconstrained.
+    at most ``CONDITION_LIMIT`` and its inverse finite in binary64, since
+    that inverse is the trailing target, ``pad_target`` (None without a
+    pad).  The top-left rank block and the cross terms between rank and
+    pad regions are unconstrained.
     """
 
     monodromy: MonodromySet
     lengths: LengthFamily
     base_im: np.ndarray
+    pad_target: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -173,17 +181,23 @@ class ModelPeriodFamily:
                     f"pad block of the base matrix is numerically singular: condition "
                     f"number {condition:.3g} exceeds {CONDITION_LIMIT:.0e}"
                 )
+            pad_target = np.linalg.inv(pad_block)
+            if not np.all(np.isfinite(pad_target)):
+                raise FamilyError("the inverse of the base matrix's pad block overflows binary64")
+            object.__setattr__(self, "pad_target", pad_target)
         object.__setattr__(self, "base_im", base)
 
-    @property
-    def pad_target(self) -> np.ndarray | None:
-        """Inverse of the base's pad block, or None without a pad."""
-        if not self.monodromy.pad:
-            return None
+    @cached_property
+    def edge_terms(self) -> tuple[tuple[ScaleFunction, np.ndarray], ...]:
+        """Each edge's length and the outer product of its monodromy row,
+        in sorted edge order, built once."""
         import numpy as np
 
-        h = self.monodromy.rank
-        return np.linalg.inv(self.base_im[h:, h:])
+        terms = []
+        for eid, fn in sorted(self.lengths.param_lengths.items()):
+            row = np.array(self.monodromy.edge_rows[eid], dtype=float)
+            terms.append((fn, np.outer(row, row)))
+        return tuple(terms)
 
 
 def assemble_base(
@@ -238,33 +252,32 @@ def _binary64_value(fn: ScaleFunction, t: Fraction) -> float:
     Raises OverflowError before any exact power is taken when some term
     c t^k exceeds 10^309, by log10(c) + k log10(t).  Such a value would
     overflow anyway, and the exact power alone takes time growing faster
-    than k: (1/10)^-(10^7) takes seconds.
+    than k: (1/10)^-(10^7) takes seconds.  The integer numerator is
+    divided by the denominator, which rounds correctly, as float() of
+    their Fraction does.
     """
-    t = Fraction(t)
-    if t > 0:
+    t = t if isinstance(t, Fraction) else Fraction(t)
+    if t.numerator > 0:
         decades = log10(t.numerator) - log10(t.denominator)
         for k, c in fn.terms:
             if log10(c.numerator) - log10(c.denominator) + k * decades > _BINARY64_DECADES:
                 raise OverflowError(f"a scale term exceeds 10^{_BINARY64_DECADES}")
-    return float(fn.evaluate(t))
+    num, den = fn.evaluate_pair(t)
+    return num / den
 
 
 def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     """Imaginary part of the model period matrix at parameter t.
 
-    Lengths are evaluated exactly and rounded once; the edge terms are
-    summed in sorted edge order, so the floats do not depend on how the
-    family was built.  Raises NotPositiveDefinite, naming t, if the
-    result fails to be positive definite.
+    Lengths are evaluated exactly and rounded once; the edge terms
+    (``f.edge_terms``) are summed in sorted edge order, so the floats do
+    not depend on how the family was built.  Raises NotPositiveDefinite,
+    naming t, if the result fails to be positive definite.
     """
-    import numpy as np
-
     out = f.base_im.copy()
-    h = f.monodromy.rank
-    for eid, fn in sorted(f.lengths.param_lengths.items()):
-        le = _binary64_value(fn, t)
-        row = np.array(f.monodromy.edge_rows[eid], dtype=float)
-        out[:h, :h] += le * np.outer(row, row)
+    top = out[: f.monodromy.rank, : f.monodromy.rank]
+    for fn, outer in f.edge_terms:
+        top += _binary64_value(fn, t) * outer
     if not _positive_definite(out):
         raise NotPositiveDefinite(f"model period matrix is not positive definite at t = {t}")
     return out
@@ -283,20 +296,21 @@ def schur_block_inverse(m: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     the last block by Woodbury.  No step inverts M as a whole, so this is
     an independent path to the inverse, used as an oracle against direct
     inversion; M need not be symmetric.  Empty blocks are dropped first,
-    so the recursion runs once per nonempty block.
+    so the recursion runs once per nonempty block.  M may be a stack of
+    matrices along leading axes, each inverted as it would be alone.
     """
     import numpy as np
 
     sizes = [s for s in sizes if s]
-    if sum(sizes) != m.shape[0]:
+    if sum(sizes) != m.shape[-1]:
         raise FamilyError("block sizes do not sum to the matrix size")
     if len(sizes) <= 1:
         return np.linalg.inv(m)
     n1 = sizes[0]
-    p11 = m[:n1, :n1]
-    p12 = m[:n1, n1:]
-    p21 = m[n1:, :n1]
-    inv22 = schur_block_inverse(m[n1:, n1:], sizes[1:])
+    p11 = m[..., :n1, :n1]
+    p12 = m[..., :n1, n1:]
+    p21 = m[..., n1:, :n1]
+    inv22 = schur_block_inverse(m[..., n1:, n1:], sizes[1:])
     inv_s = np.linalg.inv(p11 - p12 @ inv22 @ p21)
     lower = -inv22 @ p21 @ inv_s
     p12_inv22 = p12 @ inv22
@@ -416,47 +430,58 @@ def _block_samples(
     """Measure a graded block matrix at every grid point.
 
     ``point(t)`` gives the matrix at t and the scale y_k of each block.
-    The matrix is inverted directly and through the Schur recursion;
-    block (k, l) of the inverse is rescaled by y_min(k,l), diagonal block
-    k is compared against ``targets[k]`` and off-diagonal norms are
-    recorded.  Points with condition estimate beyond 1e12 are flagged; a
-    point whose matrix or scales overflow binary64 raises FamilyError.
+    Every point's matrix is built first, in grid order, so the first
+    point that fails raises its own error; a point whose matrix or
+    scales overflow binary64 raises FamilyError.  The stack of matrices
+    then gets one condition estimate, one direct inversion and one
+    Schur recursion, each as exact per matrix as one call per point.
+    Block (k, l) of each inverse is rescaled by y_min(k,l), diagonal
+    block k is compared against ``targets[k]`` and off-diagonal norms
+    are recorded, each a 2-D Frobenius norm.  Points with condition
+    estimate beyond 1e12 are flagged.
     """
     import numpy as np
 
     offsets = _block_offsets(sizes)
-    samples = []
+    matrices, point_scales = [], []
     for t in pts:
         try:
             m, y = point(t)
         except OverflowError:
             raise FamilyError(f"grid point t = {t} overflows binary64") from None
-        condition = float(np.linalg.cond(m))
-        direct = np.linalg.inv(m)
-        oracle = schur_block_inverse(m, sizes)
-        oracle_gap = float(np.max(np.abs(direct - oracle))) if m.size else 0.0
-        diag_devs = []
-        off_norms: dict[tuple[int, int], float] = {}
-        for k in range(len(sizes)):
-            sk = slice(*offsets[k])
-            rescaled = y[k] * direct[sk, sk]
-            diag_devs.append(float(np.linalg.norm(rescaled - targets[k])))
-            for l in range(len(sizes)):
-                if l == k:
-                    continue
-                sl = slice(*offsets[l])
-                off_norms[(k, l)] = float(np.linalg.norm(y[min(k, l)] * direct[sk, sl]))
-        samples.append(
-            BlockSample(
-                t=t,
-                diag_deviations=tuple(diag_devs),
-                offdiag_norms=off_norms,
-                oracle_gap=oracle_gap,
-                condition=condition,
-                flagged=condition > CONDITION_LIMIT,
-            )
+        matrices.append(m)
+        point_scales.append(y)
+    stack = np.array(matrices)
+    conditions = np.linalg.cond(stack)
+    inverses = np.linalg.inv(stack)
+    gaps = np.zeros(len(pts))
+    if stack[0].size:
+        gaps = np.max(np.abs(inverses - schur_block_inverse(stack, sizes)), axis=(1, 2))
+    # Rescaling is elementwise, so one product per block over the stack
+    # gives each point's entries exactly; the norms then run point by point.
+    ys = np.array(point_scales).reshape(len(pts), len(sizes), 1, 1)
+    diag_devs: list[list[float]] = [[] for _ in pts]
+    off_norms: list[dict[tuple[int, int], float]] = [{} for _ in pts]
+    for k, (a, b) in enumerate(offsets):
+        for l, (c, d) in enumerate(offsets):
+            blocks = ys[:, min(k, l)] * inverses[:, a:b, c:d]
+            if l == k:
+                for devs, block in zip(diag_devs, blocks - targets[k]):
+                    devs.append(float(np.linalg.norm(block)))
+            else:
+                for norms, block in zip(off_norms, blocks):
+                    norms[(k, l)] = float(np.linalg.norm(block))
+    return tuple(
+        BlockSample(
+            t=t,
+            diag_deviations=tuple(devs),
+            offdiag_norms=norms,
+            oracle_gap=float(gap),
+            condition=float(condition),
+            flagged=float(condition) > CONDITION_LIMIT,
         )
-    return tuple(samples)
+        for t, devs, norms, gap, condition in zip(pts, diag_devs, off_norms, gaps, conditions)
+    )
 
 
 def verify_inverse_lemma(

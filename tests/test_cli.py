@@ -155,6 +155,39 @@ class TestMeasureCommand:
         assert code == 0
         assert full.count(True) == 1
 
+    @pytest.mark.parametrize("length", ["1e-2000000", "1e200000", "1e-4400", "1/1" + "0" * 4000])
+    def test_lengths_of_too_many_digits_are_document_errors(self, capsys, tmp_path, length):
+        # Refused from the text: 1e-2000000 used to run without end.
+        doc = json.loads(Path(example("theta.json")).read_text())
+        doc["edges"][1]["length"] = length
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: edge 'e2': rational of more than {cli.RATIONAL_DIGITS} digits\n"
+
+    def test_results_too_long_to_print_are_precondition_errors(self, capsys, tmp_path):
+        # K5 with lengths of 1,000-digit numerators and denominators: the
+        # masses pass Python's 4,300-digit limit for printing an int.
+        rng = Random(1)
+
+        def digits():
+            return rng.randrange(10**999, 10**1000)
+
+        ids = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        doc = {
+            "vertices": [{"id": f"v{i}"} for i in range(5)],
+            "edges": [
+                {"id": f"e{i}{j}", "ends": [f"v{i}", f"v{j}"], "length": f"{digits()}/{digits()}"}
+                for i, j in ids
+            ],
+        }
+        path = tmp_path / "k5.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", "--formulation", "matrix", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: a report value has more than 4300 digits, too many to print\n"
+
     def test_lengths_required(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -255,7 +288,7 @@ class TestLimitCommand:
         code, out, err = run(capsys, command, "--input", example("theta.json"), "--grid", grid)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: bad --grid: point 1e-5000 has more than {cli.GRID_POINT_DIGITS} digits\n"
+            f"error: bad --grid: point 1e-5000 has more than {cli.RATIONAL_DIGITS} digits\n"
         )
 
     def test_grid_digit_bounds(self, capsys, monkeypatch):
@@ -282,7 +315,7 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--input", theta, "--grid", f"1e-1..1e-{huge}")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: bad --grid: point 1e-{huge} has more than {cli.GRID_POINT_DIGITS} digits\n"
+            f"error: bad --grid: point 1e-{huge} has more than {cli.RATIONAL_DIGITS} digits\n"
         )
 
     def test_convergence_is_checked_once(self, capsys, monkeypatch):
@@ -361,7 +394,7 @@ class TestLimitCommand:
             raise AssertionError("a scale function was evaluated")
 
         with monkeypatch.context() as patch:
-            patch.setattr(canmeas.families.ScaleFunction, "evaluate", unreachable)
+            patch.setattr(canmeas.families.ScaleFunction, "evaluate_pair", unreachable)
             code, out, err = run(capsys, "limit", "--input", str(path))
         assert (code, out) == (3, "")
         assert err == (
@@ -377,6 +410,27 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--input", str(path), "--grid", "1/2,1/10000000")
         assert code == 3
         assert err.startswith("error: the length of edge 'e2' at t = 1/10000000 has 10503 digits")
+
+    @pytest.mark.parametrize(
+        "section, value, code, message",
+        [
+            ("target", "1e-5000", 2, "edge 'e2': rational of more than 4000 digits"),
+            ("family", "1" + "0" * 5000 + "*t", 2, "a coefficient or exponent of more than"),
+            ("family", "t^" + "9" * 5000, 2, "a coefficient or exponent of more than"),
+            # An exponent within the digit bound but beyond binary64.
+            ("family", "t^" + "9" * 400, 3, "at t = 1/10 has more than 10^308 digits"),
+        ],
+    )
+    def test_oversized_family_numbers_end_in_a_documented_exit(
+        self, capsys, tmp_path, section, value, code, message
+    ):
+        doc = json.loads(Path(example("theta.json")).read_text())
+        doc[section]["e2"] = value
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run(capsys, "limit", "--input", str(path))
+        assert (got, out) == (code, "")
+        assert message in err
 
     def test_divergent_family(self, capsys, tmp_path):
         doc = json.loads(Path(example("theta.json")).read_text())
@@ -470,6 +524,8 @@ class TestPeriodsCommand:
             "word": dict(good, rank_block=[["x", 0.0], [0.0, 1.0]]),
             "nan": dict(good, rank_block=[[float("nan"), 0.0], [0.0, 1.0]]),
             "vertex_nan": {"vertex_blocks": {"u": [[2.0]], "v": [[float("nan")]]}},
+            # An int beyond binary64, which math.isfinite cannot convert.
+            "vertex_huge": {"vertex_blocks": {"u": [[2.0]], "v": [[10**400]]}},
         }
         for name, data in bad.items():
             path = tmp_path / f"{name}.json"
@@ -484,7 +540,8 @@ class TestPeriodsCommand:
             )
             assert code == 2, name
             assert out == "", name
-            assert ("'v'" if name == "vertex_nan" else "rank_block") in err, name
+            assert ("'v'" if name.startswith("vertex") else "rank_block") in err, name
+            assert "not a finite number" in err, name
 
     # Base matrix files the reader refuses: (text, or None for no file; message).
     BAD_BASE_FILES = {
@@ -503,6 +560,8 @@ class TestPeriodsCommand:
             '{"rank_block": [[1.0, 0.0], [1.0]]}',
             "rows of base matrix block rank_block differ in length",
         ),
+        # json refuses to convert an int of more than 4,300 digits.
+        "long_int": ('{"rank_block": [[1' + "0" * 5000 + "]]}", "invalid JSON in"),
     }
 
     @pytest.mark.parametrize("name", BAD_BASE_FILES)
@@ -643,6 +702,19 @@ class TestPeriodsCommand:
         assert err.startswith("error: pad block of the base matrix is numerically singular")
         assert len(err.splitlines()) == 1
 
+    def test_pad_block_with_an_overflowing_inverse_is_a_precondition_error(
+        self, capsys, tmp_path
+    ):
+        # The subnormal diagonal has condition number 1 and passes Cholesky,
+        # but its inverse is inf; sampling would print nan and warn.
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"vertex_blocks": {"u": [[5e-324]], "v": [[5e-324]]}}))
+        code, out, err = run(
+            capsys, "periods", "--input", example("theta_weighted.json"), "--lambda0", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: the inverse of the base matrix's pad block overflows binary64\n"
+
     def test_numpy_linear_algebra_errors_are_precondition_errors(self, capsys, monkeypatch):
         import numpy as np
 
@@ -697,7 +769,7 @@ class TestPeriodsCommand:
         def unreachable(self, t):
             raise AssertionError("a scale function was evaluated")
 
-        monkeypatch.setattr(canmeas.families.ScaleFunction, "evaluate", unreachable)
+        monkeypatch.setattr(canmeas.families.ScaleFunction, "evaluate_pair", unreachable)
         code, out, err = run(
             capsys, "periods", "--input", example("theta.json"), "--scales", "100000001,100000000"
         )
@@ -796,7 +868,8 @@ class TestPeriodsCommand:
 
     def test_schur_oracle_skips_empty_blocks(self, capsys, monkeypatch, tmp_path):
         # The 16-cycle with one edge per layer has block sizes 1, 0, ..., 0.
-        # Empty blocks are dropped: one oracle call per point, not one per layer.
+        # Empty blocks are dropped: the sampler's one oracle call, on the
+        # stack of every grid point's matrix, does not recurse per layer.
         calls = self._count_oracle_calls(monkeypatch)
         ring = [(f"e{i:02d}", [f"v{i:02d}", f"v{(i + 1) % 16:02d}"]) for i in range(16)]
         path = self._one_edge_per_layer(tmp_path / "cycle16.json", ring)
@@ -804,12 +877,14 @@ class TestPeriodsCommand:
         assert code == 0
         assert report["block_sizes"] == [1] + [0] * 15
         assert len(report["samples"][0]["diag_deviations"]) == 16
-        assert len(calls) == len(report["grid"])
+        assert len(report["grid"]) == 5
+        assert calls == [[1] + [0] * 15]
 
     def test_schur_oracle_recurses_once_per_block(self, capsys, monkeypatch, tmp_path):
         # Thirty loops at one vertex, one per layer: thirty nonempty blocks,
         # each peeled by one call, where two calls per block would be 2^30.
-        # Thirty is the most layers the default scales keep within binary64.
+        # The sampler makes one oracle call for the whole grid.  Thirty is
+        # the most layers the default scales keep within binary64.
         calls = self._count_oracle_calls(monkeypatch)
         loops = [(f"l{i:02d}", ["v", "v"]) for i in range(30)]
         path = self._one_edge_per_layer(tmp_path / "bouquet30.json", loops)
@@ -817,7 +892,8 @@ class TestPeriodsCommand:
         assert code == 0
         assert report["ok"] is True
         assert report["block_sizes"] == [1] * 30
-        assert len(calls) == 30 * len(report["grid"])
+        assert len(report["grid"]) == 5
+        assert calls == [[1] * (30 - i) for i in range(30)]
 
     @pytest.mark.parametrize(
         "name, loops, genus, message",

@@ -22,6 +22,7 @@ from canmeas import (
     canonical_spanning_forest,
     check_convergence,
     continuity_probe,
+    foster_by_matrix,
     foster_by_trees,
     geometric_grid,
     graded_minors,
@@ -493,6 +494,35 @@ class TestMeasureTrajectories:
         assert report.max_deviations[-1] <= report.max_deviations[0]
         assert report.max_deviations[-1] < F(1, 1000)
 
+
+    def test_fibres_match_the_matrix_route_point_by_point(self):
+        # limit_foster builds the cycle space once per family and keeps its
+        # bookkeeping in integers; at each point it must equal the matrix
+        # route on the fibre, and the Fraction arithmetic of that measure.
+        # 2/3 makes length pairs that need reducing.
+        grid = (F(2, 3), F(1, 10), F(1, 1000))
+        checked = 0
+        for seed in range(120):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            if not g.edge_ids:
+                continue
+            f = random_family(rng, g)
+            report = limit_foster(f, grid)
+            target = tropical_canonical_measure(f.target_curve).edge_coeffs
+            assert report.targets == target
+            for i, t in enumerate(grid):
+                lengths = f.lengths_at(t)
+                assert f.integer_lengths_at(t) == {
+                    e: (x.numerator, x.denominator) for e, x in lengths.items()
+                }
+                mu = foster_by_matrix(f.metric_at(t)).edge_coeffs
+                assert {e: v[i] for e, v in report.trajectories.items()} == mu
+                deviations = [abs(mu[e] - target[e]) for e in g.edge_ids]
+                assert report.max_deviations[i] == max(deviations)
+                assert report.edge_masses[i] == sum(mu.values(), F(0))
+            checked += 1
+        assert checked >= 100
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from canmeas import (
     AugmentedGraph,
+    CanmeasError,
     DocumentError,
     MissingSection,
     OrderedPartition,
@@ -211,6 +212,31 @@ class TestParseErrors:
         self.reject(doc(0.5), "rationals must be exact strings")
         self.reject(doc(True), "rationals must be exact strings")
 
+    def test_rationals_are_bounded_by_their_digits(self):
+        def doc(length, target="1/2"):
+            data = self.base()
+            data["edges"][1]["length"] = length
+            data["target"]["e2"] = target
+            return data
+
+        bound = "more than 4000 digits"
+        nines = "9" * 4000
+        assert parse_document(json.dumps(doc(f"{nines}/7"))).lengths["e2"] == F(int(nines), 7)
+        assert parse_document(json.dumps(doc("1e3999"))).lengths["e2"] == 10**3999
+        assert parse_document(json.dumps(doc("1e-3999"))).lengths["e2"] == F(1, 10**3999)
+        self.reject(doc(f"{nines}9/7"), f"edge 'e2': rational of {bound}")
+        self.reject(doc("1e4000"), bound)
+        self.reject(doc("1e-4000"), bound)
+        self.reject(doc("1e-2000000"), bound)
+        self.reject(doc("1/2", target="1e-5000"), f"edge 'e2': rational of {bound}")
+        data = self.base()
+        data["family"]["e2"] = "1/1" + "0" * 4000 + "*t"
+        self.reject(data, f"edge 'e2': a term has a coefficient or exponent of {bound}")
+
+    def test_json_ints_too_long_to_convert(self):
+        text = THETA_TEXT.replace('"genus": 1', '"genus": 1' + "0" * 5000)
+        self.reject(text, "invalid JSON in document")
+
     def test_all_or_no_lengths(self):
         data = self.base()
         del data["edges"][2]["length"]
@@ -309,6 +335,11 @@ class TestReportRendering:
         assert exact_field(0.5) == {"exact": "1/2"}
         assert float_field(0.1) == {"float": "0.10000000000000001"}
         assert float_field(2) == {"float": "2"}
+
+    def test_values_too_long_to_print(self):
+        assert exact_field(F(1, 10**4299)) == {"exact": "1/1" + "0" * 4299}
+        with pytest.raises(CanmeasError, match="more than 4300 digits, too many to print"):
+            exact_field(F(1, 10**4300))
 
     def test_measure_section(self):
         from canmeas import MetricGraph

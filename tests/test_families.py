@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canmeas import FamilyError, ScaleFunction, geometric_grid, parse_scale, ratio_limit
-from canmeas.families import product
+from canmeas.families import RATIONAL_DIGITS, oversized_rational, product
 from canmeas.periods import _binary64_value
 
 F = Fraction
@@ -73,6 +73,13 @@ class TestScaleFunction:
         reference = sum(c * t**k for k, c in terms)
         assert fn(*terms).evaluate(t) == reference
 
+    @given(wide_terms, points)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_pair_holds_the_exact_sum(self, terms, t):
+        num, den = fn(*terms).evaluate_pair(t)
+        assert den > 0
+        assert F(num, den) == sum(c * t**k for k, c in terms)
+
     @given(wide_terms, st.fractions(max_value=0, max_denominator=10**9))
     @settings(max_examples=50, deadline=None)
     def test_evaluate_needs_a_positive_point(self, terms, t):
@@ -138,6 +145,24 @@ class TestParseRender:
         with pytest.raises(FamilyError, match="zero denominator"):
             parse_scale("1/0*t")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "0" * RATIONAL_DIGITS + "*t",
+            "1/1" + "0" * RATIONAL_DIGITS + "*t",
+            "t^" + "9" * (RATIONAL_DIGITS + 1),
+            "t^-" + "9" * 5000,
+        ],
+    )
+    def test_numbers_of_too_many_digits_rejected(self, text):
+        with pytest.raises(FamilyError, match=f"more than {RATIONAL_DIGITS} digits"):
+            parse_scale(text)
+
+    def test_numbers_at_the_digit_bound_accepted(self):
+        coeff = "9" * RATIONAL_DIGITS
+        assert parse_scale(f"{coeff}/7*t").terms == ((1, F(int(coeff), 7)),)
+        assert parse_scale("t^" + "9" * RATIONAL_DIGITS).dominant_exponent == int("9" * 4000)
+
     @given(
         st.lists(
             st.tuples(exponents, rationals), min_size=1, max_size=4
@@ -147,6 +172,56 @@ class TestParseRender:
     def test_render_round_trips(self, terms):
         text = " + ".join(f"{c}*t^{k}" for k, c in terms)
         assert parse_scale(text) == ScaleFunction(terms=tuple(terms))
+
+
+class TestOversizedRational:
+    @pytest.mark.parametrize(
+        "text, oversized",
+        [
+            ("7", False),
+            (" -12/345 ", False),
+            ("9" * 4000 + "/7", False),
+            ("9" * 4001 + "/7", True),
+            ("7/" + "9" * 4001, True),
+            ("0" * 5000 + "1/2", False),
+            ("1_000e3996", False),
+            ("1_000e3997", True),
+            ("1e3999", False),
+            ("1e4000", True),
+            ("1e-3999", False),
+            ("1e-4000", True),
+            ("10e-3999", False),
+            # .25e-3998 is 1/(4 10^3998), but its text has 10^4000 below.
+            (".25e-3997", False),
+            (".25e-3998", True),
+            ("0." + "0" * 5000 + "1e5001", False),
+            ("1e200000", True),
+            ("1e-2000000", True),
+            ("1e" + "9" * 5000, True),
+            ("1e-" + "9" * 5000, True),
+            ("1e-" + "0" * 5000 + "5", False),
+            # Not rationals: Fraction refuses them.
+            ("1.d", False),
+            ("1e", False),
+            ("e" * 5000, False),
+        ],
+    )
+    def test_digits_read_off_the_text(self, text, oversized):
+        assert oversized_rational(text) is oversized
+
+    @given(
+        st.integers(min_value=0, max_value=10**30),
+        st.text("0123456789", max_size=12),
+        st.integers(min_value=-4100, max_value=4100),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_every_rational_over_the_bound(self, whole, frac, exp):
+        # Fraction reduces, so the text may refuse a little more than the
+        # bound, but never less.
+        text = f"{whole}.{frac}e{exp}"
+        x = F(text)
+        if max(x.numerator, x.denominator) >= 10**RATIONAL_DIGITS:
+            assert oversized_rational(text)
 
 
 class TestRatioLimit:

@@ -31,6 +31,7 @@ from canmeas import (
     total_genus,
     verify_inverse_lemma,
 )
+from canmeas import periods
 from canmeas.corpus import (
     layered_family,
     normalized_coordinates,
@@ -43,6 +44,7 @@ from canmeas.gallery import (
     theta_monodromy,
     theta_period_family,
 )
+from canmeas.periods import BlockSample
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -97,6 +99,68 @@ def assert_targets_invert_layer_matrices(model, targets):
 
 
 THETA_SPLIT = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2", "e3"})))
+
+
+def per_point_samples(pts, sizes, targets, point):
+    # The sampler as one round per grid point: np.linalg.cond,
+    # np.linalg.inv and the Schur recursion on each 2-D matrix.
+    offsets = []
+    pos = 0
+    for size in sizes:
+        offsets.append(slice(pos, pos + size))
+        pos += size
+    samples = []
+    for t in pts:
+        m, y = point(t)
+        condition = float(np.linalg.cond(m))
+        direct = np.linalg.inv(m)
+        oracle = schur_block_inverse(m, sizes)
+        gap = float(np.max(np.abs(direct - oracle))) if m.size else 0.0
+        diag, off = [], {}
+        for k, sk in enumerate(offsets):
+            diag.append(float(np.linalg.norm(y[k] * direct[sk, sk] - targets[k])))
+            for l, sl in enumerate(offsets):
+                if l != k:
+                    off[(k, l)] = float(np.linalg.norm(y[min(k, l)] * direct[sk, sl]))
+        samples.append(BlockSample(t, tuple(diag), off, gap, condition, condition > 1e12))
+    return samples
+
+
+def sample_bits(samples):
+    # Every float of every sample as its exact binary64 text.
+    return [
+        (
+            s.t,
+            [d.hex() for d in s.diag_deviations],
+            {kl: v.hex() for kl, v in s.offdiag_norms.items()},
+            s.oracle_gap.hex(),
+            s.condition.hex(),
+            s.flagged,
+        )
+        for s in samples
+    ]
+
+
+def sampler_calls(monkeypatch):
+    """Record the arguments and the result of every sampler call."""
+    calls = []
+    real = periods._block_samples
+
+    def recorded(pts, sizes, targets, point):
+        samples = real(pts, sizes, targets, point)
+        calls.append(((pts, sizes, targets, point), samples))
+        return samples
+
+    monkeypatch.setattr(periods, "_block_samples", recorded)
+    return calls
+
+
+def bouquet(loops):
+    # One vertex with the given number of loops, one per layer.
+    ids = [f"l{i:02d}" for i in range(loops)]
+    g = AugmentedGraph(vertices=("v",), edges=tuple((e, ("v", "v")) for e in ids))
+    p = OrderedPartition(parts=tuple(frozenset({e}) for e in ids))
+    return g, p, {e: F(1) for e in ids}
 
 
 class TestMonodromySet:
@@ -231,6 +295,14 @@ class TestModelPeriodFamily:
                 monodromy=fam.monodromy, lengths=fam.lengths, base_im=bad
             )
 
+    def test_pad_block_inverse_must_be_finite(self):
+        # Cholesky and the condition number pass the subnormal 5e-324.
+        fam = theta_period_family(genus=(1, 0))
+        bad = fam.base_im.copy()
+        bad[2, 2] = 5e-324
+        with pytest.raises(FamilyError, match="pad block overflows binary64"):
+            ModelPeriodFamily(monodromy=fam.monodromy, lengths=fam.lengths, base_im=bad)
+
     def test_pad_target_inverts_the_pad_block(self):
         fam = theta_period_family(
             genus=(1, 1), vertex_blocks={"u": [[2.0]], "v": [[4.0]]}
@@ -264,6 +336,58 @@ class TestModelPeriodFamily:
         )
         with pytest.raises(NotPositiveDefinite, match="1/10"):
             model_period(sunk, F(1, 10))
+
+
+class TestBatchedSampler:
+    def test_layered_families_match_a_per_point_loop(self, monkeypatch):
+        calls = sampler_calls(monkeypatch)
+        padded = with_empty_blocks = 0
+        for seed in range(60):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            p = random_layering(rng, g)
+            if total_genus(g) == 0:
+                continue
+            model = layered_model(g, p, normalized_coordinates(rng, p))
+            graded_inverse_limits(model, grid=geometric_grid(1, 5))
+            padded += model.monodromy.pad > 0
+            with_empty_blocks += 0 in model.monodromy.block_sizes
+        graded_inverse_limits(layered_model(*bouquet(30)), grid=geometric_grid(1, 5))
+        assert padded >= 20 and with_empty_blocks >= 10, (padded, with_empty_blocks)
+        assert len(calls) >= 40
+        for args, samples in calls:
+            assert sample_bits(samples) == sample_bits(per_point_samples(*args))
+
+    def test_inverse_lemma_profiles_match_a_per_point_loop(self, monkeypatch):
+        calls = sampler_calls(monkeypatch)
+        for seed in range(30):
+            profile = random_block_profile(np.random.default_rng(seed))
+            verify_inverse_lemma(profile, NoiseSpec(seed=seed), geometric_grid(1, 4))
+        assert len(calls) == 30
+        for args, samples in calls:
+            assert sample_bits(samples) == sample_bits(per_point_samples(*args))
+
+    @staticmethod
+    def sunk_theta(exponents):
+        # A rank block of -1e6: the model is indefinite wherever its
+        # lengths are small.
+        g = theta_graph()
+        family = layered_family(g, THETA_SPLIT, {"e1": 1, "e2": F(1, 2), "e3": F(1, 2)}, exponents)
+        mono = theta_monodromy()
+        base = assemble_base(mono, g, rank_block=[[-1e6, 0.0], [0.0, -1e6]])
+        return ModelPeriodFamily(monodromy=mono, lengths=family, base_im=base)
+
+    def test_the_first_failing_point_raises_its_own_error(self):
+        # Lengths t^-4, t^-2: indefinite at 1/10, beyond binary64 at 1e-400.
+        growing = self.sunk_theta((-4, -2))
+        with pytest.raises(NotPositiveDefinite, match="at t = 1/10$"):
+            graded_inverse_limits(growing, grid=(F(1, 10), F(1, 10**400)))
+        # Lengths t^2, t^4: beyond binary64 at 1e200, indefinite at 1e-200.
+        shrinking = self.sunk_theta((2, 4))
+        with pytest.raises(FamilyError, match=f"t = {10**200} overflows binary64"):
+            graded_inverse_limits(shrinking, grid=(F(10**200), F(1, 10**200)))
+        with pytest.raises(NotPositiveDefinite, match=f"at t = 1/{10**200}$"):
+            graded_inverse_limits(shrinking, grid=(F(1, 10**200),))
 
 
 class TestSchurInverse:
