@@ -609,27 +609,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_input: bool = True):
+    def add(name: str, help_text: str, needs_input: bool = True):
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", required=True, help="path to a graph document")
         p.add_argument(
             "--table", action="store_true", help="plain text table instead of JSON"
         )
-        p.set_defaults(func=func)
         return p
 
-    p = add("measure", cmd_measure, "canonical measure of a metric graph")
+    p = add("measure", "canonical measure of a metric graph")
     p.add_argument(
         "--formulation",
         choices=["trees", "projection", "matrix", "all"],
         default="all",
     )
-    add("trees", cmd_trees, "spanning trees and the matrix-tree cross-check")
-    add("minors", cmd_minors, "graded minors, layered trees, admissible basis")
-    p = add("limit", cmd_limit, "measure limits of a degenerating family")
+    add("trees", "spanning trees and the matrix-tree cross-check")
+    add("minors", "graded minors, layered trees, admissible basis")
+    p = add("limit", "measure limits of a degenerating family")
     p.add_argument("--grid", help="'1e-1..1e-6' or comma list of rationals")
-    p = add("periods", cmd_periods, "block limits of the model period matrix")
+    p = add("periods", "block limits of the model period matrix")
     p.add_argument("--grid", help="'1e-1..1e-5' or comma list of rationals")
     p.add_argument("--scales", help="comma list of layer scale exponents")
     p.add_argument("--lambda0", help="JSON file with base matrix blocks")
@@ -639,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
         return value
 
-    p = add("selftest", cmd_selftest, "seeded randomized self checks", needs_input=False)
+    p = add("selftest", "seeded randomized self checks", needs_input=False)
     p.add_argument("--seed", type=seed, default=0)
     return parser
 
@@ -655,7 +654,9 @@ def _loaded_linalg_errors() -> tuple[type[Exception], ...]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, ok = args.func(args)
+        # Looked up at each call, not bound into the cached parser, so a
+        # command replaced in this module after the parser is built runs.
+        report, ok = globals()["cmd_" + args.command](args)
     except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -353,7 +353,7 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
     _require_convergent(f)
     pts = validate_grid(grid)
     target = tropical_canonical_measure(f.target_curve)
-    space = CycleSpace(f.graph)
+    space = CycleSpace.of(f.graph)
     coeffs = target.edge_coeffs
     goals = [(e, coeffs[e].numerator, coeffs[e].denominator) for e in space.edge_ids]
     trajectories: dict[str, list[Fraction]] = {e: [] for e in f.graph.edge_ids}

@@ -147,8 +147,13 @@ def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
     """Decode a JSON object with keys only from ``keys``; errors name the input."""
     try:
         data = json.loads(text)
-    except ValueError as err:  # a JSON error, or an int too long to convert
+    except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON in {name}: {err}") from None
+    except ValueError:  # an int too long to convert
+        raise DocumentError(
+            f"invalid JSON in {name}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, dict):
         raise DocumentError(f"{name} must be a JSON object")
     unknown = sorted(set(data) - keys)
@@ -286,9 +291,11 @@ def _base_block(name: str, block: Any) -> list[list[float]]:
     for row in block:
         for x in row:
             if not _finite_number(x):
-                raise DocumentError(
-                    f"base matrix block {name} has entry {x!r}, not a finite number"
+                # An int beyond binary64 is named by its length, not echoed.
+                what = (
+                    f"an entry of {len(str(abs(x)))} digits" if type(x) is int else f"entry {x!r}"
                 )
+                raise DocumentError(f"base matrix block {name} has {what}, not a finite number")
     return block
 
 

@@ -86,7 +86,7 @@ def oversized_rational(text: str) -> bool:
 
 _TERM = re.compile(
     r"""^\s*
-    (?:(?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*)?)?
+    (?:(?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)\s*(?:\*\s*)?)?
     (?:t(?:\^(?P<exp>-?\d+))?)?
     \s*$""",
     re.VERBOSE,
@@ -182,7 +182,7 @@ def parse_scale(text: str) -> ScaleFunction:
                 f"a term has a coefficient or exponent of more than {RATIONAL_DIGITS} digits"
             )
         try:
-            coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+            coeff = Fraction(int(m.group("num") or 1), int(m.group("den") or 1))
         except ZeroDivisionError:
             raise FamilyError(f"zero denominator in term {piece.strip()!r}") from None
         if "t" in piece:

@@ -88,7 +88,7 @@ def integer_determinant(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    m, pivots, sign = bareiss_eliminate([list(r) for r in rows], n)
+    m, pivots, sign = bareiss_eliminate(rows, n)
     if len(pivots) < n:
         return 0
     return sign * m[n - 1][n - 1]

@@ -14,17 +14,18 @@ They agree; keeping all three is the point, since they cross-check one
 another and the Laplacian oracle in :mod:`canmeas.kirchhoff` checks them
 all from outside.
 
-The projection and matrix routes assemble the Gram matrix of the
-fundamental cycle basis in integers and eliminate it once.  The matrix
-route's kernel, :class:`CycleSpace`, holds a graph's fundamental cycles
-and each edge's support on them and takes the lengths as integer pairs
-(p, q), so a caller that measures one graph at many lengths (the fibres
-of :func:`canmeas.degeneration.limit_foster`) builds them once.  Writing
-each length as p/q, row i is scaled by s_i, the lcm of the q over the
-edges of cycle i, its own scale and never one lcm for the whole matrix;
-every entry is then an integer, and so is every projection right-hand
-side.  The elimination returns integers over one denominator, so each
-route builds exactly one Fraction per edge, its mass.  With positive
+:class:`CycleSpace` is the one place that assembles a Gram matrix.  It
+holds a cycle basis (a graph's fundamental cycles, or any basis a
+caller supplies) and each edge's support on it, and takes the lengths
+as integer pairs (p, q), so a caller that measures one graph at many
+lengths (the fibres of :func:`canmeas.degeneration.limit_foster`)
+builds it once.  The projection and matrix routes, :func:`gram_matrices`
+and the period layer targets all go through it.  Writing each length as
+p/q, row i is scaled by s_i, the lcm of the q over the edges of cycle i,
+its own scale and never one lcm for the whole matrix; every entry is
+then an integer, and so is every projection right-hand side.  The
+elimination returns integers over one denominator, so each route builds
+exactly one Fraction per edge, its mass.  With positive
 lengths a Gram matrix is positive definite exactly when it is
 nonsingular, so the singular-matrix check of that one elimination does
 the work of Sylvester's criterion; :func:`gram_matrices` still applies
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -117,9 +118,12 @@ class TropicalCurve:
     graph: AugmentedGraph
     lengths: Mapping[str, Fraction]
     layering: OrderedPartition
+    # The metric graph that checks the lengths, kept for every later use.
+    metric: MetricGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         metric = MetricGraph(self.graph, self.lengths)
+        object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "lengths", metric.lengths)
         if self.layering.edge_ids != frozenset(self.graph.edge_ids):
             raise LayeringError("layering must cover exactly the edges of the graph")
@@ -129,10 +133,6 @@ class TropicalCurve:
                 raise LayeringError(
                     f"layer {j} has total length {total}, expected 1"
                 )
-
-    @property
-    def metric(self) -> MetricGraph:
-        return MetricGraph(self.graph, self.lengths)
 
     @cached_property
     def minors(self) -> GradedMinorReport:
@@ -206,44 +206,77 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
-def _edge_support(basis: Sequence[CycleVector]) -> dict[str, list[tuple[int, int]]]:
-    # support[e] lists (i, c_i(e)) for the cycles through e, i ascending.
-    support: dict[str, list[tuple[int, int]]] = {}
-    for i, gamma in enumerate(basis):
-        for eid, c in gamma.coeffs.items():
-            support.setdefault(eid, []).append((i, c))
-    return support
+class CycleSpace:
+    """A cycle basis, each edge's support on it, and its Gram kernel.
 
+    The one home of the integer Gram matrix: every route, fibre and
+    period layer target that needs it builds a space once and evaluates
+    it at integer lengths (p, q), given for at least the edges of the
+    basis.  :meth:`of` takes a graph's fundamental cycles, per
+    component, so the graph may be disconnected, as minors often are.
+    """
 
-def _integer_gram(
-    lengths: Mapping[str, tuple[int, int]],
-    cycle_edges: Iterable[Iterable[str]],
-    support: Mapping[str, list[tuple[int, int]]],
-) -> tuple[list[list[int]], list[int]]:
-    # The Gram matrix G as (S G, S): S scales row i by s_i, the lcm of the
-    # length denominators q_e over the edges of cycle i, so entry (i, j) is
-    # the integer sum over edges of p_e (s_i / q_e) c_i(e) c_j(e).  The
-    # assembly runs over the edge supports once, edge by edge.
-    scales = [lcm(*[lengths[eid][1] for eid in edges]) for edges in cycle_edges]
-    rows = [[0] * len(scales) for _ in scales]
-    for eid, coeffs in support.items():
-        p, q = lengths[eid]
-        for i, a in coeffs:
-            row = rows[i]
-            w = scales[i] // q * p * a
-            for j, b in coeffs:
-                row[j] += w * b
-    return rows, scales
+    __slots__ = ("edge_ids", "cycle_edges", "support")
 
+    def __init__(self, edge_ids: Collection[str], basis: Sequence[CycleVector]) -> None:
+        self.edge_ids = edge_ids
+        self.cycle_edges = [gamma.coeffs for gamma in basis]
+        # support[e] lists (i, c_i(e)) for the cycles through e, i ascending.
+        self.support: dict[str, list[tuple[int, int]]] = {}
+        for i, coeffs in enumerate(self.cycle_edges):
+            for eid, c in coeffs.items():
+                self.support.setdefault(eid, []).append((i, c))
 
-def _scaled_cycle_gram(
-    m: MetricGraph, basis: Sequence[CycleVector]
-) -> tuple[list[list[int]], list[int], dict[str, list[tuple[int, int]]]]:
-    # The Gram matrix of a basis as (S G, S, support), from _integer_gram.
-    support = _edge_support(basis)
-    cycle_edges = [gamma.coeffs for gamma in basis]
-    rows, scales = _integer_gram(m.integer_lengths, cycle_edges, support)
-    return rows, scales, support
+    @classmethod
+    def of(cls, g: AugmentedGraph) -> "CycleSpace":
+        """The space of g's fundamental cycles, over all of g's edges."""
+        return cls(g.edge_ids, fundamental_cycles(g))
+
+    def gram(self, lengths: Mapping[str, tuple[int, int]]) -> tuple[list[list[int]], list[int]]:
+        """The Gram matrix G as integer rows (S G, S).
+
+        S scales row i by s_i, the lcm of the length denominators q_e
+        over the edges of cycle i, so entry (i, j) is the integer sum
+        over edges of p_e (s_i / q_e) c_i(e) c_j(e).  The assembly runs
+        over the edge supports once, edge by edge.
+        """
+        scales = [lcm(*[lengths[eid][1] for eid in edges]) for edges in self.cycle_edges]
+        rows = [[0] * len(scales) for _ in scales]
+        for eid, coeffs in self.support.items():
+            p, q = lengths[eid]
+            for i, a in coeffs:
+                row = rows[i]
+                w = scales[i] // q * p * a
+                for j, b in coeffs:
+                    row[j] += w * b
+        return rows, scales
+
+    def forms(self, lengths: Mapping[str, tuple[int, int]]) -> tuple[list[int], int]:
+        """The edge quadratic forms as integers (s, D) at lengths p/q.
+
+        With the Gram inverse Y / D, Y an integer matrix, the mass of edge
+        e is p_e s_e / (q_e D), for s_e = sum_{i,j} Y[i][j] c_i(e) c_j(e)
+        (zero on an edge that lies on no cycle).  The s_e come in the
+        order of ``edge_ids``.  Raises BasisError on a singular Gram
+        matrix.
+        """
+        y, det = linalg.scaled_inverse(*self.gram(lengths))
+        support = self.support
+        forms = []
+        for eid in self.edge_ids:
+            c = support.get(eid, ())
+            forms.append(sum(y[i][j] * a * b for i, a in c for j, b in c))
+        return forms, det
+
+    def masses(self, lengths: Mapping[str, tuple[int, int]]) -> dict[str, Fraction]:
+        """The matrix route's edge masses p_e s_e / (q_e D), one Fraction
+        per edge, in the order of ``edge_ids``."""
+        forms, det = self.forms(lengths)
+        masses = {}
+        for eid, s in zip(self.edge_ids, forms):
+            p, q = lengths[eid]
+            masses[eid] = Fraction(p * s, q * det)
+        return masses
 
 
 def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix:
@@ -260,7 +293,7 @@ def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix
                 raise UnknownEdge(f"cycle uses unknown edge {eid!r}")
         if any(b != 0 for b in cycle_boundary(m.graph, gamma).values()):
             raise BasisError("basis element has nonzero boundary")
-    rows, scales, _ = _scaled_cycle_gram(m, basis)
+    rows, scales = CycleSpace(m.graph.edge_ids, basis).gram(m.integer_lengths)
     if not linalg.is_positive_definite(rows):
         raise BasisError("cycle family is dependent; Gram matrix is not positive definite")
     return [[Fraction(x, s) for x in row] for row, s in zip(rows, scales)]
@@ -279,14 +312,15 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
-    basis = fundamental_cycles(m.graph)
-    rows, scales, support = _scaled_cycle_gram(m, basis)
+    space = CycleSpace.of(m.graph)
+    lengths = m.integer_lengths
+    rows, scales = space.gram(lengths)
+    support = space.support
     on_cycles = [eid for eid in m.graph.edge_ids if eid in support]
     columns = []
     for eid in on_cycles:
-        length = m.lengths[eid]
-        p, q = length.numerator, length.denominator
-        column = [0] * len(basis)
+        p, q = lengths[eid]
+        column = [0] * len(rows)
         for i, c in support[eid]:
             column[i] = scales[i] // q * p * c
         columns.append(column)
@@ -295,55 +329,6 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     for eid, y in zip(on_cycles, ys):
         coeffs[eid] = Fraction(sum(y[i] * c for i, c in support[eid]), det)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
-
-
-class CycleSpace:
-    """A graph's fundamental cycles and each edge's support on them.
-
-    The matrix route's kernel, built once per graph: :meth:`forms` then
-    measures the graph at any lengths.  Fundamental cycles are taken per
-    component, so the graph may be disconnected, as minors often are.
-    """
-
-    __slots__ = ("edge_ids", "cycle_edges", "support")
-
-    def __init__(self, g: AugmentedGraph) -> None:
-        basis = fundamental_cycles(g)
-        self.edge_ids = g.edge_ids
-        self.cycle_edges = [gamma.coeffs for gamma in basis]
-        self.support = _edge_support(basis)
-
-    def forms(self, lengths: Mapping[str, tuple[int, int]]) -> tuple[list[int], int]:
-        """The edge quadratic forms as integers (s, D) at lengths p/q.
-
-        With the Gram inverse Y / D, Y an integer matrix, the mass of edge
-        e is p_e s_e / (q_e D), for s_e = sum_{i,j} Y[i][j] c_i(e) c_j(e)
-        (zero on an edge that lies on no cycle).  The s_e come in the
-        order of ``edge_ids``.  Raises BasisError on a singular Gram
-        matrix.
-        """
-        rows, scales = _integer_gram(lengths, self.cycle_edges, self.support)
-        y, det = linalg.scaled_inverse(rows, scales)
-        support = self.support
-        forms = []
-        for eid in self.edge_ids:
-            c = support.get(eid, ())
-            forms.append(sum(y[i][j] * a * b for i, a in c for j, b in c))
-        return forms, det
-
-
-def _cycle_space_masses(m: MetricGraph) -> dict[str, Fraction]:
-    """The edge masses of the matrix route: the :class:`CycleSpace` kernel
-    of m's graph, built and run once, and one Fraction per edge.  m may
-    be disconnected."""
-    lengths = m.integer_lengths
-    space = CycleSpace(m.graph)
-    forms, det = space.forms(lengths)
-    masses = {}
-    for eid, s in zip(space.edge_ids, forms):
-        p, q = lengths[eid]
-        masses[eid] = Fraction(p * s, q * det)
-    return masses
 
 
 def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
@@ -357,7 +342,7 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
-    coeffs = _cycle_space_masses(m)
+    coeffs = CycleSpace.of(m.graph).masses(m.integer_lengths)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
@@ -372,10 +357,10 @@ def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:
     """
     if not is_connected(t.graph):
         raise DisconnectedGraph("tropical curves must be connected")
+    lengths = t.metric.integer_lengths
     coeffs: dict[str, Fraction] = {}
     for minor in t.minors.minors:
-        restricted = {e: t.lengths[e] for e in minor.edge_ids}
-        coeffs.update(_cycle_space_masses(MetricGraph(minor, restricted)))
+        coeffs.update(CycleSpace.of(minor).masses(lengths))
     return EdgeMeasure(metric=t.metric, edge_coeffs=coeffs)
 
 

@@ -21,8 +21,8 @@ numpy calls run the same LAPACK routine on each matrix as one call per
 point, so the samples are the same bit for bit; the Frobenius norms
 stay 2-D calls, since a norm over axes sums in another order.  A model
 family builds each edge's outer product once.  Layer target k inverts
-the Gram matrix of the block-k cycles on layer k, built by the measure
-routes' integer kernel.  A recursive Schur-complement inverter provides an independent
+the Gram matrix of the block-k cycles on layer k, assembled by
+:class:`canmeas.measures.CycleSpace`.  A recursive Schur-complement inverter provides an independent
 oracle for every direct inversion, and grid points whose condition
 number estimate exceeds 1e12 are flagged.
 
@@ -47,7 +47,7 @@ from .errors import BasisError, FamilyError, NotPositiveDefinite
 from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
 from .layerings import AdmissibleBasis
-from .measures import MetricGraph, _scaled_cycle_gram, gram_matrices
+from .measures import CycleSpace, MetricGraph, gram_matrices
 
 if TYPE_CHECKING:
     import numpy as np
@@ -581,14 +581,13 @@ def graded_inverse_limits(
                     f"length of edge {e!r} does not factor as layer scale times target coordinate"
                 )
     pts = geometric_grid(1, 6) if grid is None else validate_grid(grid)
-    target = f.lengths.target_curve.metric
+    lengths = f.lengths.target_curve.metric.integer_lengths
     exact_targets = []
     float_targets = []
     for part, (start, stop) in zip(layering.parts, _block_offsets(f.monodromy.block_sizes)):
         # Block k's cycles on layer k alone, a cycle basis of minor k.
         block = [CycleVector({e: c[e] for e in part}) for c in f.monodromy.basis[start:stop]]
-        rows, row_scales, _ = _scaled_cycle_gram(target, block)
-        y, det = linalg.scaled_inverse(rows, row_scales)
+        y, det = linalg.scaled_inverse(*CycleSpace(part, block).gram(lengths))
         inv = tuple(tuple(Fraction(x, det) for x in row) for row in y)
         exact_targets.append(inv)
         # A genus-0 layer keeps its 0x0 shape.

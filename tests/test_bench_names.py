@@ -1,9 +1,12 @@
 import importlib
+import sys
 import types
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 from canmeas import OrderedPartition, dump_report, graded_minors
+from canmeas.cli import main
 from canmeas.gallery import theta_graph
 
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
@@ -57,3 +60,33 @@ def test_every_count_measures_what_its_function_returns():
         "layerings.layered_spanning_trees": 2,
         "documents.dump_report": len(dump_report(report).encode()),
     }
+
+
+def test_commands_record_once_the_parser_is_built(capsys, monkeypatch):
+    # The benchmark worker runs a command before it installs the tracer,
+    # so the cached parser already exists; the command that runs after
+    # install must still be the traced one.
+    tracing = load_tracing()
+    argv = ["measure", "--input", str(resources.files("canmeas") / "examples" / "theta.json")]
+    assert main(argv) == 0
+    # Re-set every reference install replaces, so monkeypatch restores it.
+    originals = {
+        id(getattr(sys.modules[f"canmeas.{module}"], name))
+        for module, names in tracing.TRACED.items()
+        for name in names
+    }
+    for name, mod in list(sys.modules.items()):
+        if name == "canmeas" or name.startswith("canmeas."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(mod, attr, value)
+                elif isinstance(value, dict) and not attr.startswith("__"):
+                    for key, item in value.items():
+                        if id(item) in originals:
+                            monkeypatch.setitem(value, key, item)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    assert main(argv) == 0
+    capsys.readouterr()
+    recorded = {tracing.FUNCTIONS[index] for index, *_ in tracer.take()}
+    assert {"cli.build_parser", "cli.cmd_measure"} <= recorded

@@ -542,6 +542,11 @@ class TestPeriodsCommand:
             assert out == "", name
             assert ("'v'" if name.startswith("vertex") else "rank_block") in err, name
             assert "not a finite number" in err, name
+            if name == "vertex_huge":  # named by its digit count, not echoed
+                assert err == (
+                    "error: base matrix block vertex_blocks['v'] has an entry of 401 "
+                    "digits, not a finite number\n"
+                )
 
     # Base matrix files the reader refuses: (text, or None for no file; message).
     BAD_BASE_FILES = {
@@ -560,8 +565,12 @@ class TestPeriodsCommand:
             '{"rank_block": [[1.0, 0.0], [1.0]]}',
             "rows of base matrix block rank_block differ in length",
         ),
-        # json refuses to convert an int of more than 4,300 digits.
-        "long_int": ('{"rank_block": [[1' + "0" * 5000 + "]]}", "invalid JSON in"),
+        # json refuses to convert an int of more than 4,300 digits; the
+        # message gives no advice a command line user cannot act on.
+        "long_int": (
+            '{"rank_block": [[1' + "0" * 5000 + "]]}",
+            "error: invalid JSON in base matrix: an integer has more than 4300 digits\n",
+        ),
     }
 
     @pytest.mark.parametrize("name", BAD_BASE_FILES)
@@ -795,15 +804,15 @@ class TestPeriodsCommand:
         # printed edge matrices apart from it.  An assembly that raises one
         # diagonal entry keeps the matrix positive definite but breaks the
         # check.
-        real = canmeas.measures._scaled_cycle_gram
+        real = canmeas.measures.CycleSpace.gram
 
-        def faulty(m, basis):
-            rows, scales, support = real(m, basis)
+        def faulty(space, lengths):
+            rows, scales = real(space, lengths)
             if rows:
                 rows[0][0] += scales[0]
-            return rows, scales, support
+            return rows, scales
 
-        monkeypatch.setattr(canmeas.measures, "_scaled_cycle_gram", faulty)
+        monkeypatch.setattr(canmeas.measures.CycleSpace, "gram", faulty)
         code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
         assessed = {a["name"]: a["passed"] for a in json.loads(out)["assertions"]}
         assert assessed["gram_consistency"] is False

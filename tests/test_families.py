@@ -164,6 +164,30 @@ class TestParseRender:
         assert parse_scale("t^" + "9" * RATIONAL_DIGITS).dominant_exponent == int("9" * 4000)
 
     @given(
+        st.from_regex(r"[0-9]{1,60}", fullmatch=True),
+        st.none() | st.from_regex(r"[0-9]{1,60}", fullmatch=True),
+        st.sampled_from([("", 0), ("*t", 1), (" * t^-3", -3), (" t^2", 2)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_read_as_fraction_reads_them(self, num, den, power):
+        # Digit strings with leading zeros, unreduced, zero or not: the
+        # coefficient is Fraction(text) of its text, and where Fraction
+        # refuses (zero denominator) or gives 0, parse_scale refuses.
+        coeff = num if den is None else f"{num}/{den}"
+        text, exponent = coeff + power[0], power[1]
+        try:
+            expected = Fraction(coeff)
+        except ZeroDivisionError:
+            with pytest.raises(FamilyError, match="zero denominator"):
+                parse_scale(text)
+            return
+        if expected == 0:
+            with pytest.raises(FamilyError, match="must be positive"):
+                parse_scale(text)
+            return
+        assert parse_scale(text).terms == ((exponent, expected),)
+
+    @given(
         st.lists(
             st.tuples(exponents, rationals), min_size=1, max_size=4
         )

@@ -290,8 +290,11 @@ class TestTropical:
             )
 
     def test_theta_measure(self):
-        mu = tropical_canonical_measure(self.curve())
+        curve = self.curve()
+        mu = tropical_canonical_measure(curve)
         assert mu.edge_coeffs == {"e1": F(1), "e2": F(1, 2), "e3": F(1, 2)}
+        # The curve's metric graph is built once and shared.
+        assert mu.metric is curve.metric
 
     def test_triangle_measure_concentrates_on_loop(self):
         curve = TropicalCurve(
