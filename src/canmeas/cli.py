@@ -87,13 +87,14 @@ PERIOD_SIDE_BUDGET = 100
 
 
 # The most decimal digits, numerator and denominator together, that
-# `limit` lets an exact edge length take at a grid point.  The fibres are
-# measured exactly, and the cost grows faster than the square of the
-# digits: theta.json with e2 and e3 at 1/2*t^k on the default grid
-# (lengths of about 6k digits at t = 1e-6) took 0.45 s at k = 3,000,
-# 3.5 s at 10,000 and 29 s at 30,000.  At the budget, k = 1,666 took
-# 0.25 s, and tests/fixtures/layered_grid.json with every exponent times
-# 275 (9,900 digits) 0.75 s.
+# `limit` and `periods` let an exact edge length take at a grid point.
+# `limit` measures the fibres exactly, and the cost grows faster than the
+# square of the digits: theta.json with e2 and e3 at 1/2*t^k on the
+# default grid (lengths of about 6k digits at t = 1e-6) took 0.45 s at
+# k = 3,000, 3.5 s at 10,000 and 29 s at 30,000.  At the budget, k = 1,666
+# took 0.25 s, and tests/fixtures/layered_grid.json with every exponent
+# times 275 (9,900 digits) 0.75 s.  `periods` rounds lengths to binary64,
+# but exactly first: near t = 1, millions of digits make a finite double.
 LENGTH_DIGITS_BUDGET = 10_000
 
 
@@ -101,21 +102,15 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
     """Refuse an exact edge length of more than LENGTH_DIGITS_BUDGET digits
     at a grid point, naming the first in grid then edge order.
 
-    The digits of fn(t) written as p/q are estimated from logarithms,
-    before any power is taken: each term c t^k counts those of c plus
-    |k| times those of t, exactly up to a digit per integer.  An
+    The digits are bounded from logarithms by
+    :meth:`ScaleFunction.pair_digits`, before any power is taken.  An
     exponent beyond binary64 is over any budget.
     """
+    lengths = sorted(family.param_lengths.items())
     for t in grid:
-        t_digits = math.log10(t.numerator) + math.log10(t.denominator)
-        for e, fn in sorted(family.param_lengths.items()):
+        for e, fn in lengths:
             try:
-                digits = math.ceil(
-                    sum(
-                        math.log10(c.numerator) + math.log10(c.denominator) + abs(k) * t_digits + 2
-                        for k, c in fn.terms
-                    )
-                )
+                digits = fn.pair_digits(t)
             except OverflowError:
                 digits = None
             if digits is None or digits > LENGTH_DIGITS_BUDGET:
@@ -412,7 +407,8 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     """Refuses, before building any array, a period matrix with more than
-    PERIOD_SIDE_BUDGET rows (its side is the total genus)."""
+    PERIOD_SIDE_BUDGET rows (its side is the total genus), and lengths over
+    LENGTH_DIGITS_BUDGET digits before sampling."""
     doc = load_document(args.input)
     layering = doc.require_layering()
     if doc.target is None:
@@ -442,6 +438,7 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     base = assemble_base(monodromy, doc.graph, **blocks)
     model = ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
     grid = _parse_grid(args.grid, (1, 5))
+    _require_length_budget(family, grid)
     limits = graded_inverse_limits(model, grid)
     # The unit Gram matrix is the sum of the edge matrices the report
     # prints, added here in integers apart from the Gram assembly.

@@ -97,21 +97,17 @@ class LengthFamily:
         object.__setattr__(self, "param_lengths", lengths)
         object.__setattr__(self, "target_point", target)
 
-    def lengths_at(self, t: Fraction) -> dict[str, Fraction]:
-        return {e: fn.evaluate(t) for e, fn in self.param_lengths.items()}
-
     def metric_at(self, t: Fraction) -> MetricGraph:
-        return MetricGraph(self.graph, self.lengths_at(t))
+        return MetricGraph(
+            self.graph, {e: Fraction(p, q) for e, (p, q) in self.integer_lengths_at(t).items()}
+        )
 
     def integer_lengths_at(self, t: Fraction) -> dict[str, tuple[int, int]]:
-        """Each length at t as its reduced (numerator, denominator), the
-        pair the Fraction of :meth:`lengths_at` holds; a nonpositive one
-        raises InvalidGraph."""
+        """Each length at t > 0 as its reduced (numerator, denominator),
+        both positive: the coefficients of a scale function are positive."""
         out = {}
         for e, fn in self.param_lengths.items():
             p, q = fn.evaluate_pair(t)
-            if p <= 0:
-                raise InvalidGraph(f"edge {e!r} has nonpositive length")
             g = gcd(p, q)
             out[e] = (p // g, q // g)
         return out

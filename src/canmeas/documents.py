@@ -139,7 +139,7 @@ def _read(path: str, name: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DocumentError(f"cannot read {name} {path}: {err}") from None
 
 
@@ -147,7 +147,7 @@ def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
     """Decode a JSON object with keys only from ``keys``; errors name the input."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # or nested too deep
         raise DocumentError(f"invalid JSON in {name}: {err}") from None
     except ValueError:  # an int too long to convert
         raise DocumentError(

@@ -12,7 +12,7 @@ integers over the one common denominator B p^-k_min q^k_max, for B the
 lcm of the b_i, k_min the smallest exponent or 0 and k_max the largest
 or 0.  :meth:`ScaleFunction.evaluate_pair` returns that integer pair,
 which the exact lane reduces and the period lane divides into a double;
-:meth:`ScaleFunction.evaluate` builds it as one Fraction.
+:meth:`ScaleFunction.pair_digits` bounds its digits without building it.
 
 Exact rationals are read from text under one bound, ``RATIONAL_DIGITS``
 decimal digits in the numerator and in the denominator:
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import ceil, lcm, log10
 from typing import Iterable
 
 from .errors import FamilyError
@@ -149,11 +149,17 @@ class ScaleFunction:
         num = sum(a * p ** (k - low) * q ** (high - k) for k, a in scaled)
         return num, base * p**-low * q**high
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        """The value at t as one Fraction, reduced from :meth:`evaluate_pair`.
-        The exact lane reduces the pair itself, and the period lane divides
-        it into a double, so neither builds this Fraction per point."""
-        return Fraction(*self.evaluate_pair(t))
+    def pair_digits(self, t: Fraction) -> int:
+        """An upper bound, from logarithms and before any power is taken, on
+        the decimal digits of :meth:`evaluate_pair` at t > 0, numerator and
+        denominator together: log10 of the denominator B p^-k_min q^k_max,
+        plus log10 of n times the largest of the n scaled terms that the
+        numerator sums, plus a digit for each.  OverflowError when an
+        exponent is beyond binary64."""
+        lp, lq = log10(t.numerator), log10(t.denominator)
+        low, high, base, scaled = self._integer_terms
+        largest = max(log10(a) + (k - low) * lp + (high - k) * lq for k, a in scaled)
+        return ceil(log10(base) - low * lp + high * lq + log10(len(scaled)) + largest + 2)
 
     def scaled(self, factor) -> "ScaleFunction":
         f = Fraction(factor)

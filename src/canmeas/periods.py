@@ -16,7 +16,9 @@ and :func:`graded_inverse_limits` on a model family, run one sampling
 routine over a decreasing grid.  It builds every point's matrix in grid
 order, so the first point that fails raises its own error, then inverts
 the whole stack in binary64 at once, rescales, and compares against
-targets that are computed exactly first and rounded once.  Stacked
+targets that are computed exactly first and rounded once.  So are the
+scales and lengths, with no bound here: the command line budgets their
+digits.  Stacked
 numpy calls run the same LAPACK routine on each matrix as one call per
 point, so the samples are the same bit for bit; the Frobenius norms
 stay 2-D calls, since a norm over axes sums in another order.  A model
@@ -38,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import log10
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import linalg
@@ -53,9 +54,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 CONDITION_LIMIT = 1e12
-# Above 10^309 a value has no binary64 rounding (the largest finite one
-# is about 1.8e308).
-_BINARY64_DECADES = 309
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +211,8 @@ def assemble_base(
     positive definite genus-by-genus matrix; by default every such
     vertex gets the identity.  ``rank_block`` (default zero) fills the
     top-left; ``cross`` (default zero) fills the rank rows of the pad
-    columns.  Without vertex genus the pad is empty and ``vertex_blocks``
-    is not read.
+    columns.  A block for any other vertex raises FamilyError, so
+    without vertex genus ``vertex_blocks`` must be empty.
     """
     import numpy as np
 
@@ -229,6 +227,9 @@ def assemble_base(
     layout = _pad_block_layout(g, h)
     if vertex_blocks is None:
         vertex_blocks = {v: np.eye(stop - start) for v, start, stop in layout}
+    unknown = sorted(set(vertex_blocks) - {v for v, _, _ in layout})
+    if unknown:
+        raise FamilyError(f"base block given for {unknown[0]!r}, not a vertex of positive genus")
     for v, start, stop in layout:
         try:
             vb = np.array(vertex_blocks[v], dtype=float)
@@ -247,21 +248,9 @@ def assemble_base(
 
 
 def _binary64_value(fn: ScaleFunction, t: Fraction) -> float:
-    """fn(t) rounded to binary64.
-
-    Raises OverflowError before any exact power is taken when some term
-    c t^k exceeds 10^309, by log10(c) + k log10(t).  Such a value would
-    overflow anyway, and the exact power alone takes time growing faster
-    than k: (1/10)^-(10^7) takes seconds.  The integer numerator is
-    divided by the denominator, which rounds correctly, as float() of
-    their Fraction does.
-    """
-    t = t if isinstance(t, Fraction) else Fraction(t)
-    if t.numerator > 0:
-        decades = log10(t.numerator) - log10(t.denominator)
-        for k, c in fn.terms:
-            if log10(c.numerator) - log10(c.denominator) + k * decades > _BINARY64_DECADES:
-                raise OverflowError(f"a scale term exceeds 10^{_BINARY64_DECADES}")
+    """fn(t) rounded to binary64: the ints of :meth:`ScaleFunction.evaluate_pair`
+    divided, which rounds correctly, as float() of their Fraction does, and
+    raises OverflowError beyond binary64.  Their digits are not bounded here."""
     num, den = fn.evaluate_pair(t)
     return num / den
 

@@ -188,6 +188,34 @@ class TestMeasureCommand:
         assert (code, out) == (3, "")
         assert err == "error: a report value has more than 4300 digits, too many to print\n"
 
+    # Input files json cannot decode: (bytes, start of the message).
+    UNDECODABLE = {
+        "not_utf8": (
+            b"\xff{}",
+            "cannot read {name} {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n",
+        ),
+        "nested_too_deep": (
+            b"[" * 100_000 + b"]" * 100_000,
+            "invalid JSON in {name}: maximum recursion depth exceeded",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["measure", "periods"])
+    @pytest.mark.parametrize("fault", UNDECODABLE)
+    def test_undecodable_inputs_are_document_errors(self, capsys, tmp_path, command, fault):
+        content, message = self.UNDECODABLE[fault]
+        path = tmp_path / f"{fault}.json"
+        path.write_bytes(content)
+        if command == "measure":
+            name, argv = "document", ["--input", str(path)]
+        else:
+            name = "base matrix"
+            argv = ["--input", example("theta_weighted.json"), "--lambda0", str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(name=name, path=path))
+
     def test_lengths_required(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(
@@ -298,7 +326,10 @@ class TestLimitCommand:
         assert (code, out) == (2, "") and "point 1e-4000 has more" in err
         code, out, err = run(capsys, "periods", "--input", theta, "--grid", "1/2,1e-3999")
         assert (code, out) == (3, "")
-        assert err == f"error: grid point t = 1/1{'0' * 3999} overflows binary64\n"
+        assert err == (
+            f"error: the length of edge 'e1' at t = 1/1{'0' * 3999} has 15998 digits, "
+            f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
+        )
         code, out, err = run(capsys, "limit", "--input", theta, "--grid", "1e4000")
         assert (code, out) == (2, "") and "point 1e4000 has more" in err
         # Decade exponents too long to convert to an int are still read.
@@ -517,6 +548,24 @@ class TestPeriodsCommand:
         )
         assert code == 3
         assert "no base block" in err
+
+    @pytest.mark.parametrize(
+        "document, blocks, vertex",
+        [
+            ("theta_weighted.json", {"u": [[2.0]], "v": [[1.5]], "nope": [[7.0]]}, "nope"),
+            ("theta.json", {"u": [[7.0]]}, "u"),  # genus 0
+        ],
+    )
+    def test_base_blocks_of_other_vertices_are_refused(
+        self, capsys, tmp_path, document, blocks, vertex
+    ):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"vertex_blocks": blocks}))
+        code, out, err = run(
+            capsys, "periods", "--input", example(document), "--lambda0", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: base block given for {vertex!r}, not a vertex of positive genus\n"
 
     def test_base_matrix_entries_must_be_finite_numbers(self, capsys, tmp_path):
         good = {"vertex_blocks": {"u": [[2.0]], "v": [[1.5]]}}
@@ -773,7 +822,7 @@ class TestPeriodsCommand:
         assert f"grid point t = 1/1{'0' * 78} overflows binary64" in err
 
     def test_huge_scale_exponents_are_refused_before_the_exact_power(self, capsys, monkeypatch):
-        # t^-100000001 at t = 1/10 has 10^8 digits: the term sizes are
+        # t^-100000001 at t = 1/10 has 10^8 digits: the length sizes are
         # bounded by logarithms before any exact power is taken.
         def unreachable(self, t):
             raise AssertionError("a scale function was evaluated")
@@ -784,7 +833,34 @@ class TestPeriodsCommand:
         )
         assert code == 3
         assert out == ""
-        assert err == "error: grid point t = 1/10 overflows binary64\n"
+        assert err == (
+            "error: the length of edge 'e1' at t = 1/10 has 100000003 digits, "
+            f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
+        )
+
+    def test_lengths_near_one_are_refused_before_the_exact_power(self, capsys, monkeypatch):
+        # Near t = 1, t^-3000000 is a finite double, but its exact value
+        # has 72 million digits, and building it ran for minutes.
+        def unreachable(self, t):
+            raise AssertionError("a scale function was evaluated")
+
+        monkeypatch.setattr(canmeas.families.ScaleFunction, "evaluate_pair", unreachable)
+        t = "999999999999/1000000000000"
+        code, out, err = run(
+            capsys,
+            "periods",
+            "--input",
+            example("theta.json"),
+            "--grid",
+            t,
+            "--scales",
+            "3000000,1",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: the length of edge 'e1' at t = {t} has 72000002 digits, "
+            f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
+        )
 
     def test_unit_gram_matrix_is_checked_once(self, capsys, monkeypatch):
         # gram_matrices applies Sylvester's criterion once per assembly.

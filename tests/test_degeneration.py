@@ -128,7 +128,8 @@ class TestLengthFamily:
 
     def test_lengths_at(self):
         f = theta_family()
-        assert f.lengths_at(F(1, 10)) == {
+        t = F(1, 10)
+        assert {e: F(*fn.evaluate_pair(t)) for e, fn in f.param_lengths.items()} == {
             "e1": F(1),
             "e2": F(1, 20),
             "e3": F(1, 20),
@@ -512,7 +513,7 @@ class TestMeasureTrajectories:
             target = tropical_canonical_measure(f.target_curve).edge_coeffs
             assert report.targets == target
             for i, t in enumerate(grid):
-                lengths = f.lengths_at(t)
+                lengths = {e: F(*fn.evaluate_pair(t)) for e, fn in f.param_lengths.items()}
                 assert f.integer_lengths_at(t) == {
                     e: (x.numerator, x.denominator) for e, x in lengths.items()
                 }

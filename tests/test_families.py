@@ -30,6 +30,10 @@ points = st.one_of(
     st.fractions(min_value=F(101, 100), max_value=F(10**9), max_denominator=10**9),
 )
 
+# Numerators and denominators of up to 12 digits: with exponents up to 60
+# in size, every pair prints within Python's 4,300-digit limit.
+twelve_digits = st.integers(min_value=1, max_value=10**12 - 1)
+
 
 def fn(*terms):
     return ScaleFunction(terms=tuple((k, F(c)) for k, c in terms))
@@ -59,19 +63,19 @@ class TestScaleFunction:
 
     def test_evaluate(self):
         f = fn((0, 1), (2, 4))
-        assert f.evaluate(F(1, 2)) == 2
+        assert F(*f.evaluate_pair(F(1, 2))) == 2
         with pytest.raises(FamilyError):
-            f.evaluate(F(0))
+            f.evaluate_pair(F(0))
 
     def test_negative_exponents_evaluate(self):
         f = fn((-2, 1))
-        assert f.evaluate(F(1, 10)) == 100
+        assert F(*f.evaluate_pair(F(1, 10))) == 100
 
     @given(wide_terms, points)
     @settings(max_examples=200, deadline=None)
     def test_evaluate_is_the_exact_sum(self, terms, t):
         reference = sum(c * t**k for k, c in terms)
-        assert fn(*terms).evaluate(t) == reference
+        assert F(*fn(*terms).evaluate_pair(t)) == reference
 
     @given(wide_terms, points)
     @settings(max_examples=100, deadline=None)
@@ -84,7 +88,7 @@ class TestScaleFunction:
     @settings(max_examples=50, deadline=None)
     def test_evaluate_needs_a_positive_point(self, terms, t):
         with pytest.raises(FamilyError, match="t > 0"):
-            fn(*terms).evaluate(t)
+            fn(*terms).evaluate_pair(t)
 
     @given(
         st.sampled_from([F(1, 10), F(10), F(2, 3), F(7, 2)]),
@@ -110,6 +114,23 @@ class TestScaleFunction:
                 _binary64_value(fn(*terms), t)
         else:
             assert _binary64_value(fn(*terms), t) == want
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-60, max_value=60),
+                st.builds(F, twelve_digits, twelve_digits),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.builds(F, twelve_digits, twelve_digits),
+    )
+    @example([(0, F(1)), (1000, F(1))], F(1, 10))  # 1 + t^1000: 2,002 digits
+    @settings(max_examples=200, deadline=None)
+    def test_pair_digits_bound_the_digits_of_the_pair(self, terms, t):
+        num, den = fn(*terms).evaluate_pair(t)
+        assert fn(*terms).pair_digits(t) >= len(str(num)) + len(str(den))
 
     def test_arithmetic(self):
         a, b = fn((1, 2)), fn((0, 3), (1, 1))
@@ -267,7 +288,7 @@ class TestRatioLimit:
             return
         want = ratio_limit(num, den)
         t = F(1, 10**9)
-        got = num.evaluate(t) / den.evaluate(t)
+        got = F(*num.evaluate_pair(t)) / F(*den.evaluate_pair(t))
         if num.dominant_exponent == den.dominant_exponent:
             assert got == want
         else:
