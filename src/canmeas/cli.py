@@ -103,8 +103,9 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
     at a grid point, naming the first in grid then edge order.
 
     The digits are bounded from logarithms by
-    :meth:`ScaleFunction.pair_digits`, before any power is taken.  An
-    exponent beyond binary64 is over any budget.
+    :meth:`ScaleFunction.pair_digits`, before any power is taken, so the
+    message gives that upper bound.  An exponent beyond binary64 is over
+    any budget.
     """
     lengths = sorted(family.param_lengths.items())
     for t in grid:
@@ -114,9 +115,9 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
             except OverflowError:
                 digits = None
             if digits is None or digits > LENGTH_DIGITS_BUDGET:
-                count = "more than 10^308" if digits is None else digits
+                count = "more than 10^308" if digits is None else f"up to {digits}"
                 raise CanmeasError(
-                    f"the length of edge {e!r} at t = {t} has {count} digits, "
+                    f"the length of edge {e!r} at t = {t} needs {count} digits, "
                     f"over the budget of {LENGTH_DIGITS_BUDGET}"
                 )
 
@@ -430,8 +431,7 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     import numpy as np
 
     family = corpus.layered_family(doc.graph, layering, doc.target, [-a for a in exponents])
-    genera = family.target_curve.minors.genus_vector + (sum(doc.graph.genus.values()),)
-    _require_budget(sum(genera), "the period matrix", "rows", PERIOD_SIDE_BUDGET)
+    _require_budget(total_genus(doc.graph), "the period matrix", "rows", PERIOD_SIDE_BUDGET)
     basis = admissible_cycle_basis(family.target_curve.minors)
     monodromy = monodromy_from_basis(doc.graph, basis)
     blocks = {} if args.lambda0 is None else load_base_matrix(args.lambda0)
@@ -442,9 +442,7 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     limits = graded_inverse_limits(model, grid)
     # The unit Gram matrix is the sum of the edge matrices the report
     # prints, added here in integers apart from the Gram assembly.
-    edge_matrices = {
-        e: np.outer(row, row).astype(int) for e, row in sorted(monodromy.edge_rows.items())
-    }
+    edge_matrices = {e: m for e, (_, m) in model.edge_terms.items()}
     summed = sum(edge_matrices.values(), np.zeros((monodromy.rank,) * 2, dtype=int))
     gram_ok = summed.tolist() == monodromy.unit_gram
     report: dict[str, Any] = {

@@ -19,9 +19,10 @@ graded minor, so neither enumerates trees: a fiber costs one Gram
 inverse, the target one per layer.  Only the per-tree weight limits
 enumerate.  A family builds its target curve, and with it the graded
 minors, once: the tropical target, the tree-weight rescaling and the
-layered closed forms all read that one decomposition.  It decides
-convergence once as well, and every limit taken from it reads that one
-verdict.
+layered closed forms all read that one decomposition, and the closed
+form decides a tree by counting its off-tree edges per layer against
+the minors' genera.  It decides convergence once as well, and every
+limit taken from it reads that one verdict.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, validate_grid
-from .graphs import AugmentedGraph, canonical_spanning_forest, spanning_trees
+from .graphs import AugmentedGraph, is_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
     CycleSpace,
@@ -204,49 +205,6 @@ def _require_convergent(f: LengthFamily) -> None:
         )
 
 
-def _spanning_forest_test(g: AugmentedGraph) -> Callable[[frozenset[str]], bool]:
-    """A membership test for the spanning forests of g.
-
-    A spanning forest has as many edges as the canonical one (found
-    once), and the greedy forest over its edges keeps them all: every
-    one is an edge of g, and a union-find over those edges alone joins
-    two trees at each, so none is a loop or closes a cycle.  Vertices
-    are numbered once; each test runs the union-find on a list of
-    parent indices, halving paths.
-    """
-    size = len(canonical_spanning_forest(g))
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = {eid: (index[u], index[v]) for eid, (u, v) in g.edges}
-    n = len(index)
-
-    def is_spanning_forest(edge_ids: frozenset[str]) -> bool:
-        if len(edge_ids) != size:
-            return False
-        parent = list(range(n))
-        for e in edge_ids:
-            uv = ends.get(e)
-            if uv is None:
-                return False
-            u, v = uv
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                return False
-            parent[u] = v
-        return True
-
-    return is_spanning_forest
-
-
-def _validate_tree(
-    is_spanning_forest: Callable[[frozenset[str]], bool], edge_ids: frozenset[str]
-) -> None:
-    if not is_spanning_forest(edge_ids):
-        raise InvalidGraph("edge set is not a spanning forest of the graph")
-
-
 def _weight_denominator(f: LengthFamily) -> tuple[int, Fraction]:
     """Leading term (exponent, coefficient) of the rescaling
     prod_j layer_total(j) ** h_j.
@@ -307,7 +265,8 @@ def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     only the leading terms of numerator and denominator enter.
     """
     _require_convergent(f)
-    _validate_tree(_spanning_forest_test(f.graph), tree)
+    if not is_spanning_forest(f.graph, tree):
+        raise InvalidGraph("edge set is not a spanning forest of the graph")
     return _tree_limit(_leading_terms(f), tree, _weight_denominator(f))
 
 
@@ -422,28 +381,28 @@ def layered_tree_weights(
 ) -> dict[frozenset[str], Fraction]:
     """:func:`layered_tree_weight` of many spanning trees, keyed by edge set.
 
-    The graded minors and their forest tests are built once for all
-    trees.  Raises InvalidGraph on the first edge set that is not a
-    spanning forest of the graph.
+    The trees must be spanning forests of the graph, as
+    :func:`canmeas.graphs.spanning_trees` lists them; they are not
+    checked again.  Such a tree T is layered exactly when layer j holds
+    h_j edges off T, h_j the genus of graded minor j: each tail of
+    layers j..r keeps at least its own genus h_j + ... + h_r off T, and
+    T leaves out h_1 + ... + h_r edges in all.  So each tree costs one
+    pass over the edges, which multiplies the off-tree target
+    coordinates and counts the off-tree edges of each layer.
     """
-    is_forest = _spanning_forest_test(f.graph)
-    layers = [
-        (part, _spanning_forest_test(minor))
-        for part, minor in zip(f.target_layering.parts, f.target_curve.minors.minors)
-    ]
-    coords = [(e, x.numerator, x.denominator) for e, x in f.target_point.items()]
+    genus = list(f.target_curve.minors.genus_vector)
+    layer = {e: j for j, part in enumerate(f.target_layering.parts) for e in part}
+    coords = [(e, layer[e], x.numerator, x.denominator) for e, x in f.target_point.items()]
     weights: dict[frozenset[str], Fraction] = {}
     for edge_ids in trees:
-        _validate_tree(is_forest, edge_ids)
-        weight = Fraction(0)
-        if all(is_minor_forest(edge_ids & part) for part, is_minor_forest in layers):
-            num = den = 1
-            for e, p, q in coords:
-                if e not in edge_ids:
-                    num *= p
-                    den *= q
-            weight = Fraction(num, den)
-        weights[edge_ids] = weight
+        off = [0] * len(genus)
+        num = den = 1
+        for e, j, p, q in coords:
+            if e not in edge_ids:
+                off[j] += 1
+                num *= p
+                den *= q
+        weights[edge_ids] = Fraction(num, den) if off == genus else Fraction(0)
     return weights
 
 
@@ -456,6 +415,8 @@ def layered_tree_weight(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     that layer's graded minor.  This is the closed form the limit in
     :func:`omega_infinity` must match.
     """
+    if not is_spanning_forest(f.graph, tree):
+        raise InvalidGraph("edge set is not a spanning forest of the graph")
     return layered_tree_weights(f, [tree])[tree]
 
 

@@ -312,6 +312,17 @@ def canonical_spanning_forest(
     return frozenset(chosen)
 
 
+def is_spanning_forest(g: AugmentedGraph, edge_ids: frozenset[str]) -> bool:
+    """Whether the edge ids form a spanning forest of g.
+
+    They do when the greedy forest over them keeps them all, so each is
+    an edge of g and none is a loop or closes a cycle, and it has as
+    many edges as the canonical spanning forest of g.
+    """
+    forest = canonical_spanning_forest(g, edge_ids)
+    return forest == edge_ids and len(forest) == len(canonical_spanning_forest(g))
+
+
 def cycle_boundary(g: AugmentedGraph, cycle: CycleVector) -> dict[str, int]:
     """Boundary of a chain: at each vertex, inflow minus outflow."""
     b = {v: 0 for v in g.vertices}

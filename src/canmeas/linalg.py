@@ -12,10 +12,10 @@ a system's answer is an integer matrix over one denominator.
 scales from the caller and return that integer answer, so a caller that
 knows its rows' scales (the measure routes, the period layer targets and
 the resistance oracle read them off the edge lengths) never builds a
-Fraction until its own result.  :func:`is_positive_definite` scales
-each rational row by the lcm of its denominators.  :func:`inverse` and
-:func:`determinant` are Fraction wrappers of the same kind that no
-package module calls; they stay while the benchmark tracer names them
+Fraction until its own result, and :func:`is_positive_definite` takes
+integer rows the same way.  :func:`inverse` and :func:`determinant`
+scale each rational row by the lcm of its denominators; no package
+module calls them, and they stay while the benchmark tracer names them
 (ROADMAP item 1).
 Each matrix is eliminated once per call: :func:`solve` carries all of
 its right-hand sides through one forward pass, and
@@ -218,17 +218,18 @@ def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]],
     return out, det
 
 
-def is_positive_definite(rows: Matrix) -> bool:
+def is_positive_definite(rows: list[list[int]]) -> bool:
     """Sylvester's criterion from one fraction-free elimination.
 
-    Each row of A is scaled to integers by its own lcm d_i > 0.  Bareiss
-    elimination without row swaps on the rescaled matrix leaves as its
-    k-th pivot its k-th leading principal minor, which is d_1 ... d_k
-    times that of A and so has the same sign.  The matrix is positive
-    definite exactly when every pivot is positive; the first pivot <= 0
-    ends the pass.
+    The caller passes S A as integer ``rows``, for S a diagonal matrix of
+    positive row scales d_i, which keep the sign of every leading
+    principal minor: the k-th of S A is d_1 ... d_k times that of A.
+    Bareiss elimination without row swaps leaves as its k-th pivot the
+    k-th leading principal minor.  The matrix is positive definite
+    exactly when every pivot is positive; the first pivot <= 0 ends the
+    pass.
     """
-    m, _ = _integer_rows(rows)
+    m = [list(row) for row in rows]
     n = len(m)
     prev = 1
     for k in range(n):

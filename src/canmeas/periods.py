@@ -18,15 +18,17 @@ order, so the first point that fails raises its own error, then inverts
 the whole stack in binary64 at once, rescales, and compares against
 targets that are computed exactly first and rounded once.  So are the
 scales and lengths, with no bound here: the command line budgets their
-digits.  Stacked
-numpy calls run the same LAPACK routine on each matrix as one call per
-point, so the samples are the same bit for bit; the Frobenius norms
-stay 2-D calls, since a norm over axes sums in another order.  A model
-family builds each edge's outer product once.  Layer target k inverts
-the Gram matrix of the block-k cycles on layer k, assembled by
-:class:`canmeas.measures.CycleSpace`.  A recursive Schur-complement inverter provides an independent
-oracle for every direct inversion, and grid points whose condition
-number estimate exceeds 1e12 are flagged.
+digits.  Stacked numpy calls run the same LAPACK routine on each matrix
+as one call per point, so the samples are the same bit for bit; the
+Frobenius norms stay 2-D calls, since a norm over axes sums in another
+order.  A model family builds each edge's outer product once, in
+integers: the samples and the command line's monodromy section read the
+same matrices, and numpy converts those small integers to binary64
+exactly.  Layer target k inverts the Gram matrix of the block-k cycles
+on layer k, assembled by :class:`canmeas.measures.CycleSpace`.  A
+recursive Schur-complement inverter provides an independent oracle for
+every direct inversion, and grid points whose condition number
+estimate exceeds 1e12 are flagged.
 
 numpy is imported inside each function that calls it, not at module
 level.  The command line loads this module on every run, and numpy
@@ -186,16 +188,16 @@ class ModelPeriodFamily:
         object.__setattr__(self, "base_im", base)
 
     @cached_property
-    def edge_terms(self) -> tuple[tuple[ScaleFunction, np.ndarray], ...]:
-        """Each edge's length and the outer product of its monodromy row,
-        in sorted edge order, built once."""
+    def edge_terms(self) -> dict[str, tuple[ScaleFunction, np.ndarray]]:
+        """Each edge's length and the integer outer product of its
+        monodromy row, keyed by edge in sorted order, built once."""
         import numpy as np
 
-        terms = []
+        terms = {}
         for eid, fn in sorted(self.lengths.param_lengths.items()):
-            row = np.array(self.monodromy.edge_rows[eid], dtype=float)
-            terms.append((fn, np.outer(row, row)))
-        return tuple(terms)
+            row = np.array(self.monodromy.edge_rows[eid], dtype=int)
+            terms[eid] = (fn, np.outer(row, row))
+        return terms
 
 
 def assemble_base(
@@ -265,7 +267,7 @@ def model_period(f: ModelPeriodFamily, t: Fraction) -> np.ndarray:
     """
     out = f.base_im.copy()
     top = out[: f.monodromy.rank, : f.monodromy.rank]
-    for fn, outer in f.edge_terms:
+    for fn, outer in f.edge_terms.values():
         top += _binary64_value(fn, t) * outer
     if not _positive_definite(out):
         raise NotPositiveDefinite(f"model period matrix is not positive definite at t = {t}")

@@ -327,7 +327,7 @@ class TestLimitCommand:
         code, out, err = run(capsys, "periods", "--input", theta, "--grid", "1/2,1e-3999")
         assert (code, out) == (3, "")
         assert err == (
-            f"error: the length of edge 'e1' at t = 1/1{'0' * 3999} has 15998 digits, "
+            f"error: the length of edge 'e1' at t = 1/1{'0' * 3999} needs up to 15998 digits, "
             f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
         )
         code, out, err = run(capsys, "limit", "--input", theta, "--grid", "1e4000")
@@ -429,7 +429,7 @@ class TestLimitCommand:
             code, out, err = run(capsys, "limit", "--input", str(path))
         assert (code, out) == (3, "")
         assert err == (
-            "error: the length of edge 'e2' at t = 1/10 has 1000003 digits, "
+            "error: the length of edge 'e2' at t = 1/10 needs up to 1000003 digits, "
             f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
         )
         # The budget holds at every grid point: t^1500 has 4,500 digits
@@ -440,7 +440,7 @@ class TestLimitCommand:
         assert code == 0 and json.loads(out)["ok"]
         code, out, err = run(capsys, "limit", "--input", str(path), "--grid", "1/2,1/10000000")
         assert code == 3
-        assert err.startswith("error: the length of edge 'e2' at t = 1/10000000 has 10503 digits")
+        assert err.startswith("error: the length of edge 'e2' at t = 1/10000000 needs up to 10503 digits")
 
     @pytest.mark.parametrize(
         "section, value, code, message",
@@ -449,7 +449,7 @@ class TestLimitCommand:
             ("family", "1" + "0" * 5000 + "*t", 2, "a coefficient or exponent of more than"),
             ("family", "t^" + "9" * 5000, 2, "a coefficient or exponent of more than"),
             # An exponent within the digit bound but beyond binary64.
-            ("family", "t^" + "9" * 400, 3, "at t = 1/10 has more than 10^308 digits"),
+            ("family", "t^" + "9" * 400, 3, "at t = 1/10 needs more than 10^308 digits"),
         ],
     )
     def test_oversized_family_numbers_end_in_a_documented_exit(
@@ -834,7 +834,7 @@ class TestPeriodsCommand:
         assert code == 3
         assert out == ""
         assert err == (
-            "error: the length of edge 'e1' at t = 1/10 has 100000003 digits, "
+            "error: the length of edge 'e1' at t = 1/10 needs up to 100000003 digits, "
             f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
         )
 
@@ -858,7 +858,7 @@ class TestPeriodsCommand:
         )
         assert (code, out) == (3, "")
         assert err == (
-            f"error: the length of edge 'e1' at t = {t} has 72000002 digits, "
+            f"error: the length of edge 'e1' at t = {t} needs up to 72000002 digits, "
             f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
         )
 
@@ -874,6 +874,22 @@ class TestPeriodsCommand:
         code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
         assert code == 0
         assert sizes == [2]
+
+    def test_edge_outer_products_are_built_once(self, capsys, monkeypatch):
+        # One outer product per edge serves the sampled matrices, the
+        # monodromy section and the Gram check.
+        import numpy
+
+        calls = []
+
+        def counted(a, b, real=numpy.outer):
+            calls.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(numpy, "outer", counted)
+        code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
+        assert code == 0
+        assert calls == [2, 2, 2]
 
     def test_gram_consistency_catches_a_faulty_gram_assembly(self, capsys, monkeypatch):
         # gram_matrices assembles the unit Gram matrix; the check adds the

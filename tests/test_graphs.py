@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -22,15 +23,19 @@ from canmeas import (
     graph_genus,
     is_connected,
     is_stable,
+    load_document,
     spanning_trees,
     total_genus,
     tree_count,
 )
 from canmeas.corpus import random_graph
 from canmeas.gallery import theta_graph, triangle_graph
-from canmeas.graphs import _reachable, cycle_boundary
+from canmeas.graphs import _reachable, cycle_boundary, is_spanning_forest
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+# The 3x3 grid with a loop at one corner, in three layers.
+LAYERED_GRID = Path(__file__).parent / "fixtures" / "layered_grid.json"
 
 
 def layering(*parts):
@@ -364,6 +369,36 @@ class TestReachable:
             assert _reachable(edges, "v000", "v200")
             assert _reachable(edges[:100] + edges[101:], "v000", "v099")
             assert not _reachable(edges[:100] + edges[101:], "v000", "v200")
+
+
+def grid_minors():
+    doc = load_document(str(LAYERED_GRID))
+    return graded_minors(doc.graph, doc.require_layering()).minors
+
+
+class TestIsSpanningForest:
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_enumeration(self, seed):
+        # A random multigraph (random_graph's extra edges make loops) and
+        # the graded minors of the layered grid, two of them disconnected.
+        # The candidates: every set of the forest size, so every cycle and
+        # loop of that size, and random sets one edge short or over, with
+        # unknown ids.
+        rng = Random(seed)
+        minors = grid_minors()
+        assert sum(not is_connected(m) for m in minors) == 2
+        for g in (random_graph(rng, max_vertices=6, max_edges=10), *minors):
+            trees = set(spanning_trees(g))
+            size = len(canonical_spanning_forest(g))
+            candidates = [frozenset(c) for c in combinations(g.edge_ids, size)]
+            pool = list(g.edge_ids) + ["zz", "e99"]
+            for _ in range(20):
+                k = max(0, size + rng.choice((-1, 0, 1)))
+                candidates.append(frozenset(rng.sample(pool, min(k, len(pool)))))
+            assert trees <= set(candidates)
+            for s in candidates:
+                assert is_spanning_forest(g, s) == (s in trees), sorted(s)
 
 
 class TestCycles:
