@@ -82,6 +82,7 @@ from .measures import (
     foster_by_trees,
     gram_matrices,
     integrate,
+    mass_digits,
     tropical_canonical_measure,
 )
 from .periods import (

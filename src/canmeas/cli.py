@@ -53,6 +53,7 @@ from .measures import (
     foster_by_matrix,
     foster_by_projection,
     foster_by_trees,
+    mass_digits,
     tropical_canonical_measure,
 )
 from .periods import (
@@ -87,7 +88,8 @@ PERIOD_SIDE_BUDGET = 100
 
 
 # The most decimal digits, numerator and denominator together, that
-# `limit` and `periods` let an exact edge length take at a grid point.
+# `limit` and `periods` let an exact edge length take at a grid point,
+# and that `measure` lets the bound of `measures.mass_digits` reach.
 # `limit` measures the fibres exactly, and the cost grows faster than the
 # square of the digits: theta.json with e2 and e3 at 1/2*t^k on the
 # default grid (lengths of about 6k digits at t = 1e-6) took 0.45 s at
@@ -114,12 +116,16 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
                 digits = fn.pair_digits(t)
             except OverflowError:
                 digits = None
-            if digits is None or digits > LENGTH_DIGITS_BUDGET:
-                count = "more than 10^308" if digits is None else f"up to {digits}"
-                raise CanmeasError(
-                    f"the length of edge {e!r} at t = {t} needs {count} digits, "
-                    f"over the budget of {LENGTH_DIGITS_BUDGET}"
-                )
+            _require_digits(digits, f"the length of edge {e!r} at t = {t} needs")
+
+
+def _require_digits(digits: int | None, what: str) -> None:
+    """Refuse an exact value bounded by more than LENGTH_DIGITS_BUDGET
+    digits, numerator and denominator together; None is a bound beyond
+    binary64.  The message is ``what``, the bound and the budget."""
+    if digits is None or digits > LENGTH_DIGITS_BUDGET:
+        count = "more than 10^308" if digits is None else f"up to {digits}"
+        raise CanmeasError(f"{what} {count} digits, over the budget of {LENGTH_DIGITS_BUDGET}")
 
 
 def _require_budget(
@@ -250,6 +256,7 @@ def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -
 def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     metric = doc.metric()
+    _require_digits(mass_digits(metric), "masses may need")
     names = list(_FORMULATIONS) if args.formulation == "all" else [args.formulation]
     if "trees" in names:
         _require_budget(tree_count(doc.graph))

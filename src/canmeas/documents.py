@@ -23,13 +23,17 @@ rows of finite numbers: ``vertex_blocks`` (vertex id to block),
 :func:`canmeas.periods.assemble_base`.  Both inputs pass one check (a
 JSON object with known keys only), and neither is ever written.
 
+Rationals of ASCII digits, ``p`` or ``p/q`` with at most RATIONAL_DIGITS
+characters a part, become ``Fraction(int(p), int(q))`` directly; every
+other text takes the digit bound's reading and ``Fraction(text)``.
+
 Reports are serialized canonically, so equal reports are equal byte for
 byte: :func:`dump_report` writes exactly what ``json.dumps(report,
-indent=2, sort_keys=True)`` writes, in one recursive pass.  That call
-would run json's pure-Python encoder, since the C encoder takes no
-indent; here each container joins its items, dict items sorted as json
-sorts them, and leaves are written inline, strings through json's own C
-escaper.
+indent=2, sort_keys=True)`` writes.  That call would run json's
+pure-Python encoder, since the C encoder takes no indent; here one
+recursive pass appends fragments to one list, dict items sorted as json
+sorts them and strings through json's own C escaper, and joins it once,
+so each byte is copied once and not once per level of nesting.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
 the float rendered with 17 significant digits.  An exact value too long
@@ -53,12 +57,26 @@ from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
 from .measures import EdgeMeasure, MetricGraph, TropicalCurve
 
-_DOC_KEYS = {"description", "vertices", "edges", "layering", "family", "target"}
-_BASE_KEYS = {"vertex_blocks", "rank_block", "cross"}
+_DOC_KEYS = frozenset({"description", "vertices", "edges", "layering", "family", "target"})
+_BASE_KEYS = frozenset({"vertex_blocks", "rank_block", "cross"})
+_VERTEX_KEYS = frozenset({"id", "genus", "marks"})
+_EDGE_KEYS = frozenset({"id", "ends", "length"})
+
+
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit() and len(text) <= RATIONAL_DIGITS
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if type(value) is str:
+        # "p" or "p/q" in ASCII digits needs neither the digit bound's
+        # reading nor Fraction's own regex.
+        num, slash, den = value.partition("/")
+        if _ascii_digits(num) and (not slash or _ascii_digits(den)):
+            q = int(den) if slash else 1
+            if q:
+                return Fraction(int(num), q)
+    elif isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"{where}: rationals must be exact strings, got {value!r}")
     text = str(value)
     if oversized_rational(text):
@@ -143,7 +161,7 @@ def _read(path: str, name: str) -> str:
         raise DocumentError(f"cannot read {name} {path}: {err}") from None
 
 
-def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
+def _json_object(text: str, name: str, keys: frozenset[str]) -> dict[str, Any]:
     """Decode a JSON object with keys only from ``keys``; errors name the input."""
     try:
         data = json.loads(text)
@@ -156,9 +174,9 @@ def _json_object(text: str, name: str, keys: set[str]) -> dict[str, Any]:
         ) from None
     if not isinstance(data, dict):
         raise DocumentError(f"{name} must be a JSON object")
-    unknown = sorted(set(data) - keys)
+    unknown = data.keys() - keys
     if unknown:
-        raise DocumentError(f"unknown {name} keys {unknown}")
+        raise DocumentError(f"unknown {name} keys {sorted(unknown)}")
     return data
 
 
@@ -175,9 +193,9 @@ def parse_document(text: str) -> GraphDocument:
         if not isinstance(item, dict) or "id" not in item:
             raise DocumentError(f"vertex #{i}: expected an object with an 'id'")
         vid = str(item["id"])
-        extra = sorted(set(item) - {"id", "genus", "marks"})
+        extra = item.keys() - _VERTEX_KEYS
         if extra:
-            raise DocumentError(f"vertex {vid!r}: unknown keys {extra}")
+            raise DocumentError(f"vertex {vid!r}: unknown keys {sorted(extra)}")
         vertices.append(vid)
         gv = item.get("genus", 0)
         if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
@@ -202,16 +220,16 @@ def parse_document(text: str) -> GraphDocument:
         if not isinstance(item, dict) or "id" not in item:
             raise DocumentError(f"edge #{i}: expected an object with an 'id'")
         eid = str(item["id"])
-        extra = sorted(set(item) - {"id", "ends", "length"})
+        extra = item.keys() - _EDGE_KEYS
         if extra:
-            raise DocumentError(f"edge {eid!r}: unknown keys {extra}")
+            raise DocumentError(f"edge {eid!r}: unknown keys {sorted(extra)}")
         ends = item.get("ends")
         if not isinstance(ends, list) or len(ends) != 2:
             raise DocumentError(f"edge {eid!r}: 'ends' must list exactly two vertices")
         edges.append((eid, (str(ends[0]), str(ends[1]))))
         if "length" in item:
             le = parse_rational(item["length"], f"edge {eid!r}")
-            if le <= 0:
+            if le.numerator <= 0:
                 raise DocumentError(f"edge {eid!r}: length must be positive, got {le}")
             lengths[eid] = le
         else:
@@ -337,23 +355,9 @@ def measure_section(mu: EdgeMeasure) -> dict[str, Any]:
     }
 
 
-def _report_text(x: Any, pad: str) -> str:
-    # Containers, each item on its own line indented by pad plus two
-    # spaces, then the leaves json writes.
+def _leaf(x: Any) -> str:
     if isinstance(x, str):
         return _escape(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = [_escape(k) + ": " + _report_text(v, inner) for k, v in sorted(x.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        items = [_report_text(v, inner) for v in x]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if x is None:
         return "null"
     if x is True:
@@ -371,11 +375,61 @@ def _report_text(x: Any, pad: str) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _write(x: Any, line: str, head: str, out: list[str]) -> None:
+    # Appends head, then x as json writes it after ``line``, the newline
+    # and indent of its depth: a container's items on lines of their own,
+    # one level deeper.  A str or int list and a one-key dict with a str
+    # value are one fragment.
+    if isinstance(x, dict):
+        if not x:
+            out.append(head + "{}")
+            return
+        inner = line + "  "
+        if len(x) == 1:
+            [(key, value)] = x.items()
+            if type(value) is str:
+                out.append(head + "{" + inner + _escape(key) + ": " + _escape(value) + line + "}")
+                return
+        head += "{" + inner
+        sep = "," + inner
+        for key, value in sorted(x.items()):
+            _write(value, inner, head + _escape(key) + ": ", out)
+            head = sep
+        out.append(line + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append(head + "[]")
+            return
+        inner = line + "  "
+        sep = "," + inner
+        kind = type(x[0])
+        if kind is str:
+            try:  # the escaper refuses any item that is no str
+                out.append(head + "[" + inner + sep.join(map(_escape, x)) + line + "]")
+                return
+            except TypeError:
+                pass
+        elif kind is int and all(type(v) is int for v in x):
+            out.append(head + "[" + inner + sep.join(map(int.__repr__, x)) + line + "]")
+            return
+        head += "[" + inner
+        for value in x:
+            _write(value, inner, head, out)
+            head = sep
+        out.append(line + "]")
+    else:
+        out.append(head + _leaf(x))
+
+
 def dump_report(report: Mapping[str, Any]) -> str:
     """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
-    it, plus a newline.  Keys must be strings; a key or a leaf of another
-    type raises TypeError."""
-    return _report_text(report, "") + "\n"
+    it, plus a newline, from one pass that appends fragments to one list
+    and joins it once.  Keys must be strings; a key or a leaf of another
+    type raises TypeError, and an int too long to print ValueError."""
+    out: list[str] = []
+    _write(report, "\n", "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _table_lines(value: Any, label: str, indent: int, out: list[str]) -> None:

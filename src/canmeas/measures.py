@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Collection, Mapping, Sequence
 
 from . import linalg
@@ -64,6 +64,7 @@ from .graphs import (
     CycleVector,
     cycle_boundary,
     fundamental_cycles,
+    graph_genus,
     is_connected,
     spanning_trees,
 )
@@ -344,6 +345,41 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
         raise DisconnectedGraph("canonical measure requires a connected graph")
     coeffs = CycleSpace.of(m.graph).masses(m.integer_lengths)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
+
+
+def mass_digits(m: MetricGraph) -> int:
+    """An upper bound on the decimal digits, numerator and denominator
+    together, of every edge mass of m, read off bit lengths before any
+    elimination.
+
+    With each length written p_e/q_e, multiply both tree sums of a mass
+    by the product of the q_e: the mass is then N/K with integers N, K of
+    at most H = tau(G) * prod_e max(p_e, q_e).  A spanning tree picks, at
+    every vertex but a root, the edge towards the root, so tau(G) is at
+    most the product of the non-loop degrees over all vertices but one
+    of largest degree.  Masses do not change when every length is
+    divided by their rational gcd, which leaves integers; each tree
+    weight is then a product of h = graph_genus lengths (those off the
+    tree), so H is also taken as tau(G) times the h largest of them, and
+    the smaller bound kept.
+    """
+    degree = dict.fromkeys(m.graph.vertices, 0)
+    for _, (u, v) in m.graph.edges:
+        if u != v:
+            degree[u] += 1
+            degree[v] += 1
+    degrees = [max(d, 1) for d in degree.values()]
+    trees = prod(degrees) // max(degrees)
+    pairs = list(m.integer_lengths.values())
+    # Arguments from lists, not generators: see graphs.AugmentedGraph.edge_ids.
+    g = gcd(*[p for p, _ in pairs])
+    L = lcm(*[q for _, q in pairs])
+    direct = sum(max(p, q).bit_length() for p, q in pairs)
+    scaled = sorted([(p // g * (L // q)).bit_length() for p, q in pairs], reverse=True)
+    # A part has at most as many digits as 2^bits - 1, and
+    # log10(2) < 0.30103.
+    bits = trees.bit_length() + min(direct, sum(scaled[: graph_genus(m.graph)]))
+    return 2 * (bits * 30103 // 100000 + 1)
 
 
 def tropical_canonical_measure(t: TropicalCurve) -> EdgeMeasure:

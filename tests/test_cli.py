@@ -166,27 +166,93 @@ class TestMeasureCommand:
         assert (code, out) == (2, "")
         assert err == f"error: edge 'e2': rational of more than {cli.RATIONAL_DIGITS} digits\n"
 
-    def test_results_too_long_to_print_are_precondition_errors(self, capsys, tmp_path):
-        # K5 with lengths of 1,000-digit numerators and denominators: the
-        # masses pass Python's 4,300-digit limit for printing an int.
-        rng = Random(1)
+    @staticmethod
+    def complete_graph_document(tmp_path, n, digits, seed=1):
+        """K_n with lengths of ``digits``-digit numerators and denominators."""
+        rng = Random(seed)
 
-        def digits():
-            return rng.randrange(10**999, 10**1000)
+        def part():
+            return rng.randrange(10 ** (digits - 1), 10**digits)
 
-        ids = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
         doc = {
-            "vertices": [{"id": f"v{i}"} for i in range(5)],
+            "vertices": [{"id": f"v{i}"} for i in range(n)],
             "edges": [
-                {"id": f"e{i}{j}", "ends": [f"v{i}", f"v{j}"], "length": f"{digits()}/{digits()}"}
+                {"id": f"e{i}{j}", "ends": [f"v{i}", f"v{j}"], "length": f"{part()}/{part()}"}
                 for i, j in ids
             ],
         }
-        path = tmp_path / "k5.json"
+        path = tmp_path / f"k{n}.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "measure", "--formulation", "matrix", "--input", str(path))
+        return str(path)
+
+    def test_results_too_long_to_print_are_precondition_errors(self, capsys, tmp_path):
+        # K6 with 300-digit numerators and denominators: the masses stay
+        # under the digit budget (measures.mass_digits bounds them by 8,998
+        # digits, both parts together) but pass Python's 4,300-digit limit
+        # for printing an int.
+        path = self.complete_graph_document(tmp_path, 6, 300)
+        code, out, err = run(capsys, "measure", "--formulation", "matrix", "--input", path)
         assert (code, out) == (3, "")
         assert err == "error: a report value has more than 4300 digits, too many to print\n"
+
+    @pytest.mark.parametrize("n, digits, bound", [(5, 1000, 19994), (6, 3999, 119966)])
+    def test_masses_over_the_digit_budget_are_refused_before_any_elimination(
+        self, capsys, tmp_path, monkeypatch, n, digits, bound
+    ):
+        def unreachable(*args):
+            raise AssertionError("an elimination ran")
+
+        for name in list(cli._FORMULATIONS):
+            monkeypatch.setitem(cli._FORMULATIONS, name, unreachable)
+        monkeypatch.setattr(cli, "tree_count", unreachable)
+        path = self.complete_graph_document(tmp_path, n, digits)
+        code, out, err = run(capsys, "measure", "--formulation", "all", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: masses may need up to {bound} digits, "
+            f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
+        )
+
+    @staticmethod
+    def short_mass_document(shape):
+        """Long lengths whose masses are short, and the mass of edge e0."""
+        if shape == "equal":
+            # K4, six equal lengths of 3,999-digit parts: over their gcd,
+            # all ones.
+            ends = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            lengths = [Fraction(10**3999 - 1, 10**3999 - 3)] * len(ends)
+            mass = Fraction(1, 2)
+        else:
+            # A 10-edge cycle of 600-digit and an 11-vertex path of
+            # 1,000-digit integers: each tree weight multiplies only
+            # h = 1 or 0 lengths, though all of them have 6,000 and
+            # 10,000 digits.
+            closed = shape == "cycle"
+            n, digits = (10, 600) if closed else (11, 1000)
+            ends = [(i, (i + 1) % n) for i in range(n if closed else n - 1)]
+            rng = Random(2)
+            lengths = [Fraction(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in ends]
+            mass = lengths[0] / sum(lengths) if closed else Fraction(0)
+        doc = {
+            "vertices": [{"id": f"v{i}"} for i in sorted({v for e in ends for v in e})],
+            "edges": [
+                {"id": f"e{k}", "ends": [f"v{i}", f"v{j}"], "length": str(x)}
+                for k, ((i, j), x) in enumerate(zip(ends, lengths))
+            ],
+        }
+        return doc, mass
+
+    @pytest.mark.parametrize("shape", ["equal", "cycle", "path"])
+    def test_long_lengths_of_short_masses_pass_the_digit_budget(self, capsys, tmp_path, shape):
+        doc, mass = self.short_mass_document(shape)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", "--input", str(path))
+        assert (code, err) == (0, "")
+        for name in ("trees", "projection", "matrix"):
+            coeffs = json.loads(out)["measures"][name]["edge_coefficients"]
+            assert Fraction(coeffs["e0"]["exact"]) == mass, name
 
     # Input files json cannot decode: (bytes, start of the message).
     UNDECODABLE = {

@@ -21,8 +21,10 @@ from canmeas import (
     load_document,
     measure_section,
     parse_document,
+    parse_rational,
     render_table,
 )
+from canmeas.families import RATIONAL_DIGITS, oversized_rational
 from canmeas.gallery import theta_graph
 
 F = Fraction
@@ -291,6 +293,86 @@ class TestParseErrors:
         self.reject(data, "malformed rational")
 
 
+def parse_rational_reference(text, where="edge 'e'"):
+    """parse_rational as it reads text without its fast path."""
+    if oversized_rational(text):
+        raise DocumentError(f"{where}: rational of more than {RATIONAL_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{where}: malformed rational {text!r}") from None
+
+
+def long_part(digits, zeros=0):
+    return "0" * zeros + "7" + "3" * (digits - 1)
+
+
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789/_.-+eE \u0661\u0662\u00b2", max_size=12),
+    st.builds(
+        lambda sign, num, slash, den, pad: pad + sign + num + slash + den + pad,
+        st.sampled_from(["", "-", "+"]),
+        st.from_regex(r"[0-9]{1,6}", fullmatch=True),
+        st.sampled_from(["", "/"]),
+        st.from_regex(r"[0-9]{0,6}", fullmatch=True),
+        st.sampled_from(["", " ", "\t"]),
+    ),
+)
+
+
+class TestParseRational:
+    """parse_rational returns Fraction(text), or refuses the text with the
+    message of the reading without its fast path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_texts)
+    @example("1/2")
+    @example("007/0040")
+    @example("0/5")
+    @example("5/0")
+    @example("0/0")
+    @example("\u0661/\u0662")
+    @example("\u00b2")
+    @example("1_000/3")
+    @example("1.5e3")
+    @example(" 3/4 ")
+    @example("-3/4")
+    @example("")
+    @example("/")
+    @example("1/2/3")
+    @example(long_part(RATIONAL_DIGITS))
+    @example(long_part(RATIONAL_DIGITS + 1))
+    @example(long_part(RATIONAL_DIGITS, zeros=1))
+    @example(long_part(RATIONAL_DIGITS + 1, zeros=1))
+    @example("1/" + long_part(RATIONAL_DIGITS))
+    @example("1/" + long_part(RATIONAL_DIGITS + 1))
+    @example(long_part(RATIONAL_DIGITS, zeros=3) + "/" + long_part(RATIONAL_DIGITS, zeros=1))
+    @example(long_part(RATIONAL_DIGITS + 1) + "/" + long_part(RATIONAL_DIGITS + 1))
+    def test_matches_fraction(self, text):
+        try:
+            expected = parse_rational_reference(text)
+        except DocumentError as err:
+            with pytest.raises(DocumentError) as raised:
+                parse_rational(text, "edge 'e'")
+            assert str(raised.value) == str(err)
+        else:
+            got = parse_rational(text, "edge 'e'")
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_unknown_keys_are_named_sorted(self):
+        doc = json.loads(THETA_TEXT)
+        doc["vertices"][1].update(zeta=1, alpha=2, mid=3)
+        with pytest.raises(DocumentError) as raised:
+            parse_document(json.dumps(doc))
+        assert str(raised.value) == "vertex 'v': unknown keys ['alpha', 'mid', 'zeta']"
+        doc = json.loads(THETA_TEXT)
+        doc["edges"][2].update(weight=1, color=2)
+        with pytest.raises(DocumentError) as raised:
+            parse_document(json.dumps(doc))
+        assert str(raised.value) == "edge 'e3': unknown keys ['color', 'weight']"
+
+
 class TestMissingSections:
     def bare(self):
         return parse_document(
@@ -430,7 +512,10 @@ class TestReportWriter:
 
     def test_unsupported_values_raise_type_error(self):
         # Report keys are ids and names, always strings.
-        for value in ({"x": F(1, 2)}, [F(1, 2)], F(1, 2), {"x": {1, 2}}, {1: "a"}, {None: 0}):
+        for value in (
+            {"x": F(1, 2)}, [F(1, 2)], F(1, 2), {"x": {1, 2}}, {1: "a"}, {None: 0},
+            [{None: "a"}], {"k": {2: "b"}}, {(1,): "a"}, {"a": 1, 2: "b"},
+        ):
             with pytest.raises(TypeError):
                 dump_report(value)
 
@@ -442,6 +527,79 @@ class TestReportWriter:
         assert dump_report({"a": [1, {"exact": "1/2"}]}) == (
             '{\n  "a": [\n    1,\n    {\n      "exact": "1/2"\n    }\n  ]\n}\n'
         )
+
+    class Text(str):
+        pass
+
+    class Int(int):
+        pass
+
+    class Dict(dict):
+        pass
+
+    class List(list):
+        pass
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ["edge %d \u00e9\n" % i for i in range(500)],
+            ("a", "b\"", "\U0001f600"),
+            list(range(-250, 250)) + [10**40, -(10**40)],
+            [1, True, 2],
+            [0, False],
+            [True, 1],
+            ["a", "b", 3, None, ["c"]],
+            ["a", {"b": "c"}],
+            [1, 2, "x"],
+            [1, 2.5],
+            {"exact": "1/2"},
+            {"float": 0.5},
+            {"n": 7},
+            {"k": ["x", "y"]},
+            {"k": {"exact": "1"}},
+            {"k": None},
+            {"k": True},
+            [{"exact": "1/2"}, {"float": "0.5"}, {}, {"k": 1}],
+        ],
+        ids=lambda v: repr(v)[:30],
+    )
+    def test_fast_path_shapes(self, value):
+        assert dump_report(value) == json_dumps_report(value)
+        assert dump_report({"nested": [value, {"x": value}]}) == json_dumps_report(
+            {"nested": [value, {"x": value}]}
+        )
+
+    def test_subclasses(self):
+        value = self.Dict(
+            a=self.List([self.Text("s"), "t"]),
+            b=[self.Int(3), 4],
+            c=[self.Text("only")],
+            d=self.Dict(k=self.Text("v")),
+            e={"k": self.Int(5)},
+            f=(self.Int(1),),
+            g=[4, self.Int(5)],
+        )
+        assert dump_report(value) == json_dumps_report(value)
+
+    def test_deep_nesting(self):
+        value = "leaf"
+        for depth in range(300):
+            value = [value] if depth % 2 else {"k%d" % depth: value}
+        assert dump_report(value) == json_dumps_report(value)
+        value = [1, 2]
+        for _ in range(300):
+            value = [value, 3]
+        assert dump_report(value) == json_dumps_report(value)
+
+    def test_ints_too_long_to_print(self):
+        big = 10**4300
+        with pytest.raises(ValueError) as expected:
+            int.__repr__(big)
+        for value in (big, [big], [1, big], {"k": big}, {"a": 1, "b": [big]}, ["s", big]):
+            with pytest.raises(ValueError) as raised:
+                dump_report(value)
+            assert str(raised.value) == str(expected.value)
 
 
 GOLDEN = Path(__file__).parent / "golden"

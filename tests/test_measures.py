@@ -27,6 +27,7 @@ from canmeas import (
     gram_matrices,
     graph_genus,
     integrate,
+    mass_digits,
     total_genus,
     tropical_canonical_measure,
 )
@@ -220,6 +221,52 @@ class TestTreeRoute:
             assert mu.edge_coeffs["loop"] == 1
             factor = random_rational(rng, 10**9, 10**9)
             assert foster_by_trees(m.scaled(factor)).edge_coeffs == mu.edge_coeffs, seed
+
+
+class TestMassDigits:
+    """mass_digits bounds the digits of every mass from the lengths alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        max_part=st.sampled_from([1, 12, 10**6, 10**40]),
+        scale=st.sampled_from([F(1), F(10**30 + 7, 3), F(2, 10**25 + 9)]),
+    )
+    def test_bounds_every_mass(self, seed, max_part, scale):
+        rng = Random(seed)
+        m = random_metric(rng, looped_multigraph(rng), max_part).scaled(scale)
+        bound = mass_digits(m)
+        for e, x in foster_by_matrix(m).edge_coeffs.items():
+            assert len(str(x.numerator)) + len(str(x.denominator)) <= bound, e
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, closed=st.booleans(), digits=st.sampled_from([1, 40, 600]))
+    def test_bounds_every_mass_of_cycles_and_trees(self, seed, closed, digits):
+        # Integer lengths of up to `digits` digits on a cycle or a tree of at
+        # most 11 vertices: each tree weight is a product of h <= 1 lengths
+        # and tau(G) <= 2^10, so the bound stays near twice one length.
+        rng = Random(seed)
+        if closed:
+            n = rng.randint(1, 11)
+            edges = tuple((f"e{i}", (f"v{i}", f"v{(i + 1) % n}")) for i in range(n))
+            g = AugmentedGraph(vertices=tuple(f"v{i}" for i in range(n)), edges=edges)
+        else:
+            g = random_graph(rng, max_vertices=11, max_edges=0)
+        m = MetricGraph(g, {e: F(rng.randint(1, 10**digits)) for e in g.edge_ids})
+        bound = mass_digits(m)
+        for e, x in foster_by_matrix(m).edge_coeffs.items():
+            assert len(str(x.numerator)) + len(str(x.denominator)) <= bound, e
+        assert bound <= 2 * (digits + 5) if closed else bound <= 8
+
+    def test_is_read_off_the_lengths_over_their_gcd(self):
+        # Masses do not change with a common scale, and neither does the
+        # bound once it is the one on the lengths over their gcd.
+        g = grid_graph(3)
+        rng = Random(3)
+        m = MetricGraph(g, {e: F(rng.randint(1, 9)) for e in g.edge_ids} | {g.edge_ids[0]: F(1)})
+        unit = mass_digits(m)
+        for scale in (F(10**50 + 3, 7), F(11, 10**60 + 1)):
+            assert mass_digits(m.scaled(scale)) == unit
 
 
 class TestEdgeMeasureValidation:
