@@ -50,6 +50,7 @@ from .layerings import GradedMinorReport, admissible_cycle_basis, graded_minors
 from .measures import (
     EdgeMeasure,
     MetricGraph,
+    TropicalCurve,
     foster_by_matrix,
     foster_by_projection,
     foster_by_trees,
@@ -97,26 +98,77 @@ PERIOD_SIDE_BUDGET = 100
 # took 0.25 s, and tests/fixtures/layered_grid.json with every exponent
 # times 275 (9,900 digits) 0.75 s.  `periods` rounds lengths to binary64,
 # but exactly first: near t = 1, millions of digits make a finite double.
+# Structured lengths like these are cheap; random ones are not: K6 with
+# 7 of its edges at 1/7*t^5, at grid points of two 990-digit parts
+# (lengths near the budget), took 2.0 s even with selected inversion.  So
+# `limit` also refuses a grid point whose fibre masses
+# `measures.mass_digits` bounds over the budget, which theta.json at
+# k = 1,666 now is (13,332 digits).
 LENGTH_DIGITS_BUDGET = 10_000
 
 
-def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> None:
+def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> list[int]:
     """Refuse an exact edge length of more than LENGTH_DIGITS_BUDGET digits
     at a grid point, naming the first in grid then edge order.
 
     The digits are bounded from logarithms by
     :meth:`ScaleFunction.pair_digits`, before any power is taken, so the
     message gives that upper bound.  An exponent beyond binary64 is over
-    any budget.
+    any budget.  Returns, per grid point, the sum of those bounds over
+    the edges.
     """
     lengths = sorted(family.param_lengths.items())
+    totals = []
     for t in grid:
+        total = 0
         for e, fn in lengths:
             try:
                 digits = fn.pair_digits(t)
             except OverflowError:
                 digits = None
             _require_digits(digits, f"the length of edge {e!r} at t = {t} needs")
+            total += digits
+        totals.append(total)
+    return totals
+
+
+def _require_fibre_digits(
+    family: LengthFamily, grid: tuple[Fraction, ...], totals: list[int]
+) -> None:
+    """Refuse a grid point whose fibre masses :func:`measures.mass_digits`
+    bounds over LENGTH_DIGITS_BUDGET, naming the first.
+
+    ``totals`` are the length digits per point from
+    :func:`_require_length_budget`.  A length whose pair has d digits adds
+    less than d / log10(2) + 1 bits to the bound's product, so the bound
+    exceeds its value at unit lengths by less than twice the total plus
+    one digit per edge, and two for rounding.  Only points where that
+    screen passes the budget have their exact lengths taken.
+    """
+    g = family.graph
+    screen = mass_digits(g, dict.fromkeys(g.edge_ids, (1, 1))) + len(g.edges) + 2
+    for t, total in zip(grid, totals):
+        if screen + 2 * total > LENGTH_DIGITS_BUDGET:
+            digits = mass_digits(g, family.integer_lengths_at(t))
+            _require_digits(digits, f"masses at t = {t} may need")
+
+
+def _require_minor_digits(curve: TropicalCurve) -> None:
+    """Refuse a tropical measure whose masses :func:`measures.mass_digits`
+    bounds over LENGTH_DIGITS_BUDGET on some graded minor, naming the
+    first: the measure is each minor's canonical measure at its layer's
+    lengths.
+
+    The bound's spanning forest factor is below 2^(2|E| + 1) on any minor
+    (a degree d is at most 2^(d - 1)), and its length factor has at most
+    the bits of the larger part of every length, so each minor is bounded
+    on its own only when that screen passes the budget.
+    """
+    lengths = curve.metric.integer_lengths
+    bits = 2 * len(lengths) + 1 + sum([max(p, q).bit_length() for p, q in lengths.values()])
+    if 2 * (bits * 30103 // 100000 + 1) > LENGTH_DIGITS_BUDGET:
+        for j, minor in enumerate(curve.minors.minors):
+            _require_digits(mass_digits(minor, lengths), f"masses of graded minor {j} may need")
 
 
 def _require_digits(digits: int | None, what: str) -> None:
@@ -256,7 +308,7 @@ def _measure_assertions(metric: MetricGraph, measures: dict[str, EdgeMeasure]) -
 def cmd_measure(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     metric = doc.metric()
-    _require_digits(mass_digits(metric), "masses may need")
+    _require_digits(mass_digits(doc.graph, metric.integer_lengths), "masses may need")
     names = list(_FORMULATIONS) if args.formulation == "all" else [args.formulation]
     if "trees" in names:
         _require_budget(tree_count(doc.graph))
@@ -324,6 +376,8 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     ):
         curve = doc.tropical()
     minors = graded_minors(doc.graph, layering) if curve is None else curve.minors
+    if curve is not None:
+        _require_minor_digits(curve)
     basis = admissible_cycle_basis(minors)
     counts, layered, assertions = _minors_checks(minors)
     per_layer = [
@@ -380,7 +434,7 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     family = doc.length_family()
     grid = _parse_grid(args.grid, (1, 6))
-    _require_length_budget(family, grid)
+    _require_fibre_digits(family, grid, _require_length_budget(family, grid))
     _require_budget(tree_count(doc.graph))
     limits = all_tree_limits(family)
     dichotomy = _dichotomy_assertion(family, limits)

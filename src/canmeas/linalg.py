@@ -8,12 +8,20 @@ too: by Cramer's rule, D times the solution is an integer vector when D
 is the final pivot, so back-substitution against D divides exactly, and
 a system's answer is an integer matrix over one denominator.
 
-:func:`scaled_inverse` and :func:`solve` take the integer rows and their
-scales from the caller and return that integer answer, so a caller that
-knows its rows' scales (the measure routes, the period layer targets and
-the resistance oracle read them off the edge lengths) never builds a
-Fraction until its own result, and :func:`is_positive_definite` takes
-integer rows the same way.  :func:`inverse` and :func:`determinant`
+:func:`scaled_inverse`, :func:`selected_inverse` and :func:`solve` take
+the integer rows and their scales from the caller and return that
+integer answer, so a caller that knows its rows' scales (the measure
+routes and the period layer targets read them off the edge lengths)
+never builds a Fraction until its own result, and
+:func:`is_positive_definite` takes integer rows the same way.
+:func:`selected_inverse` serves the matrix route, which reads the
+inverse of a Gram matrix only between cycles that meet: it eliminates
+on the filled pattern (:func:`elimination_fill`) and runs Takahashi's
+equations back over the pivots, so it never forms the whole inverse.
+:func:`scaled_inverse` forms it for the period layer targets, which
+print it, and :func:`solve` serves the projection route.  The
+resistance oracle of :mod:`canmeas.kirchhoff` calls none of them.
+:func:`inverse` and :func:`determinant`
 scale each rational row by the lcm of its denominators; no package
 module calls them, and they stay while the benchmark tracer names them
 (ROADMAP item 1).
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import BasisError
@@ -143,6 +152,98 @@ def scaled_inverse(rows: list[list[int]], scales: Sequence[int]) -> tuple[list[l
     return out, det
 
 
+def elimination_fill(above: list[set[int]]) -> list[list[int]]:
+    """The filled pattern of a symmetric matrix under elimination in
+    natural order, from its off-diagonal pattern.
+
+    ``above[i]`` holds the columns j > i where row i may be nonzero; the
+    sets are consumed.  Returns, per row i, the ascending columns j > i
+    of its pivot row once the rows above it are eliminated.  Eliminating
+    row k fills in every pair of its columns, and the first of them (its
+    parent in the elimination tree) inherits the rest; the rows further
+    up that tree inherit them from it in turn.
+    """
+    fill = []
+    for cols in above:
+        cols = sorted(cols)
+        if cols:
+            above[cols[0]].update(cols[1:])
+        fill.append(cols)
+    return fill
+
+
+def selected_inverse(
+    rows: list[list[int]], scales: Sequence[int], fill: list[list[int]]
+) -> tuple[list[dict[int, int]], int]:
+    """The entries of the inverse of a symmetric positive semidefinite
+    matrix A on its filled pattern, as (W, D) with inverse = W / D.
+
+    The caller passes S A as integer ``rows`` with the positive row
+    ``scales`` S, and the pattern from :func:`elimination_fill`; W[i]
+    maps each column j on the pattern of row i, or of column i, to the
+    integer entry W_ij = W_ji.  D is the final pivot of the
+    fraction-free elimination of S A, as in :func:`scaled_inverse`.
+
+    The elimination runs without row swaps, row by row: each leading
+    minor of S A is a positive multiple of one of A, so every pivot p_i
+    is positive when A is definite, and a zero pivot means A is singular
+    (BasisError).  Row i of S A is reduced by the pivot rows k whose
+    pattern reaches it.  Its multiplier there is u_ki s_i / s_k, because
+    A is symmetric, so only the columns from i on are kept.  Each entry
+    remembers the last step that changed it, and is caught up with
+    p_k / p_step before its next use: the steps between only rescale it.
+    Takahashi's equations then run backwards over the pivot rows u_i,
+    entry by exact entry:
+
+        W_ij = (delta_ij D p_(i-1) s_i - sum_k u_ik W_kj) / p_i,
+
+    over the pattern k of row i, which holds every W_kj it reads.
+    """
+    n = len(rows)
+    # pivots[k] is the pivot before step k (1 at the start), and
+    # pivots[k + 1] that of step k.
+    pivots = [1]
+    upper: list[list[int]] = []
+    # reach[i]: (k, position of i in fill[k]) for the steps k that reduce row i.
+    reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, cols in enumerate(fill):
+        for at, j in enumerate(cols):
+            reach[j].append((k, at))
+    for i, cols in enumerate(fill):
+        x, s = rows[i][:], scales[i]
+        step = [0] * n
+        for k, at in reach[i]:
+            u, kcols = upper[k], fill[k]
+            prev, pivot = pivots[k], pivots[k + 1]
+            a = u[at] * s // scales[k]
+            for j, b in zip(kcols[at:], u[at:]):
+                t = step[j]
+                v = x[j] if t == k else x[j] * prev // pivots[t]
+                x[j] = (pivot * v - a * b) // prev
+                step[j] = k + 1
+        last = pivots[i]
+        for j in (i, *cols):
+            t = step[j]
+            if t != i:
+                x[j] = x[j] * last // pivots[t]
+        pivot = x[i]
+        if pivot == 0:
+            raise BasisError("matrix is singular")
+        pivots.append(pivot)
+        upper.append([x[j] for j in cols])
+    det = pivots[n]
+    w: list[dict[int, int]] = [{} for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        cols, u, wi, pivot = fill[i], upper[i], w[i], pivots[i + 1]
+        for j in cols:
+            # W[j] holds W_jk for every k of the pattern of row i.
+            wj = w[j]
+            wi[j] = wj[i] = -sum(map(mul, u, map(wj.__getitem__, cols))) // pivot
+        total = sum(map(mul, u, map(wi.__getitem__, cols)))
+        wi[i] = (det * pivots[i] * scales[i] - total) // pivot
+    return w, det
+
+
 def inverse(rows: Matrix) -> Matrix:
     """Inverse of a square rational matrix, as Fractions.
 
@@ -168,7 +269,9 @@ def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]],
     pivot q is a multiple of its Bareiss value, so its next update
     divides exactly by q.  D is the final pivot, so by Cramer's rule
     each column back-substitutes in integers with exact divisions.
-    This is deliberately a different code path from :func:`inverse`.
+    This is deliberately a different code path from :func:`inverse` and
+    :func:`selected_inverse`: it serves the projection route alone, which
+    the matrix route is checked against.
     Raises BasisError on a singular matrix.
     """
     n = len(rows)

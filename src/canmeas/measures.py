@@ -25,7 +25,9 @@ p/q, row i is scaled by s_i, the lcm of the q over the edges of cycle i,
 its own scale and never one lcm for the whole matrix; every entry is
 then an integer, and so is every projection right-hand side.  The
 elimination returns integers over one denominator, so each route builds
-exactly one Fraction per edge, its mass.  With positive
+exactly one Fraction per edge, its mass.  The matrix route computes the
+inverse only between cycles that share an edge, on a pattern found once
+per space.  With positive
 lengths a Gram matrix is positive definite exactly when it is
 nonsingular, so the singular-matrix check of that one elimination does
 the work of Sylvester's criterion; :func:`gram_matrices` still applies
@@ -217,7 +219,7 @@ class CycleSpace:
     component, so the graph may be disconnected, as minors often are.
     """
 
-    __slots__ = ("edge_ids", "cycle_edges", "support")
+    __slots__ = ("edge_ids", "cycle_edges", "support", "_fill")
 
     def __init__(self, edge_ids: Collection[str], basis: Sequence[CycleVector]) -> None:
         self.edge_ids = edge_ids
@@ -227,6 +229,7 @@ class CycleSpace:
         for i, coeffs in enumerate(self.cycle_edges):
             for eid, c in coeffs.items():
                 self.support.setdefault(eid, []).append((i, c))
+        self._fill: list[list[int]] | None = None
 
     @classmethod
     def of(cls, g: AugmentedGraph) -> "CycleSpace":
@@ -258,10 +261,21 @@ class CycleSpace:
         With the Gram inverse Y / D, Y an integer matrix, the mass of edge
         e is p_e s_e / (q_e D), for s_e = sum_{i,j} Y[i][j] c_i(e) c_j(e)
         (zero on an edge that lies on no cycle).  The s_e come in the
-        order of ``edge_ids``.  Raises BasisError on a singular Gram
-        matrix.
+        order of ``edge_ids``.  Only the entries of Y between cycles that
+        share an edge enter, so Y is inverted selectively
+        (:func:`canmeas.linalg.selected_inverse`) on the filled pattern of
+        those pairs.  The pattern comes from the supports, never from
+        Gram values, which can cancel to 0 between cycles that meet; it
+        is found once per space and serves every set of lengths.  Raises
+        BasisError on a singular Gram matrix.
         """
-        y, det = linalg.scaled_inverse(*self.gram(lengths))
+        if self._fill is None:
+            above: list[set[int]] = [set() for _ in self.cycle_edges]
+            for c in self.support.values():
+                for at, (i, _) in enumerate(c):
+                    above[i].update(j for j, _ in c[at + 1 :])
+            self._fill = linalg.elimination_fill(above)
+        y, det = linalg.selected_inverse(*self.gram(lengths), self._fill)
         support = self.support
         forms = []
         for eid in self.edge_ids:
@@ -336,10 +350,11 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     """Canonical measure from the inverse of the cycle Gram matrix.
 
     mu(e) = length(e) * sum_{i,j} inv(G)[i][j] * c_i(e) * c_j(e), with
-    c_i(e) the coefficient of e in the i-th basis cycle.  The inverse is
-    computed by fraction-free elimination in the :class:`CycleSpace`
-    kernel, the same one that measures the fibres of a family; a
-    singular matrix (dependent basis) raises BasisError.
+    c_i(e) the coefficient of e in the i-th basis cycle.  The entries of
+    the inverse between cycles that share an edge, the only ones read,
+    are computed by fraction-free selected inversion in the
+    :class:`CycleSpace` kernel, the same one that measures the fibres of
+    a family; a singular matrix (dependent basis) raises BasisError.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
@@ -347,10 +362,10 @@ def foster_by_matrix(m: MetricGraph) -> EdgeMeasure:
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 
-def mass_digits(m: MetricGraph) -> int:
+def mass_digits(g: AugmentedGraph, lengths: Mapping[str, tuple[int, int]]) -> int:
     """An upper bound on the decimal digits, numerator and denominator
-    together, of every edge mass of m, read off bit lengths before any
-    elimination.
+    together, of every edge mass of g at the integer ``lengths`` (p, q),
+    read off bit lengths before any elimination.
 
     With each length written p_e/q_e, multiply both tree sums of a mass
     by the product of the q_e: the mass is then N/K with integers N, K of
@@ -363,22 +378,22 @@ def mass_digits(m: MetricGraph) -> int:
     tree), so H is also taken as tau(G) times the h largest of them, and
     the smaller bound kept.
     """
-    degree = dict.fromkeys(m.graph.vertices, 0)
-    for _, (u, v) in m.graph.edges:
+    degree = dict.fromkeys(g.vertices, 0)
+    for _, (u, v) in g.edges:
         if u != v:
             degree[u] += 1
             degree[v] += 1
     degrees = [max(d, 1) for d in degree.values()]
     trees = prod(degrees) // max(degrees)
-    pairs = list(m.integer_lengths.values())
+    pairs = [lengths[e] for e in g.edge_ids]
     # Arguments from lists, not generators: see graphs.AugmentedGraph.edge_ids.
-    g = gcd(*[p for p, _ in pairs])
+    G = gcd(*[p for p, _ in pairs])
     L = lcm(*[q for _, q in pairs])
     direct = sum(max(p, q).bit_length() for p, q in pairs)
-    scaled = sorted([(p // g * (L // q)).bit_length() for p, q in pairs], reverse=True)
+    scaled = sorted([(p // G * (L // q)).bit_length() for p, q in pairs], reverse=True)
     # A part has at most as many digits as 2^bits - 1, and
     # log10(2) < 0.30103.
-    bits = trees.bit_length() + min(direct, sum(scaled[: graph_genus(m.graph)]))
+    bits = trees.bit_length() + min(direct, sum(scaled[: graph_genus(g)]))
     return 2 * (bits * 30103 // 100000 + 1)
 
 

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,6 +17,8 @@ import pytest
 import canmeas
 from canmeas import cli, graphs, periods
 from canmeas.cli import main
+from canmeas.corpus import layered_family, normalized_coordinates, random_graph, random_layering
+from canmeas.measures import mass_digits
 
 
 def example(name):
@@ -327,6 +330,70 @@ class TestMinorsCommand:
         names = [a["name"] for a in report["assertions"]]
         assert "hybrid_total_mass_equals_total_genus" in names
 
+    def test_tropical_masses_over_the_digit_budget_name_the_minor(self, capsys, tmp_path):
+        # K6 in one layer, lengths x_e / sum(x) with random 3,999-digit x_e:
+        # every input bound holds, and the tropical measure used to run for
+        # seconds before its masses proved too long to print.
+        rng = Random(3)
+        ids = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        xs = [rng.randrange(10**3998, 10**3999) for _ in ids]
+        total = sum(xs)
+        doc = {
+            "vertices": [{"id": f"v{i}"} for i in range(6)],
+            "edges": [
+                {"id": f"e{i}{j}", "ends": [f"v{i}", f"v{j}"], "length": str(Fraction(x, total))}
+                for (i, j), x in zip(ids, xs)
+            ],
+            "layering": [[f"e{i}{j}" for i, j in ids]],
+        }
+        path = tmp_path / "k6.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "minors", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("error: masses of graded minor 0 may need up to ")
+        assert err.endswith(f" digits, over the budget of {cli.LENGTH_DIGITS_BUDGET}\n")
+
+    def test_minor_digit_screen_takes_the_exact_bound_where_it_may_be_over(self, monkeypatch):
+        # With the budget drawn around the largest exact bound of the
+        # minors, the curve is refused exactly when that bound is over it,
+        # whether or not the screen let the minors go unbounded.
+        calls = []
+
+        def counted(g, lengths):
+            calls.append(g)
+            return mass_digits(g, lengths)
+
+        monkeypatch.setattr(cli, "mass_digits", counted)
+        exact_taken = []
+        for seed in range(150):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=10)
+            if not g.edges:
+                continue
+            p = random_layering(rng, g)
+            lengths = {}
+            for part in p.parts:
+                xs = {e: rng.randint(1, 10 ** rng.randint(1, 40)) for e in part}
+                lengths.update({e: Fraction(x, sum(xs.values())) for e, x in xs.items()})
+            curve = canmeas.TropicalCurve(g, lengths, p)
+            pairs = curve.metric.integer_lengths
+            exact = max(mass_digits(minor, pairs) for minor in curve.minors.minors)
+            budget = rng.randint(exact // 2, 4 * exact)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "LENGTH_DIGITS_BUDGET", budget)
+                try:
+                    cli._require_minor_digits(curve)
+                except canmeas.CanmeasError:
+                    refused = True
+                else:
+                    refused = False
+            assert refused == (exact > budget), seed
+            exact_taken.append(bool(calls))
+        assert any(exact_taken) and not all(exact_taken)
+
     def test_layering_required(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         doc = json.loads(Path(example("theta.json")).read_text())
@@ -414,6 +481,92 @@ class TestLimitCommand:
         assert err == (
             f"error: bad --grid: point 1e-{huge} has more than {cli.RATIONAL_DIGITS} digits\n"
         )
+
+    def test_fibre_masses_over_the_digit_budget_are_refused(self, capsys, tmp_path, monkeypatch):
+        # K6 in two layers, the second shrinking like t^5, at a grid point
+        # of two 990-digit parts: every length is under the budget, but the
+        # fibre masses may need more digits, and measuring them took
+        # seconds.  Refused before any tree or fibre is measured.
+        def unreachable(*args):
+            raise AssertionError("a tree or a fibre was measured")
+
+        monkeypatch.setattr(cli, "all_tree_limits", unreachable)
+        monkeypatch.setattr(cli, "limit_foster", unreachable)
+        ids = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        layers = [[f"e{i}{j}" for i, j in ids[:8]], [f"e{i}{j}" for i, j in ids[8:]]]
+        doc = {
+            "vertices": [{"id": f"v{i}"} for i in range(6)],
+            "edges": [
+                {"id": f"e{i}{j}", "ends": [f"v{i}", f"v{j}"], "length": "1/8" if k < 8 else "1/7"}
+                for k, (i, j) in enumerate(ids)
+            ],
+            "layering": layers,
+            "family": {**{e: "1/8" for e in layers[0]}, **{e: "1/7*t^5" for e in layers[1]}},
+            "target": {**{e: "1/8" for e in layers[0]}, **{e: "1/7" for e in layers[1]}},
+        }
+        path = tmp_path / "k6.json"
+        path.write_text(json.dumps(doc))
+        rng = Random(4)
+        t = Fraction(rng.randrange(10**989, 10**990), rng.randrange(10**989, 10**990)) / 10
+        start = time.perf_counter()
+        code, out, err = run(capsys, "limit", "--input", str(path), "--grid", f"{t},{t / 7}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: masses at t = {t} may need up to ")
+        assert err.endswith(f" digits, over the budget of {cli.LENGTH_DIGITS_BUDGET}\n")
+
+    def test_long_lengths_of_short_fibre_masses_pass(self, capsys, tmp_path):
+        # K4 in one layer at 1/6*t^1200: lengths of about 7,200 digits at
+        # t = 1e-6, but over their gcd all ones, so the masses are short.
+        ids = [f"e{i}{j}" for i in range(4) for j in range(i + 1, 4)]
+        doc = {
+            "vertices": [{"id": f"v{i}"} for i in range(4)],
+            "edges": [{"id": e, "ends": [f"v{e[1]}", f"v{e[2]}"], "length": "1/6"} for e in ids],
+            "layering": [ids],
+            "family": dict.fromkeys(ids, "1/6*t^1200"),
+            "target": dict.fromkeys(ids, "1/6"),
+        }
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "limit", "--input", str(path))
+        assert code == 0 and report["ok"]
+
+    def test_fibre_digit_screen_takes_the_exact_bound_where_it_may_be_over(self, monkeypatch):
+        # With the budget drawn around the exact bound of one grid point,
+        # the point is refused exactly when that bound is over it, whether
+        # or not the screen let the exact bound be skipped.
+        calls = []
+
+        def counted(g, lengths):
+            calls.append(g)
+            return mass_digits(g, lengths)
+
+        monkeypatch.setattr(cli, "mass_digits", counted)
+        exact_taken = []
+        for seed in range(150):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=10)
+            if not g.edges:
+                continue
+            p = random_layering(rng, g)
+            exponents = sorted(rng.sample(range(60), len(p.parts)))
+            family = layered_family(g, p, normalized_coordinates(rng, p), exponents)
+            t = Fraction(rng.randint(1, 10 ** rng.randint(1, 30)), 10**31)
+            totals = cli._require_length_budget(family, (t,))
+            exact = mass_digits(g, family.integer_lengths_at(t))
+            budget = rng.randint(exact // 2, 2 * exact)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "LENGTH_DIGITS_BUDGET", budget)
+                try:
+                    cli._require_fibre_digits(family, (t,), totals)
+                except canmeas.CanmeasError:
+                    refused = True
+                else:
+                    refused = False
+            assert refused == (exact > budget), seed
+            exact_taken.append(len(calls) == 2)
+        assert any(exact_taken) and not all(exact_taken)
 
     def test_convergence_is_checked_once(self, capsys, monkeypatch):
         calls = []

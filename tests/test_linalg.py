@@ -20,6 +20,7 @@ from canmeas.gallery import theta_graph
 from canmeas.corpus import random_graph, random_layering, random_metric
 from canmeas.graphs import (
     AugmentedGraph,
+    CycleVector,
     canonical_spanning_forest,
     connected_components,
     cycle_basis,
@@ -479,32 +480,94 @@ class TestKernelsAgainstFractionElimination:
                 assert mu[e] == 1 - resistance[e] / restricted[e], e
 
 
+def full_inverse_forms(space, lengths):
+    """The edge forms of :meth:`CycleSpace.forms` from the whole inverse
+    of the Gram matrix, by :func:`scaled_inverse`."""
+    y, det = scaled_inverse(*space.gram(lengths))
+    forms = []
+    for e in space.edge_ids:
+        c = space.support.get(e, ())
+        forms.append(sum(y[i][j] * a * b for i, a in c for j, b in c))
+    return forms, det
+
+
+class TestSelectedGramInverse:
+    """:meth:`CycleSpace.forms` inverts the Gram matrix only on the filled
+    pattern of the cycles that meet, and gives the same integers and the
+    same denominator as the whole inverse."""
+
+    @pytest.mark.parametrize("regime", [small_lengths, layered_lengths, huge_lengths])
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_whole_inverse(self, regime, seed):
+        graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)
+        for h in graphs:
+            integer = {e: (lengths[e].numerator, lengths[e].denominator) for e in h.edge_ids}
+            space = CycleSpace.of(h)
+            assert space.forms(integer) == full_inverse_forms(space, integer)
+            basis = fundamental_cycles(h)
+            if basis:
+                # The first cycle twice: a dependent family.
+                dependent = CycleSpace(h.edge_ids, basis + [CycleVector(basis[0].coeffs)])
+                with pytest.raises(BasisError):
+                    dependent.forms(integer)
+
+    def test_meeting_cycles_with_a_zero_gram_entry(self):
+        # A = e1 - e2 and B = e1 + e2 + f + g share e1 and e2 with opposite
+        # signs, so at equal lengths their Gram entry cancels to 0; C = f - g
+        # meets B.  The pattern must still pair A with B.
+        g = AugmentedGraph(
+            vertices=("u", "v"),
+            edges=(("e1", ("u", "v")), ("e2", ("u", "v")), ("f", ("v", "u")), ("g", ("v", "u"))),
+        )
+        basis = [
+            CycleVector({"e1": 1, "e2": -1}),
+            CycleVector({"e1": 1, "e2": 1, "f": 1, "g": 1}),
+            CycleVector({"f": 1, "g": -1}),
+        ]
+        space = CycleSpace(g.edge_ids, basis)
+        cases = (
+            {"e1": (1, 1), "e2": (1, 1), "f": (2, 1), "g": (3, 1)},
+            {"e1": (5, 7), "e2": (5, 7), "f": (4, 3), "g": (4, 3)},
+        )
+        for lengths in cases:
+            rows, _ = space.gram(lengths)
+            assert rows[0][1] == rows[1][0] == 0
+            assert space.forms(lengths) == full_inverse_forms(space, lengths)
+            m = MetricGraph(g, {e: F(p, q) for e, (p, q) in lengths.items()})
+            assert space.masses(lengths) == foster_by_projection(m).edge_coeffs
+        with pytest.raises(BasisError):
+            CycleSpace(g.edge_ids, basis + [CycleVector({"e1": 2, "f": 1, "g": 1})]).forms(lengths)
+
+
 class TestResistanceFromTheGroundedInverse:
-    """The oracle solves each component's grounded Laplacian against its
-    |V_c| - 1 unit columns only, gets the symmetric D L^-1 back, and
-    gives the same Fractions as one unit-current column per edge."""
+    """The oracle reads each component's grounded inverse on the pattern
+    its elimination fills, with an elimination of its own: it gives the
+    same Fractions as one unit-current column per edge, solved by
+    :func:`canmeas.linalg.solve`, and calls nothing in ``canmeas.linalg``
+    itself, so it shares no code with the routes it checks."""
 
     @pytest.mark.parametrize("regime", [small_lengths, layered_lengths, huge_lengths])
     def test_unit_columns_match_edge_columns(self, regime, monkeypatch):
-        calls = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("the resistance oracle must not call canmeas.linalg")
 
-        def recorded(rows, rhs):
-            ys, det = solve(rows, rhs)
-            calls.append((len(rows), len(rhs), [y[:] for y in ys]))
-            return ys, det
-
-        monkeypatch.setattr(canmeas.linalg, "solve", recorded)
+        kernels = [
+            name
+            for name, value in vars(canmeas.linalg).items()
+            if callable(value) and getattr(value, "__module__", None) == "canmeas.linalg"
+        ]
+        assert {"solve", "scaled_inverse", "selected_inverse", "bareiss_eliminate"} <= set(kernels)
         loops = split = 0
         for seed in range(30):
             graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)
             for h in graphs:
                 restricted = {e: lengths[e] for e in h.edge_ids}
-                calls.clear()
-                assert effective_resistance(h, restricted) == edge_column_resistance(h, restricted)
-                sides = [len(c) - 1 for c in connected_components(h) if len(c) > 1]
-                assert [(n, k) for n, k, _ in calls] == [(n, n) for n in sides], seed
-                for n, _, ys in calls:
-                    assert all(ys[i][j] == ys[j][i] for i in range(n) for j in range(i)), seed
+                want = edge_column_resistance(h, restricted)
+                with monkeypatch.context() as patch:
+                    for name in kernels:
+                        patch.setattr(canmeas.linalg, name, refuse)
+                    assert effective_resistance(h, restricted) == want, seed
                 loops += any(u == v for _, (u, v) in h.edges)
-                split += len(sides) > 1
+                split += sum(len(c) > 1 for c in connected_components(h)) > 1
         assert loops and split

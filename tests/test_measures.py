@@ -235,7 +235,7 @@ class TestMassDigits:
     def test_bounds_every_mass(self, seed, max_part, scale):
         rng = Random(seed)
         m = random_metric(rng, looped_multigraph(rng), max_part).scaled(scale)
-        bound = mass_digits(m)
+        bound = mass_digits(m.graph, m.integer_lengths)
         for e, x in foster_by_matrix(m).edge_coeffs.items():
             assert len(str(x.numerator)) + len(str(x.denominator)) <= bound, e
 
@@ -253,7 +253,7 @@ class TestMassDigits:
         else:
             g = random_graph(rng, max_vertices=11, max_edges=0)
         m = MetricGraph(g, {e: F(rng.randint(1, 10**digits)) for e in g.edge_ids})
-        bound = mass_digits(m)
+        bound = mass_digits(m.graph, m.integer_lengths)
         for e, x in foster_by_matrix(m).edge_coeffs.items():
             assert len(str(x.numerator)) + len(str(x.denominator)) <= bound, e
         assert bound <= 2 * (digits + 5) if closed else bound <= 8
@@ -264,9 +264,10 @@ class TestMassDigits:
         g = grid_graph(3)
         rng = Random(3)
         m = MetricGraph(g, {e: F(rng.randint(1, 9)) for e in g.edge_ids} | {g.edge_ids[0]: F(1)})
-        unit = mass_digits(m)
+        unit = mass_digits(m.graph, m.integer_lengths)
         for scale in (F(10**50 + 3, 7), F(11, 10**60 + 1)):
-            assert mass_digits(m.scaled(scale)) == unit
+            scaled = m.scaled(scale)
+            assert mass_digits(scaled.graph, scaled.integer_lengths) == unit
 
 
 class TestEdgeMeasureValidation:
@@ -471,7 +472,10 @@ class TestTropicalRoute:
 class TestLargerGraphs:
     """The two cycle-space routes and the Laplacian oracle on graphs too
     large for tree enumeration, with lengths p/q up to 10^6, or up to 12
-    on the 8x8 grid, where 10^6 costs seconds per route."""
+    on the 8x8 grid, where 10^6 costs seconds per route.  On the 10x10
+    grid (p/q up to 100) the matrix route meets the oracle alone: both
+    invert selectively there, and the projection route's full solve
+    would take seconds."""
 
     SHAPES = {
         "grid6x6": lambda rng: grid_graph(6),
@@ -493,6 +497,14 @@ class TestLargerGraphs:
         for e in m.graph.edge_ids:
             assert mu[e] == 1 - resistance[e] / m.lengths[e], e
         assert sum(mu.values()) == graph_genus(m.graph)
+
+    def test_matrix_route_agrees_with_the_oracle_on_a_10x10_grid(self):
+        m = random_metric(Random(0), grid_graph(10), 100)
+        mu = foster_by_matrix(m).edge_coeffs
+        resistance = effective_resistance(m.graph, m.lengths)
+        for e in m.graph.edge_ids:
+            assert mu[e] == 1 - resistance[e] / m.lengths[e], e
+        assert sum(mu.values()) == graph_genus(m.graph) == 81
 
 
 class TestIntegration:
