@@ -8,27 +8,23 @@ too: by Cramer's rule, D times the solution is an integer vector when D
 is the final pivot, so back-substitution against D divides exactly, and
 a system's answer is an integer matrix over one denominator.
 
-:func:`scaled_inverse`, :func:`selected_inverse` and :func:`solve` take
-the integer rows and their scales from the caller and return that
-integer answer, so a caller that knows its rows' scales (the measure
-routes and the period layer targets read them off the edge lengths)
-never builds a Fraction until its own result, and
-:func:`is_positive_definite` takes integer rows the same way.
-:func:`selected_inverse` serves the matrix route, which reads the
-inverse of a Gram matrix only between cycles that meet: it eliminates
-on the filled pattern (:func:`elimination_fill`) and runs Takahashi's
-equations back over the pivots, so it never forms the whole inverse.
-:func:`scaled_inverse` forms it for the period layer targets, which
-print it, and :func:`solve` serves the projection route.  The
-resistance oracle of :mod:`canmeas.kirchhoff` calls none of them.
-:func:`inverse` and :func:`determinant`
-scale each rational row by the lcm of its denominators; no package
-module calls them, and they stay while the benchmark tracer names them
-(ROADMAP item 1).
-Each matrix is eliminated once per call: :func:`solve` carries all of
-its right-hand sides through one forward pass, and
-:func:`is_positive_definite` reads every leading principal minor off
-one Bareiss pass.
+The kernels take integer rows from the caller, so a caller that knows
+its rows' scales (the measure routes and the period layer targets read
+them off the edge lengths) builds no Fraction until its own result.
+There is one kernel per task.  :func:`selected_inverse` is the one
+symmetric inverse: it eliminates on the filled pattern
+(:func:`elimination_fill`) and runs Takahashi's equations back over the
+pivots, so the matrix route, which reads a Gram inverse only between
+cycles that meet, never forms the whole inverse, and the period layer
+targets, which print it, pass the full pattern.  :func:`solve`, the one
+general solve, serves the projection route and carries all of its
+right-hand sides through one forward pass; :func:`integer_determinant`
+counts trees, and :func:`is_positive_definite` reads every leading
+principal minor off one Bareiss pass.  The resistance oracle of
+:mod:`canmeas.kirchhoff` calls none of them.  :func:`inverse` (over
+:func:`solve`) and :func:`determinant` scale each rational row by the
+lcm of its denominators; no package module calls them, and they stay
+while the benchmark tracer names them (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -41,41 +37,6 @@ from typing import Sequence
 from .errors import BasisError
 
 Matrix = list[list[Fraction]]
-
-
-def bareiss_eliminate(rows: list[list[int]], ncols_main: int) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free forward elimination on an integer matrix.
-
-    Eliminates below the diagonal of the leading ``ncols_main`` columns;
-    trailing columns (an augmented part) are carried through the same row
-    operations.  Returns the reduced rows, the pivot column used at each
-    step, and the sign accumulated from row swaps.  The last pivot times
-    the swap sign is the determinant of the leading square block when
-    ``ncols_main`` equals the row count.
-    """
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols_main):
-        if r >= n:
-            break
-        p = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(c + 1, len(m[i])):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return m, pivots, sign
 
 
 def determinant(rows: Matrix) -> Fraction:
@@ -93,14 +54,26 @@ def determinant(rows: Matrix) -> Fraction:
 
 
 def integer_determinant(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, computed without fractions."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m, pivots, sign = bareiss_eliminate(rows, n)
-    if len(pivots) < n:
-        return 0
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix, from one dense Bareiss
+    pass with row swaps; a column left without a pivot makes it 0."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = prev = 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        pivot = m[c]
+        pc = pivot[c]
+        for row in m[c + 1 :]:
+            rc = row[c]
+            for j in range(c + 1, n):
+                row[j] = (pc * row[j] - rc * pivot[j]) // prev
+        prev = pc
+    return sign * prev
 
 
 def _integer_rows(rows: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -112,44 +85,6 @@ def _integer_rows(rows: Matrix) -> tuple[list[list[int]], list[int]]:
         scaled.append([x.numerator * (d // x.denominator) for x in values])
         scales.append(d)
     return scaled, scales
-
-
-def scaled_inverse(rows: list[list[int]], scales: Sequence[int]) -> tuple[list[list[int]], int]:
-    """Inverse of a square rational matrix A as (Y, D), with inverse = Y / D.
-
-    The caller passes S A as integer ``rows``, for S the diagonal matrix
-    of the positive integer row ``scales``.  Y is an integer matrix and D
-    a nonzero integer, the final Bareiss pivot of [S A | S].  Scaling
-    each row by its own lcm keeps D small: a common denominator for the
-    whole matrix would put the lcm of every entry's denominator into
-    each row, and D would grow by that factor per row.  Raises
-    BasisError if the matrix is singular.
-    """
-    n = len(rows)
-    if n == 0:
-        return [], 1
-    aug = [
-        list(row) + [s if i == j else 0 for j in range(n)]
-        for i, (row, s) in enumerate(zip(rows, scales))
-    ]
-    m, pivots, _ = bareiss_eliminate(aug, n)
-    if len(pivots) < n:
-        raise BasisError("matrix is singular")
-    det = m[n - 1][n - 1]
-    upper = [[j for j in range(i + 1, n) if m[i][j]] for i in range(n)]
-    out = [[0] * n for _ in range(n)]
-    for col in range(n, 2 * n):
-        # y = det * x is integral, so each division below is exact.
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            s = det * row[col]
-            for j in upper[i]:
-                s -= row[j] * y[j]
-            y[i] = s // row[i]
-        for i in range(n):
-            out[i][col - n] = y[i]
-    return out, det
 
 
 def elimination_fill(above: list[set[int]]) -> list[list[int]]:
@@ -182,7 +117,8 @@ def selected_inverse(
     ``scales`` S, and the pattern from :func:`elimination_fill`; W[i]
     maps each column j on the pattern of row i, or of column i, to the
     integer entry W_ij = W_ji.  D is the final pivot of the
-    fraction-free elimination of S A, as in :func:`scaled_inverse`.
+    fraction-free elimination of S A.  On the full pattern (row i
+    holding every column after i) W is the whole of D A^-1.
 
     The elimination runs without row swaps, row by row: each leading
     minor of S A is a positive multiple of one of A, so every pivot p_i
@@ -248,12 +184,14 @@ def inverse(rows: Matrix) -> Matrix:
     """Inverse of a square rational matrix, as Fractions.
 
     Raises BasisError if the matrix is singular.  Each row is scaled to
-    integers by its own lcm, the elimination and the triangular solves
-    run in integers (:func:`scaled_inverse`), and only the n^2 output
-    entries are built as Fractions.
+    integers by its own lcm, and :func:`solve` takes the columns of the
+    identity under the same scales, so only the n^2 output entries are
+    built as Fractions.
     """
-    y, det = scaled_inverse(*_integer_rows(rows))
-    return [[Fraction(x, det) for x in row] for row in y]
+    scaled, scales = _integer_rows(rows)
+    identity = [[s if i == j else 0 for i, s in enumerate(scales)] for j in range(len(scales))]
+    ys, det = solve(scaled, identity)
+    return [[Fraction(y[i], det) for y in ys] for i in range(len(ys))]
 
 
 def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -269,9 +207,9 @@ def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]],
     pivot q is a multiple of its Bareiss value, so its next update
     divides exactly by q.  D is the final pivot, so by Cramer's rule
     each column back-substitutes in integers with exact divisions.
-    This is deliberately a different code path from :func:`inverse` and
-    :func:`selected_inverse`: it serves the projection route alone, which
-    the matrix route is checked against.
+    It shares no code with :func:`selected_inverse`, the matrix route's
+    kernel: it serves the projection route, which the matrix route is
+    checked against, and :func:`inverse`, which rides on it.
     Raises BasisError on a singular matrix.
     """
     n = len(rows)

@@ -25,10 +25,11 @@ order.  A model family builds each edge's outer product once, in
 integers: the samples and the command line's monodromy section read the
 same matrices, and numpy converts those small integers to binary64
 exactly.  Layer target k inverts the Gram matrix of the block-k cycles
-on layer k, assembled by :class:`canmeas.measures.CycleSpace`.  A
-recursive Schur-complement inverter provides an independent oracle for
-every direct inversion, and grid points whose condition number
-estimate exceeds 1e12 are flagged.
+on layer k, assembled by :class:`canmeas.measures.CycleSpace`, with the
+measure kernel's selected inverse on the full pattern.  A recursive
+Schur-complement inverter provides an independent oracle for every
+direct inversion, and grid points whose condition number estimate
+exceeds 1e12 are flagged.
 
 numpy is imported inside each function that calls it, not at module
 level.  The command line loads this module on every run, and numpy
@@ -578,8 +579,10 @@ def graded_inverse_limits(
     for part, (start, stop) in zip(layering.parts, _block_offsets(f.monodromy.block_sizes)):
         # Block k's cycles on layer k alone, a cycle basis of minor k.
         block = [CycleVector({e: c[e] for e in part}) for c in f.monodromy.basis[start:stop]]
-        y, det = linalg.scaled_inverse(*CycleSpace(part, block).gram(lengths))
-        inv = tuple(tuple(Fraction(x, det) for x in row) for row in y)
+        n = len(block)
+        full = [list(range(i + 1, n)) for i in range(n)]
+        w, det = linalg.selected_inverse(*CycleSpace(part, block).gram(lengths), full)
+        inv = tuple(tuple(Fraction(w[i][j], det) for j in range(n)) for i in range(n))
         exact_targets.append(inv)
         # A genus-0 layer keeps its 0x0 shape.
         float_targets.append(np.array(inv, dtype=float).reshape(len(inv), len(inv)))

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "canmeas"
@@ -39,3 +40,68 @@ def test_the_scan_sees_relative_and_absolute_imports(tmp_path):
         "sample.py:4 imports _hidden",
         "sample.py:5 imports _rows",
     ]
+
+
+TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
+
+
+def traced_names() -> dict:
+    """``TRACED`` of the benchmark tracer, read off its source text, so
+    nothing under bench/ is imported or written."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8"), str(TRACING)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED in {TRACING}")
+
+
+def linalg_calls(path: Path) -> set[str]:
+    """Names path calls from canmeas.linalg, as ``linalg.f(...)`` or as
+    ``f(...)`` after ``from .linalg import f``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "canmeas.linalg")
+        for alias in node.names
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "linalg":
+            found.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in imported:
+            found.add(f.id)
+    return found
+
+
+def test_every_linalg_kernel_is_called_or_traced():
+    # A public kernel that no other module calls and the benchmark does
+    # not trace is dead code.
+    from canmeas import linalg
+
+    public = {
+        name
+        for name, value in vars(linalg).items()
+        if inspect.isfunction(value) and value.__module__ == linalg.__name__ and name[0] != "_"
+    }
+    called = set().union(
+        *(linalg_calls(path) for path in PACKAGE.glob("*.py") if path.name != "linalg.py")
+    )
+    assert "solve" in public
+    assert sorted(public - called - set(traced_names()["linalg"])) == []
+
+
+def test_the_call_scan_sees_both_forms(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import linalg\n"
+        "from .linalg import solve as s, inverse\n"
+        "linalg.selected_inverse(rows, scales, fill)\n"
+        "s(rows, rhs)\n"
+        "rows: linalg.Matrix = linalg.elimination_fill\n"
+    )
+    assert linalg_calls(path) == {"selected_inverse", "s"}

@@ -33,7 +33,7 @@ from canmeas.linalg import (
     determinant,
     inverse,
     is_positive_definite,
-    scaled_inverse,
+    selected_inverse,
     solve,
 )
 from canmeas.measures import CycleSpace
@@ -129,6 +129,16 @@ def grid_gram(n):
     return [[sum((lengths[e] * a[e] * b[e] for e in a.support), F(0)) for b in basis] for a in basis]
 
 
+def gram_of(b, n):
+    """b^T b for the rows of b, n entries each: symmetric positive
+    semidefinite, and definite exactly when b has rank n."""
+    return [[sum((r[i] * r[j] for r in b), F(0)) for j in range(n)] for i in range(n)]
+
+
+def full_pattern(n):
+    return [list(range(i + 1, n)) for i in range(n)]
+
+
 def sylvester(a):
     return all(
         determinant([row[:k] for row in a[:k]]) > 0 for k in range(1, len(a) + 1)
@@ -150,7 +160,7 @@ class TestSolve:
         columns = [[random_entry(rng, sparse) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         together = rational_solve(a, columns)
         assert len(together) == len(columns)
-        inv = inverse(a)
+        inv = fraction_inverse(a)
         for b, x in zip(columns, together):
             # Any nonzero row factor gives the same solution.
             assert rational_solve(a, [b], factor=rng.choice([-3, 1, 2])) == [x]
@@ -177,20 +187,18 @@ def huge_entry(rng, sparse=False):
 
 
 class TestAgainstFractionElimination:
-    """solve, inverse and scaled_inverse equal the Fraction loops exactly.
+    """solve and inverse equal the Fraction loops exactly, and so does
+    selected_inverse on the full pattern of a symmetric positive
+    semidefinite matrix.
 
-    solve and scaled_inverse get each row scaled by the lcm of its
+    solve and selected_inverse get each row scaled by the lcm of its
     denominators."""
 
     def check(self, a, columns):
         try:
             want = fraction_solve(a, columns)
         except BasisError:
-            for kernel in (
-                inverse,
-                lambda rows: scaled_inverse(*scaled_rows(rows)),
-                lambda rows: rational_solve(rows, columns),
-            ):
+            for kernel in (inverse, lambda rows: rational_solve(rows, columns)):
                 with pytest.raises(BasisError):
                     kernel(a)
             return
@@ -198,10 +206,23 @@ class TestAgainstFractionElimination:
         inv = inverse(a)
         assert inv == fraction_inverse(a)
         assert all(isinstance(x, Fraction) for row in inv for x in row)
-        y, det = scaled_inverse(*scaled_rows(a))
-        assert isinstance(det, int) and det != 0
-        assert all(type(x) is int for row in y for x in row)
-        assert [[F(x, det) for x in row] for row in y] == inv
+
+    def check_symmetric(self, a):
+        # W is D times the Fraction inverse, entry for entry, over the
+        # final pivot D; a singular matrix raises at a zero pivot.
+        n = len(a)
+        try:
+            want = fraction_inverse(a)
+        except BasisError:
+            with pytest.raises(BasisError):
+                selected_inverse(*scaled_rows(a), full_pattern(n))
+            return
+        w, det = selected_inverse(*scaled_rows(a), full_pattern(n))
+        assert type(det) is int and det > 0
+        assert all(type(x) is int for row in w for x in row.values())
+        assert [[w[i][j] for j in range(n)] for i in range(n)] == [
+            [det * x for x in row] for row in want
+        ]
 
     @given(seeds)
     @settings(max_examples=150, deadline=None)
@@ -217,6 +238,16 @@ class TestAgainstFractionElimination:
             a[-1] = [k * x for x in a[0]]
         columns = [[entry(rng, sparse) for _ in range(n)] for _ in range(rng.randint(0, 4))]
         self.check(a, columns)
+
+    @given(seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_random_symmetric_semidefinite_matrices(self, seed):
+        rng = Random(seed)
+        n = rng.randint(0, 6)
+        entry = huge_entry if rng.random() < 0.2 else random_entry
+        # Fewer vectors than columns give a singular matrix.
+        rank = rng.randint(0, n - 1) if n and rng.random() < 0.3 else n
+        self.check_symmetric(gram_of([[entry(rng) for _ in range(n)] for _ in range(rank)], n))
 
     @pytest.mark.parametrize(
         "a",
@@ -246,10 +277,11 @@ class TestAgainstFractionElimination:
             a = [[huge_entry(rng) for _ in range(n)] for _ in range(n)]
             columns = [[huge_entry(rng) for _ in range(n)] for _ in range(2)]
             self.check(a, columns)
+            self.check_symmetric(gram_of(a, n))
 
     def test_empty_matrix(self):
         assert inverse([]) == []
-        assert scaled_inverse([], []) == ([], 1)
+        assert selected_inverse([], [], []) == ([], 1)
 
     def test_singular_matrices_raise(self):
         for a in (
@@ -258,6 +290,15 @@ class TestAgainstFractionElimination:
             [[F(1), F(0), F(1)], [F(0), F(0), F(0)], [F(2), F(3), F(5)]],
         ):
             self.check(a, [[F(1)] * len(a)])
+        for a in (
+            [[F(0)]],
+            # A zero first pivot, and a zero last one.
+            [[F(0), F(0)], [F(0), F(1, 3)]],
+            [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]],
+            gram_of([[F(1), F(2, 3), F(0)], [F(0), F(5), F(-1, 7)]], 3),
+        ):
+            with pytest.raises(BasisError):
+                selected_inverse(*scaled_rows(a), full_pattern(len(a)))
 
 
 class TestPositiveDefinite:
@@ -482,12 +523,17 @@ class TestKernelsAgainstFractionElimination:
 
 def full_inverse_forms(space, lengths):
     """The edge forms of :meth:`CycleSpace.forms` from the whole inverse
-    of the Gram matrix, by :func:`scaled_inverse`."""
-    y, det = scaled_inverse(*space.gram(lengths))
+    of the Gram matrix, by :func:`solve` on the identity under the row
+    scales: an elimination that :func:`selected_inverse` does not share.
+    A Gram matrix has positive leading minors, so solve swaps no rows
+    and ends on the same pivot D."""
+    rows, scales = space.gram(lengths)
+    identity = [[s if i == j else 0 for i, s in enumerate(scales)] for j in range(len(rows))]
+    ys, det = solve(rows, identity)
     forms = []
     for e in space.edge_ids:
         c = space.support.get(e, ())
-        forms.append(sum(y[i][j] * a * b for i, a in c for j, b in c))
+        forms.append(sum(ys[j][i] * a * b for i, a in c for j, b in c))
     return forms, det
 
 
@@ -557,7 +603,9 @@ class TestResistanceFromTheGroundedInverse:
             for name, value in vars(canmeas.linalg).items()
             if callable(value) and getattr(value, "__module__", None) == "canmeas.linalg"
         ]
-        assert {"solve", "scaled_inverse", "selected_inverse", "bareiss_eliminate"} <= set(kernels)
+        assert {"solve", "selected_inverse", "integer_determinant", "is_positive_definite"} <= set(
+            kernels
+        )
         loops = split = 0
         for seed in range(30):
             graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)

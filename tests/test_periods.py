@@ -591,6 +591,21 @@ class TestGradedInverseLimits:
         assert report.final_deviations[-1] <= 1e-9
         assert all(d <= 1e-6 for d in report.final_deviations[:-1])
 
+    def test_singular_layer_matrix_raises(self):
+        # The basis (e2 - e3, e1 - e2) is independent, but its block-0
+        # cycle misses layer 0 = {e1}, so layer 0's Gram matrix is [[0]].
+        fam = theta_period_family()
+        g = fam.lengths.graph
+        assert fam.lengths.target_layering == THETA_SPLIT
+        basis = AdmissibleBasis(
+            ((CycleVector({"e2": 1, "e3": -1}),), (CycleVector({"e1": 1, "e2": -1}),))
+        )
+        mono = monodromy_from_basis(g, basis)
+        base = assemble_base(mono, g)
+        model = ModelPeriodFamily(monodromy=mono, lengths=fam.lengths, base_im=base)
+        with pytest.raises(BasisError, match="singular"):
+            graded_inverse_limits(model)
+
     def test_block_count_must_match_layers(self):
         fam = theta_period_family()
         flat = monodromy_from_basis(fam.lengths.graph, one_block_basis(fam.lengths.graph))
