@@ -90,7 +90,8 @@ PERIOD_SIDE_BUDGET = 100
 
 # The most decimal digits, numerator and denominator together, that
 # `limit` and `periods` let an exact edge length take at a grid point,
-# and that `measure` lets the bound of `measures.mass_digits` reach.
+# and that `measure`, `minors` and `limit` let the bound of
+# `measures.mass_digits` reach.
 # `limit` measures the fibres exactly, and the cost grows faster than the
 # square of the digits: theta.json with e2 and e3 at 1/2*t^k on the
 # default grid (lengths of about 6k digits at t = 1e-6) took 0.45 s at
@@ -143,7 +144,10 @@ def _require_fibre_digits(
     less than d / log10(2) + 1 bits to the bound's product, so the bound
     exceeds its value at unit lengths by less than twice the total plus
     one digit per edge, and two for rounding.  Only points where that
-    screen passes the budget have their exact lengths taken.
+    screen passes the budget have their exact lengths taken.  The screen
+    stays because the exact bound must first evaluate every length at
+    every grid point, which on theta.json's default grid takes longer
+    than this screen and the length budget together.
     """
     g = family.graph
     screen = mass_digits(g, dict.fromkeys(g.edge_ids, (1, 1))) + len(g.edges) + 2
@@ -157,18 +161,10 @@ def _require_minor_digits(curve: TropicalCurve) -> None:
     """Refuse a tropical measure whose masses :func:`measures.mass_digits`
     bounds over LENGTH_DIGITS_BUDGET on some graded minor, naming the
     first: the measure is each minor's canonical measure at its layer's
-    lengths.
-
-    The bound's spanning forest factor is below 2^(2|E| + 1) on any minor
-    (a degree d is at most 2^(d - 1)), and its length factor has at most
-    the bits of the larger part of every length, so each minor is bounded
-    on its own only when that screen passes the budget.
-    """
+    lengths."""
     lengths = curve.metric.integer_lengths
-    bits = 2 * len(lengths) + 1 + sum([max(p, q).bit_length() for p, q in lengths.values()])
-    if 2 * (bits * 30103 // 100000 + 1) > LENGTH_DIGITS_BUDGET:
-        for j, minor in enumerate(curve.minors.minors):
-            _require_digits(mass_digits(minor, lengths), f"masses of graded minor {j} may need")
+    for j, minor in enumerate(curve.minors.minors):
+        _require_digits(mass_digits(minor, lengths), f"masses of graded minor {j} may need")
 
 
 def _require_digits(digits: int | None, what: str) -> None:

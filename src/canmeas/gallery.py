@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .corpus import layered_family
 from .degeneration import LengthFamily
+from .errors import FamilyError
 from .graphs import AugmentedGraph
 from .layerings import OrderedPartition, admissible_cycle_basis, graded_minors
 from .periods import ModelPeriodFamily, MonodromySet, assemble_base, monodromy_from_basis
@@ -68,7 +69,7 @@ def theta_period_family(
     """
     a1, a2 = exponents
     if a1 <= a2:
-        raise ValueError("layer scales must decrease strictly")
+        raise FamilyError("layer scales must decrease strictly")
     g = theta_graph(genus)
     half = Fraction(1, 2)
     family = layered_family(g, _SPLIT, {"e1": 1, "e2": half, "e3": half}, (-a1, -a2))

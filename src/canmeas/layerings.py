@@ -69,11 +69,6 @@ class OrderedPartition:
                 return j
         raise LayeringError(f"edge {edge_id!r} is not covered by the partition")
 
-    @classmethod
-    def trivial(cls, edge_ids) -> "OrderedPartition":
-        ids = frozenset(edge_ids)
-        return cls(parts=(ids,) if ids else ())
-
 
 def to_filtration(p: OrderedPartition) -> tuple[frozenset[str], ...]:
     """Increasing unions of initial segments of the parts."""

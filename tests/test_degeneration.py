@@ -88,13 +88,22 @@ def multi_term_family(rng, g):
 
 class TestLengthFamily:
     def test_must_cover_edges(self):
-        with pytest.raises(FamilyError):
-            LengthFamily(
-                graph=theta_graph(),
-                param_lengths={"e1": ScaleFunction.power(0, 1)},
-                target_layering=OrderedPartition.trivial(["e1", "e2", "e3"]),
-                target_point={"e1": F(1), "e2": F(1), "e3": F(1)},
-            )
+        power = ScaleFunction.power(0, F(1, 3))
+        every = {"e1": power, "e2": power, "e3": power}
+        point = {"e1": F(1, 3), "e2": F(1, 3), "e3": F(1, 3)}
+        whole = OrderedPartition((frozenset({"e1", "e2", "e3"}),))
+        for lengths, layering, message in (
+            ({"e1": ScaleFunction.power(0, 1)}, whole, "length family must cover"),
+            (every, OrderedPartition((frozenset({"e1", "e2"}),)), "target layering must cover"),
+            ({**every, "e3": F(1, 3)}, whole, "^edge 'e3' needs a scale function$"),
+        ):
+            with pytest.raises(FamilyError, match=message):
+                LengthFamily(
+                    graph=theta_graph(),
+                    param_lengths=lengths,
+                    target_layering=layering,
+                    target_point=point,
+                )
 
     def test_target_must_be_interior(self):
         with pytest.raises(FamilyError, match="positive"):

@@ -92,6 +92,8 @@ class TestAugmentedGraph:
     def test_loop_counts_twice_in_degree(self):
         g = dumbbell()
         assert g.degree("a") == 3
+        with pytest.raises(UnknownVertex):
+            g.degree("z")
         tail, head = g.ends("l1")
         assert tail == head
         tail, head = g.ends("m")

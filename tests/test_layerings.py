@@ -137,10 +137,6 @@ class TestOrderedPartition:
         with pytest.raises(LayeringError):
             q.layer_of("z")
 
-    def test_trivial(self):
-        assert OrderedPartition.trivial([]).parts == ()
-        assert OrderedPartition.trivial(["a", "b"]).parts == (frozenset({"a", "b"}),)
-
 
 class TestFiltrationOrder:
     def test_filtration_accumulates(self):
@@ -173,9 +169,8 @@ class TestFiltrationOrder:
     def test_every_layering_refines_the_trivial_one(self, seed):
         g = random_graph(Random(seed), max_vertices=6, max_edges=9)
         q = random_layering(Random(seed + 1), g)
-        trivial = OrderedPartition.trivial(g.edge_ids)
         if g.edge_ids:
-            assert refines(q, trivial)
+            assert refines(q, OrderedPartition((frozenset(g.edge_ids),)))
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -280,7 +275,7 @@ class TestLayeredTrees:
 
     def test_trivial_layering_gives_all_trees(self):
         g = theta_graph()
-        trivial = OrderedPartition.trivial(g.edge_ids)
+        trivial = OrderedPartition((frozenset(g.edge_ids),))
         assert layered_spanning_trees(graded_minors(g, trivial)) == spanning_trees(g)
 
     @given(seeds)

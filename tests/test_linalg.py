@@ -282,6 +282,12 @@ class TestAgainstFractionElimination:
     def test_empty_matrix(self):
         assert inverse([]) == []
         assert selected_inverse([], [], []) == ([], 1)
+        assert determinant([]) == 1
+
+    def test_determinant_needs_a_square_matrix(self):
+        for a in ([[F(1), F(2)]], [[F(1)], [F(2)]], [[F(1), F(2)], [F(3)]]):
+            with pytest.raises(ValueError, match="^matrix is not square$"):
+                determinant(a)
 
     def test_singular_matrices_raise(self):
         for a in (

@@ -65,6 +65,8 @@ class TestMetricGraph:
     def test_lengths_must_cover_edges(self):
         with pytest.raises(InvalidGraph):
             MetricGraph(theta_graph(), {"e1": F(1)})
+        with pytest.raises(UnknownEdge, match="^length given for unknown edge 'x'$"):
+            MetricGraph(theta_graph(), {"e1": F(1), "e2": F(1), "e3": F(1), "x": F(1)})
 
     def test_lengths_must_be_positive(self):
         for bad in (F(0), F(-1, 3), -2):
@@ -113,8 +115,12 @@ class TestCanonicalMeasure:
         g = AugmentedGraph(
             vertices=("a", "b", "c"), edges=(("e", ("a", "b")),)
         )
+        for route in (foster_by_trees, foster_by_projection, foster_by_matrix):
+            with pytest.raises(DisconnectedGraph):
+                route(MetricGraph(g, {"e": F(1)}))
+        curve = TropicalCurve(g, {"e": F(1)}, OrderedPartition((frozenset({"e"}),)))
         with pytest.raises(DisconnectedGraph):
-            foster_by_trees(MetricGraph(g, {"e": F(1)}))
+            tropical_canonical_measure(curve)
 
     def test_atoms_come_from_vertex_genus(self):
         m = MetricGraph(
@@ -279,6 +285,12 @@ class TestEdgeMeasureValidation:
         mu = EdgeMeasure(metric=m, edge_coeffs={"e1": 1, "e2": F(0), "e3": F(1, 3)})
         assert mu.edge_coeffs == {"e1": 1, "e2": 0, "e3": F(1, 3)}
 
+    def test_coefficients_must_cover_exactly_the_edges(self):
+        m = theta_metric()
+        for coeffs in ({"e1": F(0), "e2": F(0)}, {"e1": F(0), "e2": F(0), "e3": F(0), "x": F(0)}):
+            with pytest.raises(InvalidGraph, match="cover exactly the edges"):
+                EdgeMeasure(metric=m, edge_coeffs=coeffs)
+
 
 class TestGramMatrix:
     def test_theta_matrix(self):
@@ -315,6 +327,8 @@ class TestGramMatrix:
         chain = CycleVector({"e1": 1})
         with pytest.raises(BasisError):
             gram_matrices(m, [chain, cycle_basis(m.graph)[0]])
+        with pytest.raises(UnknownEdge, match="^cycle uses unknown edge 'x'$"):
+            gram_matrices(m, [CycleVector({"x": 1})])
 
 
 class TestTropical:
@@ -335,6 +349,12 @@ class TestTropical:
                 layering=OrderedPartition(
                     parts=(frozenset({"e1"}), frozenset({"e2", "e3"}))
                 ),
+            )
+        with pytest.raises(LayeringError, match="cover exactly"):
+            TropicalCurve(
+                graph=theta_graph(),
+                lengths={"e1": F(1), "e2": F(1), "e3": F(1)},
+                layering=OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2"}))),
             )
 
     def test_theta_measure(self):

@@ -54,7 +54,7 @@ F = Fraction
 def one_block_basis(g):
     # The admissible basis of the trivial partition: on a connected graph
     # it is cycle_basis(g) as a single block.
-    return admissible_cycle_basis(graded_minors(g, OrderedPartition.trivial(g.edge_ids)))
+    return admissible_cycle_basis(graded_minors(g, OrderedPartition((frozenset(g.edge_ids),))))
 
 
 def rank_one_sum(terms, size):
@@ -267,6 +267,18 @@ class TestModelPeriodFamily:
             ModelPeriodFamily(
                 monodromy=fam.monodromy, lengths=fam.lengths, base_im=base
             )
+        with pytest.raises(FamilyError, match=r"^base matrix must be 2x2, got \(3, 3\)$"):
+            ModelPeriodFamily(monodromy=fam.monodromy, lengths=fam.lengths, base_im=np.eye(3))
+
+    def test_pad_must_match_the_vertex_genus(self):
+        # A monodromy padded for genera (1, 1) on the genus-0 theta graph.
+        padded = theta_period_family(genus=(1, 1))
+        with pytest.raises(FamilyError, match="pad must equal the total vertex genus"):
+            ModelPeriodFamily(
+                monodromy=padded.monodromy,
+                lengths=theta_period_family().lengths,
+                base_im=np.eye(4),
+            )
 
     def test_cross_coupled_vertex_blocks_rejected(self):
         fam = theta_period_family(genus=(1, 1))
@@ -309,6 +321,11 @@ class TestModelPeriodFamily:
         )
         assert np.allclose(fam.pad_target, np.diag([0.5, 0.25]))
         assert theta_period_family().pad_target is None
+
+    def test_theta_family_scales_must_decrease(self):
+        for exponents in ((1, 1), (1, 2)):
+            with pytest.raises(FamilyError, match="decrease strictly"):
+                theta_period_family(exponents=exponents)
 
     def test_model_period_value(self):
         fam = theta_period_family(exponents=(2, 1))
@@ -431,6 +448,15 @@ class TestBlockScaleProfile:
             self.make(exps=(0, -2))
 
     def test_shapes_checked(self):
+        ones = (ScaleFunction.power(-2), ScaleFunction.power(0))
+        eye = np.eye(1)
+        for scales, limits, message in (
+            (ones[:1], ((eye, eye), (eye, eye)), "one scale and one limit row per block"),
+            (ones, ((eye, eye),), "one scale and one limit row per block"),
+            (ones, ((eye, eye), (eye,)), "limit grid must be square"),
+        ):
+            with pytest.raises(FamilyError, match=message):
+                BlockScaleProfile(block_sizes=(1, 1), scales=scales, limits=limits)
         with pytest.raises(FamilyError, match="shape"):
             BlockScaleProfile(
                 block_sizes=(1, 2),

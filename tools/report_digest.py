@@ -13,7 +13,10 @@ reports byte-identical can be checked with::
 
 ``--src`` points at the other checkout's sources; ``--workloads`` and
 ``--seeds`` narrow the run to a quick check while editing, such as
-``--workloads layered --seeds 0``.
+``--workloads layered --seeds 0``.  The exact lanes at seed 0
+(``--workloads measure_exact layered --seeds 0``) are checked against a
+recorded digest by ``tests/test_report_digest.py``; ``cli_corpus``
+prints LAPACK floats, so it stays a check by hand.
 
 The benchmark runs every case under ``PYTHONHASHSEED=0``, and the script
 refuses any other hash seed, so a digest describes the runs the
