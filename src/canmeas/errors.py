@@ -34,7 +34,8 @@ class LayeringError(CanmeasError):
 
 
 class BasisError(CanmeasError):
-    """A purported cycle basis is dependent, or a Gram matrix is singular."""
+    """A purported cycle basis is dependent, a Gram matrix is singular,
+    or a matrix given to :mod:`canmeas.linalg` is not square."""
 
 
 class FamilyError(CanmeasError):

@@ -3,28 +3,31 @@
 Every kernel works on a matrix whose rows are scaled to integers, each
 by a positive factor of its own, and eliminates fraction free
 (Bareiss), so each intermediate division is exact and entry growth
-stays polynomial.  The triangular solves that follow stay in integers
-too: by Cramer's rule, D times the solution is an integer vector when D
-is the final pivot, so back-substitution against D divides exactly, and
-a system's answer is an integer matrix over one denominator.
+stays polynomial.  What follows the elimination stays in integers too:
+by Cramer's rule, D times an entry of the inverse is an integer when D
+is the final pivot, so every later step divides exactly, and an answer
+is an integer matrix or vector over one denominator.
 
 The kernels take integer rows from the caller, so a caller that knows
 its rows' scales (the measure routes and the period layer targets read
 them off the edge lengths) builds no Fraction until its own result.
-There is one kernel per task.  :func:`selected_inverse` is the one
-symmetric inverse: it eliminates on the filled pattern
-(:func:`elimination_fill`) and runs Takahashi's equations back over the
-pivots, so the matrix route, which reads a Gram inverse only between
-cycles that meet, never forms the whole inverse, and the period layer
-targets, which print it, pass the full pattern.  :func:`solve`, the one
-general solve, serves the projection route and carries all of its
-right-hand sides through one forward pass; :func:`integer_determinant`
-counts trees, and :func:`is_positive_definite` reads every leading
-principal minor off one Bareiss pass.  The resistance oracle of
-:mod:`canmeas.kirchhoff` calls none of them.  :func:`inverse` (over
-:func:`solve`) and :func:`determinant` scale each rational row by the
-lcm of its denominators; no package module calls them, and they stay
-while the benchmark tracer names them (ROADMAP item 1).
+There is one kernel per task, and the kernels share no code.
+:func:`selected_inverse` is the one symmetric inverse: it eliminates on
+the filled pattern (:func:`elimination_fill`) and runs Takahashi's
+equations back over the pivots, so the matrix route, which reads a Gram
+inverse only between cycles that meet, never forms the whole inverse,
+and the period layer targets, which print it, pass the full pattern.
+:func:`projection_norms` serves the projection route, which the matrix
+route is checked against: exact Gram-Schmidt, one forward elimination
+whose pivot rows give every edge's quadratic form c^T G^-1 c with no
+back-substitution.  :func:`integer_determinant` counts trees, and
+:func:`is_positive_definite` reads every leading principal minor off
+one Bareiss pass.  The resistance oracle of :mod:`canmeas.kirchhoff`
+calls none of them.  :func:`inverse` (over :func:`solve`, the one
+general solve, which serves nothing else) and :func:`determinant` scale
+each rational row by the lcm of its denominators and refuse a matrix
+that is not square; no package module calls them, and they stay while
+the benchmark tracer names them (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -43,12 +46,9 @@ def determinant(rows: Matrix) -> Fraction:
     """Determinant of a square rational matrix.
 
     Each row is scaled to integers by its own lcm, so the integer
-    determinant is divided by the product of the row scales.
+    determinant is divided by the product of the row scales.  Raises
+    BasisError if the matrix is not square.
     """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
     scaled, scales = _integer_rows(rows)
     return Fraction(integer_determinant(scaled), prod(scales))
 
@@ -77,9 +77,13 @@ def integer_determinant(rows: list[list[int]]) -> int:
 
 
 def _integer_rows(rows: Matrix) -> tuple[list[list[int]], list[int]]:
-    # Each row times the lcm of its denominators, and those lcms.
+    # Each row of a square matrix times the lcm of its denominators, and
+    # those lcms.
+    n = len(rows)
     scaled, scales = [], []
     for row in rows:
+        if len(row) != n:
+            raise BasisError("matrix is not square")
         values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         d = lcm(*[x.denominator for x in values])
         scaled.append([x.numerator * (d // x.denominator) for x in values])
@@ -180,13 +184,93 @@ def selected_inverse(
     return w, det
 
 
+def projection_norms(
+    rows: list[list[int]], scales: Sequence[int], vectors: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[int], int]:
+    """The quadratic forms c^T A^-1 c of a symmetric positive definite
+    matrix A at sparse integer vectors c, as (N, D) with c^T A^-1 c = N / D.
+
+    The caller passes S A as integer ``rows`` with the positive row
+    ``scales`` S, and each vector as its (i, c_i) pairs, i ascending.  D
+    is the final pivot of the fraction-free elimination of S A.
+
+    One elimination of [S A | S], without row swaps, is all the matrix
+    work; a pivot <= 0 means A is not definite (BasisError).  As in
+    :func:`selected_inverse`, row i's multiplier at step k comes from
+    the pivot row, u_ki s_i / s_k, so only the columns of S A from i on
+    are kept; the block S stays lower triangular, and its diagonal entry
+    in pivot row k is s_k p_(k-1).  A row whose multiplier is 0 is left
+    alone and caught up when next touched: rows last updated at pivot q
+    divide by q.  A Bareiss step is linear in each column, so the
+    reduced entry of pivot row k in the column S c is y_k = sum_i c_i
+    Y_ki, read off the S block; no vector is carried through the
+    elimination.  Bordering S A with that column and the row c^T gives
+    the matrix [[S A, S c], [c^T, 0]], whose rows are scaled by (S, 1)
+    from a symmetric one, so its border row's entry at step k is
+    y_k / s_k, an exact division.  Its corner then runs Bareiss's
+    recurrence from m_0 = 0,
+
+        m_k = (p_k m_(k-1) - (y_k / s_k) y_k) / p_(k-1),
+
+    and ends at its determinant, m_n = -D c^T A^-1 c, with no
+    back-substitution.
+    """
+    n = len(rows)
+    # pivots[k] is the pivot before step k (1 at the start), and
+    # pivots[k + 1] that of step k.
+    pivots = [1]
+    # upper[i]: row i of S A from column i on; lower[i]: its S block
+    # before column i.  level[i]: the pivot it was last updated by.
+    upper = [row[i:] for i, row in enumerate(rows)]
+    lower: list[list[int]] = [[0] * i for i in range(n)]
+    level = [1] * n
+    for k in range(n):
+        prev, u, y, s = pivots[k], upper[k], lower[k], scales[k]
+        q = level[k]
+        if q != prev:
+            u = [x * prev // q for x in u]
+            y[:] = [x * prev // q for x in y]
+        pivot = u[0]
+        if pivot <= 0:
+            raise BasisError("matrix is not positive definite")
+        pivots.append(pivot)
+        y.append(s * prev)
+        for i in range(k + 1, n):
+            a = u[i - k]
+            if a == 0:
+                continue
+            q = level[i]
+            a = a * scales[i] // s
+            if q != prev:
+                a = a * q // prev
+            upper[i] = [(pivot * x - a * b) // q for x, b in zip(upper[i], u[i - k :])]
+            yi = lower[i]
+            yi[: k + 1] = [(pivot * x - a * b) // q for x, b in zip(yi, y)]
+            level[i] = pivot
+    # columns[j][k - j]: entry j of pivot row k's S block, for k >= j.
+    columns = [[y[j] for y in lower[j:]] for j in range(n)]
+    norms = []
+    for c in vectors:
+        start = c[0][0] if c else n
+        # ys[k - start] = y_k; y_k = 0 before the first cycle of c.
+        ys = [0] * (n - start)
+        for j, b in c:
+            at = j - start
+            ys[at:] = [y + b * x for y, x in zip(ys[at:], columns[j])]
+        m = 0
+        for y, s, pivot, prev in zip(ys, scales[start:], pivots[start + 1 :], pivots[start:]):
+            m = (pivot * m - y // s * y) // prev
+        norms.append(-m)
+    return norms, pivots[n]
+
+
 def inverse(rows: Matrix) -> Matrix:
     """Inverse of a square rational matrix, as Fractions.
 
-    Raises BasisError if the matrix is singular.  Each row is scaled to
-    integers by its own lcm, and :func:`solve` takes the columns of the
-    identity under the same scales, so only the n^2 output entries are
-    built as Fractions.
+    Raises BasisError if the matrix is singular or not square.  Each
+    row is scaled to integers by its own lcm, and :func:`solve` takes
+    the columns of the identity under the same scales, so only the n^2
+    output entries are built as Fractions.
     """
     scaled, scales = _integer_rows(rows)
     identity = [[s if i == j else 0 for i, s in enumerate(scales)] for j in range(len(scales))]
@@ -207,10 +291,8 @@ def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]],
     pivot q is a multiple of its Bareiss value, so its next update
     divides exactly by q.  D is the final pivot, so by Cramer's rule
     each column back-substitutes in integers with exact divisions.
-    It shares no code with :func:`selected_inverse`, the matrix route's
-    kernel: it serves the projection route, which the matrix route is
-    checked against, and :func:`inverse`, which rides on it.
-    Raises BasisError on a singular matrix.
+    It serves :func:`inverse` alone.  Raises BasisError on a singular
+    matrix.
     """
     n = len(rows)
     width = n + len(rhs)

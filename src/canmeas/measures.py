@@ -9,10 +9,15 @@ The edge density is constant on each edge; the number
 with tree weight equal to the product of the lengths of the edges the
 tree leaves out, is that density times the edge length.  Three routes to
 mu are implemented: direct tree enumeration, orthogonal projection of an
-edge onto the cycle space, and the inverse of the cycle Gram matrix.
-They agree; keeping all three is the point, since they cross-check one
-another and the Laplacian oracle in :mod:`canmeas.kirchhoff` checks them
-all from outside.
+edge onto the cycle space (Zhang's definition: the squared length of the
+projection, over the edge length), and the inverse of the cycle Gram
+matrix.  They agree; keeping all three is the point, since they
+cross-check one another and the Laplacian oracle in
+:mod:`canmeas.kirchhoff` checks them all from outside.  The two
+cycle-space routes run on kernels of their own: the projection route
+orthogonalizes the basis by exact Gram-Schmidt, one forward elimination
+whose pivot rows every edge reads its projection off, and the matrix
+route inverts selectively.
 
 :class:`CycleSpace` is the one place that assembles a Gram matrix.  It
 holds a cycle basis (a graph's fundamental cycles, or any basis a
@@ -23,16 +28,14 @@ builds it once.  The projection and matrix routes, :func:`gram_matrices`
 and the period layer targets all go through it.  Writing each length as
 p/q, row i is scaled by s_i, the lcm of the q over the edges of cycle i,
 its own scale and never one lcm for the whole matrix; every entry is
-then an integer, and so is every projection right-hand side.  The
-elimination returns integers over one denominator, so each route builds
-exactly one Fraction per edge, its mass.  The matrix route computes the
-inverse only between cycles that share an edge, on a pattern found once
-per space.  With positive
-lengths a Gram matrix is positive definite exactly when it is
-nonsingular, so the singular-matrix check of that one elimination does
-the work of Sylvester's criterion; :func:`gram_matrices` still applies
-the criterion to bases that callers supply.  Only the tree route
-enumerates trees.
+then an integer.  Each kernel returns integers over one denominator, so
+each route builds exactly one Fraction per edge, its mass.  The matrix
+route computes the inverse only between cycles that share an edge, on a
+pattern found once per space.  With positive lengths a Gram matrix is
+positive definite exactly when it is nonsingular, so the pivot check of
+each route's one elimination does the work of Sylvester's criterion;
+:func:`gram_matrices` still applies the criterion to bases that callers
+supply.  Only the tree route enumerates trees.
 
 For a tropical curve (a metric graph whose edges come with an ordered
 layering, unit total length per layer) the edge mass on layer j is the
@@ -318,31 +321,28 @@ def foster_by_projection(m: MetricGraph) -> EdgeMeasure:
     """Canonical measure via orthogonal projection onto the cycle space.
 
     The mass of edge e is the squared length of the projection of e onto
-    the cycle space, divided by the length of e.  The projection is
-    found by solving the normal equations exactly, for all edges at once:
-    one solve of the Gram matrix, with a column for each edge that lies
-    on some basis cycle.  Scaled by the Gram rows' scales, the column of
-    e is s_i length(e) c_i(e), an integer, and length(e) cancels from the
-    mass: it is sum_i x_i c_i(e) for x the solution.
+    the cycle space, divided by the length of e.  Edge e has inner
+    product length(e) c_i(e) with basis cycle i, so that squared length
+    is length(e)^2 c^T G^-1 c for c = c(e), and the mass is
+    length(e) c^T G^-1 c.  The forms come from exact Gram-Schmidt on
+    the basis (:func:`canmeas.linalg.projection_norms`): one
+    fraction-free forward elimination of the Gram matrix, from which
+    each edge reads its form off its support, with no solve and no
+    back-substitution.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     space = CycleSpace.of(m.graph)
     lengths = m.integer_lengths
-    rows, scales = space.gram(lengths)
     support = space.support
     on_cycles = [eid for eid in m.graph.edge_ids if eid in support]
-    columns = []
-    for eid in on_cycles:
-        p, q = lengths[eid]
-        column = [0] * len(rows)
-        for i, c in support[eid]:
-            column[i] = scales[i] // q * p * c
-        columns.append(column)
-    ys, det = linalg.solve(rows, columns)
+    norms, det = linalg.projection_norms(
+        *space.gram(lengths), [support[eid] for eid in on_cycles]
+    )
     coeffs = dict.fromkeys(m.graph.edge_ids, Fraction(0))
-    for eid, y in zip(on_cycles, ys):
-        coeffs[eid] = Fraction(sum(y[i] * c for i, c in support[eid]), det)
+    for eid, s in zip(on_cycles, norms):
+        p, q = lengths[eid]
+        coeffs[eid] = Fraction(p * s, q * det)
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 

@@ -31,8 +31,10 @@ from canmeas.kirchhoff import _grounded_laplacians
 from canmeas.linalg import (
     _integer_rows,
     determinant,
+    integer_determinant,
     inverse,
     is_positive_definite,
+    projection_norms,
     selected_inverse,
     solve,
 )
@@ -286,8 +288,21 @@ class TestAgainstFractionElimination:
 
     def test_determinant_needs_a_square_matrix(self):
         for a in ([[F(1), F(2)]], [[F(1)], [F(2)]], [[F(1), F(2)], [F(3)]]):
-            with pytest.raises(ValueError, match="^matrix is not square$"):
+            with pytest.raises(BasisError, match="^matrix is not square$"):
                 determinant(a)
+
+    def test_inverse_needs_a_square_matrix(self):
+        # Wide, tall and ragged: none has an inverse, and none may come
+        # back as a smaller matrix or end in an IndexError.
+        for a in (
+            [[F(1), F(2)]],
+            [[F(1), F(2), F(3)], [F(4), F(5), F(6)]],
+            [[F(1)], [F(2)]],
+            [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]],
+            [[F(1), F(2)], [F(3)]],
+        ):
+            with pytest.raises(BasisError, match="^matrix is not square$"):
+                inverse(a)
 
     def test_singular_matrices_raise(self):
         for a in (
@@ -305,6 +320,88 @@ class TestAgainstFractionElimination:
         ):
             with pytest.raises(BasisError):
                 selected_inverse(*scaled_rows(a), full_pattern(len(a)))
+
+
+def quadratic_form(inv, c):
+    """c^T inv c for c given as its (i, c_i) pairs."""
+    return sum((a * inv[i][j] * b for i, a in c for j, b in c), F(0))
+
+
+def random_support(rng, n):
+    """One to four ascending indices below n, each with a coefficient of
+    +-1 or +-2."""
+    indices = sorted(rng.sample(range(n), rng.randint(1, min(n, 4))))
+    return [(i, rng.choice([-2, -1, 1, 2])) for i in indices]
+
+
+def own_scales(rng, a):
+    """S A and S for A with rational entries: each row times the lcm of
+    its denominators and a positive factor of its own."""
+    rows, scales = scaled_rows(a)
+    factors = [rng.randint(1, 5) for _ in a]
+    scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
+    return scaled, [f * s for f, s in zip(factors, scales)]
+
+
+class TestProjectionNorms:
+    """projection_norms gives c^T A^-1 c as N / D, with D the final pivot,
+    equal to the Fraction inverse read at c: on symmetric positive
+    definite Gram-type matrices of side 0-8 with small entries, or 0-6
+    with forty-digit ones, each row on a scale of its own, at vectors
+    of one to four entries +-1 or +-2."""
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_inverse(self, seed):
+        rng = Random(seed)
+        entry = huge_entry if rng.random() < 0.2 else random_entry
+        # The Fraction reference takes seconds on 8x8 forty-digit Gram
+        # matrices, so those stop at 6x6.
+        n = rng.randint(0, 8 if entry is random_entry else 6)
+        # Sparse vectors leave zeros for the elimination to skip, and may
+        # make the matrix singular.
+        sparse = rng.random() < 0.5
+        b = [[entry(rng, sparse) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        a = gram_of(b, n)
+        rows, scales = own_scales(rng, a)
+        vectors = [random_support(rng, n) for _ in range(rng.randint(0, 5))] if n else []
+        try:
+            inv = fraction_inverse(a)
+        except BasisError:
+            # A singular Gram matrix: semidefinite, so some pivot is 0.
+            with pytest.raises(BasisError):
+                projection_norms(rows, scales, vectors)
+            return
+        norms, det = projection_norms(rows, scales, vectors)
+        assert type(det) is int and det == integer_determinant(rows) > 0
+        assert all(type(x) is int for x in norms)
+        assert [F(x, det) for x in norms] == [quadratic_form(inv, c) for c in vectors]
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_singular_semidefinite_matrices_raise(self, seed):
+        rng = Random(seed)
+        entry = huge_entry if rng.random() < 0.2 else random_entry
+        n = rng.randint(1, 8 if entry is random_entry else 6)
+        # Fewer vectors than columns give a singular matrix.
+        a = gram_of([[entry(rng) for _ in range(n)] for _ in range(rng.randint(0, n - 1))], n)
+        rows, scales = own_scales(rng, a)
+        with pytest.raises(BasisError):
+            projection_norms(rows, scales, [random_support(rng, n)])
+
+    def test_indefinite_and_zero_pivots_raise(self):
+        for a in (
+            [[F(0)]],
+            [[F(-1, 2)]],
+            [[F(1), F(2)], [F(2), F(1)]],
+            [[F(0), F(1)], [F(1), F(0)]],
+            gram_of([[F(1), F(2, 3), F(0)], [F(0), F(5), F(-1, 7)]], 3),
+        ):
+            with pytest.raises(BasisError):
+                projection_norms(*scaled_rows(a), [[(0, 1)]])
+
+    def test_empty_matrix(self):
+        assert projection_norms([], [], []) == ([], 1)
 
 
 class TestPositiveDefinite:
@@ -609,9 +706,13 @@ class TestResistanceFromTheGroundedInverse:
             for name, value in vars(canmeas.linalg).items()
             if callable(value) and getattr(value, "__module__", None) == "canmeas.linalg"
         ]
-        assert {"solve", "selected_inverse", "integer_determinant", "is_positive_definite"} <= set(
-            kernels
-        )
+        assert {
+            "solve",
+            "selected_inverse",
+            "projection_norms",
+            "integer_determinant",
+            "is_positive_definite",
+        } <= set(kernels)
         loops = split = 0
         for seed in range(30):
             graphs, lengths = multigraphs_minors_and_trees(Random(seed), regime)

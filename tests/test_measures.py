@@ -31,6 +31,7 @@ from canmeas import (
     total_genus,
     tropical_canonical_measure,
 )
+from canmeas import linalg
 from canmeas.cli import _foster_mass
 from canmeas.corpus import (
     layered_family,
@@ -492,10 +493,16 @@ class TestTropicalRoute:
 class TestLargerGraphs:
     """The two cycle-space routes and the Laplacian oracle on graphs too
     large for tree enumeration, with lengths p/q up to 10^6, or up to 12
-    on the 8x8 grid, where 10^6 costs seconds per route.  On the 10x10
-    grid (p/q up to 100) the matrix route meets the oracle alone: both
-    invert selectively there, and the projection route's full solve
-    would take seconds."""
+    on the 8x8 grid, where 10^6 costs a second or more per route.  On the
+    10x10 grid (p/q up to 100) all three meet too: the matrix route and
+    the oracle invert selectively, and the projection route runs one
+    forward elimination, about a second there.  That grid's matrix
+    masses and resistances are computed once, for both tests on it."""
+
+    @pytest.fixture(scope="class")
+    def grid10(self):
+        m = random_metric(Random(0), grid_graph(10), 100)
+        return m, foster_by_matrix(m).edge_coeffs, effective_resistance(m.graph, m.lengths)
 
     SHAPES = {
         "grid6x6": lambda rng: grid_graph(6),
@@ -518,13 +525,44 @@ class TestLargerGraphs:
             assert mu[e] == 1 - resistance[e] / m.lengths[e], e
         assert sum(mu.values()) == graph_genus(m.graph)
 
-    def test_matrix_route_agrees_with_the_oracle_on_a_10x10_grid(self):
-        m = random_metric(Random(0), grid_graph(10), 100)
-        mu = foster_by_matrix(m).edge_coeffs
-        resistance = effective_resistance(m.graph, m.lengths)
+    def test_matrix_route_agrees_with_the_oracle_on_a_10x10_grid(self, grid10):
+        m, mu, resistance = grid10
         for e in m.graph.edge_ids:
             assert mu[e] == 1 - resistance[e] / m.lengths[e], e
         assert sum(mu.values()) == graph_genus(m.graph) == 81
+
+    def test_projection_route_agrees_on_a_10x10_grid(self, grid10):
+        m, mu, resistance = grid10
+        projected = foster_by_projection(m).edge_coeffs
+        assert projected == mu
+        for e in m.graph.edge_ids:
+            assert projected[e] == 1 - resistance[e] / m.lengths[e], e
+
+
+class TestRouteIndependence:
+    """The projection route and the matrix route share no linear algebra:
+    each still runs, and they still agree exactly, when the other's
+    kernel raises."""
+
+    def test_each_route_runs_without_the_others_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route called the other route's kernel")
+
+        loops = 0
+        for seed in range(40):
+            rng = Random(seed)
+            g = multigraph_with_loops(rng)
+            m = random_metric(rng, g, 10**6 if seed % 2 else 12)
+            mu = foster_by_matrix(m).edge_coeffs
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "selected_inverse", refuse)
+                patch.setattr(linalg, "solve", refuse)
+                assert foster_by_projection(m).edge_coeffs == mu, seed
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "projection_norms", refuse)
+                assert foster_by_matrix(m).edge_coeffs == mu, seed
+            loops += any(u == v for _, (u, v) in g.edges)
+        assert loops
 
 
 class TestIntegration:
