@@ -673,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("measure", "canonical measure of a metric graph")
     p.add_argument(
         "--formulation",
-        choices=["trees", "projection", "matrix", "all"],
+        choices=[*_FORMULATIONS, "all"],
         default="all",
     )
     add("trees", "spanning trees and the matrix-tree cross-check")

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
-from .families import ScaleFunction, validate_grid
+from .families import ScaleFunction, ratio_limit, validate_grid
 from .graphs import AugmentedGraph, is_spanning_forest, spanning_trees
 from .layerings import OrderedPartition
 from .measures import (
@@ -161,10 +161,8 @@ def check_convergence(f: LengthFamily) -> ConvergenceDiagnostics:
     parts = f.target_layering.parts
     for j, part in enumerate(parts):
         total = f.layer_total(j)
-        d = total.dominant_exponent
-        lead = total.leading_coefficient
         for e in sorted(part):
-            limit = f.param_lengths[e].coefficient_at(d) / lead
+            limit = ratio_limit(f.param_lengths[e], total)
             want = f.target_point[e]
             if limit != want:
                 failures.append(

@@ -14,14 +14,14 @@ Document layout::
 Rationals are exact strings ("p/q" or an integer string); JSON floats
 are rejected so no binary rounding sneaks into exact lanes, and so is a
 rational whose numerator or denominator would have more than
-:data:`canmeas.families.RATIONAL_DIGITS` digits, judged from its text.  All
-optional sections may be omitted; operations that need a missing section
-say so; the description is ignored.  The base matrix file of ``periods
---lambda0`` is an object of optional float blocks, each a list of equal
-rows of finite numbers: ``vertex_blocks`` (vertex id to block),
-``rank_block`` and ``cross``, as taken by
-:func:`canmeas.periods.assemble_base`.  Both inputs pass one check (a
-JSON object with known keys only), and neither is ever written.
+:data:`canmeas.families.RATIONAL_DIGITS` digits, judged from its text,
+or a vertex genus of more digits.  All optional sections may be omitted;
+operations that need a missing section say so; the description is
+ignored.  The base matrix file of ``periods --lambda0`` is an object of
+optional float blocks, each a list of equal rows of finite numbers:
+``vertex_blocks`` (vertex id to block), ``rank_block`` and ``cross``, as
+taken by :func:`canmeas.periods.assemble_base`.  Both inputs pass one
+check (a JSON object with known keys only), and neither is ever written.
 
 Rationals of ASCII digits, ``p`` or ``p/q`` with at most RATIONAL_DIGITS
 characters a part, become ``Fraction(int(p), int(q))`` directly; every
@@ -200,6 +200,9 @@ def parse_document(text: str) -> GraphDocument:
         gv = item.get("genus", 0)
         if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
             raise DocumentError(f"vertex {vid!r}: genus must be a nonnegative integer")
+        # JSON decodes no int too long to print, so str(gv) is safe.
+        if len(str(gv)) > RATIONAL_DIGITS:
+            raise DocumentError(f"vertex {vid!r}: genus of more than {RATIONAL_DIGITS} digits")
         genus[vid] = gv
         labels = item.get("marks", [])
         if not isinstance(labels, list):

@@ -125,12 +125,6 @@ class ScaleFunction:
     def leading_coefficient(self) -> Fraction:
         return self.terms[0][1]
 
-    def coefficient_at(self, exponent: int) -> Fraction:
-        for k, c in self.terms:
-            if k == exponent:
-                return c
-        return Fraction(0)
-
     @cached_property
     def _integer_terms(self) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
         # (k_min or 0, k_max or 0, B, ((k_i, a_i B / b_i), ...)), read once.

@@ -3,10 +3,14 @@
 Every kernel works on a matrix whose rows are scaled to integers, each
 by a positive factor of its own, and eliminates fraction free
 (Bareiss), so each intermediate division is exact and entry growth
-stays polynomial.  What follows the elimination stays in integers too:
-by Cramer's rule, D times an entry of the inverse is an integer when D
-is the final pivot, so every later step divides exactly, and an answer
-is an integer matrix or vector over one denominator.
+stays polynomial.  An elimination that leaves a row alone at a step
+keeps one level per row, under one rule: a row untouched since the step
+with pivot q is a multiple of its Bareiss value, so its next update
+divides by q, and as pivot row k it is first multiplied by p_(k-1) / q.
+What follows the elimination stays in integers too: by Cramer's rule, D
+times an entry of the inverse is an integer when D is the final pivot,
+so every later step divides exactly, and an answer is an integer matrix
+or vector over one denominator.
 
 The kernels take integer rows from the caller, so a caller that knows
 its rows' scales (the measure routes and the period layer targets read
@@ -124,57 +128,47 @@ def selected_inverse(
     fraction-free elimination of S A.  On the full pattern (row i
     holding every column after i) W is the whole of D A^-1.
 
-    The elimination runs without row swaps, row by row: each leading
-    minor of S A is a positive multiple of one of A, so every pivot p_i
+    The elimination runs without row swaps, right-looking: each leading
+    minor of S A is a positive multiple of one of A, so every pivot p_k
     is positive when A is definite, and a zero pivot means A is singular
-    (BasisError).  Row i of S A is reduced by the pivot rows k whose
-    pattern reaches it.  Its multiplier there is u_ki s_i / s_k, because
-    A is symmetric, so only the columns from i on are kept.  Each entry
-    remembers the last step that changed it, and is caught up with
-    p_k / p_step before its next use: the steps between only rescale it.
-    Takahashi's equations then run backwards over the pivot rows u_i,
-    entry by exact entry:
+    (BasisError).  Pivot row k reduces every row i of its pattern, whole:
+    A is symmetric, so row i's entry in column k is u_ki s_i / s_k, and
+    only the columns from i on are kept.  A row last reduced at the step
+    with pivot q catches up as the module says, so its multiplier is
+    u_ki s_i q / (s_k p_(k-1)) and its update divides by q.  Takahashi's
+    equations then run backwards over the pivot rows u_i, entry by exact
+    entry:
 
         W_ij = (delta_ij D p_(i-1) s_i - sum_k u_ik W_kj) / p_i,
 
     over the pattern k of row i, which holds every W_kj it reads.
     """
     n = len(rows)
+    # upper[i]: row i on its pattern, from column i on.
+    upper = [{j: row[j] for j in (i, *cols)} for i, (row, cols) in enumerate(zip(rows, fill))]
     # pivots[k] is the pivot before step k (1 at the start), and
-    # pivots[k + 1] that of step k.
+    # pivots[k + 1] that of step k; level[i]: the step row i last saw.
     pivots = [1]
-    upper: list[list[int]] = []
-    # reach[i]: (k, position of i in fill[k]) for the steps k that reduce row i.
-    reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, cols in enumerate(fill):
-        for at, j in enumerate(cols):
-            reach[j].append((k, at))
-    for i, cols in enumerate(fill):
-        x, s = rows[i][:], scales[i]
-        step = [0] * n
-        for k, at in reach[i]:
-            u, kcols = upper[k], fill[k]
-            prev, pivot = pivots[k], pivots[k + 1]
-            a = u[at] * s // scales[k]
-            for j, b in zip(kcols[at:], u[at:]):
-                t = step[j]
-                v = x[j] if t == k else x[j] * prev // pivots[t]
-                x[j] = (pivot * v - a * b) // prev
-                step[j] = k + 1
-        last = pivots[i]
-        for j in (i, *cols):
-            t = step[j]
-            if t != i:
-                x[j] = x[j] * last // pivots[t]
-        pivot = x[i]
+    level = [0] * n
+    for k, u in enumerate(upper):
+        prev, q = pivots[k], pivots[level[k]]
+        if q != prev:
+            for j in u:
+                u[j] = u[j] * prev // q
+        pivot = u.pop(k)
         if pivot == 0:
             raise BasisError("matrix is singular")
+        for i in u:
+            row, q = upper[i], pivots[level[i]]
+            a = u[i] * scales[i] * q // (scales[k] * prev)
+            for j, x in row.items():
+                row[j] = (pivot * x - a * u.get(j, 0)) // q
+            level[i] = k + 1
         pivots.append(pivot)
-        upper.append([x[j] for j in cols])
     det = pivots[n]
     w: list[dict[int, int]] = [{} for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        cols, u, wi, pivot = fill[i], upper[i], w[i], pivots[i + 1]
+        cols, u, wi, pivot = fill[i], list(upper[i].values()), w[i], pivots[i + 1]
         for j in cols:
             # W[j] holds W_jk for every k of the pattern of row i.
             wj = w[j]
@@ -200,11 +194,10 @@ def projection_norms(
     the pivot row, u_ki s_i / s_k, so only the columns of S A from i on
     are kept; the block S stays lower triangular, and its diagonal entry
     in pivot row k is s_k p_(k-1).  A row whose multiplier is 0 is left
-    alone and caught up when next touched: rows last updated at pivot q
-    divide by q.  A Bareiss step is linear in each column, so the
-    reduced entry of pivot row k in the column S c is y_k = sum_i c_i
-    Y_ki, read off the S block; no vector is carried through the
-    elimination.  Bordering S A with that column and the row c^T gives
+    alone and catches up as the module says.  A Bareiss step is linear
+    in each column, so the reduced entry of pivot row k in the column
+    S c is y_k = sum_i c_i Y_ki, read off the S block; no vector is
+    carried through the elimination.  Bordering S A with that column and the row c^T gives
     the matrix [[S A, S c], [c^T, 0]], whose rows are scaled by (S, 1)
     from a symmetric one, so its border row's entry at step k is
     y_k / s_k, an exact division.  Its corner then runs Bareiss's
@@ -287,12 +280,10 @@ def solve(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]],
     column per right-hand side, in the same order, and X = Y / D.  One
     fraction-free elimination reduces the matrix and carries every
     column along.  A row whose entry in the pivot column is zero is left
-    alone and catches up later: a row last updated at the step with
-    pivot q is a multiple of its Bareiss value, so its next update
-    divides exactly by q.  D is the final pivot, so by Cramer's rule
-    each column back-substitutes in integers with exact divisions.
-    It serves :func:`inverse` alone.  Raises BasisError on a singular
-    matrix.
+    alone and catches up as the module says.  D is the final pivot, so
+    by Cramer's rule each column back-substitutes in integers with exact
+    divisions.  It serves :func:`inverse` alone.  Raises BasisError on a
+    singular matrix.
     """
     n = len(rows)
     width = n + len(rhs)

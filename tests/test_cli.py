@@ -1537,6 +1537,7 @@ MUTANT_VALUES = [
     "1/0",
     "-1",
     "9" * 600 + "/7",
+    int("9" * 4300),  # the largest int JSON decodes
     [],
     {},
     "dangling",
@@ -1588,3 +1589,24 @@ def test_mutated_documents_end_in_a_documented_exit(capsys, tmp_path):
             assert (out != "") == (code in (0, 4)), (i, command, code, err)
             codes[code] += 1
     assert all(codes[code] for code in (0, 2, 3)), codes
+
+
+@pytest.mark.parametrize("nines, codes", [(4000, (0, 3)), (4001, (2,)), (4300, (2,))])
+def test_vertex_genus_is_bounded_by_its_digits(capsys, tmp_path, nines, codes):
+    # A one-loop document whose vertex has a genus of ``nines`` nines:
+    # over RATIONAL_DIGITS digits every command refuses the document,
+    # naming the vertex, before a total genus too long to print is built.
+    doc = {
+        "vertices": [{"id": "u", "genus": int("9" * nines)}],
+        "edges": [{"id": "e", "ends": ["u", "u"], "length": "1"}],
+        "layering": [["e"]],
+        "family": {"e": "1"},
+        "target": {"e": "1"},
+    }
+    path = tmp_path / "genus.json"
+    path.write_text(json.dumps(doc))
+    for command in ("measure", "trees", "minors", "limit", "periods"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code in codes, (command, code, err[-200:])
+        if code == 2:
+            assert (out, err) == ("", "error: vertex 'u': genus of more than 4000 digits\n")

@@ -169,6 +169,15 @@ class TestParseErrors:
                 "genus must be a nonnegative integer",
             )
 
+    def test_vertex_genus_is_bounded_by_its_digits(self):
+        def doc(genus):
+            return {"vertices": [{"id": "u", "genus": genus}], "edges": []}
+
+        nines = int("9" * 4000)
+        assert parse_document(json.dumps(doc(nines))).graph.genus == {"u": nines}
+        self.reject(doc(nines + 1), "vertex 'u': genus of more than 4000 digits")
+        self.reject(doc(int("9" * 4300)), "vertex 'u': genus of more than 4000 digits")
+
     def test_duplicate_mark(self):
         self.reject(
             {

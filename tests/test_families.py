@@ -58,8 +58,6 @@ class TestScaleFunction:
         f = fn((3, 5), (1, F(1, 2)))
         assert f.dominant_exponent == 1
         assert f.leading_coefficient == F(1, 2)
-        assert f.coefficient_at(3) == 5
-        assert f.coefficient_at(7) == 0
 
     def test_evaluate(self):
         f = fn((0, 1), (2, 4))
