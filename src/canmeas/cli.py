@@ -180,9 +180,14 @@ def _require_budget(
     count: int, holder: str = "the graph", what: str = "spanning trees", budget: int = TREE_BUDGET
 ) -> None:
     """Refuse, from the exact count and before the work, more than
-    ``budget`` of ``what``: by default, to list more than TREE_BUDGET trees."""
+    ``budget`` of ``what``: by default, to list more than TREE_BUDGET trees.
+    A count of 101 digits or more is shown as a power of ten below it, from
+    its bit length and log10(2) > 0.30102: str() refuses over 4,300 digits."""
     if count > budget:
-        raise CanmeasError(f"{holder} has {count} {what}, over the budget of {budget}")
+        shown: int | str = count
+        if count >= 10**100:
+            shown = f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
+        raise CanmeasError(f"{holder} has {shown} {what}, over the budget of {budget}")
 
 
 def _oversized_point(token: str) -> DocumentError:

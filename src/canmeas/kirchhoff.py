@@ -2,19 +2,19 @@
 
 These work entirely in the weighted vertex Laplacian, so they share no
 code path with the tree enumeration or cycle-space routes they are used
-to cross-check.  One helper assembles each component's grounded
-Laplacian in integers, with conductance 1 for tree counting and 1/length
-for resistance: row v is scaled by the lcm of the conductance
-denominators at v, its own scale, never by one lcm for the whole
-matrix.  Each Laplacian is eliminated once: tree counting takes one
-determinant per component (every scale is 1 there).  The resistances of
-all edges of a component need only the diagonal of the grounded inverse
-and its entries at the edges, all on the pattern that eliminating the
-vertices in order fills, so the oracle inverts selectively there
-(Takahashi's equations) and reads each edge's resistance off three
-entries.  That elimination and back pass are the oracle's own: the
-resistances call nothing in :mod:`canmeas.linalg`, so the oracle shares
-no code with the routes it checks.
+to cross-check, and they call nothing in :mod:`canmeas.linalg`.  One
+helper assembles each component's grounded Laplacian in integers,
+sparse, on the pattern that eliminating its vertices in sorted order
+fills, with conductance 1 for tree counting and 1/length for
+resistance: row v is scaled by the lcm of the conductance denominators
+at v, its own scale, never by one lcm for the whole matrix.  It is
+positive definite, and one helper eliminates it fraction free without
+swaps; both oracles read the pivots, and the last is the tree count
+(every scale is 1 there).  The resistances of a component need only
+the diagonal of the grounded inverse and its entries at the edges, all
+on the filled pattern, so the oracle inverts selectively there
+(Takahashi's equations over the pivot rows) and reads each edge's
+resistance off three entries.
 """
 
 from __future__ import annotations
@@ -24,22 +24,27 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping
 
-from . import linalg
 from .graphs import AugmentedGraph, connected_components
 
 
 def _grounded_laplacians(
     g: AugmentedGraph, conductance: Callable[[str], tuple[int, int]]
-) -> Iterator[tuple[list[list[int]], list[int], list[tuple[str, int, int]]]]:
+) -> Iterator[tuple[list[dict[int, int]], list[int], list[tuple[str, int, int]]]]:
     # The Laplacian of each component with an edge, less the row and
     # column of its last vertex (the grounded one; vertices are indexed in
     # sorted order), with each non-loop edge as (edge id, index of its
     # tail, index of its head).  Loops drop out of the Laplacian.  Each
     # edge conducts num/den, and row v is scaled by t_v, the lcm of the
     # den at v, so every entry is an integer; the scales come along.
+    # Row i is a dict from column i on, so entry (j, i) of T L is entry
+    # (i, j) t_j / t_i.  It holds the pattern that eliminating the
+    # vertices in order fills, which holds every edge: eliminating vertex
+    # i joins its later columns into a clique, and the first of them (its
+    # parent in the elimination tree) inherits the rest.
     for comp in connected_components(g):
         verts = sorted(comp)
-        if len(verts) == 1:
+        n = len(verts) - 1  # the grounded vertex has index n
+        if not n:
             continue
         index = {v: i for i, v in enumerate(verts)}
         edges = []
@@ -51,61 +56,33 @@ def _grounded_laplacians(
         for _, i, j, _, den in edges:
             scales[i] = lcm(scales[i], den)
             scales[j] = lcm(scales[j], den)
-        lap = [[0] * len(verts) for _ in verts]
+        rows = [{i: 0} for i in range(n + 1)]
         for _, i, j, num, den in edges:
-            ci = scales[i] // den * num
-            cj = scales[j] // den * num
-            lap[i][i] += ci
-            lap[i][j] -= ci
-            lap[j][j] += cj
-            lap[j][i] -= cj
-        yield [row[:-1] for row in lap[:-1]], scales, [e[:3] for e in edges]
+            for a, b in ((i, j), (j, i)):
+                c = scales[a] // den * num
+                rows[a][a] += c
+                if a < b < n:
+                    rows[a][b] = rows[a].get(b, 0) - c
+        for row in rows:
+            later = sorted(row)[1:]
+            for j in later[1:]:
+                rows[later[0]].setdefault(j, 0)
+        yield rows[:n], scales, [e[:3] for e in edges]
 
 
-def tree_count(g: AugmentedGraph) -> int:
-    """Number of spanning forests with one tree per component.
-
-    Computed per component as the determinant of the grounded unweighted
-    Laplacian, a principal minor; loops drop out of the Laplacian and
-    never enter a tree.
-    """
-    total = 1
-    for grounded, _, _ in _grounded_laplacians(g, lambda eid: (1, 1)):
-        total *= linalg.integer_determinant(grounded)
-    return total
-
-
-def _grounded_inverse(
-    grounded: list[list[int]], scales: list[int], edges: list[tuple[str, int, int]]
-) -> tuple[list[dict[int, int]], int]:
-    # Z = D L^-1 for the grounded Laplacian L, given as T L with the row
-    # scales T and the edges as (id, i, j), on the pattern that eliminating
-    # its vertices in order leaves: (Z, D), with Z[i][j] = Z[j][i] for
-    # each pair on that pattern.  Eliminating vertex k joins its later
-    # neighbours into a clique, so the pattern holds every edge.  The
-    # elimination is fraction free (Bareiss) without swaps: each leading
-    # minor of T L is a positive multiple of one of L, so the pivots are
-    # positive.  Vertex k reduces the rows of its later neighbours, whole,
-    # each by the multiplier u_ki t_i / t_k (L is symmetric), and a row
-    # that no pivot touched since the step with pivot q is a multiple of
-    # its Bareiss value, so it divides by q.  Takahashi's equations then
-    # give Z from the pivot rows u, last row first:
-    # z_ij = (delta_ij D p_(i-1) t_i - sum_k u_ik z_kj) / p_i.
-    n = len(grounded)
-    later: list[set[int]] = [set() for _ in range(n)]
-    for _, i, j in edges:
-        if i != n and j != n:
-            later[min(i, j)].add(max(i, j))
-    # rows[i]: row i on its pattern, from column i on.
-    rows = []
-    for i, row in enumerate(grounded):
-        cols = sorted(later[i])
-        for at, j in enumerate(cols):
-            later[j].update(cols[at + 1 :])
-        rows.append({j: row[j] for j in (i, *cols)})
+def _eliminate(rows: list[dict[int, int]], scales: list[int]) -> list[int]:
+    # Bareiss's fraction-free elimination of T L, given as the rows of
+    # _grounded_laplacians, in place and without swaps: returns the
+    # pivots [1, p_1, ..., p_n] and leaves each row k as pivot row u_k,
+    # its pivot popped.  p_k is the k-th leading minor of T L, a positive
+    # multiple of that of L, so the pivots are positive.  Vertex k
+    # reduces the rows of its later neighbours, whole, each by the
+    # multiplier u_ki t_i / t_k (L is symmetric), and a row that no pivot
+    # touched since the step with pivot q is a multiple of its Bareiss
+    # value, so it divides by q.
     # pivots[k]: the pivot before step k; level[i]: the step row i last saw.
     pivots = [1]
-    level = [0] * n
+    level = [0] * len(rows)
     for k, pivot_row in enumerate(rows):
         prev = pivots[k]
         q = pivots[level[k]]
@@ -120,17 +97,20 @@ def _grounded_inverse(
                 row[j] = (pivot * x - a * pivot_row.get(j, 0)) // q
             level[i] = k + 1
         pivots.append(pivot)
-    det = pivots[n]
-    z: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        cols, u = list(rows[i]), list(rows[i].values())
-        zi, pivot = z[i], pivots[i + 1]
-        for j in cols:
-            zj = z[j]
-            zi[j] = zj[i] = -sum(map(mul, u, map(zj.__getitem__, cols))) // pivot
-        total = sum(map(mul, u, map(zi.__getitem__, cols)))
-        zi[i] = (det * pivots[i] * scales[i] - total) // pivot
-    return z, det
+    return pivots
+
+
+def tree_count(g: AugmentedGraph) -> int:
+    """Number of spanning forests with one tree per component.
+
+    Computed per component as the determinant of the grounded unweighted
+    Laplacian, a principal minor: the last pivot of its elimination.
+    Loops drop out of the Laplacian and never enter a tree.
+    """
+    total = 1
+    for rows, scales, _ in _grounded_laplacians(g, lambda eid: (1, 1)):
+        total *= _eliminate(rows, scales)[-1]
+    return total
 
 
 def effective_resistance(
@@ -147,11 +127,23 @@ def effective_resistance(
     resistance zero.  Returns ``{edge_id: resistance}`` for every edge.
     """
     out = dict.fromkeys(g.edge_ids, Fraction(0))
-    for grounded, scales, edges in _grounded_laplacians(
+    for rows, scales, edges in _grounded_laplacians(
         g, lambda eid: (lengths[eid].denominator, lengths[eid].numerator)
     ):
-        n = len(grounded)  # the grounded vertex has index n
-        z, det = _grounded_inverse(grounded, scales, edges)
+        pivots = _eliminate(rows, scales)
+        n, det = len(rows), pivots[-1]  # the grounded vertex has index n
+        # Takahashi's equations give Z from the pivot rows u, last row
+        # first, with Z[i][j] = Z[j][i] on the pattern:
+        # z_ij = (delta_ij D p_(i-1) t_i - sum_k u_ik z_kj) / p_i.
+        z: list[dict[int, int]] = [{} for _ in range(n)]
+        for i in range(n - 1, -1, -1):
+            cols, u = list(rows[i]), list(rows[i].values())
+            zi, pivot = z[i], pivots[i + 1]
+            for j in cols:
+                zj = z[j]
+                zi[j] = zj[i] = -sum(map(mul, u, map(zj.__getitem__, cols))) // pivot
+            total = sum(map(mul, u, map(zi.__getitem__, cols)))
+            zi[i] = (det * pivots[i] * scales[i] - total) // pivot
         z.append({n: 0})
         for eid, i, j in edges:
             zij = 0 if n in (i, j) else z[i][j]

@@ -24,14 +24,14 @@ and the period layer targets, which print it, pass the full pattern.
 :func:`projection_norms` serves the projection route, which the matrix
 route is checked against: exact Gram-Schmidt, one forward elimination
 whose pivot rows give every edge's quadratic form c^T G^-1 c with no
-back-substitution.  :func:`integer_determinant` counts trees, and
-:func:`is_positive_definite` reads every leading principal minor off
-one Bareiss pass.  The resistance oracle of :mod:`canmeas.kirchhoff`
-calls none of them.  :func:`inverse` (over :func:`solve`, the one
-general solve, which serves nothing else) and :func:`determinant` scale
-each rational row by the lcm of its denominators and refuse a matrix
-that is not square; no package module calls them, and they stay while
-the benchmark tracer names them (ROADMAP item 1).
+back-substitution.  :func:`is_positive_definite` reads every leading
+principal minor off one Bareiss pass.  The Laplacian oracles of
+:mod:`canmeas.kirchhoff` call none of them.  :func:`inverse` (over
+:func:`solve`, the one general solve, which serves nothing else) and
+:func:`determinant` (over :func:`integer_determinant`, which serves
+nothing else) scale each rational row by the lcm of its denominators and
+refuse a matrix that is not square; no package module calls them, and
+they stay while the benchmark tracer names them (ROADMAP item 1).
 """
 
 from __future__ import annotations

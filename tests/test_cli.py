@@ -1218,7 +1218,11 @@ class TestPeriodsCommand:
 
     @pytest.mark.parametrize(
         "name, loops, genus, message",
-        [("genus", 1, 10_000, "10001 rows, over the budget of 100")],
+        [
+            ("genus", 1, 10_000, "10001 rows, over the budget of 100"),
+            # 10^4000 rows: a count this long is not printed in full.
+            ("nines", 1, int("9" * 4000), "more than 10^3999 rows, over the budget of 100"),
+        ],
     )
     def test_large_period_matrices_are_refused(
         self, capsys, monkeypatch, tmp_path, name, loops, genus, message
@@ -1328,6 +1332,18 @@ def test_tree_enumeration_over_the_budget_is_refused(capsys, monkeypatch, tmp_pa
     assert out == ""
     holder = "graded minor 0" if argv == ["minors"] else "the graph"
     assert err == f"error: {holder} has 4782969 spanning trees, over the budget of 1000000\n"
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["trees"], ["minors"], ["limit"]])
+def test_a_tree_count_too_long_to_print_is_refused(capsys, monkeypatch, tmp_path, argv):
+    # A necklace of 3,600 K4s joined by bridges has 16^3600 spanning
+    # trees, 4,335 digits: more than str() converts.
+    monkeypatch.setattr(cli, "tree_count", lambda g: 16**3600)
+    path = _complete_blocks_document(tmp_path / "k4.json", 4)
+    code, out, err = run(capsys, *argv, "--input", path)
+    assert (code, out) == (3, "")
+    holder = "graded minor 0" if argv == ["minors"] else "the graph"
+    assert err == f"error: {holder} has more than 10^4334 spanning trees, over the budget of 1000000\n"
 
 
 def test_minors_budgets_each_minor_not_their_product(capsys, tmp_path):

@@ -42,6 +42,46 @@ def test_the_scan_sees_relative_and_absolute_imports(tmp_path):
     ]
 
 
+def linalg_imports(path: Path) -> list[str]:
+    """Lines of path that import canmeas.linalg or a name from it, in any
+    form: relative or absolute, the module or a name in it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The package is flat, so a relative import starts at canmeas.
+            base = ".".join(filter(None, ["canmeas" if node.level else "", node.module]))
+            modules = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m.split(".")[:2] == ["canmeas", "linalg"] for m in modules):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_the_laplacian_oracle_imports_nothing_from_linalg():
+    # kirchhoff is the oracle for the routes that run on linalg's kernels,
+    # so it must share none of them.
+    assert linalg_imports(PACKAGE / "kirchhoff.py") == []
+
+
+def test_the_linalg_scan_sees_every_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import graphs, linalg\n"
+        "from .linalg import solve\n"
+        "from canmeas import linalg as la\n"
+        "from canmeas.linalg import selected_inverse\n"
+        "import canmeas.linalg\n"
+        "from numpy import linalg\n"
+        "import numpy.linalg\n"
+        "from .graphs import linalg_free\n"
+        "from .measures import linalg_calls\n"
+    )
+    assert linalg_imports(path) == [f"sample.py:{line}" for line in range(1, 6)]
+
+
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 
 

@@ -15,6 +15,7 @@ from canmeas import (
     foster_by_projection,
     gram_matrices,
     graded_minors,
+    tree_count,
 )
 from canmeas.gallery import theta_graph
 from canmeas.corpus import random_graph, random_layering, random_metric
@@ -26,6 +27,7 @@ from canmeas.graphs import (
     cycle_basis,
     fundamental_cycles,
     is_connected,
+    spanning_trees,
 )
 from canmeas.kirchhoff import _grounded_laplacians
 from canmeas.linalg import (
@@ -504,6 +506,68 @@ class TestEffectiveResistance:
         assert got == {"f1": F(1, 5), "f2": F(1, 5), "g1": F(1, 14), "g2": F(1, 14)}
 
 
+def graph_of(pairs):
+    """The graph on the vertices of ``pairs``, one edge per pair."""
+    return AugmentedGraph(
+        vertices=tuple(sorted({v for pair in pairs for v in pair})),
+        edges=tuple((f"e{k:04d}", pair) for k, pair in enumerate(pairs)),
+    )
+
+
+def complete_pairs(n, tag="v"):
+    return [(f"{tag}{i:02d}", f"{tag}{j:02d}") for i in range(n) for j in range(i + 1, n)]
+
+
+def cycle_pairs(n, tag="c"):
+    return [(f"{tag}{i:03d}", f"{tag}{(i + 1) % n:03d}") for i in range(n)]
+
+
+def necklace_pairs(k):
+    """k copies of K4, each joined to the next by a bridge, with a loop at
+    every other K4."""
+    pairs = []
+    for b in range(k):
+        pairs += complete_pairs(4, f"k{b:03d}_")
+        if b:
+            pairs.append((f"k{b - 1:03d}_03", f"k{b:03d}_00"))
+        if b % 2:
+            pairs.append((f"k{b:03d}_01", f"k{b:03d}_01"))
+    return pairs
+
+
+class TestTreeCount:
+    """The matrix-tree count against closed forms that share no code with
+    it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 40])
+    def test_complete_graphs_follow_cayley(self, n):
+        assert tree_count(graph_of(complete_pairs(n))) == n ** (n - 2)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (2, 3), (3, 3), (4, 7), (6, 9)])
+    def test_complete_bipartite_graphs(self, m, n):
+        pairs = [(f"a{i}", f"b{j}") for i in range(m) for j in range(n)]
+        assert tree_count(graph_of(pairs)) == m ** (n - 1) * n ** (m - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 101])
+    def test_cycles(self, n):
+        assert tree_count(graph_of(cycle_pairs(n))) == n
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 50])
+    def test_bananas(self, k):
+        assert tree_count(graph_of([("u", "v")] * k)) == k
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 120])
+    def test_necklaces_of_k4(self, k):
+        assert tree_count(graph_of(necklace_pairs(k))) == 16**k
+
+    def test_counts_of_a_disjoint_union_multiply(self):
+        pairs = complete_pairs(6) + cycle_pairs(7) + [("u", "w")] * 3 + necklace_pairs(3)
+        g = graph_of(pairs)
+        g = AugmentedGraph(vertices=g.vertices + ("z",), edges=g.edges)
+        assert len(connected_components(g)) == 5
+        assert tree_count(g) == 6**4 * 7 * 3 * 16**3
+
+
 def reference_masses(g, lengths):
     """mu(e) = length(e) c(e)^T G^-1 c(e) over the fundamental cycles, and
     the Gram matrix G, by Fraction elimination."""
@@ -580,12 +644,19 @@ def multigraphs_minors_and_trees(rng, regime):
 def edge_column_resistance(g, lengths):
     """The resistance oracle with one unit-current column per non-loop
     edge u-v, sent as s_u e_u - s_v e_v through the scaled grounded
-    Laplacian: each resistance is the potential difference it produces."""
+    Laplacian: each resistance is the potential difference it produces.
+    The Laplacian's rows come from the diagonal on; entry (j, i) of T L is
+    entry (i, j) times t_j / t_i."""
     out = dict.fromkeys(g.edge_ids, F(0))
-    for grounded, scales, edges in _grounded_laplacians(
+    for rows, scales, edges in _grounded_laplacians(
         g, lambda e: (lengths[e].denominator, lengths[e].numerator)
     ):
-        n = len(grounded)
+        n = len(rows)
+        grounded = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                grounded[i][j] = x
+                grounded[j][i] = x * scales[j] // scales[i]
         columns = []
         for _, i, j in edges:
             col = [0] * (n + 1)
@@ -690,16 +761,18 @@ class TestSelectedGramInverse:
 
 
 class TestResistanceFromTheGroundedInverse:
-    """The oracle reads each component's grounded inverse on the pattern
-    its elimination fills, with an elimination of its own: it gives the
-    same Fractions as one unit-current column per edge, solved by
-    :func:`canmeas.linalg.solve`, and calls nothing in ``canmeas.linalg``
-    itself, so it shares no code with the routes it checks."""
+    """The resistance oracle reads each component's grounded inverse on
+    the pattern its elimination fills, with an elimination of its own: it
+    gives the same Fractions as one unit-current column per edge, solved
+    by :func:`canmeas.linalg.solve`.  The tree count reads the last pivot
+    of that elimination and equals the number of forests listed.  Neither
+    calls anything in ``canmeas.linalg``, so the oracles share no code
+    with the routes they check."""
 
     @pytest.mark.parametrize("regime", [small_lengths, layered_lengths, huge_lengths])
     def test_unit_columns_match_edge_columns(self, regime, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the resistance oracle must not call canmeas.linalg")
+            raise AssertionError("the Laplacian oracles must not call canmeas.linalg")
 
         kernels = [
             name
@@ -719,10 +792,12 @@ class TestResistanceFromTheGroundedInverse:
             for h in graphs:
                 restricted = {e: lengths[e] for e in h.edge_ids}
                 want = edge_column_resistance(h, restricted)
+                forests = len(spanning_trees(h))
                 with monkeypatch.context() as patch:
                     for name in kernels:
                         patch.setattr(canmeas.linalg, name, refuse)
                     assert effective_resistance(h, restricted) == want, seed
+                    assert tree_count(h) == forests, seed
                 loops += any(u == v for _, (u, v) in h.edges)
                 split += sum(len(c) > 1 for c in connected_components(h)) > 1
         assert loops and split
