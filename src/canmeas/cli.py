@@ -40,9 +40,10 @@ from .errors import CanmeasError, FamilyError
 from .families import RATIONAL_DIGITS, geometric_grid, oversized_rational, validate_grid
 from .graphs import (
     connected_components,
+    forest_masks,
     graph_genus,
     is_stable,
-    spanning_trees,
+    mask_edges,
     total_genus,
 )
 from .kirchhoff import effective_resistance, tree_count
@@ -327,15 +328,16 @@ def cmd_trees(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     doc = load_document(args.input)
     oracle = tree_count(doc.graph)
     _require_budget(oracle)
-    trees = spanning_trees(doc.graph)
+    masks = forest_masks(doc.graph)
     report = {
         "command": "trees",
         "graph": _graph_section(doc.graph),
-        "count": len(trees),
+        "count": len(masks),
         "matrix_tree_count": oracle,
-        "trees": [sorted(t) for t in trees],
+        # Bit i is the i-th edge id, so each decoded list is sorted.
+        "trees": mask_edges(doc.graph.edge_ids, masks),
     }
-    assertions = [_assertion("count_matches_matrix_tree", len(trees) == oracle)]
+    assertions = [_assertion("count_matches_matrix_tree", len(masks) == oracle)]
     return _finish(report, assertions)
 
 
@@ -349,7 +351,7 @@ def _minors_checks(minors: GradedMinorReport) -> tuple[list[int], int, list[dict
         _require_budget(count, f"graded minor {j}")
     product = math.prod(counts)
     # Unions of one forest per minor: the layers are disjoint, so counts multiply.
-    layered = math.prod(len(spanning_trees(minor)) for minor in minors.minors)
+    layered = math.prod(len(forest_masks(minor)) for minor in minors.minors)
     h = graph_genus(minors.graph)
     assertions = [
         _assertion(

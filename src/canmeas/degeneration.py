@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import FamilyError, InvalidGraph
 from .families import ScaleFunction, ratio_limit, validate_grid
-from .graphs import AugmentedGraph, is_spanning_forest, spanning_trees
+from .graphs import AugmentedGraph, forest_masks, is_spanning_forest, mask_bits, mask_edges
 from .layerings import OrderedPartition
 from .measures import (
     CycleSpace,
@@ -47,6 +47,9 @@ from .measures import (
     integrate,
     tropical_canonical_measure,
 )
+
+# Fractions are immutable, so every zero limit can be this one.
+_ZERO = Fraction(0)
 
 WITHIN_LAYER = "within_layer"
 CROSS_LAYER = "cross_layer"
@@ -220,34 +223,49 @@ def _weight_denominator(f: LengthFamily) -> tuple[int, Fraction]:
     return exponent, coeff
 
 
-def _leading_terms(f: LengthFamily) -> list[tuple[str, int, int, int]]:
-    """(edge, exponent, numerator, denominator) of each length's leading term."""
+def _leading_terms(f: LengthFamily) -> list[tuple[int, int, int]]:
+    """(exponent, numerator, denominator) of each length's leading term,
+    in edge id order, so entry i belongs to bit i of a forest mask."""
     out = []
-    for e, fn in f.param_lengths.items():
+    for e in f.graph.edge_ids:
+        fn = f.param_lengths[e]
         c = fn.leading_coefficient
-        out.append((e, fn.dominant_exponent, c.numerator, c.denominator))
+        out.append((fn.dominant_exponent, c.numerator, c.denominator))
     return out
 
 
 def _tree_limit(
-    leading: list[tuple[str, int, int, int]],
-    edge_ids: frozenset[str],
-    denominator: tuple[int, Fraction],
+    leading: list[tuple[int, int, int]], off: int, denominator: tuple[int, Fraction]
 ) -> Fraction:
-    # The raw weight is the product of the off-tree lengths; only its
-    # leading term, the product of theirs, decides the limit.
-    off_tree = [term for term in leading if term[0] not in edge_ids]
-    exponent = sum(term[1] for term in off_tree)
+    # The raw weight is the product of the lengths on the off-tree bits
+    # ``off``; only its leading term, the product of theirs, decides the
+    # limit.
+    bits = mask_bits(off)
+    exponent = 0
+    for i in bits:
+        exponent += leading[i][0]
     low, coeff = denominator
     if exponent > low:
-        return Fraction(0)
+        return _ZERO
     if exponent < low:
         raise FamilyError("ratio diverges as t -> 0")
     num, den = coeff.denominator, coeff.numerator
-    for _, _, p, q in off_tree:
+    for i in bits:
+        _, p, q = leading[i]
         num *= p
         den *= q
     return Fraction(num, den)
+
+
+def _off_tree(bits: Mapping[str, int], tree: Iterable[str]) -> int:
+    """The mask of the edges off a tree, given each edge id's bit; the
+    bits are distinct, so their sum is their union."""
+    return ((1 << len(bits)) - 1) ^ sum(map(bits.__getitem__, tree))
+
+
+def _edge_bits(g: AugmentedGraph) -> dict[str, int]:
+    """Bit i of a forest mask for the i-th edge id."""
+    return {e: 1 << i for i, e in enumerate(g.edge_ids)}
 
 
 def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
@@ -265,7 +283,8 @@ def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     _require_convergent(f)
     if not is_spanning_forest(f.graph, tree):
         raise InvalidGraph("edge set is not a spanning forest of the graph")
-    return _tree_limit(_leading_terms(f), tree, _weight_denominator(f))
+    off = _off_tree(_edge_bits(f.graph), tree)
+    return _tree_limit(_leading_terms(f), off, _weight_denominator(f))
 
 
 @dataclass(frozen=True)
@@ -384,23 +403,31 @@ def layered_tree_weights(
     checked again.  Such a tree T is layered exactly when layer j holds
     h_j edges off T, h_j the genus of graded minor j: each tail of
     layers j..r keeps at least its own genus h_j + ... + h_r off T, and
-    T leaves out h_1 + ... + h_r edges in all.  So each tree costs one
-    pass over the edges, which multiplies the off-tree target
-    coordinates and counts the off-tree edges of each layer.
+    T leaves out h_1 + ... + h_r edges in all.  So each tree becomes
+    the mask of its off-tree edges once; each layer's off-tree edges
+    are counted as the set bits of that mask within the layer's mask,
+    and a layered tree multiplies the target coordinates over the
+    off-tree bits alone.
     """
-    genus = list(f.target_curve.minors.genus_vector)
-    layer = {e: j for j, part in enumerate(f.target_layering.parts) for e in part}
-    coords = [(e, layer[e], x.numerator, x.denominator) for e, x in f.target_point.items()]
+    bits = _edge_bits(f.graph)
+    genus = f.target_curve.minors.genus_vector
+    layers = [(sum([bits[e] for e in part]), h) for part, h in zip(f.target_layering.parts, genus)]
+    coords = [(x.numerator, x.denominator) for x in map(f.target_point.__getitem__, f.graph.edge_ids)]
     weights: dict[frozenset[str], Fraction] = {}
-    for edge_ids in trees:
-        off = [0] * len(genus)
-        num = den = 1
-        for e, j, p, q in coords:
-            if e not in edge_ids:
-                off[j] += 1
+    for tree in trees:
+        off = _off_tree(bits, tree)
+        weight = _ZERO
+        for layer, h in layers:
+            if (off & layer).bit_count() != h:
+                break
+        else:
+            num = den = 1
+            for i in mask_bits(off):
+                p, q = coords[i]
                 num *= p
                 den *= q
-        weights[edge_ids] = Fraction(num, den) if off == genus else Fraction(0)
+            weight = Fraction(num, den)
+        weights[tree] = weight
     return weights
 
 
@@ -424,10 +451,17 @@ def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
     order: the keys come in the canonical sorted order.
 
     Convergence is checked, and the leading terms and the rescaling
-    denominator read, once; each tree then costs one pass over the
-    edges, in integers.
+    denominator read, once.  The trees come as the masks of
+    :func:`canmeas.graphs.forest_masks`, and each limit sums the
+    exponents and multiplies the leading coefficients over the mask's
+    off-tree bits only, h of them for genus h, in integers.
     """
     _require_convergent(f)
     leading = _leading_terms(f)
     denominator = _weight_denominator(f)
-    return {tree: _tree_limit(leading, tree, denominator) for tree in spanning_trees(f.graph)}
+    masks = forest_masks(f.graph)
+    full = (1 << len(f.graph.edges)) - 1
+    return {
+        frozenset(tree): _tree_limit(leading, full ^ mask, denominator)
+        for tree, mask in zip(mask_edges(f.graph.edge_ids, masks), masks)
+    }

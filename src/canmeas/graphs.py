@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DisconnectedGraph, InvalidGraph, UnknownEdge, UnknownVertex
 
@@ -209,14 +209,15 @@ def is_stable(g: AugmentedGraph) -> bool:
     return True
 
 
-def _reachable(edges: list[tuple[str, str, str]], source: str, target: str) -> bool:
-    """Whether the (id, tail, head) edges join source to target.
+def _reachable(edges: list[tuple[int, int, int]], source: int, target: int) -> bool:
+    """Whether the (bit, tail, head) edges join source to target.
 
     A union-find over the edges: a vertex that is no key of ``parent``
     is a root, each edge points one root at the other, and every climb
-    halves its path, so chains stay short.
+    halves its path, so chains stay short.  Any hashable vertex labels
+    do; the forest enumeration passes ints.
     """
-    parent: dict[str, str] = {}
+    parent: dict[int, int] = {}
     for _, a, b in edges:
         while a in parent:
             up = parent[a]
@@ -233,49 +234,123 @@ def _reachable(edges: list[tuple[str, str, str]], source: str, target: str) -> b
     return source == target
 
 
-def _forests(
-    edges: list[tuple[str, str, str]], chosen: list[str], out: list[frozenset[str]]
-) -> None:
-    # A module-level recursion, not a closure over out: a closure that
-    # refers to itself is a reference cycle, which keeps every call's
-    # forests alive until the cyclic collector runs.
-    if not edges:
-        out.append(frozenset(chosen))
-        return
-    pick, u, v = edges[0]
-    rest = edges[1:]
-    merged = []
-    for eid, a, b in rest:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a != b:
-            merged.append((eid, a, b))
-    chosen.append(pick)
-    _forests(merged, chosen, out)
-    chosen.pop()
-    # The deletion has forests unless the edge is a bridge: the remaining
-    # edges must still join its ends, which a union-find over them decides.
-    if _reachable(rest, u, v):
-        _forests(rest, chosen, out)
+def _forests(edges: list[tuple[int, int, int]], need: int) -> list[int]:
+    """Masks of the forests of ``need`` edges that span the (bit, tail,
+    head) non-loop edges, in the canonical order.
+
+    Contraction and deletion on the first remaining edge, driven by a
+    stack of frames (edges, the mask of their bits, the bits chosen so
+    far, the edges still needed).  The contraction is pushed last, so
+    it pops first: its forests all sort before the deletion's.  A frame
+    whose edges number exactly what it needs is one forest: they are
+    all forced.  A forced deletion waits on the stack as that forest's
+    mask alone, so a long cycle keeps no copy of its path per level.
+    """
+    out: list[int] = []
+    mask = 0
+    for bit, _, _ in edges:
+        mask |= bit
+    stack: list = [(edges, mask, 0, need)]
+    while stack:
+        top = stack.pop()
+        if type(top) is int:
+            out.append(top)
+            continue
+        edges, mask, chosen, need = top
+        if len(edges) == need:
+            out.append(chosen | mask)
+            continue
+        bit, u, v = edges[0]
+        rest = edges[1:]
+        mask ^= bit
+        # Contract v into u: an edge parallel to the picked one becomes
+        # a loop and is dropped.
+        merged = []
+        kept = mask
+        parallel = meets_v = False
+        for e in rest:
+            if e[1] != v and e[2] != v:
+                merged.append(e)
+            else:
+                w = e[2] if e[1] == v else e[1]
+                if w == u:
+                    kept ^= e[0]
+                    parallel = True
+                else:
+                    merged.append((e[0], u, w))
+                    meets_v = True
+        # The deletion has forests unless the picked edge is a bridge: the
+        # remaining edges must still join its ends.  A parallel edge does,
+        # none does when no other edge meets v, and otherwise a union-find
+        # decides.
+        if parallel or meets_v and _reachable(rest, u, v):
+            stack.append(chosen | mask if len(rest) == need else (rest, mask, chosen, need))
+        stack.append((merged, kept, chosen | bit, need - 1))
+    return out
 
 
-def spanning_trees(g: AugmentedGraph) -> list[frozenset[str]]:
-    """All spanning forests, each with one tree per connected component.
+def mask_bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    A forest is its set of edge ids; for a connected graph it is a
-    spanning tree, and in general it has ``|V| - c`` edges.  Loops are
-    dropped up front.  Enumeration is by contraction and deletion on the
+
+def forest_masks(g: AugmentedGraph) -> list[int]:
+    """All spanning forests of g as edge bitmasks, in the canonical order.
+
+    Bit i stands for ``g.edges[i]``, the i-th edge in id order, so
+    :func:`mask_bits` of a mask gives its edges in sorted id order.  A
+    forest has one tree per connected component, ``|V| - c`` edges, and
+    never a loop.  Enumeration is by contraction and deletion on the
     first remaining edge in id order: forests through the edge come from
     the contraction (which drops the loops it creates), then forests
     avoiding it from the deletion (skipped when the edge is a bridge).
     Every forest through an edge sorts before every forest avoiding it,
     so the forests come out exactly once each and already in the
     canonical order, lexicographic on sorted edge id tuples, with no
-    sort.  Meant for small graphs (up to roughly 16 edges).
+    sort.  A branch stops as soon as its remaining edges are exactly as
+    many as its forest still needs, since then they are all forced; so
+    a cycle of n edges costs n - 1 bridge tests, not n^2 / 2.
     """
-    out: list[frozenset[str]] = []
-    _forests([(eid, u, v) for eid, (u, v) in g.edges if u != v], [], out)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(1 << i, index[u], index[v]) for i, (_, (u, v)) in enumerate(g.edges) if u != v]
+    return _forests(edges, len(g.vertices) - len(connected_components(g)))
+
+
+def mask_edges(ids: Sequence[str], masks: Iterable[int]) -> list[list[str]]:
+    """The ids of each mask's set bits, ``ids[i]`` for bit i, in order.
+
+    A mask is read a byte at a time, and the ids of each byte value at
+    each offset are listed once per call and kept, so a mask costs one
+    lookup per byte, not one step per bit.
+    """
+    chunks = [(k, ids[k : k + 8], {}) for k in range(0, len(ids), 8)]
+    out = []
+    for mask in masks:
+        edges: list[str] = []
+        for k, chunk, seen in chunks:
+            byte = mask >> k & 255
+            part = seen.get(byte)
+            if part is None:
+                part = seen[byte] = [e for j, e in enumerate(chunk) if byte >> j & 1]
+            edges += part
+        out.append(edges)
     return out
+
+
+def spanning_trees(g: AugmentedGraph) -> list[frozenset[str]]:
+    """All spanning forests, each with one tree per connected component,
+    as sets of edge ids.
+
+    The masks of :func:`forest_masks`, decoded in their order, which is
+    the canonical one: lexicographic on sorted edge id tuples.  For a
+    connected graph the forests are the spanning trees.
+    """
+    return [frozenset(edges) for edges in mask_edges(g.edge_ids, forest_masks(g))]
 
 
 def find_root(parent: dict[str, str], x: str) -> str:

@@ -69,9 +69,10 @@ from .graphs import (
     CycleVector,
     cycle_boundary,
     fundamental_cycles,
+    forest_masks,
     graph_genus,
     is_connected,
-    spanning_trees,
+    mask_bits,
 )
 from .layerings import GradedMinorReport, OrderedPartition, graded_minors
 
@@ -189,26 +190,29 @@ def foster_by_trees(m: MetricGraph) -> EdgeMeasure:
 
     The sums run in integers.  Every length is scaled by L, the lcm of
     the length denominators; each tree weight then scales by L^h, which
-    cancels from the ratio, and is an int product.  The total weight and
-    the weight of the trees through each edge stay ints, so each mass
-    (total - inside) / total is the one Fraction built for its edge.
+    cancels from the ratio, and is an int product.  The trees come as
+    the masks of :func:`canmeas.graphs.forest_masks`: a tree's weight is
+    the product over its off-tree bits, h factors, and it is added to
+    the weight through each edge over its tree bits.  The total weight
+    and the weight of the trees through each edge stay ints, so each
+    mass (total - inside) / total is the one Fraction built for its edge.
     """
     if not is_connected(m.graph):
         raise DisconnectedGraph("canonical measure requires a connected graph")
     edge_ids = m.graph.edge_ids
     scale = lcm(*[x.denominator for x in m.lengths.values()])
-    scaled = [(eid, scale // x.denominator * x.numerator) for eid, x in m.lengths.items()]
+    scaled = [scale // x.denominator * x.numerator for x in map(m.lengths.__getitem__, edge_ids)]
+    full = (1 << len(edge_ids)) - 1
     total = 0
-    inside = dict.fromkeys(edge_ids, 0)
-    for tree in spanning_trees(m.graph):
+    inside = [0] * len(edge_ids)
+    for tree in forest_masks(m.graph):
         weight = 1
-        for eid, w in scaled:
-            if eid not in tree:
-                weight *= w
+        for i in mask_bits(full ^ tree):
+            weight *= scaled[i]
         total += weight
-        for eid in tree:
-            inside[eid] += weight
-    coeffs = {e: Fraction(total - inside[e], total) for e in edge_ids}
+        for i in mask_bits(tree):
+            inside[i] += weight
+    coeffs = {e: Fraction(total - inside[i], total) for i, e in enumerate(edge_ids)}
     return EdgeMeasure(metric=m, edge_coeffs=coeffs)
 
 

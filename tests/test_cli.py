@@ -1626,3 +1626,23 @@ def test_vertex_genus_is_bounded_by_its_digits(capsys, tmp_path, nines, codes):
         assert code in codes, (command, code, err[-200:])
         if code == 2:
             assert (out, err) == ("", "error: vertex 'u': genus of more than 4000 digits\n")
+
+
+def test_minors_on_a_long_cycle_exits_0(capsys, tmp_path):
+    # A one-layer cycle of 1,200 edges has 1,200 trees, far under the
+    # budget; the forest enumeration runs on a stack, not on recursion.
+    n = 1200
+    doc = {
+        "vertices": [{"id": f"v{i:04d}"} for i in range(n)],
+        "edges": [
+            {"id": f"e{i:04d}", "ends": [f"v{i:04d}", f"v{(i + 1) % n:04d}"], "length": "1"}
+            for i in range(n)
+        ],
+        "layering": [[f"e{i:04d}" for i in range(n)]],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "minors", "--input", str(path))
+    assert code == 0
+    assert report["layers"][0]["tree_count"] == n
+    assert report["layered_tree_count"] == n

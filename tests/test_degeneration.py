@@ -307,6 +307,50 @@ class TestTreeWeightLimits:
             assert omega_infinity(f, trees[0]) == expected[trees[0]]
             assert expected == {t: layered_tree_weight(f, t) for t in trees}
 
+    @given(seeds)
+    @settings(max_examples=4, deadline=None)
+    def test_limits_past_bit_63(self, seed):
+        # A cycle with up to two short chords and maybe a loop, 65 to 120
+        # edges at genus at most 3, in two layers: masks past bit 63.
+        rng = Random(seed)
+        # A span of 0 is the loop.
+        spans = [rng.randint(1, 8) for _ in range(rng.randint(0, 2))] + [0] * rng.randint(0, 1)
+        n = rng.randint(65, 120) - len(spans)
+        ends = [(i, (i + 1) % n) for i in range(n)]
+        for span in spans:
+            start = rng.randrange(n)
+            ends.append((start, (start + span) % n))
+        ids = [f"e{k:03d}" for k in range(len(ends))]
+        rng.shuffle(ids)
+        g = AugmentedGraph(
+            vertices=tuple(f"v{i:03d}" for i in range(n)),
+            edges=tuple((e, (f"v{a:03d}", f"v{b:03d}")) for e, (a, b) in zip(ids, ends)),
+        )
+        # The ids are shuffled, so a cut in id order splits the edges at random.
+        order = sorted(ids)
+        cut = rng.randint(1, len(order) - 1)
+        p = OrderedPartition(parts=(frozenset(order[:cut]), frozenset(order[cut:])))
+        f = layered_family(g, p, normalized_coordinates(rng, p))
+        trees = spanning_trees(g)
+        limits = all_tree_limits(f)
+        assert list(limits) == trees
+        for tree in trees[:: max(1, len(trees) // 25)]:
+            assert limits[tree] == reference_tree_limit(f, tree)
+        # The weights edge by edge: the off-tree edges of each layer,
+        # counted, against the minors' genera.
+        genus = list(graded_minors(g, p).genus_vector)
+
+        def by_edges(tree):
+            off, weight = [0] * len(genus), F(1)
+            for e in g.edge_ids:
+                if e not in tree:
+                    off[p.layer_of(e)] += 1
+                    weight *= f.target_point[e]
+            return weight if off == genus else F(0)
+
+        assert layered_tree_weights(f, trees) == {t: by_edges(t) for t in trees}
+        assert limits == layered_tree_weights(f, trees)
+
     def test_non_tree_rejected(self):
         with pytest.raises(InvalidGraph):
             omega_infinity(theta_family(), frozenset({"e1", "e2"}))
@@ -331,12 +375,14 @@ class TestTreeWeightLimits:
                 layered_tree_weight(f, bad)
 
     def test_divergent_ratio_raises(self):
-        # Off the tree, t^0 against a denominator at t^1: the ratio grows.
+        # Off the tree (the mask of its off-tree edges), t^0 against a
+        # denominator at t^1: the ratio grows.
         with pytest.raises(FamilyError, match="diverges"):
-            _tree_limit([("e", 0, 1, 1)], frozenset(), (1, F(1)))
-        assert _tree_limit([("e", 2, 1, 1)], frozenset(), (1, F(1))) == 0
-        terms = [("e", 1, 3, 4), ("f", 0, 9, 1)]
-        assert _tree_limit(terms, frozenset({"f"}), (1, F(1, 2))) == F(3, 2)
+            _tree_limit([(0, 1, 1)], 0b1, (1, F(1)))
+        assert _tree_limit([(2, 1, 1)], 0b1, (1, F(1))) == 0
+        # Edges e and f at bits 0 and 1; the tree {f} leaves e off.
+        terms = [(1, 3, 4), (0, 9, 1)]
+        assert _tree_limit(terms, 0b01, (1, F(1, 2))) == F(3, 2)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)

@@ -28,9 +28,10 @@ from canmeas import (
     total_genus,
     tree_count,
 )
+from canmeas import graphs
 from canmeas.corpus import random_graph
 from canmeas.gallery import theta_graph, triangle_graph
-from canmeas.graphs import _reachable, cycle_boundary, is_spanning_forest
+from canmeas.graphs import _reachable, cycle_boundary, forest_masks, is_spanning_forest
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -316,6 +317,113 @@ def forests_by_brute_force(vertices, edges):
     ]
 
 
+@st.composite
+def long_sparse_multigraphs(draw):
+    """65 to 120 edges at genus at most 3, as (vertices, [(id, tail,
+    head)]), so forest masks run past bit 63 and every forest leaves out
+    at most 3 edges.
+
+    A long path, maybe closed into a cycle, with up to two short chords
+    (a chord of span 1 is a parallel pair), maybe a loop, maybe a second
+    component (a path or a triangle) and maybe an isolated vertex.  The
+    genus budget of 3 is spent in that order; the path takes up what is
+    left of the edge count.  Ids are shuffled against the path order.
+    """
+    budget = 3
+    closed = draw(st.booleans())
+    budget -= closed
+    chords = draw(st.lists(st.integers(1, 8), max_size=min(2, budget)))
+    budget -= len(chords)
+    loop = budget > 0 and draw(st.booleans())
+    budget -= loop
+    extra = draw(st.sampled_from([0, 2] + [3] * (budget > 0)))
+    side = [("q0", "q1"), ("q1", "q2"), ("q2", "q0")][:extra]
+    m = draw(st.integers(65, 120))
+    n = m - closed - len(chords) - loop - len(side) + 1
+    path = [f"p{i:03d}" for i in range(n)]
+    pairs = [(path[i], path[i + 1]) for i in range(n - 1)]
+    if closed:
+        pairs.append((path[-1], path[0]))
+    for span in chords:
+        start = draw(st.integers(0, n - 1 - span))
+        pairs.append((path[start], path[start + span]))
+    if loop:
+        pairs.append((path[0], path[0]))
+    pairs += side
+    vertices = path + sorted({v for e in side for v in e})
+    if draw(st.booleans()):
+        vertices.append("lone")
+    ids = draw(st.permutations([f"e{k:03d}" for k in range(len(pairs))]))
+    return vertices, [(eid, u, v) for eid, (u, v) in zip(ids, pairs)]
+
+
+def forests_by_cycle_rank(vertices, edges):
+    """Every spanning forest, in the canonical order, as the complement
+    of each set of h non-loop edges (h the genus without the loops) whose
+    cycle vectors are independent over GF(2).
+
+    The cycle vector of an edge has bit k when the edge lies on the k-th
+    fundamental cycle of a union-find spanning forest.  The cycle space
+    represents the dual of the graphic matroid, so the edges off a
+    spanning forest are exactly those h-sets.  Like
+    :func:`forests_by_brute_force` this tries every subset of one size,
+    but at 2^h steps a subset, so it stays cheap on long sparse graphs.
+    """
+    parent = {v: v for v in vertices}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree, chords = [], []
+    for eid, u, v in sorted(e for e in edges if e[1] != e[2]):
+        a, b = root(u), root(v)
+        if a == b:
+            chords.append((eid, u, v))
+        else:
+            parent[a] = b
+            tree.append((eid, u, v))
+    # Each tree edge by its ends, and a breadth-first parent link and
+    # depth for every vertex of the forest.
+    links = {v: [] for v in vertices}
+    for eid, u, v in tree:
+        links[u].append((v, eid))
+        links[v].append((u, eid))
+    up, depth = {}, {}
+    for start in vertices:
+        if start in depth:
+            continue
+        depth[start], queue = 0, [start]
+        for x in queue:
+            for y, eid in links[x]:
+                if y not in depth:
+                    depth[y], up[y] = depth[x] + 1, (x, eid)
+                    queue.append(y)
+    vector = {eid: 0 for eid, _, _ in tree}
+    for k, (eid, a, b) in enumerate(chords):
+        vector[eid] = 1 << k
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, step = up[a]
+            vector[step] ^= 1 << k
+    ids = sorted(vector)
+
+    def independent(chosen):
+        # Grow the span of the vectors so far, 2^h sums at most.
+        span = {0}
+        for x in chosen:
+            if x in span:
+                return False
+            span |= {x ^ y for y in span}
+        return True
+
+    off = [set(c) for c in combinations(ids, len(chords)) if independent([vector[e] for e in c])]
+    # Complements of equal-sized sets sort in the reverse order.
+    return [frozenset(ids).difference(c) for c in reversed(off)]
+
+
 class TestEnumerationOracle:
     @given(split_multigraphs())
     @settings(max_examples=150, deadline=None)
@@ -325,6 +433,19 @@ class TestEnumerationOracle:
             vertices=tuple(vertices), edges=tuple((eid, (u, v)) for eid, u, v in edges)
         )
         assert spanning_trees(g) == forests_by_brute_force(vertices, edges)
+        assert forests_by_cycle_rank(vertices, edges) == forests_by_brute_force(vertices, edges)
+
+    @given(long_sparse_multigraphs())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_the_cycle_rank_past_bit_63(self, drawn):
+        # forests_by_brute_force would try C(120, 3) = 280,840 subsets
+        # with a union-find each; the cycle rank tries as many at 8 steps each.
+        vertices, edges = drawn
+        g = AugmentedGraph(
+            vertices=tuple(vertices), edges=tuple((eid, (u, v)) for eid, u, v in edges)
+        )
+        assert len(g.edges) >= 65 and graph_genus(g) <= 3
+        assert spanning_trees(g) == forests_by_cycle_rank(vertices, edges)
 
 
 def reachable_by_search(edges, source, target):
@@ -371,6 +492,38 @@ class TestReachable:
             assert _reachable(edges, "v000", "v200")
             assert _reachable(edges[:100] + edges[101:], "v000", "v099")
             assert not _reachable(edges[:100] + edges[101:], "v000", "v200")
+
+
+def cycle_graph(n):
+    ids = [f"v{i:04d}" for i in range(n)]
+    return AugmentedGraph(
+        vertices=tuple(ids),
+        edges=tuple((f"e{i:04d}", (ids[i], ids[(i + 1) % n])) for i in range(n)),
+    )
+
+
+class TestLongCycles:
+    def test_each_forest_misses_one_edge(self):
+        g = cycle_graph(1200)
+        trees = spanning_trees(g)
+        assert len(trees) == 1200
+        edges = frozenset(g.edge_ids)
+        assert [sorted(edges - t) for t in trees] == [[e] for e in g.edge_ids][::-1]
+
+    def test_bridge_tests_grow_linearly(self, monkeypatch):
+        # With the forced-edge cut a cycle of n edges needs one bridge
+        # test per contraction level; without it, about n^2 / 2.
+        calls = []
+        reachable = graphs._reachable
+
+        def counted(*args):
+            calls.append(1)
+            return reachable(*args)
+
+        monkeypatch.setattr(graphs, "_reachable", counted)
+        g = cycle_graph(400)
+        assert len(forest_masks(g)) == 400
+        assert len(calls) <= 2 * len(g.edges)
 
 
 def grid_minors():

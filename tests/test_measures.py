@@ -477,10 +477,11 @@ class TestTropicalRoute:
 
     def test_target_enumerates_no_trees(self, monkeypatch):
         # Minor 0 of the 5x5 grid family has 116,975 spanning forests.
-        def refuse(graph):
+        def refuse(*args):
             raise AssertionError("the tropical target must not enumerate trees")
 
-        monkeypatch.setattr("canmeas.measures.spanning_trees", refuse)
+        # Every enumeration of forests goes through graphs._forests.
+        monkeypatch.setattr("canmeas.graphs._forests", refuse)
         family = grid_family(5)
         curve = family.target_curve
         mu = tropical_canonical_measure(curve)
