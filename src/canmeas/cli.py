@@ -22,9 +22,9 @@ from typing import Any
 from . import corpus, gallery
 from .degeneration import (
     LengthFamily,
-    all_tree_limits,
     layered_tree_weights,
     limit_foster,
+    tree_limits,
 )
 from .documents import (
     DocumentError,
@@ -420,16 +420,15 @@ def cmd_minors(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     return _finish(report, assertions)
 
 
-def _dichotomy_assertion(family: LengthFamily, limits: dict[frozenset[str], Fraction]) -> dict[str, Any]:
-    """Each tree's weight limit equals its layered closed form; a failure
-    names the first tree, in the canonical order of ``limits``, that
-    breaks it."""
+def _dichotomy_assertion(family: LengthFamily, limits: dict[int, Fraction]) -> dict[str, Any]:
+    """Each tree's weight limit equals its layered closed form, both keyed
+    by forest mask; a failure names the first tree, in the canonical order
+    of ``limits``, that breaks it, decoded to its sorted edge ids."""
     closed_forms = layered_tree_weights(family, limits)
     rows = ((t, ("limit", x), ("closed_form", closed_forms[t])) for t, x in limits.items())
     assertion = _agreement("tree_weight_dichotomy", "tree", rows)
     if not assertion["passed"]:
-        # Only the failing tree is shown, so only it is sorted.
-        assertion["tree"] = sorted(assertion["tree"])
+        [assertion["tree"]] = mask_edges(family.graph.edge_ids, [assertion["tree"]])
     return assertion
 
 
@@ -439,9 +438,10 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     grid = _parse_grid(args.grid, (1, 6))
     _require_fibre_digits(family, grid, _require_length_budget(family, grid))
     _require_budget(tree_count(doc.graph))
-    limits = all_tree_limits(family)
-    dichotomy = _dichotomy_assertion(family, limits)
+    # The fibres' target refuses a disconnected graph before any forest is listed.
     foster = limit_foster(family, grid)
+    limits = tree_limits(family)
+    dichotomy = _dichotomy_assertion(family, limits)
     h = graph_genus(doc.graph)
     report: dict[str, Any] = {
         "command": "limit",
@@ -455,7 +455,8 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         "max_deviations": [float_field(d) for d in foster.max_deviations],
         "final_deviation": float_field(foster.final_deviation),
         "tree_limits": [
-            {"tree": sorted(t), "limit": exact_field(x)} for t, x in limits.items()
+            {"tree": tree, "limit": exact_field(x)}
+            for tree, x in zip(mask_edges(doc.graph.edge_ids, limits), limits.values())
         ],
     }
     assertions = [
@@ -597,7 +598,7 @@ def _selftest_layerings(rng: Random, cases: int) -> dict[str, Any]:
         p = corpus.random_layering(rng, g)
         family = corpus.layered_family(g, p, corpus.normalized_coordinates(rng, p))
         _, _, assertions = _minors_checks(family.target_curve.minors)
-        assertions.append(_dichotomy_assertion(family, all_tree_limits(family)))
+        assertions.append(_dichotomy_assertion(family, tree_limits(family)))
         _count_passed(counts, assertions)
     return _selftest_section(cases, counts)
 

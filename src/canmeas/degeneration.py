@@ -17,12 +17,15 @@ the matrix route's kernel (:class:`canmeas.measures.CycleSpace`, built
 once per family) and the tropical target by the same kernel on each
 graded minor, so neither enumerates trees: a fiber costs one Gram
 inverse, the target one per layer.  Only the per-tree weight limits
-enumerate.  A family builds its target curve, and with it the graded
-minors, once: the tropical target, the tree-weight rescaling and the
-layered closed forms all read that one decomposition, and the closed
-form decides a tree by counting its off-tree edges per layer against
-the minors' genera.  It decides convergence once as well, and every
-limit taken from it reads that one verdict.
+enumerate; each tree stays the bitmask of
+:func:`canmeas.graphs.forest_masks`, which keys the limits and the
+layered closed forms, and :func:`all_tree_limits` decodes it for
+callers that want edge id sets.  A family builds its target curve, and
+with it the graded minors, once: the tropical target, the tree-weight
+rescaling and the layered closed forms all read that one decomposition,
+and the closed form decides a tree by counting its off-tree bits per
+layer against the minors' genera.  It decides convergence once as well,
+and every limit taken from it reads that one verdict.
 """
 
 from __future__ import annotations
@@ -257,15 +260,10 @@ def _tree_limit(
     return Fraction(num, den)
 
 
-def _off_tree(bits: Mapping[str, int], tree: Iterable[str]) -> int:
-    """The mask of the edges off a tree, given each edge id's bit; the
-    bits are distinct, so their sum is their union."""
-    return ((1 << len(bits)) - 1) ^ sum(map(bits.__getitem__, tree))
-
-
-def _edge_bits(g: AugmentedGraph) -> dict[str, int]:
-    """Bit i of a forest mask for the i-th edge id."""
-    return {e: 1 << i for i, e in enumerate(g.edge_ids)}
+def _edge_mask(g: AugmentedGraph, ids: frozenset[str]) -> int:
+    """The forest mask of a set of edge ids: bit i for the i-th edge id.
+    The bits are distinct, so their sum is their union."""
+    return sum(1 << i for i, e in enumerate(g.edge_ids) if e in ids)
 
 
 def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
@@ -283,7 +281,7 @@ def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     _require_convergent(f)
     if not is_spanning_forest(f.graph, tree):
         raise InvalidGraph("edge set is not a spanning forest of the graph")
-    off = _off_tree(_edge_bits(f.graph), tree)
+    off = ((1 << len(f.graph.edges)) - 1) ^ _edge_mask(f.graph, tree)
     return _tree_limit(_leading_terms(f), off, _weight_denominator(f))
 
 
@@ -393,29 +391,26 @@ def continuity_probe(
     return ProbeReport(grid=pts, values=values, limit=limit_value, deviations=deviations)
 
 
-def layered_tree_weights(
-    f: LengthFamily, trees: Iterable[frozenset[str]]
-) -> dict[frozenset[str], Fraction]:
-    """:func:`layered_tree_weight` of many spanning trees, keyed by edge set.
+def layered_tree_weights(f: LengthFamily, masks: Iterable[int]) -> dict[int, Fraction]:
+    """:func:`layered_tree_weight` of many spanning trees, keyed by mask.
 
-    The trees must be spanning forests of the graph, as
-    :func:`canmeas.graphs.spanning_trees` lists them; they are not
-    checked again.  Such a tree T is layered exactly when layer j holds
-    h_j edges off T, h_j the genus of graded minor j: each tail of
-    layers j..r keeps at least its own genus h_j + ... + h_r off T, and
-    T leaves out h_1 + ... + h_r edges in all.  So each tree becomes
-    the mask of its off-tree edges once; each layer's off-tree edges
-    are counted as the set bits of that mask within the layer's mask,
-    and a layered tree multiplies the target coordinates over the
-    off-tree bits alone.
+    The trees are masks of spanning forests of the graph, as
+    :func:`canmeas.graphs.forest_masks` lists them; they are not checked
+    again.  Such a tree T is layered exactly when layer j holds h_j
+    edges off T, h_j the genus of graded minor j: each tail of layers
+    j..r keeps at least its own genus h_j + ... + h_r off T, and T
+    leaves out h_1 + ... + h_r edges in all.  So each layer's off-tree
+    edges are counted as the set bits of the off-tree mask within the
+    layer's mask, and a layered tree multiplies the target coordinates
+    over the off-tree bits alone.
     """
-    bits = _edge_bits(f.graph)
+    full = (1 << len(f.graph.edges)) - 1
     genus = f.target_curve.minors.genus_vector
-    layers = [(sum([bits[e] for e in part]), h) for part, h in zip(f.target_layering.parts, genus)]
+    layers = [(_edge_mask(f.graph, part), h) for part, h in zip(f.target_layering.parts, genus)]
     coords = [(x.numerator, x.denominator) for x in map(f.target_point.__getitem__, f.graph.edge_ids)]
-    weights: dict[frozenset[str], Fraction] = {}
-    for tree in trees:
-        off = _off_tree(bits, tree)
+    weights: dict[int, Fraction] = {}
+    for mask in masks:
+        off = full ^ mask
         weight = _ZERO
         for layer, h in layers:
             if (off & layer).bit_count() != h:
@@ -427,7 +422,7 @@ def layered_tree_weights(
                 num *= p
                 den *= q
             weight = Fraction(num, den)
-        weights[tree] = weight
+        weights[mask] = weight
     return weights
 
 
@@ -442,26 +437,28 @@ def layered_tree_weight(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     """
     if not is_spanning_forest(f.graph, tree):
         raise InvalidGraph("edge set is not a spanning forest of the graph")
-    return layered_tree_weights(f, [tree])[tree]
+    mask = _edge_mask(f.graph, tree)
+    return layered_tree_weights(f, [mask])[mask]
 
 
-def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
+def tree_limits(f: LengthFamily) -> dict[int, Fraction]:
     """omega_infinity over every spanning tree of the graph, keyed by the
-    edge id sets that :func:`canmeas.graphs.spanning_trees` lists, in its
-    order: the keys come in the canonical sorted order.
+    masks of :func:`canmeas.graphs.forest_masks`, in their canonical order.
 
     Convergence is checked, and the leading terms and the rescaling
-    denominator read, once.  The trees come as the masks of
-    :func:`canmeas.graphs.forest_masks`, and each limit sums the
-    exponents and multiplies the leading coefficients over the mask's
-    off-tree bits only, h of them for genus h, in integers.
+    denominator read, once.  Each limit sums the exponents and
+    multiplies the leading coefficients over the mask's off-tree bits
+    only, h of them for genus h, in integers.
     """
     _require_convergent(f)
     leading = _leading_terms(f)
     denominator = _weight_denominator(f)
-    masks = forest_masks(f.graph)
     full = (1 << len(f.graph.edges)) - 1
-    return {
-        frozenset(tree): _tree_limit(leading, full ^ mask, denominator)
-        for tree, mask in zip(mask_edges(f.graph.edge_ids, masks), masks)
-    }
+    return {mask: _tree_limit(leading, full ^ mask, denominator) for mask in forest_masks(f.graph)}
+
+
+def all_tree_limits(f: LengthFamily) -> dict[frozenset[str], Fraction]:
+    """:func:`tree_limits` with each mask decoded to its edge id set, as
+    :func:`canmeas.graphs.spanning_trees` lists them, in the same order."""
+    limits = tree_limits(f)
+    return dict(zip(map(frozenset, mask_edges(f.graph.edge_ids, limits)), limits.values()))

@@ -491,7 +491,7 @@ class TestLimitCommand:
         def unreachable(*args):
             raise AssertionError("a tree or a fibre was measured")
 
-        monkeypatch.setattr(cli, "all_tree_limits", unreachable)
+        monkeypatch.setattr(cli, "tree_limits", unreachable)
         monkeypatch.setattr(cli, "limit_foster", unreachable)
         ids = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         layers = [[f"e{i}{j}" for i, j in ids[:8]], [f"e{i}{j}" for i, j in ids[8:]]]
@@ -589,18 +589,49 @@ class TestLimitCommand:
             trees = [row["tree"] for row in report["tree_limits"]]
             assert trees == sorted(trees) and len(trees) > 2, path
 
+    def test_tree_limits_past_bit_63(self, capsys, tmp_path):
+        # A 70-edge cycle with a chord across it: 71 edges, genus 2 and
+        # 35 * 35 + 70 = 1,295 trees, so the masks run past bit 63.  The
+        # chord and one half of the cycle are the first layer, and the
+        # other half shrinks like t.
+        n = 70
+        ends = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
+        ids = [f"e{k:02d}" for k in range(len(ends))]
+        # Shuffled, so a layer's bits are spread over the mask.
+        Random(0).shuffle(ids)
+        first, second = ids[: n // 2] + ids[n:], ids[n // 2 : n]
+        doc = {
+            "vertices": [{"id": f"v{i:02d}"} for i in range(n)],
+            "edges": [
+                {"id": e, "ends": [f"v{a:02d}", f"v{b:02d}"], "length": "1"}
+                for e, (a, b) in zip(ids, ends)
+            ],
+            "layering": [first, second],
+            "family": {**dict.fromkeys(first, "1/36"), **dict.fromkeys(second, "1/35*t")},
+            "target": {**dict.fromkeys(first, "1/36"), **dict.fromkeys(second, "1/35")},
+        }
+        path = tmp_path / "chord.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "limit", "--input", str(path))
+        assert code == 0
+        assert {"name": "tree_weight_dichotomy", "passed": True} in report["assertions"]
+        trees = graphs.spanning_trees(canmeas.load_document(str(path)).graph)
+        assert len(trees) == 1295
+        assert [row["tree"] for row in report["tree_limits"]] == [sorted(t) for t in trees]
+
     def test_dichotomy_failure_names_the_first_tree(self, capsys, monkeypatch):
         code, report = run_json(capsys, "limit", "--input", example("theta.json"))
         assert {"name": "tree_weight_dichotomy", "passed": True} in report["assertions"]
-        real = cli.all_tree_limits
+        real = cli.tree_limits
 
         def corrupted(family):
+            # The trees {e3} and {e2}, as masks: bit i is the i-th edge id.
             limits = real(family)
-            limits[frozenset({"e3"})] += 1
-            limits[frozenset({"e2"})] += 2
+            limits[0b100] += 1
+            limits[0b010] += 2
             return limits
 
-        monkeypatch.setattr(cli, "all_tree_limits", corrupted)
+        monkeypatch.setattr(cli, "tree_limits", corrupted)
         code, out, err = run(capsys, "limit", "--input", example("theta.json"))
         assert code == 4
         failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
@@ -615,7 +646,7 @@ class TestLimitCommand:
         ]
 
     def test_dichotomy_failure_sorts_the_failing_tree(self, capsys, monkeypatch):
-        real = cli.all_tree_limits
+        real = cli.tree_limits
         broken = []
 
         def corrupted(family):
@@ -624,12 +655,15 @@ class TestLimitCommand:
             limits[broken[0]] += 1
             return limits
 
-        monkeypatch.setattr(cli, "all_tree_limits", corrupted)
-        code, out, err = run(capsys, "limit", "--input", str(FIXTURES / "layered_grid.json"))
+        monkeypatch.setattr(cli, "tree_limits", corrupted)
+        path = str(FIXTURES / "layered_grid.json")
+        code, out, err = run(capsys, "limit", "--input", path)
         assert code == 4
         failed = [a for a in json.loads(out)["assertions"] if not a["passed"]]
-        assert [a["tree"] for a in failed] == [sorted(broken[0])]
-        assert len(broken[0]) == 8
+        edge_ids = canmeas.load_document(path).graph.edge_ids
+        tree = [e for i, e in enumerate(edge_ids) if broken[0] >> i & 1]
+        assert [a["tree"] for a in failed] == [sorted(tree)]
+        assert broken[0].bit_count() == 8
 
     def test_huge_scale_exponents_are_refused_before_the_exact_power(
         self, capsys, tmp_path, monkeypatch
@@ -1332,6 +1366,19 @@ def test_tree_enumeration_over_the_budget_is_refused(capsys, monkeypatch, tmp_pa
     assert out == ""
     holder = "graded minor 0" if argv == ["minors"] else "the graph"
     assert err == f"error: {holder} has 4782969 spanning trees, over the budget of 1000000\n"
+
+
+def test_limit_refuses_a_disconnected_graph_before_listing_forests(capsys, monkeypatch, tmp_path):
+    # K8 and an isolated vertex have 8^6 = 262,144 forests, under the
+    # budget, but no tropical curve: its target refuses the graph before
+    # any forest is listed.
+    monkeypatch.setattr(graphs, "_forests", _no_enumeration)
+    path = Path(_complete_blocks_document(tmp_path / "k8.json", 8))
+    doc = json.loads(path.read_text())
+    doc["vertices"].append({"id": "lone"})
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "limit", "--input", str(path))
+    assert (code, out, err) == (3, "", "error: tropical curves must be connected\n")
 
 
 @pytest.mark.parametrize("argv", [["measure"], ["trees"], ["minors"], ["limit"]])

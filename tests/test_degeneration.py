@@ -41,9 +41,10 @@ from canmeas.corpus import (
     random_graph,
     random_layering,
 )
-from canmeas.degeneration import _tree_limit, layered_tree_weights
+from canmeas.degeneration import _tree_limit, layered_tree_weights, tree_limits
 from canmeas.families import product, ratio_limit
 from canmeas.gallery import theta_family, theta_graph, triangle_family
+from canmeas.graphs import forest_masks
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -348,8 +349,12 @@ class TestTreeWeightLimits:
                     weight *= f.target_point[e]
             return weight if off == genus else F(0)
 
-        assert layered_tree_weights(f, trees) == {t: by_edges(t) for t in trees}
-        assert limits == layered_tree_weights(f, trees)
+        # The weights are keyed by the masks that spanning_trees decodes.
+        masks = forest_masks(g)
+        weights = layered_tree_weights(f, masks)
+        assert list(weights) == masks and tree_limits(f) == weights
+        assert dict(zip(trees, weights.values())) == {t: by_edges(t) for t in trees}
+        assert limits == dict(zip(trees, weights.values()))
 
     def test_non_tree_rejected(self):
         with pytest.raises(InvalidGraph):
@@ -432,7 +437,7 @@ class TestTreeWeightLimits:
 class TestForestTest:
     def test_layered_tree_weights_rejects_non_forests(self):
         # The two single-tree entry points validate the tree; the batch
-        # takes the trees spanning_trees lists as they are.
+        # takes the masks forest_masks lists as they are.
         g = AugmentedGraph(
             vertices=("d", "b", "c", "a"),
             edges=(
@@ -448,9 +453,9 @@ class TestForestTest:
         third = F(1, 3)
         point = {"e1": F(1, 2), "e2": F(1, 4), "e5": F(1, 4), "e3": third, "e4": third, "e6": third}
         f = layered_family(g, p, point)
-        trees = spanning_trees(g)
-        assert len(trees) == 8
-        assert set(layered_tree_weights(f, trees)) == set(trees)
+        masks = forest_masks(g)
+        assert len(masks) == 8
+        assert set(layered_tree_weights(f, masks)) == set(masks)
         for bad in (
             frozenset({"e1", "e2", "zz"}),  # an unknown id
             frozenset({"e1", "e2"}),  # too few edges
@@ -467,11 +472,12 @@ def test_tree_route_leaves_no_reference_cycles():
     # Reference cycles outlive their last use until the cyclic collector
     # runs; with it off, each call must leave nothing for it to find.
     f = load_document(str(LAYERED_GRID)).length_family()
-    trees = spanning_trees(f.graph)
+    masks = forest_masks(f.graph)
     calls = {
         "spanning_trees": lambda: spanning_trees(f.graph),
         "all_tree_limits": lambda: all_tree_limits(f),
-        "layered_tree_weights": lambda: layered_tree_weights(f, trees),
+        "tree_limits": lambda: tree_limits(f),
+        "layered_tree_weights": lambda: layered_tree_weights(f, masks),
     }
     for call in calls.values():
         call()
