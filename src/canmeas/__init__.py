@@ -94,6 +94,7 @@ from .periods import (
     NoiseSpec,
     assemble_base,
     graded_inverse_limits,
+    layered_period_family,
     model_period,
     monodromy_from_basis,
     schur_block_inverse,

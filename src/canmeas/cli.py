@@ -36,7 +36,7 @@ from .documents import (
     measure_section,
     render_table,
 )
-from .errors import CanmeasError, FamilyError
+from .errors import CanmeasError, FamilyError, excerpt
 from .families import RATIONAL_DIGITS, geometric_grid, oversized_rational, validate_grid
 from .graphs import (
     connected_components,
@@ -58,14 +58,7 @@ from .measures import (
     mass_digits,
     tropical_canonical_measure,
 )
-from .periods import (
-    ModelPeriodFamily,
-    NoiseSpec,
-    assemble_base,
-    graded_inverse_limits,
-    monodromy_from_basis,
-    verify_inverse_lemma,
-)
+from .periods import NoiseSpec, graded_inverse_limits, layered_period_family, verify_inverse_lemma
 
 _FORMULATIONS = {
     "trees": foster_by_trees,
@@ -123,12 +116,13 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
     totals = []
     for t in grid:
         total = 0
+        at = f"at t = {excerpt(str(t))}"
         for e, fn in lengths:
             try:
                 digits = fn.pair_digits(t)
             except OverflowError:
                 digits = None
-            _require_digits(digits, f"the length of edge {e!r} at t = {t} needs")
+            _require_digits(digits, f"the length of edge {e!r} {at} needs")
             total += digits
         totals.append(total)
     return totals
@@ -155,7 +149,7 @@ def _require_fibre_digits(
     for t, total in zip(grid, totals):
         if screen + 2 * total > LENGTH_DIGITS_BUDGET:
             digits = mass_digits(g, family.integer_lengths_at(t))
-            _require_digits(digits, f"masses at t = {t} may need")
+            _require_digits(digits, f"masses at t = {excerpt(str(t))} may need")
 
 
 def _require_minor_digits(curve: TropicalCurve) -> None:
@@ -192,9 +186,7 @@ def _require_budget(
 
 
 def _oversized_point(token: str) -> DocumentError:
-    return DocumentError(
-        f"bad --grid: point {token} has more than {RATIONAL_DIGITS} digits"
-    )
+    return DocumentError(f"bad --grid: point {excerpt(token)} has more than {RATIONAL_DIGITS} digits")
 
 
 def _decade(digits: str) -> int:
@@ -226,7 +218,8 @@ def _parse_grid(text: str | None, default: tuple[int, int]) -> tuple[Fraction, .
             try:
                 points.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
-                raise DocumentError(f"cannot parse grid point {token!r}") from None
+                shown = excerpt(token, quote=True)
+                raise DocumentError(f"cannot parse grid point {shown}") from None
         return validate_grid(points)
     except FamilyError as err:
         raise DocumentError(f"bad --grid: {err}") from None
@@ -497,19 +490,16 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
     family = corpus.layered_family(doc.graph, layering, doc.target, [-a for a in exponents])
     _require_budget(total_genus(doc.graph), "the period matrix", "rows", PERIOD_SIDE_BUDGET)
-    basis = admissible_cycle_basis(family.target_curve.minors)
-    monodromy = monodromy_from_basis(doc.graph, basis)
     blocks = {} if args.lambda0 is None else load_base_matrix(args.lambda0)
-    base = assemble_base(monodromy, doc.graph, **blocks)
-    model = ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
+    model = layered_period_family(family, **blocks)
     grid = _parse_grid(args.grid, (1, 5))
     _require_length_budget(family, grid)
     limits = graded_inverse_limits(model, grid)
     # The unit Gram matrix is the sum of the edge matrices the report
     # prints, added here in integers apart from the Gram assembly.
     edge_matrices = {e: m for e, (_, m) in model.edge_terms.items()}
-    summed = sum(edge_matrices.values(), np.zeros((monodromy.rank,) * 2, dtype=int))
-    gram_ok = summed.tolist() == monodromy.unit_gram
+    summed = sum(edge_matrices.values(), np.zeros((model.monodromy.rank,) * 2, dtype=int))
+    gram_ok = summed.tolist() == model.monodromy.unit_gram
     report: dict[str, Any] = {
         "command": "periods",
         "graph": _graph_section(doc.graph),
@@ -536,7 +526,7 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         ],
     }
     final = limits.final_deviations
-    pad = monodromy.pad
+    pad = model.monodromy.pad
     assertions = [
         _assertion("gram_consistency", gram_ok),
         _assertion(

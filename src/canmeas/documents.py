@@ -51,7 +51,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Mapping
 
 from .degeneration import LengthFamily
-from .errors import CanmeasError, DocumentError, MissingSection
+from .errors import CanmeasError, DocumentError, MissingSection, excerpt
 from .families import RATIONAL_DIGITS, ScaleFunction, oversized_rational, parse_scale
 from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
@@ -84,7 +84,9 @@ def parse_rational(value: Any, where: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{where}: malformed rational {value!r}") from None
+        # Any other JSON value prints as its repr.
+        shown = excerpt(text, quote=type(value) is str)
+        raise DocumentError(f"{where}: malformed rational {shown}") from None
 
 
 def _document_scale(value: Any, where: str) -> ScaleFunction:

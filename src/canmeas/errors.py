@@ -56,3 +56,13 @@ class MissingSection(CanmeasError):
 
 class DocumentError(CanmeasError):
     """A JSON document could not be parsed into package objects."""
+
+
+def excerpt(text: str, quote: bool = False) -> str:
+    """An input text as a message shows it: whole, in repr's quotes when
+    ``quote``, up to 100 characters; a longer one as its first 40, then
+    ``...`` and its length, all in ASCII, so no input makes a message long."""
+    if len(text) <= 100:
+        return repr(text) if quote else text
+    head = ascii(text[:40]) if quote else text[:40].encode("ascii", "backslashreplace").decode()
+    return f"{head}... ({len(text)} characters)"

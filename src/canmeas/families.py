@@ -31,7 +31,7 @@ from functools import cached_property
 from math import ceil, lcm, log10
 from typing import Iterable
 
-from .errors import FamilyError
+from .errors import FamilyError, excerpt
 
 # The most decimal digits that the numerator or the denominator of an
 # exact rational read from text may have: document lengths, targets and
@@ -173,7 +173,7 @@ def parse_scale(text: str) -> ScaleFunction:
     for piece in str(text).split("+"):
         m = _TERM.match(piece)
         if not m or (m.group("coeff") is None and "t" not in piece):
-            raise FamilyError(f"cannot parse term {piece.strip()!r}")
+            raise FamilyError(f"cannot parse term {excerpt(piece.strip(), quote=True)}")
         coeff_text, exp_text = m.group("coeff"), m.group("exp")
         if (coeff_text and oversized_rational(coeff_text)) or (
             exp_text and len(exp_text.lstrip("-")) > RATIONAL_DIGITS
@@ -184,7 +184,9 @@ def parse_scale(text: str) -> ScaleFunction:
         try:
             coeff = Fraction(int(m.group("num") or 1), int(m.group("den") or 1))
         except ZeroDivisionError:
-            raise FamilyError(f"zero denominator in term {piece.strip()!r}") from None
+            raise FamilyError(
+                f"zero denominator in term {excerpt(piece.strip(), quote=True)}"
+            ) from None
         if "t" in piece:
             exp = int(exp_text) if exp_text is not None else 1
         else:

@@ -14,8 +14,8 @@ from .corpus import layered_family
 from .degeneration import LengthFamily
 from .errors import FamilyError
 from .graphs import AugmentedGraph
-from .layerings import OrderedPartition, admissible_cycle_basis, graded_minors
-from .periods import ModelPeriodFamily, MonodromySet, assemble_base, monodromy_from_basis
+from .layerings import OrderedPartition
+from .periods import ModelPeriodFamily, layered_period_family
 
 
 def theta_graph(genus: tuple[int, int] = (0, 0)) -> AugmentedGraph:
@@ -51,11 +51,6 @@ def triangle_family(x2=Fraction(1, 2), x3=Fraction(1, 2)) -> LengthFamily:
     return layered_family(triangle_graph(), _SPLIT, {"e1": 1, "e2": x2, "e3": x3})
 
 
-def theta_monodromy(genus: tuple[int, int] = (0, 0)) -> MonodromySet:
-    g = theta_graph(genus)
-    return monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, _SPLIT)))
-
-
 def theta_period_family(
     exponents: tuple[int, int] = (2, 1),
     genus: tuple[int, int] = (0, 0),
@@ -73,6 +68,4 @@ def theta_period_family(
     g = theta_graph(genus)
     half = Fraction(1, 2)
     family = layered_family(g, _SPLIT, {"e1": 1, "e2": half, "e3": half}, (-a1, -a2))
-    monodromy = theta_monodromy(genus)
-    base = assemble_base(monodromy, g, vertex_blocks)
-    return ModelPeriodFamily(monodromy=monodromy, lengths=family, base_im=base)
+    return layered_period_family(family, vertex_blocks=vertex_blocks)

@@ -99,18 +99,6 @@ class AugmentedGraph:
         except KeyError:
             raise UnknownEdge(f"unknown edge {edge_id!r}") from None
 
-    def degree(self, vertex: str) -> int:
-        """Number of half edges at a vertex; a loop counts twice."""
-        if vertex not in self.genus:
-            raise UnknownVertex(f"unknown vertex {vertex!r}")
-        d = 0
-        for _, (u, v) in self.edges:
-            d += (u == vertex) + (v == vertex)
-        return d
-
-    def marks_at(self, vertex: str) -> int:
-        return sum(1 for v in self.marks.values() if v == vertex)
-
 
 @dataclass(frozen=True)
 class CycleVector:
@@ -198,15 +186,16 @@ def total_genus(g: AugmentedGraph) -> int:
 
 def is_stable(g: AugmentedGraph) -> bool:
     """Every genus-0 vertex meets at least 3 half edges or marks, and
-    every genus-1 vertex at least 1."""
-    for v in g.vertices:
-        weight = g.degree(v) + g.marks_at(v)
-        gv = g.genus[v]
-        if gv == 0 and weight < 3:
-            return False
-        if gv == 1 and weight < 1:
-            return False
-    return True
+    every genus-1 vertex at least 1: 2 g(v) - 2 + n(v) > 0, with n(v)
+    the half edges (a loop gives two) and marks at v.  One pass over the
+    edges and one over the marks count every vertex's n(v)."""
+    weight = {v: 2 * gv - 2 for v, gv in g.genus.items()}
+    for _, (u, v) in g.edges:
+        weight[u] += 1
+        weight[v] += 1
+    for v in g.marks.values():
+        weight[v] += 1
+    return all(w > 0 for w in weight.values())
 
 
 def _reachable(edges: list[tuple[int, int, int]], source: int, target: int) -> bool:
@@ -391,11 +380,11 @@ def is_spanning_forest(g: AugmentedGraph, edge_ids: frozenset[str]) -> bool:
     """Whether the edge ids form a spanning forest of g.
 
     They do when the greedy forest over them keeps them all, so each is
-    an edge of g and none is a loop or closes a cycle, and it has as
-    many edges as the canonical spanning forest of g.
+    an edge of g and none is a loop or closes a cycle, and it has the
+    ``|V| - c`` edges of every spanning forest of g.
     """
     forest = canonical_spanning_forest(g, edge_ids)
-    return forest == edge_ids and len(forest) == len(canonical_spanning_forest(g))
+    return forest == edge_ids and len(forest) == len(g.vertices) - len(connected_components(g))
 
 
 def cycle_boundary(g: AugmentedGraph, cycle: CycleVector) -> dict[str, int]:

@@ -41,17 +41,18 @@ def _grounded_laplacians(
     # vertices in order fills, which holds every edge: eliminating vertex
     # i joins its later columns into a clique, and the first of them (its
     # parent in the elimination tree) inherits the rest.
-    for comp in connected_components(g):
-        verts = sorted(comp)
-        n = len(verts) - 1  # the grounded vertex has index n
-        if not n:
+    # One pass over the edges hands each to its ends' component, indexed there.
+    comps = [sorted(comp) for comp in connected_components(g)]
+    owner = {v: k for k, verts in enumerate(comps) for v in verts}
+    index = {v: i for verts in comps for i, v in enumerate(verts)}
+    by_comp: list[list[tuple[str, int, int, int, int]]] = [[] for _ in comps]
+    for eid, (u, v) in g.edges:
+        if u != v:
+            by_comp[owner[u]].append((eid, index[u], index[v], *conductance(eid)))
+    for verts, edges in zip(comps, by_comp):
+        if not edges:
             continue
-        index = {v: i for i, v in enumerate(verts)}
-        edges = []
-        for eid, (u, v) in g.edges:
-            if u == v or u not in comp:
-                continue
-            edges.append((eid, index[u], index[v], *conductance(eid)))
+        n = len(verts) - 1  # the grounded vertex has index n
         scales = [1] * len(verts)
         for _, i, j, _, den in edges:
             scales[i] = lcm(scales[i], den)

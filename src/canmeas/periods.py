@@ -50,7 +50,7 @@ from .degeneration import LengthFamily
 from .errors import BasisError, FamilyError, NotPositiveDefinite
 from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
-from .layerings import AdmissibleBasis
+from .layerings import AdmissibleBasis, admissible_cycle_basis
 from .measures import CycleSpace, MetricGraph, gram_matrices
 
 if TYPE_CHECKING:
@@ -248,6 +248,17 @@ def assemble_base(
         base[:h, h:] = cb
         base[h:, :h] = cb.T
     return base
+
+
+def layered_period_family(lengths: LengthFamily, **blocks) -> ModelPeriodFamily:
+    """The model period family of a layered length family on the admissible
+    basis of its target's graded minors, with the base :func:`assemble_base`
+    builds from ``blocks``.  The basis and its monodromy cannot fail on a
+    layered family, so only the blocks and the base are refused."""
+    g = lengths.graph
+    monodromy = monodromy_from_basis(g, admissible_cycle_basis(lengths.target_curve.minors))
+    base = assemble_base(monodromy, g, **blocks)
+    return ModelPeriodFamily(monodromy=monodromy, lengths=lengths, base_im=base)
 
 
 def _binary64_value(fn: ScaleFunction, t: Fraction) -> float:

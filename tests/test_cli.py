@@ -18,6 +18,7 @@ import canmeas
 from canmeas import cli, graphs, periods
 from canmeas.cli import main
 from canmeas.corpus import layered_family, normalized_coordinates, random_graph, random_layering
+from canmeas.errors import excerpt
 from canmeas.measures import mass_digits
 
 
@@ -461,7 +462,8 @@ class TestLimitCommand:
         code, out, err = run(capsys, "periods", "--input", theta, "--grid", "1/2,1e-3999")
         assert (code, out) == (3, "")
         assert err == (
-            f"error: the length of edge 'e1' at t = 1/1{'0' * 3999} needs up to 15998 digits, "
+            f"error: the length of edge 'e1' at t = 1/1{'0' * 37}... (4002 characters) needs "
+            f"up to 15998 digits, "
             f"over the budget of {cli.LENGTH_DIGITS_BUDGET}\n"
         )
         code, out, err = run(capsys, "limit", "--input", theta, "--grid", "1e4000")
@@ -480,7 +482,8 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--input", theta, "--grid", f"1e-1..1e-{huge}")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: bad --grid: point 1e-{huge} has more than {cli.RATIONAL_DIGITS} digits\n"
+            f"error: bad --grid: point 1e-{'9' * 37}... (5003 characters) has more than "
+            f"{cli.RATIONAL_DIGITS} digits\n"
         )
 
     def test_fibre_masses_over_the_digit_budget_are_refused(self, capsys, tmp_path, monkeypatch):
@@ -513,7 +516,8 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--input", str(path), "--grid", f"{t},{t / 7}")
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err.startswith(f"error: masses at t = {t} may need up to ")
+        shown = f"{str(t)[:40]}... ({len(str(t))} characters)"
+        assert err.startswith(f"error: masses at t = {shown} may need up to ")
         assert err.endswith(f" digits, over the budget of {cli.LENGTH_DIGITS_BUDGET}\n")
 
     def test_long_lengths_of_short_fibre_masses_pass(self, capsys, tmp_path):
@@ -1055,7 +1059,7 @@ class TestPeriodsCommand:
         def huge(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(cli, "assemble_base", huge)
+        monkeypatch.setattr(periods, "assemble_base", huge)
         code, out, err = run(capsys, "periods", "--input", example("theta_weighted.json"))
         assert code == 3
         assert out == ""
@@ -1266,7 +1270,7 @@ class TestPeriodsCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("assemble_base was called")
 
-        monkeypatch.setattr(cli, "assemble_base", refuse)
+        monkeypatch.setattr(periods, "assemble_base", refuse)
         edges = [(f"l{i:02d}", [f"v{i:02d}"] * 2) for i in range(loops)]
         edges += [(f"p{i:02d}", [f"v{i:02d}", f"v{i + 1:02d}"]) for i in range(loops - 1)]
         path = self._one_edge_per_layer(tmp_path / f"{name}.json", edges, genus)
@@ -1693,3 +1697,55 @@ def test_minors_on_a_long_cycle_exits_0(capsys, tmp_path):
     assert code == 0
     assert report["layers"][0]["tree_count"] == n
     assert report["layered_tree_count"] == n
+
+
+
+def _theta_with(tmp_path, section, key, value):
+    # theta.json with one entry of a section replaced: the length of edge
+    # number ``key`` for "edges", else the entry ``key``.
+    doc = json.loads(Path(example("theta.json")).read_text())
+    if section == "edges":
+        doc["edges"][key]["length"] = value
+    else:
+        doc[section][key] = value
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, grid, edit, code",
+    [
+        # A point of 100,002 characters, over the digit bound.
+        ("limit", "1/" + "1" * 100_000, None, 2),
+        ("limit", "x" * 5000, None, 2),
+        # The length of e1 at t = 1e-2501, a t of 2,503 characters, is
+        # over the digit budget.
+        ("periods", "1e-1..1e-3999", None, 3),
+        ("measure", None, ("edges", 0, "x" * 50_000), 2),
+        ("limit", None, ("family", "e2", "q" * 50_000), 2),
+    ],
+    ids=["oversized_point", "unparsable_point", "length_budget", "malformed_length", "malformed_term"],
+)
+def test_messages_do_not_echo_long_inputs(capsys, tmp_path, command, grid, edit, code):
+    # A message shows the first 40 characters of a long input and its length.
+    if edit is None:
+        path = example("theta_weighted.json" if command == "periods" else "theta.json")
+    else:
+        path = _theta_with(tmp_path, *edit)
+    argv = [command, "--input", path] + ([] if grid is None else ["--grid", grid])
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err.encode()) < 300, err[:300]
+    assert "characters)" in err, err
+
+
+def test_excerpt_keeps_texts_of_up_to_100_characters():
+    for text in ("", "1/2", "é" * 100, "x" * 100):
+        assert excerpt(text) == text
+        assert excerpt(text, quote=True) == repr(text)
+    assert excerpt("x" * 101) == "x" * 40 + "... (101 characters)"
+    assert excerpt("x" * 101, quote=True) == "'" + "x" * 40 + "'... (101 characters)"
+    # The long form is ASCII whatever the text.
+    assert excerpt("é" * 101) == "\\xe9" * 40 + "... (101 characters)"
+    assert excerpt("é" * 101, quote=True) == "'" + "\\xe9" * 40 + "'... (101 characters)"

@@ -90,11 +90,8 @@ class TestAugmentedGraph:
         with pytest.raises(UnknownVertex):
             AugmentedGraph(vertices=("a",), edges=(), marks={"p": "b"})
 
-    def test_loop_counts_twice_in_degree(self):
+    def test_loop_ends(self):
         g = dumbbell()
-        assert g.degree("a") == 3
-        with pytest.raises(UnknownVertex):
-            g.degree("z")
         tail, head = g.ends("l1")
         assert tail == head
         tail, head = g.ends("m")
@@ -193,6 +190,35 @@ class TestStability:
         assert not is_stable(lone(1))
         assert is_stable(lone(1, marks=("p",)))
         assert is_stable(lone(2))
+
+    def test_loop_counts_twice(self):
+        # Each end of the dumbbell has a loop and the bridge: weight 3.
+        assert is_stable(dumbbell())
+        loop = (("l", ("a", "a")),)
+        assert not is_stable(AugmentedGraph(vertices=("a",), edges=loop))
+        assert is_stable(AugmentedGraph(vertices=("a",), edges=loop, marks={"p": "a"}))
+        # A loop and one more edge at a, a leaf b.
+        lollipop = AugmentedGraph(vertices=("a", "b"), edges=(*loop, ("m", ("a", "b"))))
+        assert not is_stable(lollipop)
+        assert is_stable(AugmentedGraph(vertices=("a", "b"), edges=lollipop.edges, genus={"b": 1}))
+
+    def test_matches_a_weight_count_per_vertex(self):
+        # Random multigraphs with loops, parallel edges, genera 0-2 and
+        # marks, against the half edges and marks counted vertex by vertex.
+        outcomes = []
+        for seed in range(300):
+            rng = Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            marks = {f"p{i}": rng.choice(g.vertices) for i in range(rng.randrange(4))}
+            g = AugmentedGraph(vertices=g.vertices, edges=g.edges, genus=g.genus, marks=marks)
+            want = True
+            for v in g.vertices:
+                half_edges = sum((a == v) + (b == v) for _, (a, b) in g.edges)
+                weight = half_edges + list(g.marks.values()).count(v)
+                want &= weight >= {0: 3, 1: 1}.get(g.genus[v], 0)
+            assert is_stable(g) == want, seed
+            outcomes.append(want)
+        assert 50 <= sum(outcomes) <= 250, sum(outcomes)
 
 
 class TestSpanningTrees:

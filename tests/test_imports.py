@@ -145,3 +145,90 @@ def test_the_call_scan_sees_both_forms(tmp_path):
         "rows: linalg.Matrix = linalg.elimination_fill\n"
     )
     assert linalg_calls(path) == {"selected_inverse", "s"}
+
+
+def package_imports(tree: ast.AST) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """The package names a module imports: each local name bound by
+    ``from .m import name`` (or ``from canmeas.m import name``) mapped to
+    (m, name), and each bound by ``from . import m`` mapped to m."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("canmeas"):
+            continue
+        base = (node.module or "").removeprefix("canmeas").lstrip(".")
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if base:
+                names[local] = (base, alias.name)
+            else:
+                modules[local] = alias.name
+    return names, modules
+
+
+def module_references(path: Path) -> set[tuple[str, str]]:
+    """(module, name) pairs that path uses: a bare name of its own module,
+    ``name`` after ``from .m import name``, or ``m.name`` after
+    ``from . import m``.  An import alone is no use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names, modules = package_imports(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(names.get(node.id, (path.stem, node.id)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def public_definitions(path: Path) -> set[tuple[str, str]]:
+    """(module, name) of the public functions and classes at the top
+    level of path."""
+    body = ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {(path.stem, n.name) for n in body if isinstance(n, kinds) and n.name[0] != "_"}
+
+
+def unreached_names(package: Path, traced: dict) -> list[str]:
+    """Public functions and classes of the package, corpus aside, that no
+    package module uses, ``__init__`` does not export and ``traced``
+    does not name."""
+    init = package / "__init__.py"
+    exported = set(package_imports(ast.parse(init.read_text(encoding="utf-8")))[0].values())
+    paths = [path for path in sorted(package.glob("*.py")) if path != init]
+    used = set().union(*(module_references(path) for path in paths))
+    defined = set().union(*(public_definitions(p) for p in paths if p.name != "corpus.py"))
+    reached = used | exported | {(m, n) for m, names in traced.items() for n in names}
+    return sorted(f"{m}.{n}" for m, n in defined - reached)
+
+
+def test_every_public_name_is_used_exported_or_traced():
+    # A public function or class that no module uses, the package does
+    # not export and the benchmark does not trace is dead code.  corpus
+    # is left out: its helpers are test data.
+    assert ("graphs", "is_stable") in public_definitions(PACKAGE / "graphs.py")
+    assert unreached_names(PACKAGE, traced_names()) == []
+
+
+def test_the_name_scan_sees_every_use(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported(): pass\n"
+        "def traced(): pass\n"
+        "def own(): pass\n"
+        "def by_name(): pass\n"
+        "def by_module(): pass\n"
+        "def dead(): pass\n"
+        "def _private(): pass\n"
+        "class Dead: pass\n"
+        "HANDLERS = {'own': own}\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import by_name as named, dead\n"
+        "x: a.by_module = named()\n"
+    )
+    (tmp_path / "corpus.py").write_text("def data(): pass\n")
+    assert unreached_names(tmp_path, {"a": ("traced",)}) == ["a.Dead", "a.dead"]

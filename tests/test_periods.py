@@ -25,6 +25,7 @@ from canmeas import (
     geometric_grid,
     graded_inverse_limits,
     graded_minors,
+    layered_period_family,
     model_period,
     monodromy_from_basis,
     schur_block_inverse,
@@ -39,11 +40,7 @@ from canmeas.corpus import (
     random_graph,
     random_layering,
 )
-from canmeas.gallery import (
-    theta_graph,
-    theta_monodromy,
-    theta_period_family,
-)
+from canmeas.gallery import theta_graph, theta_period_family
 from canmeas.periods import BlockSample
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -73,7 +70,7 @@ def layered_model(g, p, point, basis=None):
     r = len(p.parts)
     family = layered_family(g, p, point, [-2 * (r - j) for j in range(r)])
     if basis is None:
-        basis = admissible_cycle_basis(family.target_curve.minors)
+        return layered_period_family(family)
     mono = monodromy_from_basis(g, basis)
     return ModelPeriodFamily(monodromy=mono, lengths=family, base_im=assemble_base(mono, g))
 
@@ -165,7 +162,7 @@ def bouquet(loops):
 
 class TestMonodromySet:
     def test_theta_edge_rows(self):
-        mono = theta_monodromy()
+        mono = theta_period_family().monodromy
         assert mono.edge_rows == {
             "e1": (1, 0),
             "e2": (-1, -1),
@@ -177,12 +174,12 @@ class TestMonodromySet:
         assert mono.total_size == 2
 
     def test_edge_matrix_is_rank_one(self):
-        mono = theta_monodromy()
+        mono = theta_period_family().monodromy
         m = rank_one_sum([(F(1), mono.edge_rows["e2"])], mono.rank)
         assert m == [[1, 1], [1, 1]]
 
     def test_edge_rows_give_the_hand_formula(self):
-        mono = theta_monodromy()
+        mono = theta_period_family().monodromy
         a, b, c = F(3), F(5, 2), F(7)
         lengths = {"e1": a, "e2": b, "e3": c}
         gram = rank_one_sum(
@@ -193,7 +190,7 @@ class TestMonodromySet:
     def test_edge_rows_match_the_measure_route(self):
         from canmeas import MetricGraph, gram_matrices
 
-        mono = theta_monodromy()
+        mono = theta_period_family().monodromy
         lengths = {"e1": F(2), "e2": F(1, 3), "e3": F(5)}
         direct = gram_matrices(MetricGraph(theta_graph(), lengths), list(mono.basis))
         gram = rank_one_sum(
@@ -213,8 +210,20 @@ class TestMonodromySet:
         assert mono.block_sizes == (2,)
         assert mono.basis == tuple(cycle_basis(g))
 
+    @pytest.mark.parametrize("genus", [(0, 0), (1, 1), (1, 2)])
+    def test_theta_family_matches_the_inline_assembly(self, genus):
+        # The builder behind theta_period_family against the steps it replaced.
+        g = theta_graph(genus)
+        mono = monodromy_from_basis(g, admissible_cycle_basis(graded_minors(g, THETA_SPLIT)))
+        fam = theta_period_family(genus=genus)
+        assert fam.monodromy.edge_rows == mono.edge_rows
+        assert fam.monodromy.block_sizes == mono.block_sizes
+        assert fam.monodromy.pad == mono.pad
+        assert fam.monodromy.unit_gram == mono.unit_gram
+        assert np.array_equal(fam.base_im, assemble_base(mono, g))
+
     def test_pad_defaults_to_vertex_genus(self):
-        mono = theta_monodromy(genus=(1, 2))
+        mono = theta_period_family(genus=(1, 2)).monodromy
         assert mono.pad == 3
         assert mono.total_size == 5
 
@@ -390,9 +399,7 @@ class TestBatchedSampler:
         # lengths are small.
         g = theta_graph()
         family = layered_family(g, THETA_SPLIT, {"e1": 1, "e2": F(1, 2), "e3": F(1, 2)}, exponents)
-        mono = theta_monodromy()
-        base = assemble_base(mono, g, rank_block=[[-1e6, 0.0], [0.0, -1e6]])
-        return ModelPeriodFamily(monodromy=mono, lengths=family, base_im=base)
+        return layered_period_family(family, rank_block=[[-1e6, 0.0], [0.0, -1e6]])
 
     def test_the_first_failing_point_raises_its_own_error(self):
         # Lengths t^-4, t^-2: indefinite at 1/10, beyond binary64 at 1e-400.
