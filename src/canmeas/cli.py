@@ -28,6 +28,7 @@ from .degeneration import (
 )
 from .documents import (
     DocumentError,
+    TreeLimitRows,
     dump_report,
     exact_field,
     float_field,
@@ -36,7 +37,7 @@ from .documents import (
     measure_section,
     render_table,
 )
-from .errors import CanmeasError, FamilyError, excerpt
+from .errors import CanmeasError, FamilyError, excerpt, quoted
 from .families import RATIONAL_DIGITS, geometric_grid, oversized_rational, validate_grid
 from .graphs import (
     connected_components,
@@ -122,7 +123,7 @@ def _require_length_budget(family: LengthFamily, grid: tuple[Fraction, ...]) -> 
                 digits = fn.pair_digits(t)
             except OverflowError:
                 digits = None
-            _require_digits(digits, f"the length of edge {e!r} {at} needs")
+            _require_digits(digits, f"the length of edge {quoted(e)} {at} needs")
             total += digits
         totals.append(total)
     return totals
@@ -447,10 +448,7 @@ def cmd_limit(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         },
         "max_deviations": [float_field(d) for d in foster.max_deviations],
         "final_deviation": float_field(foster.final_deviation),
-        "tree_limits": [
-            {"tree": tree, "limit": exact_field(x)}
-            for tree, x in zip(mask_edges(doc.graph.edge_ids, limits), limits.values())
-        ],
+        "tree_limits": TreeLimitRows(doc.graph.edge_ids, limits),
     }
     assertions = [
         _assertion(
@@ -707,6 +705,9 @@ def main(argv=None) -> int:
         # Looked up at each call, not bound into the cached parser, so a
         # command replaced in this module after the parser is built runs.
         report, ok = globals()["cmd_" + args.command](args)
+        # Rendered here, since a value too long to print is found while
+        # the tree limits are written.
+        text = render_table(report) if args.table else dump_report(report)
     except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -719,7 +720,6 @@ def main(argv=None) -> int:
     except _loaded_linalg_errors() as err:
         print(f"error: numerical linear algebra failed: {err}", file=sys.stderr)
         return 3
-    text = render_table(report) if args.table else dump_report(report)
     sys.stdout.write(text)
     return 0 if ok else 4
 

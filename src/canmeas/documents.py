@@ -33,7 +33,9 @@ indent=2, sort_keys=True)`` writes.  That call would run json's
 pure-Python encoder, since the C encoder takes no indent; here one
 recursive pass appends fragments to one list, dict items sorted as json
 sorts them and strings through json's own C escaper, and joins it once,
-so each byte is copied once and not once per level of nesting.
+so each byte is copied once and not once per level of nesting.  The
+tree rows of a ``limit`` report are a :class:`TreeLimitRows`, written
+from its forest masks in one pass, as the text of its :meth:`rows`.
 
 Reports tag every numeric leaf as {"exact": "p/q"} or {"float": "..."},
 the float rendered with 17 significant digits.  An exact value too long
@@ -48,12 +50,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .degeneration import LengthFamily
-from .errors import CanmeasError, DocumentError, MissingSection, excerpt
+from .errors import CanmeasError, DocumentError, MissingSection, excerpt, quoted
 from .families import RATIONAL_DIGITS, ScaleFunction, oversized_rational, parse_scale
-from .graphs import AugmentedGraph
+from .graphs import AugmentedGraph, mask_edges
 from .layerings import OrderedPartition
 from .measures import EdgeMeasure, MetricGraph, TropicalCurve
 
@@ -100,18 +102,20 @@ def _document_scale(value: Any, where: str) -> ScaleFunction:
 
 
 def _edge_section(
-    data: Mapping[str, Any], key: str, values: str, known: set[str], parse
+    data: Mapping[str, Any], key: str, values: str, names: Mapping[str, str], parse
 ) -> dict[str, Any]:
-    # A section mapping edge ids, each checked against the known edges,
-    # to values parsed as parse(value, where).
+    # A section mapping edge ids, each checked against ``names`` (each
+    # known edge's name in messages), to values parsed as
+    # parse(value, name).
     raw = data[key]
     if not isinstance(raw, dict):
         raise DocumentError(f"'{key}' must map edge ids to {values}")
     out = {}
     for eid, value in raw.items():
-        if eid not in known:
-            raise DocumentError(f"{key} names unknown edge {eid!r}")
-        out[eid] = parse(value, f"edge {eid!r}")
+        name = names.get(eid)
+        if name is None:
+            raise DocumentError(f"{key} names unknown edge {quoted(eid)}")
+        out[eid] = parse(value, name)
     return out
 
 
@@ -178,7 +182,7 @@ def _json_object(text: str, name: str, keys: frozenset[str]) -> dict[str, Any]:
         raise DocumentError(f"{name} must be a JSON object")
     unknown = data.keys() - keys
     if unknown:
-        raise DocumentError(f"unknown {name} keys {sorted(unknown)}")
+        raise DocumentError(f"unknown {name} keys {excerpt(str(sorted(unknown)))}")
     return data
 
 
@@ -197,51 +201,60 @@ def parse_document(text: str) -> GraphDocument:
         vid = str(item["id"])
         extra = item.keys() - _VERTEX_KEYS
         if extra:
-            raise DocumentError(f"vertex {vid!r}: unknown keys {sorted(extra)}")
+            raise DocumentError(
+                f"vertex {quoted(vid)}: unknown keys {excerpt(str(sorted(extra)))}"
+            )
         vertices.append(vid)
         gv = item.get("genus", 0)
         if isinstance(gv, bool) or not isinstance(gv, int) or gv < 0:
-            raise DocumentError(f"vertex {vid!r}: genus must be a nonnegative integer")
+            raise DocumentError(f"vertex {quoted(vid)}: genus must be a nonnegative integer")
         # JSON decodes no int too long to print, so str(gv) is safe.
         if len(str(gv)) > RATIONAL_DIGITS:
-            raise DocumentError(f"vertex {vid!r}: genus of more than {RATIONAL_DIGITS} digits")
+            raise DocumentError(
+                f"vertex {quoted(vid)}: genus of more than {RATIONAL_DIGITS} digits"
+            )
         genus[vid] = gv
         labels = item.get("marks", [])
         if not isinstance(labels, list):
-            raise DocumentError(f"vertex {vid!r}: marks must be a list of labels")
+            raise DocumentError(f"vertex {quoted(vid)}: marks must be a list of labels")
         for label in labels:
             label = str(label)
             if label in marks:
-                raise DocumentError(f"mark {label!r} appears on more than one vertex")
+                raise DocumentError(f"mark {quoted(label)} appears on more than one vertex")
             marks[label] = vid
 
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise DocumentError("document needs an 'edges' list")
     edges: list[tuple[str, tuple[str, str]]] = []
+    # Each edge's name in messages, built once for its length, family
+    # and target.
+    names: dict[str, str] = {}
     lengths: dict[str, Fraction] = {}
     lengthless: list[str] = []
     for i, item in enumerate(raw_edges):
         if not isinstance(item, dict) or "id" not in item:
             raise DocumentError(f"edge #{i}: expected an object with an 'id'")
         eid = str(item["id"])
+        name = names[eid] = f"edge {quoted(eid)}"
         extra = item.keys() - _EDGE_KEYS
         if extra:
-            raise DocumentError(f"edge {eid!r}: unknown keys {sorted(extra)}")
+            raise DocumentError(f"{name}: unknown keys {excerpt(str(sorted(extra)))}")
         ends = item.get("ends")
         if not isinstance(ends, list) or len(ends) != 2:
-            raise DocumentError(f"edge {eid!r}: 'ends' must list exactly two vertices")
+            raise DocumentError(f"{name}: 'ends' must list exactly two vertices")
         edges.append((eid, (str(ends[0]), str(ends[1]))))
         if "length" in item:
-            le = parse_rational(item["length"], f"edge {eid!r}")
+            le = parse_rational(item["length"], name)
             if le.numerator <= 0:
-                raise DocumentError(f"edge {eid!r}: length must be positive, got {le}")
+                raise DocumentError(f"{name}: length must be positive, got {le}")
             lengths[eid] = le
         else:
             lengthless.append(eid)
     if lengths and lengthless:
         raise DocumentError(
-            f"either every edge or no edge carries a length; missing on {sorted(lengthless)}"
+            "either every edge or no edge carries a length; missing on "
+            f"{excerpt(str(sorted(lengthless)))}"
         )
 
     try:
@@ -262,7 +275,7 @@ def parse_document(text: str) -> GraphDocument:
         for part in raw_layering:
             for eid in part:
                 if str(eid) not in known:
-                    raise DocumentError(f"layering names unknown edge {eid!r}")
+                    raise DocumentError(f"layering names unknown edge {quoted(eid)}")
         try:
             layering = OrderedPartition(
                 parts=tuple(frozenset(str(e) for e in part) for part in raw_layering)
@@ -272,15 +285,16 @@ def parse_document(text: str) -> GraphDocument:
         covered = layering.edge_ids
         if covered != known:
             raise DocumentError(
-                f"layering must cover every edge; missing {sorted(known - covered)}"
+                "layering must cover every edge; missing "
+                f"{excerpt(str(sorted(known - covered)))}"
             )
 
     family = None
     if "family" in data:
-        family = _edge_section(data, "family", "scale expressions", known, _document_scale)
+        family = _edge_section(data, "family", "scale expressions", names, _document_scale)
     target = None
     if "target" in data:
-        target = _edge_section(data, "target", "rationals", known, parse_rational)
+        target = _edge_section(data, "target", "rationals", names, parse_rational)
 
     return GraphDocument(
         graph=graph,
@@ -315,9 +329,10 @@ def _base_block(name: str, block: Any) -> list[list[float]]:
         for x in row:
             if not _finite_number(x):
                 # An int beyond binary64 is named by its length, not echoed.
-                what = (
-                    f"an entry of {len(str(abs(x)))} digits" if type(x) is int else f"entry {x!r}"
-                )
+                if type(x) is int:
+                    what = f"an entry of {len(str(abs(x)))} digits"
+                else:
+                    what = f"entry {quoted(x)}"
                 raise DocumentError(f"base matrix block {name} has {what}, not a finite number")
     return block
 
@@ -329,7 +344,9 @@ def load_base_matrix(path: str) -> dict[str, Any]:
     vertex_blocks = data.get("vertex_blocks", {})
     if not isinstance(vertex_blocks, dict):
         raise DocumentError("base matrix vertex_blocks must map vertex ids to blocks")
-    vertex_blocks = {v: _base_block(f"vertex_blocks[{v!r}]", b) for v, b in vertex_blocks.items()}
+    vertex_blocks = {
+        v: _base_block(f"vertex_blocks[{quoted(v)}]", b) for v, b in vertex_blocks.items()
+    }
     others = {k: _base_block(k, data[k]) for k in ("rank_block", "cross") if data.get(k) is not None}
     return {"vertex_blocks": vertex_blocks, **others}
 
@@ -358,6 +375,53 @@ def measure_section(mu: EdgeMeasure) -> dict[str, Any]:
         "edge_mass": exact_field(mu.edge_mass),
         "total_mass": exact_field(mu.total_mass),
     }
+
+
+@dataclass(frozen=True)
+class TreeLimitRows:
+    """The ``tree_limits`` section of a ``limit`` report: each spanning
+    tree's forest mask, bit i for ``edge_ids[i]``, with its exact limit,
+    in row order.  :func:`dump_report` writes the rows straight from the
+    masks; :meth:`rows` gives them as the dicts that text encodes."""
+
+    edge_ids: Sequence[str]
+    limits: Mapping[int, Fraction]
+
+    def rows(self) -> list[dict[str, Any]]:
+        trees = mask_edges(self.edge_ids, self.limits)
+        return [
+            {"tree": tree, "limit": exact_field(x)} for tree, x in zip(trees, self.limits.values())
+        ]
+
+
+def _write_tree_limits(x: TreeLimitRows, line: str, head: str, out: list[str]) -> None:
+    # _write for the rows of x, each one fragment.  Each edge id is
+    # escaped once, and each distinct limit's text built once, keyed by
+    # (numerator, denominator): a Fraction's own hash takes a modular
+    # inverse.
+    if not x.limits:
+        out.append(head + "[]")
+        return
+    inner = line + "  "  # the rows
+    keys = inner + "  "  # a row's two keys
+    items = keys + "  "  # the exact value and the tree's ids
+    opening = "," + inner + "{" + keys + '"limit": {' + items + '"exact": "'
+    closing = '"' + keys + "}," + keys + '"tree": '
+    sep = "," + items
+    tail = keys + "]" + inner + "}"
+    empty = "[]" + inner + "}"  # the one forest of a graph of loops only, or of none
+    texts: dict[tuple[int, int], str] = {}
+    first = len(out)
+    trees = mask_edges([_escape(e) for e in x.edge_ids], x.limits)
+    for tree, value in zip(trees, x.limits.values()):
+        key = value.as_integer_ratio()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = opening + exact_field(value)["exact"] + closing
+        out.append(f"{text}[{items}{sep.join(tree)}{tail}" if tree else text + empty)
+    # The first row opens the list in place of its separating comma.
+    out[first] = head + "[" + out[first][1:]
+    out.append(line + "]")
 
 
 def _leaf(x: Any) -> str:
@@ -423,7 +487,12 @@ def _write(x: Any, line: str, head: str, out: list[str]) -> None:
             head = sep
         out.append(line + "]")
     else:
-        out.append(head + _leaf(x))
+        try:  # _leaf refuses rows too, so no other leaf pays for their test
+            out.append(head + _leaf(x))
+        except TypeError:
+            if not isinstance(x, TreeLimitRows):
+                raise
+            _write_tree_limits(x, line, head, out)
 
 
 def dump_report(report: Mapping[str, Any]) -> str:
@@ -439,6 +508,8 @@ def dump_report(report: Mapping[str, Any]) -> str:
 
 def _table_lines(value: Any, label: str, indent: int, out: list[str]) -> None:
     pad = "  " * indent
+    if isinstance(value, TreeLimitRows):
+        value = value.rows()
     if isinstance(value, dict):
         if set(value) == {"exact"}:
             out.append(f"{pad}{label}: {value['exact']}")

@@ -66,3 +66,9 @@ def excerpt(text: str, quote: bool = False) -> str:
         return repr(text) if quote else text
     head = ascii(text[:40]) if quote else text[:40].encode("ascii", "backslashreplace").decode()
     return f"{head}... ({len(text)} characters)"
+
+
+def quoted(value: object) -> str:
+    """``repr(value)`` as a message shows it: a text through
+    :func:`excerpt` in quotes, any other value's repr through it as is."""
+    return excerpt(value, quote=True) if isinstance(value, str) else excerpt(repr(value))

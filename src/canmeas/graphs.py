@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DisconnectedGraph, InvalidGraph, UnknownEdge, UnknownVertex
+from .errors import DisconnectedGraph, InvalidGraph, UnknownEdge, UnknownVertex, quoted
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,22 @@ class AugmentedGraph:
         seen: set[str] = set()
         for eid, (u, v) in edges:
             if eid in seen:
-                raise InvalidGraph(f"duplicate edge id {eid!r}")
+                raise InvalidGraph(f"duplicate edge id {quoted(eid)}")
             seen.add(eid)
             if u not in vset or v not in vset:
-                raise InvalidGraph(f"edge {eid!r} has endpoint outside the vertex set")
+                raise InvalidGraph(f"edge {quoted(eid)} has endpoint outside the vertex set")
         genus = dict(self.genus)
         for v, gv in genus.items():
             if v not in vset:
-                raise UnknownVertex(f"genus assigned to unknown vertex {v!r}")
+                raise UnknownVertex(f"genus assigned to unknown vertex {quoted(v)}")
             if gv < 0:
-                raise InvalidGraph(f"negative genus at vertex {v!r}")
+                raise InvalidGraph(f"negative genus at vertex {quoted(v)}")
         for v in verts:
             genus.setdefault(v, 0)
         marks = dict(self.marks)
         for label, v in marks.items():
             if v not in vset:
-                raise UnknownVertex(f"mark {label!r} placed on unknown vertex {v!r}")
+                raise UnknownVertex(f"mark {quoted(label)} placed on unknown vertex {quoted(v)}")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple([(eid, (u, v)) for eid, (u, v) in edges]))
         object.__setattr__(self, "genus", genus)

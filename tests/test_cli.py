@@ -586,6 +586,28 @@ class TestLimitCommand:
         assert code == 0 and report["ok"]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("table", [False, True])
+    def test_a_tree_limit_too_long_to_print_exits_3(self, capsys, tmp_path, table):
+        # theta.json in one layer, with coefficients of two 1,300-digit
+        # parts and targets c_i / sum(c) of 3,899 or 3,900 digits a part,
+        # within the parser's bound; the tree limits pass 4,300 digits,
+        # which are found only as the report is written.
+        rng = Random(0)
+        digits = (10**1299, 10**1300)
+        coeffs = [Fraction(rng.randrange(*digits), rng.randrange(*digits)) for _ in range(3)]
+        total = sum(coeffs)
+        doc = json.loads(Path(example("theta.json")).read_text())
+        for edge in doc["edges"]:
+            del edge["length"]
+        doc["layering"] = [["e1", "e2", "e3"]]
+        doc["family"] = {f"e{i}": str(c) for i, c in enumerate(coeffs, 1)}
+        doc["target"] = {f"e{i}": str(c / total) for i, c in enumerate(coeffs, 1)}
+        path = tmp_path / "long_limits.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "limit", "--input", str(path), *(["--table"] if table else []))
+        assert (code, out) == (3, "")
+        assert err == "error: a report value has more than 4300 digits, too many to print\n"
+
     def test_tree_limits_are_in_sorted_order(self, capsys):
         for path in (example("theta.json"), str(FIXTURES / "layered_grid.json")):
             code, report = run_json(capsys, "limit", "--input", path)
@@ -1700,40 +1722,117 @@ def test_minors_on_a_long_cycle_exits_0(capsys, tmp_path):
 
 
 
-def _theta_with(tmp_path, section, key, value):
-    # theta.json with one entry of a section replaced: the length of edge
-    # number ``key`` for "edges", else the entry ``key``.
-    doc = json.loads(Path(example("theta.json")).read_text())
-    if section == "edges":
-        doc["edges"][key]["length"] = value
-    else:
-        doc[section][key] = value
-    path = tmp_path / "theta.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+LONG = "x" * 50_000
+
+
+def _set(*path_and_value):
+    # An edit of a document that sets doc[path] = value.
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+def _both(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+
+    return edit
+
+
+def _rename_e1(doc):
+    # theta.json with e1 renamed LONG in its edge, layering, family and target.
+    doc["edges"][0]["id"] = LONG
+    doc["layering"][0] = [LONG]
+    for section in ("family", "target"):
+        doc[section][LONG] = doc[section].pop("e1")
+
+
+# Edits of theta.json that put LONG where a parse error names it.
+_LONG_DOCUMENT_TEXTS = {
+    "document_key": _set(LONG, 1),
+    "vertex_key": _set("vertices", 0, LONG, 1),
+    "edge_key": _set("edges", 0, LONG, 1),
+    "negative_genus": _set("vertices", 0, {"id": LONG, "genus": -1}),
+    "genus_digits": _set("vertices", 0, {"id": LONG, "genus": 10**4000}),
+    "marks_not_a_list": _set("vertices", 0, {"id": LONG, "marks": "p"}),
+    "repeated_mark": _both(
+        _set("vertices", 0, "marks", [LONG]), _set("vertices", 1, "marks", [LONG])
+    ),
+    "edge_ends": _set("edges", 0, {"id": LONG, "ends": ["u"]}),
+    "malformed_length_of_long_edge": _both(
+        _set("edges", 0, "id", LONG), _set("edges", 0, "length", "x")
+    ),
+    "nonpositive_length": _both(_set("edges", 0, "id", LONG), _set("edges", 0, "length", "0")),
+    "missing_length": _both(
+        _set("edges", 0, "id", LONG), lambda doc: doc["edges"][0].pop("length")
+    ),
+    "duplicate_edge": _both(_set("edges", 0, "id", LONG), _set("edges", 1, "id", LONG)),
+    "outside_endpoint": _set("edges", 0, {"id": LONG, "ends": ["u", "w"], "length": "1"}),
+    "layering_unknown_edge": _set("layering", 0, [LONG]),
+    "layering_missing_edge": _both(_rename_e1, _set("layering", [["e2", "e3"]])),
+    "family_unknown_edge": _set("family", LONG, "1"),
+    "target_unknown_edge": _set("target", LONG, "1"),
+    "family_value": _both(_rename_e1, _set("family", LONG, "q")),
+    "target_value": _both(_rename_e1, _set("target", LONG, "x")),
+}
+# --lambda0 files that put LONG where a parse error names it.
+_LONG_BASE_TEXTS = {
+    "lambda0_key": {LONG: 1},
+    "lambda0_entry": {"rank_block": [[LONG]]},
+    "lambda0_block_name": {"vertex_blocks": {LONG: 5}},
+}
 
 
 @pytest.mark.parametrize(
-    "command, grid, edit, code",
+    "command, grid, edit, lambda0, code",
     [
         # A point of 100,002 characters, over the digit bound.
-        ("limit", "1/" + "1" * 100_000, None, 2),
-        ("limit", "x" * 5000, None, 2),
+        pytest.param("limit", "1/" + "1" * 100_000, None, None, 2, id="oversized_point"),
+        pytest.param("limit", "x" * 5000, None, None, 2, id="unparsable_point"),
         # The length of e1 at t = 1e-2501, a t of 2,503 characters, is
         # over the digit budget.
-        ("periods", "1e-1..1e-3999", None, 3),
-        ("measure", None, ("edges", 0, "x" * 50_000), 2),
-        ("limit", None, ("family", "e2", "q" * 50_000), 2),
+        pytest.param("periods", "1e-1..1e-3999", None, None, 3, id="length_budget"),
+        pytest.param(
+            "measure", None, _set("edges", 0, "length", "x" * 50_000), None, 2,
+            id="malformed_length",
+        ),
+        pytest.param(
+            "limit", None, _set("family", "e2", "q" * 50_000), None, 2, id="malformed_term"
+        ),
+        pytest.param(
+            "limit", None, _both(_rename_e1, _set("family", LONG, "t^1000000")), None, 3,
+            id="long_edge_over_the_length_budget",
+        ),
+        *(
+            pytest.param("measure", None, edit, None, 2, id=name)
+            for name, edit in _LONG_DOCUMENT_TEXTS.items()
+        ),
+        *(
+            pytest.param("periods", None, None, lambda0, 2, id=name)
+            for name, lambda0 in _LONG_BASE_TEXTS.items()
+        ),
     ],
-    ids=["oversized_point", "unparsable_point", "length_budget", "malformed_length", "malformed_term"],
 )
-def test_messages_do_not_echo_long_inputs(capsys, tmp_path, command, grid, edit, code):
+def test_messages_do_not_echo_long_inputs(capsys, tmp_path, command, grid, edit, lambda0, code):
     # A message shows the first 40 characters of a long input and its length.
-    if edit is None:
-        path = example("theta_weighted.json" if command == "periods" else "theta.json")
-    else:
-        path = _theta_with(tmp_path, *edit)
-    argv = [command, "--input", path] + ([] if grid is None else ["--grid", grid])
+    name = "theta_weighted.json" if command == "periods" else "theta.json"
+    doc = json.loads(Path(example(name)).read_text())
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path)]
+    if grid is not None:
+        argv += ["--grid", grid]
+    if lambda0 is not None:
+        (tmp_path / "lambda0.json").write_text(json.dumps(lambda0))
+        argv += ["--lambda0", str(tmp_path / "lambda0.json")]
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert len(err.encode()) < 300, err[:300]

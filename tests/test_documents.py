@@ -24,6 +24,7 @@ from canmeas import (
     parse_rational,
     render_table,
 )
+from canmeas.documents import TreeLimitRows
 from canmeas.families import RATIONAL_DIGITS, oversized_rational
 from canmeas.gallery import theta_graph
 
@@ -502,16 +503,67 @@ reports = st.recursive(
     max_leaves=20,
 )
 
+# Tree limit rows as `limit` reports them: forest masks over a list of
+# edge ids, with exact limits, and the empty mask among them.
+tree_limit_rows = st.lists(report_text, max_size=70, unique=True).flatmap(
+    lambda ids: st.dictionaries(
+        st.integers(min_value=0, max_value=(1 << len(ids)) - 1), st.fractions(), max_size=5
+    ).map(lambda limits: TreeLimitRows(tuple(ids), limits))
+)
+# Reports holding such rows at depth 1, as a `limit` report does, or
+# deeper inside lists and dicts.
+reports_with_rows = st.dictionaries(
+    report_text,
+    st.recursive(
+        st.one_of(tree_limit_rows, report_leaves),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(report_text, inner, max_size=3)
+        ),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+# 71 edge ids whose escapes json must get right, for masks past bit 63.
+ESCAPED_IDS = tuple(f"e\"{i:02d}\\\u00e9\U0001f600" for i in range(71))
+
+
+def plain(value):
+    """value with each TreeLimitRows replaced by its rows()."""
+    if isinstance(value, TreeLimitRows):
+        return value.rows()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    return value
+
 
 class TestReportWriter:
     """dump_report writes what json.dumps(indent=2, sort_keys=True) writes."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.one_of(reports, st.dictionaries(report_text, reports, max_size=4)))
+    @settings(max_examples=160, deadline=None)
+    @given(st.one_of(reports, st.dictionaries(report_text, reports, max_size=4), reports_with_rows))
     @example([-0.0, float("nan"), float("inf"), float("-inf"), 10**40, -1, True, None])
     @example({"\u00e9\"\\\n\x00": ["\U0001f600\u2028", {}, []]})
+    @example({"tree_limits": TreeLimitRows((), {0: F(0)})})
+    @example({"tree_limits": TreeLimitRows(("e1",), {})})
+    @example(
+        {
+            "a": [
+                {"b": TreeLimitRows(ESCAPED_IDS, {1 << 70 | 1 << 64 | 1: F(-3, 7), 1 << 63: F(5)})},
+                # 1/2 and 1/3 share a numerator, not a text.
+                TreeLimitRows(
+                    ESCAPED_IDS, {(1 << 71) - 1: F(1, 2), 1 << 66: F(1, 3), 7: F(1, 2), 0: F(0)}
+                ),
+            ]
+        }
+    )
     def test_agrees_with_json(self, value):
-        assert dump_report(value) == json_dumps_report(value)
+        # Tree limit rows are written as json writes their rows() and
+        # rendered as a table as those rows are.
+        assert dump_report(value) == json_dumps_report(plain(value))
+        if isinstance(value, dict):
+            assert render_table(value) == render_table(plain(value))
 
     def test_empty_containers_at_every_depth(self):
         value = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()}

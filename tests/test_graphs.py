@@ -90,6 +90,25 @@ class TestAugmentedGraph:
         with pytest.raises(UnknownVertex):
             AugmentedGraph(vertices=("a",), edges=(), marks={"p": "b"})
 
+    @pytest.mark.parametrize(
+        "vertices, edges, genus, marks",
+        [
+            (("a", "b"), (("x" * 50_000, ("a", "b")),) * 2, {}, {}),
+            (("a",), (("x" * 50_000, ("a", "b")),), {}, {}),
+            (("a",), (), {"x" * 50_000: 1}, {}),
+            (("x" * 50_000,), (), {"x" * 50_000: -1}, {}),
+            (("a",), (), {}, {"x" * 50_000: "b"}),
+            (("a",), (), {}, {"p": "x" * 50_000}),
+        ],
+        ids=["duplicate_edge", "outside_endpoint", "unknown_genus", "negative_genus",
+             "mark_label", "mark_vertex"],
+    )
+    def test_messages_do_not_echo_long_ids(self, vertices, edges, genus, marks):
+        with pytest.raises(InvalidGraph) as raised:
+            AugmentedGraph(vertices=vertices, edges=edges, genus=genus, marks=marks)
+        assert len(str(raised.value)) < 200
+        assert "(50000 characters)" in str(raised.value)
+
     def test_loop_ends(self):
         g = dumbbell()
         tail, head = g.ends("l1")
