@@ -478,12 +478,8 @@ def cmd_periods(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
             exponents = [int(tok) for tok in args.scales.split(",")]
         except ValueError:
             raise DocumentError("scales must be a comma list of integers") from None
-        if len(exponents) != r or any(
-            b >= a for a, b in zip(exponents, exponents[1:])
-        ) or exponents[-1] <= 0:
-            raise FamilyError(
-                "need one strictly decreasing positive exponent per layer"
-            )
+        if len(exponents) != r or exponents[-1] <= 0:
+            raise FamilyError("need one strictly decreasing positive exponent per layer")
     import numpy as np
 
     family = corpus.layered_family(doc.graph, layering, doc.target, [-a for a in exponents])

@@ -4,28 +4,31 @@ A length family assigns every edge a positive monomial sum in t.  As
 t -> 0+ the normalized length vector should approach a point of the
 stratum named by the target layering: within each layer the normalized
 ratios converge to the target coordinates, and each later layer shrinks
-to nothing against each earlier one.  When that holds, the canonical
-measures of the fibers converge edgewise to the tropical canonical
-measure of the target curve, tree weights converge after rescaling by
-per-layer totals, and integrals of fixed test functions converge; a
-test function lives in normalized edge coordinates, so it is integrated
-as it stands against every fiber and against the limit.  All limits
-here are computed symbolically from dominant exponents and leading
-coefficients; grid evaluations are exact rational arithmetic, with
-floats confined to report rendering elsewhere.  Fibers are measured by
-the matrix route's kernel (:class:`canmeas.measures.CycleSpace`, built
-once per family) and the tropical target by the same kernel on each
-graded minor, so neither enumerates trees: a fiber costs one Gram
-inverse, the target one per layer.  Only the per-tree weight limits
-enumerate; each tree stays the bitmask of
-:func:`canmeas.graphs.forest_masks`, which keys the limits and the
-layered closed forms, and :func:`all_tree_limits` decodes it for
+to nothing against each earlier one.  Once the first holds, the second
+asks only that the layers' dominant exponents increase strictly, and
+:func:`require_convergent` refuses a family that fails either.  When
+they hold, the canonical measures of the fibers converge edgewise to the
+tropical canonical measure of the target curve, tree weights converge
+after rescaling by per-layer totals, and integrals of fixed test
+functions converge; a test function lives in normalized edge
+coordinates, so it is integrated as it stands against every fiber and
+against the limit.  All limits here are computed symbolically from
+dominant exponents and leading coefficients; grid evaluations are exact
+rational arithmetic, with floats confined to report rendering elsewhere.
+Fibers are measured by the matrix route's kernel
+(:class:`canmeas.measures.CycleSpace`, built once per family) and the
+tropical target by the same kernel on each graded minor, so neither
+enumerates trees: a fiber costs one Gram inverse, the target one per
+layer.  Only the per-tree weight limits enumerate; each tree stays the
+bitmask of :func:`canmeas.graphs.forest_masks`, which keys the limits
+and the layered closed forms, and :func:`all_tree_limits` decodes it for
 callers that want edge id sets.  A family builds its target curve, and
 with it the graded minors, once: the tropical target, the tree-weight
 rescaling and the layered closed forms all read that one decomposition,
 and the closed form decides a tree by counting its off-tree bits per
 layer against the minors' genera.  It decides convergence once as well,
-and every limit taken from it reads that one verdict.
+and every limit taken from it, like the period model of
+:mod:`canmeas.periods`, reads that one verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FamilyError, InvalidGraph
+from .errors import FamilyError, InvalidGraph, quoted
 from .families import ScaleFunction, ratio_limit, validate_grid
 from .graphs import AugmentedGraph, forest_masks, is_spanning_forest, mask_bits, mask_edges
 from .layerings import OrderedPartition
@@ -91,16 +94,15 @@ class LengthFamily:
             raise FamilyError("length family must cover exactly the edges of the graph")
         for eid, fn in lengths.items():
             if not isinstance(fn, ScaleFunction):
-                raise FamilyError(f"edge {eid!r} needs a scale function")
+                raise FamilyError(f"edge {quoted(eid)} needs a scale function")
         for eid, x in target.items():
             if x <= 0:
                 raise FamilyError(
-                    f"target coordinate of edge {eid!r} must be positive (interior point)"
+                    f"target coordinate of edge {quoted(eid)} must be positive (interior point)"
                 )
         for j, part in enumerate(self.target_layering.parts):
-            s = sum((target[e] for e in part), Fraction(0))
-            if s != 1:
-                raise FamilyError(f"target coordinates of layer {j} sum to {s}, expected 1")
+            if sum((target[e] for e in part), Fraction(0)) != 1:
+                raise FamilyError(f"target coordinates of layer {j} do not sum to 1")
         object.__setattr__(self, "param_lengths", lengths)
         object.__setattr__(self, "target_point", target)
 
@@ -160,47 +162,46 @@ def check_convergence(f: LengthFamily) -> ConvergenceDiagnostics:
     Two conditions, both read off dominant exponents.  Within each
     layer, each length divided by the layer total must tend to the
     declared target coordinate.  Across layers, each length in a later
-    layer divided by each length in an earlier layer must tend to zero.
-    Every violation is reported, tagged with which condition broke.
+    layer divided by each length in an earlier layer must tend to zero;
+    once the first holds, every length of layer j has its layer total's
+    dominant exponent D_j, so that reads D_0 < D_1 < ... < D_{r-1},
+    checked once per pair of consecutive layers on their first edge ids.
+    Every violation is reported, tagged with which condition broke: at
+    most |E| + r - 1 of them.
     """
     failures: list[ConvergenceFailure] = []
     parts = f.target_layering.parts
     for j, part in enumerate(parts):
         total = f.layer_total(j)
         for e in sorted(part):
-            limit = ratio_limit(f.param_lengths[e], total)
-            want = f.target_point[e]
+            limit, want = ratio_limit(f.param_lengths[e], total), f.target_point[e]
             if limit != want:
-                failures.append(
-                    ConvergenceFailure(
-                        condition=WITHIN_LAYER,
-                        edges=(e,),
-                        detail=(
-                            f"normalized length of edge {e!r} in layer {j} tends to "
-                            f"{limit}, target says {want}"
-                        ),
-                    )
+                detail = (
+                    f"normalized length of edge {quoted(e)} in layer {j} tends to "
+                    f"{_shown(limit)}, target says {_shown(want)}"
                 )
-    for j, early in enumerate(parts):
-        for jj in range(j + 1, len(parts)):
-            for e in sorted(early):
-                de = f.param_lengths[e].dominant_exponent
-                for e2 in sorted(parts[jj]):
-                    if f.param_lengths[e2].dominant_exponent <= de:
-                        failures.append(
-                            ConvergenceFailure(
-                                condition=CROSS_LAYER,
-                                edges=(e, e2),
-                                detail=(
-                                    f"length of edge {e2!r} (layer {jj}) does not vanish "
-                                    f"against edge {e!r} (layer {j})"
-                                ),
-                            )
-                        )
+                failures.append(ConvergenceFailure(WITHIN_LAYER, (e,), detail))
+    if not failures:
+        for j in range(1, len(parts)):
+            e, e2 = min(parts[j - 1]), min(parts[j])
+            if f.param_lengths[e2].dominant_exponent <= f.param_lengths[e].dominant_exponent:
+                detail = (
+                    f"length of edge {quoted(e2)} (layer {j}) does not vanish "
+                    f"against edge {quoted(e)} (layer {j - 1})"
+                )
+                failures.append(ConvergenceFailure(CROSS_LAYER, (e, e2), detail))
     return ConvergenceDiagnostics(ok=not failures, failures=tuple(failures))
 
 
-def _require_convergent(f: LengthFamily) -> None:
+def _shown(x: Fraction) -> str:
+    """x whole if its numerator and denominator have at most 300 bits in
+    all, else by their bit lengths: str() refuses over 4,300 digits."""
+    n, d = x.numerator.bit_length(), x.denominator.bit_length()
+    return str(x) if n + d <= 300 else f"a ratio of {n}-bit and {d}-bit integers"
+
+
+def require_convergent(f: LengthFamily) -> None:
+    """Raise FamilyError with the first failure of :func:`check_convergence`, if any."""
     diag = f.convergence
     if not diag.ok:
         first = diag.failures[0]
@@ -278,7 +279,7 @@ def omega_infinity(f: LengthFamily, tree: frozenset[str]) -> Fraction:
     minors' tree weights at the target coordinates.  Returned exactly;
     only the leading terms of numerator and denominator enter.
     """
-    _require_convergent(f)
+    require_convergent(f)
     if not is_spanning_forest(f.graph, tree):
         raise InvalidGraph("edge set is not a spanning forest of the graph")
     off = ((1 << len(f.graph.edges)) - 1) ^ _edge_mask(f.graph, tree)
@@ -320,7 +321,7 @@ def limit_foster(f: LengthFamily, grid: Sequence[Fraction]) -> ConvergenceReport
     builds one Fraction per edge, one for its largest deviation and one
     for its edge mass.
     """
-    _require_convergent(f)
+    require_convergent(f)
     pts = validate_grid(grid)
     target = tropical_canonical_measure(f.target_curve)
     space = CycleSpace.of(f.graph)
@@ -383,7 +384,7 @@ def continuity_probe(
     of the target curve; fibers use their own canonical measures, from
     the matrix route.  All numbers are exact.
     """
-    _require_convergent(f)
+    require_convergent(f)
     pts = validate_grid(grid)
     limit_value = integrate(tropical_canonical_measure(f.target_curve), fn)
     values = tuple(integrate(foster_by_matrix(f.metric_at(t)), fn) for t in pts)
@@ -450,7 +451,7 @@ def tree_limits(f: LengthFamily) -> dict[int, Fraction]:
     multiplies the leading coefficients over the mask's off-tree bits
     only, h of them for genus h, in integers.
     """
-    _require_convergent(f)
+    require_convergent(f)
     leading = _leading_terms(f)
     denominator = _weight_denominator(f)
     full = (1 << len(f.graph.edges)) - 1

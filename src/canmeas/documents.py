@@ -79,7 +79,7 @@ def parse_rational(value: Any, where: str) -> Fraction:
             if q:
                 return Fraction(int(num), q)
     elif isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"{where}: rationals must be exact strings, got {value!r}")
+        raise DocumentError(f"{where}: rationals must be exact strings, got {quoted(value)}")
     text = str(value)
     if oversized_rational(text):
         raise DocumentError(f"{where}: rational of more than {RATIONAL_DIGITS} digits")

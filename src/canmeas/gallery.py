@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .corpus import layered_family
 from .degeneration import LengthFamily
-from .errors import FamilyError
 from .graphs import AugmentedGraph
 from .layerings import OrderedPartition
 from .periods import ModelPeriodFamily, layered_period_family
@@ -62,10 +61,7 @@ def theta_period_family(
     With positive vertex genera, ``vertex_blocks`` (default identity)
     fills the pad of the base matrix.
     """
-    a1, a2 = exponents
-    if a1 <= a2:
-        raise FamilyError("layer scales must decrease strictly")
     g = theta_graph(genus)
     half = Fraction(1, 2)
-    family = layered_family(g, _SPLIT, {"e1": 1, "e2": half, "e3": half}, (-a1, -a2))
+    family = layered_family(g, _SPLIT, {"e1": 1, "e2": half, "e3": half}, [-a for a in exponents])
     return layered_period_family(family, vertex_blocks=vertex_blocks)

@@ -97,7 +97,7 @@ class AugmentedGraph:
         try:
             return self._ends[edge_id]
         except KeyError:
-            raise UnknownEdge(f"unknown edge {edge_id!r}") from None
+            raise UnknownEdge(f"unknown edge {quoted(edge_id)}") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import LayeringError
+from .errors import LayeringError, quoted
 from .graphs import (
     AugmentedGraph,
     CycleVector,
@@ -67,7 +67,7 @@ class OrderedPartition:
         for j, p in enumerate(self.parts):
             if edge_id in p:
                 return j
-        raise LayeringError(f"edge {edge_id!r} is not covered by the partition")
+        raise LayeringError(f"edge {quoted(edge_id)} is not covered by the partition")
 
 
 def to_filtration(p: OrderedPartition) -> tuple[frozenset[str], ...]:

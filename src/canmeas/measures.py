@@ -63,6 +63,7 @@ from .errors import (
     LayeringError,
     InvalidTestFunction,
     UnknownEdge,
+    quoted,
 )
 from .graphs import (
     AugmentedGraph,
@@ -92,12 +93,12 @@ class MetricGraph:
         lengths = {e: _as_fraction(x) for e, x in self.lengths.items()}
         for eid in lengths:
             if eid not in self.graph._ends:
-                raise UnknownEdge(f"length given for unknown edge {eid!r}")
+                raise UnknownEdge(f"length given for unknown edge {quoted(eid)}")
         for eid in self.graph.edge_ids:
             if eid not in lengths:
-                raise InvalidGraph(f"edge {eid!r} has no length")
+                raise InvalidGraph(f"edge {quoted(eid)} has no length")
             if lengths[eid].numerator <= 0:
-                raise InvalidGraph(f"edge {eid!r} has nonpositive length")
+                raise InvalidGraph(f"edge {quoted(eid)} has nonpositive length")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -109,7 +110,7 @@ class MetricGraph:
         try:
             return self.lengths[edge_id]
         except KeyError:
-            raise UnknownEdge(f"unknown edge {edge_id!r}") from None
+            raise UnknownEdge(f"unknown edge {quoted(edge_id)}") from None
 
     def scaled(self, factor: Fraction) -> "MetricGraph":
         f = _as_fraction(factor)
@@ -150,7 +151,7 @@ class TropicalCurve:
 def check_edge_mass(edge_id: str, x: Fraction) -> None:
     """Raise InvalidGraph unless the edge mass x lies in [0, 1]."""
     if x.numerator < 0 or x.numerator > x.denominator:
-        raise InvalidGraph(f"edge mass {x} on {edge_id!r} is outside [0, 1]")
+        raise InvalidGraph(f"edge mass {x} on {quoted(edge_id)} is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ def gram_matrices(m: MetricGraph, basis: Sequence[CycleVector]) -> linalg.Matrix
     for gamma in basis:
         for eid in gamma.support:
             if eid not in m.graph._ends:
-                raise UnknownEdge(f"cycle uses unknown edge {eid!r}")
+                raise UnknownEdge(f"cycle uses unknown edge {quoted(eid)}")
         if any(b != 0 for b in cycle_boundary(m.graph, gamma).values()):
             raise BasisError("basis element has nonzero boundary")
     rows, scales = CycleSpace(m.graph.edge_ids, basis).gram(m.integer_lengths)
@@ -444,11 +445,11 @@ class NormalizedTestFunction:
             for u, _ in fixed:
                 if u <= 0 or u >= 1:
                     raise FamilyError(
-                        f"normalized breakpoint {u} on edge {e!r} is outside (0, 1)"
+                        f"normalized breakpoint {u} on edge {quoted(e)} is outside (0, 1)"
                     )
             if any(b[0] <= a[0] for a, b in zip(fixed, fixed[1:])):
                 raise InvalidTestFunction(
-                    f"breakpoints on edge {e!r} must be strictly increasing"
+                    f"breakpoints on edge {quoted(e)} must be strictly increasing"
                 )
             breaks[e] = fixed
         object.__setattr__(self, "vertex_values", values)
@@ -468,7 +469,7 @@ def integrate(mu: EdgeMeasure, f: NormalizedTestFunction) -> Fraction:
     atoms = [v for v, atom in mu.vertex_atoms.items() if atom]
     for v in [x for _, ends in m.graph.edges for x in ends] + atoms:
         if v not in f.vertex_values:
-            raise InvalidTestFunction(f"no value at vertex {v!r}")
+            raise InvalidTestFunction(f"no value at vertex {quoted(v)}")
     total = Fraction(0)
     for eid, (u, v) in m.graph.edges:
         breaks = f.normalized_breaks.get(eid, ())

@@ -3,12 +3,14 @@
 The imaginary part of a degenerating period matrix is modeled as a fixed
 symmetric base plus, for every edge, the edge's length times a padded
 rank-one integer matrix built from a cycle basis.  When the basis is
-admissible for a layering and the lengths scale layerwise, the model is
-a graded block matrix: block (k, l) is the slower of the two layer
-scales times a fixed limit block.  The inverse then has the transposed
-grading, and the rescaled diagonal blocks converge to the inverses of
-exactly computable layer matrices; the trailing block converges to the
-inverse of the base's pad block.
+admissible for a layering and the lengths scale layerwise, each layer's
+scale vanishing against the previous one's (:func:`layered_period_family`
+requires the family to converge), the model is a graded block matrix:
+block (k, l) is the slower of the two layer scales times a fixed limit
+block.  The inverse then has the transposed grading, and the rescaled
+diagonal blocks converge to the inverses of exactly computable layer
+matrices; the trailing block converges to the inverse of the base's pad
+block.
 
 This module is the package's one floating point lane.  Both
 verifications, :func:`verify_inverse_lemma` on a synthetic graded matrix
@@ -46,8 +48,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import linalg
-from .degeneration import LengthFamily
-from .errors import BasisError, FamilyError, NotPositiveDefinite
+from .degeneration import LengthFamily, require_convergent
+from .errors import BasisError, FamilyError, NotPositiveDefinite, quoted
 from .families import ScaleFunction, geometric_grid, validate_grid
 from .graphs import AugmentedGraph, CycleVector, graph_genus
 from .layerings import AdmissibleBasis, admissible_cycle_basis
@@ -232,14 +234,14 @@ def assemble_base(
         vertex_blocks = {v: np.eye(stop - start) for v, start, stop in layout}
     unknown = sorted(set(vertex_blocks) - {v for v, _, _ in layout})
     if unknown:
-        raise FamilyError(f"base block given for {unknown[0]!r}, not a vertex of positive genus")
+        raise FamilyError(f"base block given for {quoted(unknown[0])}, not a vertex of positive genus")
     for v, start, stop in layout:
         try:
             vb = np.array(vertex_blocks[v], dtype=float)
         except KeyError:
-            raise FamilyError(f"vertex {v!r} has positive genus but no base block") from None
+            raise FamilyError(f"vertex {quoted(v)} has positive genus but no base block") from None
         if vb.shape != (stop - start, stop - start):
-            raise FamilyError(f"base block of vertex {v!r} has the wrong shape")
+            raise FamilyError(f"base block of vertex {quoted(v)} has the wrong shape")
         base[start:stop, start:stop] = vb
     if cross is not None:
         cb = np.array(cross, dtype=float)
@@ -253,8 +255,11 @@ def assemble_base(
 def layered_period_family(lengths: LengthFamily, **blocks) -> ModelPeriodFamily:
     """The model period family of a layered length family on the admissible
     basis of its target's graded minors, with the base :func:`assemble_base`
-    builds from ``blocks``.  The basis and its monodromy cannot fail on a
-    layered family, so only the blocks and the base are refused."""
+    builds from ``blocks``.  A family that does not converge to its target
+    is refused first; at scales t^-a_j, converging needs a_0 > ... > a_{r-1}.
+    The basis and its monodromy cannot fail then, so only the blocks and
+    the base are refused."""
+    require_convergent(lengths)
     g = lengths.graph
     monodromy = monodromy_from_basis(g, admissible_cycle_basis(lengths.target_curve.minors))
     base = assemble_base(monodromy, g, **blocks)
@@ -581,7 +586,7 @@ def graded_inverse_limits(
         for e in sorted(part):
             if f.lengths.param_lengths[e] != scales[j].scaled(f.lengths.target_point[e]):
                 raise FamilyError(
-                    f"length of edge {e!r} does not factor as layer scale times target coordinate"
+                    f"length of edge {quoted(e)} does not factor as layer scale times target coordinate"
                 )
     pts = geometric_grid(1, 6) if grid is None else validate_grid(grid)
     lengths = f.lengths.target_curve.metric.integer_lengths

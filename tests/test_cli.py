@@ -971,6 +971,8 @@ class TestPeriodsCommand:
             capsys, "periods", "--input", example("theta.json"), "--scales", "1,2"
         )
         assert code == 3
+        # The order of the scales is the family's convergence, checked once.
+        assert "(cross_layer)" in err
         code, out, err = run(
             capsys, "periods", "--input", example("theta.json"), "--scales", "3,2,1"
         )
@@ -1745,12 +1747,28 @@ def _both(*edits):
     return edit
 
 
-def _rename_e1(doc):
-    # theta.json with e1 renamed LONG in its edge, layering, family and target.
-    doc["edges"][0]["id"] = LONG
-    doc["layering"][0] = [LONG]
-    for section in ("family", "target"):
-        doc[section][LONG] = doc[section].pop("e1")
+def _rename(old, new):
+    # An edit that renames edge old to new in its edge, layering, family
+    # and target.
+    def edit(doc):
+        for edge in doc["edges"]:
+            if edge["id"] == old:
+                edge["id"] = new
+        doc["layering"] = [[new if e == old else e for e in part] for part in doc["layering"]]
+        for section in ("family", "target"):
+            doc[section][new] = doc[section].pop(old)
+
+    return edit
+
+
+_rename_e1 = _rename("e1", LONG)
+
+
+def _rename_u(doc):
+    # theta_weighted.json with vertex u renamed LONG, which sorts after v.
+    doc["vertices"][0]["id"] = LONG
+    for edge in doc["edges"]:
+        edge["ends"] = [LONG if end == "u" else end for end in edge["ends"]]
 
 
 # Edits of theta.json that put LONG where a parse error names it.
@@ -1787,6 +1805,21 @@ _LONG_BASE_TEXTS = {
     "lambda0_entry": {"rank_block": [[LONG]]},
     "lambda0_block_name": {"vertex_blocks": {LONG: 5}},
 }
+# Inputs that parse but put LONG where a failed precondition names it.
+_LONG_CHECKED_IDS = {
+    "lambda0_block_for_no_vertex": ("periods", None, {"vertex_blocks": {LONG: [[1.0]]}}),
+    "vertex_without_block": ("periods", _rename_u, {"vertex_blocks": {"v": [[1.0]]}}),
+    "vertex_block_shape": (
+        "periods", _rename_u, {"vertex_blocks": {LONG: [[1.0, 0.0], [0.0, 1.0]], "v": [[1.0]]}}
+    ),
+    "nonpositive_target": ("limit", _both(_rename_e1, _set("target", LONG, "0")), None),
+    # e3 renamed "y" sorts after LONG, so LONG's ratio fails first.
+    "within_layer": (
+        "limit", _both(_rename("e2", LONG), _rename("e3", "y"), _set("family", LONG, "1/3*t")),
+        None,
+    ),
+    "cross_layer": ("limit", _both(_rename_e1, _set("family", LONG, "t")), None),
+}
 
 
 @pytest.mark.parametrize(
@@ -1817,6 +1850,10 @@ _LONG_BASE_TEXTS = {
             pytest.param("periods", None, None, lambda0, 2, id=name)
             for name, lambda0 in _LONG_BASE_TEXTS.items()
         ),
+        *(
+            pytest.param(command, None, edit, lambda0, 3, id=name)
+            for name, (command, edit, lambda0) in _LONG_CHECKED_IDS.items()
+        ),
     ],
 )
 def test_messages_do_not_echo_long_inputs(capsys, tmp_path, command, grid, edit, lambda0, code):
@@ -1837,6 +1874,49 @@ def test_messages_do_not_echo_long_inputs(capsys, tmp_path, command, grid, edit,
     assert (got, out) == (code, "")
     assert len(err.encode()) < 300, err[:300]
     assert "characters)" in err, err
+
+
+@pytest.mark.parametrize("command", ["limit", "periods"])
+def test_a_layer_sum_too_long_to_print_is_not_printed(capsys, tmp_path, command):
+    # Targets 1/p and 1/q with 4,000-digit p and q sum to a fraction whose
+    # denominator has some 8,000 digits, more than str() converts.
+    doc = json.loads(Path(example("theta.json")).read_text())
+    rng = Random(0)
+    for e in ("e2", "e3"):
+        doc["target"][e] = f"1/{rng.randrange(10**3999, 10**4000)}"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, command, "--input", str(path))
+    assert (got, out) == (3, "")
+    assert err == "error: target coordinates of layer 1 do not sum to 1\n"
+
+
+def test_a_ratio_limit_too_long_to_print_is_shown_by_size(capsys, tmp_path):
+    # A one-layer 4-cycle whose constant lengths a/b have 1,200-digit a and
+    # b: each normalized length tends to a fraction of some 4,800 digits,
+    # more than str() converts, while the lengths pass both digit budgets.
+    rng = Random(1)
+    ids = ["e1", "e2", "e3", "e4"]
+    family = {}
+    for e in ids:
+        a, b = rng.randrange(10**1199, 10**1200), rng.randrange(10**1199, 10**1200)
+        family[e] = f"{a}/{b}"
+    doc = {
+        "vertices": [{"id": v} for v in "abcd"],
+        "edges": [
+            {"id": e, "ends": [v, w], "length": "1"} for e, v, w in zip(ids, "abcd", "bcda")
+        ],
+        "layering": [ids],
+        "family": family,
+        "target": dict.fromkeys(ids, "1/4"),
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "limit", "--input", str(path))
+    assert (got, out) == (3, "")
+    assert len(err.encode()) < 300, err[:300]
+    assert "normalized length of edge 'e1' in layer 0 tends to a ratio of" in err
+    assert err.endswith("-bit integers, target says 1/4\n")
 
 
 def test_excerpt_keeps_texts_of_up_to_100_characters():

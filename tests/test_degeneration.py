@@ -239,6 +239,89 @@ class TestConvergenceConditions:
             all_tree_limits(f)
 
     @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_layer_by_layer_rule_matches_the_edge_pair_definition(self, seed):
+        # Each layer gets a dominant exponent, in any order, and each edge
+        # keeps it and its target ratio, or draws its own exponent and
+        # coefficient, independently, so families converge or fail either
+        # condition.
+        rng = Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        if not g.edge_ids:
+            return
+        p = random_layering(rng, g)
+        coords = normalized_coordinates(rng, p)
+        lengths = {}
+        for part in p.parts:
+            lead = rng.randint(-1, 1)
+            for e in part:
+                if rng.random() < 0.9:
+                    terms = [(lead, 3 * coords[e])]
+                else:
+                    terms = [(rng.randint(-2, 2), F(rng.randint(1, 9), rng.randint(1, 9)))]
+                terms += [(3, F(rng.randint(1, 9)))] * rng.randint(0, 1)
+                lengths[e] = ScaleFunction(terms=tuple(terms))
+        f = LengthFamily(graph=g, param_lengths=lengths, target_layering=p, target_point=coords)
+        # The per-edge-pair definition: every ratio within a layer, and
+        # every length of a later layer against every length of an earlier.
+        within = []
+        for j, part in enumerate(p.parts):
+            total = f.layer_total(j)
+            for e in sorted(part):
+                limit = ratio_limit(lengths[e], total)
+                if limit != coords[e]:
+                    detail = (
+                        f"normalized length of edge {e!r} in layer {j} tends to "
+                        f"{limit}, target says {coords[e]}"
+                    )
+                    within.append((WITHIN_LAYER, (e,), detail))
+        cross = {
+            (e, e2)
+            for j, early in enumerate(p.parts)
+            for later in p.parts[j + 1 :]
+            for e in early
+            for e2 in later
+            if lengths[e2].dominant_exponent <= lengths[e].dominant_exponent
+        }
+        diag = check_convergence(f)
+        assert diag.ok == (not within and not cross)
+        assert len(diag.failures) <= len(g.edges) + len(p.parts) - 1
+        got = [(x.condition, x.edges, x.detail) for x in diag.failures]
+        assert got[: len(within)] == within
+        flagged = [x.edges for x in diag.failures if x.condition == CROSS_LAYER]
+        # The cross-layer rule is asked once every ratio within layers holds.
+        assert bool(flagged) == (not within and bool(cross))
+        assert set(flagged) <= cross
+
+    def test_a_layer_that_fails_to_shrink_is_one_failure(self):
+        # A 600-edge path in two layers of 300 edges, every length t/300:
+        # the second layer does not shrink against the first.  Checked edge
+        # pair by edge pair, that is 90,000 failures.
+        ids = [f"e{i:03d}" for i in range(600)]
+        g = AugmentedGraph(
+            vertices=tuple(f"v{i:03d}" for i in range(601)),
+            edges=tuple((e, (f"v{i:03d}", f"v{i + 1:03d}")) for i, e in enumerate(ids)),
+        )
+        p = OrderedPartition(parts=(frozenset(ids[:300]), frozenset(ids[300:])))
+        f = layered_family(g, p, dict.fromkeys(ids, F(1, 300)), [1, 1])
+        diag = check_convergence(f)
+        assert [(x.condition, x.edges, x.detail) for x in diag.failures] == [
+            (
+                CROSS_LAYER,
+                ("e000", "e300"),
+                "length of edge 'e300' (layer 1) does not vanish against edge 'e000' (layer 0)",
+            )
+        ]
+
+    def test_cross_layer_failures_name_consecutive_layers(self):
+        # Dominant exponents 5, 6, 3: layer 2 fails against layer 1, the
+        # layer before it, and that is the one failure.
+        g = theta_graph()
+        p = OrderedPartition(parts=(frozenset({"e1"}), frozenset({"e2"}), frozenset({"e3"})))
+        f = layered_family(g, p, dict.fromkeys(g.edge_ids, F(1)), [5, 6, 3])
+        assert [x.edges for x in check_convergence(f).failures] == [("e2", "e3")]
+
+    @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_corpus_families_converge_by_construction(self, seed):
         rng = Random(seed)

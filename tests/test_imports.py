@@ -82,6 +82,37 @@ def test_the_linalg_scan_sees_every_form(tmp_path):
     assert linalg_imports(path) == [f"sample.py:{line}" for line in range(1, 6)]
 
 
+def repr_conversions(path: Path) -> list[str]:
+    """Lines of path with an f-string field converted by ``!r``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    )
+    return [f"{path.name}:{line}" for line in lines]
+
+
+def test_no_message_converts_a_value_by_repr():
+    # repr prints an id or a value whole, however long; a message quotes
+    # it through errors.quoted, which shows the same text up to 100
+    # characters and a bounded excerpt beyond.
+    assert [line for path in sorted(PACKAGE.glob("*.py")) for line in repr_conversions(path)] == []
+
+
+def test_the_repr_scan_sees_every_f_string(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        'name = "e1"\n'
+        'a = f"edge {name!r}"\n'
+        'b = f"edge {name!s} and {name!a} and {name}"\n'
+        'c = f"{f\'{name!r}\'!s}"\n'
+        'd = "edge {name!r}".format(name=name)\n'
+        'e = f"{name!r:>10}"\n'
+    )
+    assert repr_conversions(path) == ["sample.py:2", "sample.py:4", "sample.py:6"]
+
+
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 
 

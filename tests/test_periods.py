@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canmeas import (
+    CROSS_LAYER,
     AdmissibleBasis,
     AugmentedGraph,
     BasisError,
@@ -21,6 +22,7 @@ from canmeas import (
     ScaleFunction,
     admissible_cycle_basis,
     assemble_base,
+    check_convergence,
     cycle_basis,
     geometric_grid,
     graded_inverse_limits,
@@ -333,8 +335,16 @@ class TestModelPeriodFamily:
 
     def test_theta_family_scales_must_decrease(self):
         for exponents in ((1, 1), (1, 2)):
-            with pytest.raises(FamilyError, match="decrease strictly"):
+            with pytest.raises(FamilyError, match=CROSS_LAYER):
                 theta_period_family(exponents=exponents)
+
+    def test_layered_period_family_refuses_a_family_that_does_not_converge(self):
+        # The second layer's scale t^-3 grows faster than the first's t^-1.
+        point = {"e1": 1, "e2": F(1, 2), "e3": F(1, 2)}
+        family = layered_family(theta_graph(), THETA_SPLIT, point, [-1, -3])
+        assert not check_convergence(family).ok
+        with pytest.raises(FamilyError, match=CROSS_LAYER):
+            layered_period_family(family)
 
     def test_model_period_value(self):
         fam = theta_period_family(exponents=(2, 1))
